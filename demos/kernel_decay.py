@@ -5,9 +5,7 @@ range of times, next to the t^{-(n-1)/2} reference, then the h-scaling
 at fixed t = 16.  Runs in a few seconds; no grid involved.
 """
 
-import numpy as np
-
-from wavedecay.estimates import _cone_sup
+from wavedecay.estimates import cone_sup
 from wavedecay.fitting import fit_power_law
 from wavedecay.profiles import bump
 
@@ -18,7 +16,7 @@ print(f"n = {n}, profile support {prof.support}")
 print("\n  t        sup|K|        t^1.5 * sup")
 rows = []
 for t in [8.0 * 2.0 ** (k / 2.0) for k in range(9)]:
-    v = _cone_sup(n, prof, 1.0, t)
+    v = cone_sup(n, prof, 1.0, t)
     rows.append((t, v))
     print(f"{t:7.2f}  {v:12.4e}  {t ** 1.5 * v:12.4e}")
 rep = fit_power_law(rows, target=-1.5, tolerance=0.2)
@@ -28,7 +26,7 @@ print(f"\nfitted t-exponent {rep.fitted_exponent:+.3f} "
 print("\n  h        sup|K| at t=16")
 rows = []
 for h in (1.0, 0.5, 0.25, 0.125):
-    v = _cone_sup(n, prof, h, 16.0)
+    v = cone_sup(n, prof, h, 16.0)
     rows.append((h, v))
     print(f"{h:7.3f}  {v:12.4e}")
 rep = fit_power_law(rows, target=-2.5, tolerance=0.3)

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from math import floor
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import jv
 
-from .fitting import DecayFitReport, fit_power_law
+from .fitting import _stability, fit_power_law
 from .freekernel import (QuadratureError, _panel_nodes, eval_Kh_batch,
                          eval_Kh_sigma_batch)
 from .norms import sector_weights
@@ -32,9 +31,11 @@ from .profiles import (bump, mollifier, plateau, step_cutoff,
                        step_cutoff_derivative)
 from .radialop import build_G, build_G0, weight_matrix
 from .resolvent import free_green_matrix, resolvent_difference_vector
+from .specfun import gauss_panels, simpson_weights
 
 __all__ = [
     "EPS",
+    "cone_sup",
     "check_kernel_bounds",
     "check_prop21",
     "check_thm31",
@@ -114,13 +115,6 @@ def _coeff(root, amp, t):
     return amp * np.exp(1j * t * root)
 
 
-def _stability(values):
-    vals = [float(v) for v in values if v > 0]
-    if not vals:
-        return 0.0
-    return max(vals) / min(vals)
-
-
 def _ratio_report(values, cap, note=None):
     rep = {"kind": "stability", "sup": float(max(values)),
            "ratio": _stability(values), "cap": cap,
@@ -133,14 +127,14 @@ def _ratio_report(values, cap, note=None):
 # ---------------------------------------------------------------------------
 # free kernel checks
 
-def _cone_sup(n, profile, h, t, n_sigma=65, weight_power=0.0):
-    """sup over the light-cone window sigma in [3t/4, 5t/4] of
-    |K_h| sigma^weight_power.
+def cone_sup(n, profile, h, t, weight_power=0.0):
+    """sup over the light-cone window sigma in [3t/4, 5t/4] (65 samples)
+    of |K_h| sigma^weight_power.
 
     The window tracks where the stated rates are attained: the deep
     interior (sigma << t) carries a transient that dies off much faster
     and would steepen small-t fits, the far field is vacuum."""
-    sig = np.linspace(0.75 * t, 1.25 * t, n_sigma)
+    sig = np.linspace(0.75 * t, 1.25 * t, 65)
     vals = np.abs(eval_Kh_sigma_batch(n, profile, h, sig, t))
     return float(np.max(vals * sig ** weight_power))
 
@@ -167,14 +161,14 @@ def check_kernel_bounds(n, profile, h_set, t_set=None, s_set=None,
         rows = []
         for t in t_set:
             try:
-                rows.append((t, _cone_sup(n, profile, 1.0, t,
-                                          weight_power=top - s)))
+                rows.append((t, cone_sup(n, profile, 1.0, t,
+                                         weight_power=top - s)))
             except QuadratureError as exc:
                 gaps.append({"check": "2.7", "t": t, "error": repr(exc)})
         reports[f"2.7_t_s{s:g}"] = fit_power_law(
             rows, "2.7", "t", target=-s, tolerance=0.2).as_dict()
 
-    rows = [(h, _cone_sup(n, profile, h, t_fixed)) for h in h_set]
+    rows = [(h, cone_sup(n, profile, h, t_fixed)) for h in h_set]
     reports["2.7_h"] = fit_power_law(rows, "2.7", "h",
                                      target=-(n + 1) / 2.0,
                                      tolerance=0.3).as_dict()
@@ -237,10 +231,10 @@ def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0,
             rows, "2.1", "t", target=-s, tolerance=tol,
             one_sided=s > 0.0).as_dict()
 
-    rows = [(t, _cone_sup(n, profile, 1.0, t)) for t in KERNEL_T]
+    rows = [(t, cone_sup(n, profile, 1.0, t)) for t in KERNEL_T]
     reports["2.2_t"] = fit_power_law(rows, "2.2", "t", target=-top,
                                      tolerance=0.2).as_dict()
-    rows = [(h, _cone_sup(n, profile, h, t_fixed)) for h in h_set]
+    rows = [(h, cone_sup(n, profile, h, t_fixed)) for h in h_set]
     reports["2.2_h"] = fit_power_law(rows, "2.2", "h",
                                      target=-(n + 1) / 2.0,
                                      tolerance=0.3).as_dict()
@@ -518,8 +512,13 @@ class _LatticeFamily:
     def deriv(self, order, lam):
         """Lambda-derivative of the cubic interpolant.  Differentiating
         the interpolant analytically avoids the 1/step^2 amplification a
-        finite difference across interpolated values would suffer."""
+        finite difference across interpolated values would suffer.  Raises
+        ValueError for lam outside the lattice."""
         x = (lam - self.lo) / self.step
+        if not 0.0 <= x <= len(self.mats) - 1:
+            raise ValueError(
+                f"lambda {lam:g} outside the lattice [{self.lams[0]:g}, "
+                f"{self.lams[-1]:g}]")
         j = min(max(int(floor(x)), 1), len(self.mats) - 3)
         u = x - j
         if order == 0:
@@ -549,7 +548,6 @@ class MollifiedMultiplier:
 
     family: _LatticeFamily
     theta: float
-    n_sigma: int = 16
 
     @property
     def mass_defect(self):
@@ -558,11 +556,8 @@ class MollifiedMultiplier:
 
     def _nodes(self):
         m = mollifier()
-        xg, wg = leggauss(self.n_sigma)
-        lo, hi = self.theta / 3.0, self.theta / 2.0
-        sig = (lo + hi) / 2 + (hi - lo) / 2 * xg
-        wts = (hi - lo) / 2 * wg * m(sig / self.theta) / self.theta
-        return sig, wts
+        sig, wts = gauss_panels([self.theta / 3.0, self.theta / 2.0], 16)
+        return sig, wts * m(sig / self.theta) / self.theta
 
     def deriv(self, order, lam):
         sig, wts = self._nodes()
@@ -597,16 +592,18 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
     derivative (slope mu) against blow-up of the (m+1)-st (slope mu - 1);
     the reconstruction objective is minimized near theta = 1/|t|.
     """
-    from .profiles import bump
-
     m_order = int(floor(s))
     mu = s - m_order
     if profile is None:
         profile = bump()
     lo, hi = profile.support
+    scan_thetas = [2.0 ** -k for k in range(1, 7)]
+    # the mollifier reaches theta/2 past lambda; size the lattice for the
+    # largest theta any part of the suite evaluates
+    theta_max = max(*theta_set, *scan_thetas, *(1.0 / t for t in t_scan))
     pad = 2 * lattice_step
     fam = _LatticeFamily(grid, n, potential, s, lo - 4 * pad,
-                         hi + max(theta_set) / 2.0 + 4 * pad,
+                         hi + theta_max / 2.0 + 4 * pad,
                          lattice_step, r_cut, eps)
     reports = {}
 
@@ -648,9 +645,7 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
     base = fam.lams[(fam.lams >= lo) & (fam.lams <= hi)]
     if base.size % 2 == 0:
         base = base[:-1]
-    sw = np.ones(base.size)
-    sw[1:-1:2], sw[2:-1:2] = 4.0, 2.0
-    sw *= (base[1] - base[0]) / 3.0
+    sw = simpson_weights(base.size, base[1] - base[0])
     pf = profile(base)
 
     def recon(t, theta=None):
@@ -686,8 +681,7 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
 
     scan_rep = {}
     for t in t_scan:
-        thetas = [2.0 ** -k for k in range(1, 7)]
-        scan = {f"{th:g}": objective(t, th) for th in thetas}
+        scan = {f"{th:g}": objective(t, th) for th in scan_thetas}
         at_inv = objective(t, 1.0 / t)
         best = min(scan.values())
         scan_rep[f"t{t:g}"] = {
@@ -720,8 +714,7 @@ def _free_kernel_sup(n, profile, h, t, cone_only=False):
     d = np.unique(d[d > 0])
     if cone_only:
         d = d[(d >= t / 2) & (d <= 3 * t / 2)]
-    lam, w = _panel_nodes(lo / h, hi / h, t + float(d.max()),
-                          points_per_panel=6)
+    lam, w = _panel_nodes(lo / h, hi / h, t + float(d.max()), points=6)
     osc = np.exp(1j * t * lam) * profile(h * lam) * lam ** (n / 2.0) * w
     bessel = jv(n / 2.0 - 1.0, np.outer(d, lam))
     k = (2 * np.pi) ** (-n / 2.0) * d ** (1.0 - n / 2.0) * (bessel @ osc)
@@ -814,14 +807,11 @@ def assemble_thm11(grid, n, potential, a=1.0, t_set=(4.0, 8.0, 16.0,
     # theta^{beta-1} dtheta with phi(sigma) = sigma^{1-beta} chi'_a(sigma)
     beta = (n + 1) / 2.0
     phi_id = step_cutoff_derivative(a, power=1.0 - beta)
-    xg, wg = leggauss(64)
     resid = 0.0
     for sigma in sigma_grid:
         lhs = sigma ** -beta * chi(np.array([sigma]))[0]
-        lo_t = min(a / sigma, 1.0)
-        hi_t = min(2 * a / sigma, 1.0)
-        tg = (lo_t + hi_t) / 2 + (hi_t - lo_t) / 2 * xg
-        tw = (hi_t - lo_t) / 2 * wg
+        tg, tw = gauss_panels([min(a / sigma, 1.0), min(2 * a / sigma, 1.0)],
+                              64)
         rhs = float(np.sum(tw * phi_id(tg * sigma) * tg ** (beta - 1.0)))
         resid = max(resid, abs(rhs - lhs))
     reports["4.3_identity"] = {"max_residual": resid, "cap": 1e-8,

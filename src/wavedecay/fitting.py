@@ -78,3 +78,12 @@ def fit_power_law(samples, estimate_id="", variable="x", target=None,
                           float(np.exp(intercept)), residual,
                           (float(np.min(xs)), float(np.max(xs))),
                           target, tolerance, residual_cap, one_sided)
+
+
+def _stability(values):
+    """max/min of the positive values (0.0 when there are none): the
+    bounded-surrogate ratio the stability reports cap."""
+    vals = [float(v) for v in values if v > 0]
+    if not vals:
+        return 0.0
+    return max(vals) / min(vals)

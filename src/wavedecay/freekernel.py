@@ -17,10 +17,8 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import special
 
-from .specfun import BesselOrder, hankel_H
+from .specfun import caljnu, gauss_panels, symbol_split
 
 __all__ = [
     "QuadratureError",
@@ -28,7 +26,6 @@ __all__ = [
     "eval_Kh_pm",
     "eval_Kh_batch",
     "eval_Kh_sigma_batch",
-    "free_resolvent_kernel",
     "plancherel_lambda_side",
     "write_kernel_scan",
 ]
@@ -38,34 +35,23 @@ class QuadratureError(RuntimeError):
     """Raised when panel refinement stalls above the requested tolerance."""
 
 
-_G4 = leggauss(4)
 _PLAIN_N = 96
+_MAX_REFINE = 6
 
 
-def _panel_nodes(lo, hi, rate, min_panels=4, points_per_panel=4):
+def _panel_nodes(lo, hi, rate, min_panels=4, points=4):
     """Composite Gauss-Legendre nodes on [lo, hi]; panel width at most an
     eighth of the oscillation period 2 pi / rate."""
     if rate <= 0:
         npan = min_panels
     else:
         npan = max(min_panels, int(np.ceil((hi - lo) * rate / (2 * np.pi) * 8)))
-    edges = np.linspace(lo, hi, npan + 1)
-    if points_per_panel == 4:
-        xg, wg = _G4
-    else:
-        xg, wg = leggauss(points_per_panel)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * xg).ravel()
-    weights = (half[:, None] * wg).ravel()
-    return nodes, weights
+    return gauss_panels(np.linspace(lo, hi, npan + 1), points)
 
 
 def _kh_integrand(n, profile, h, sigma, lam):
-    nu = (n - 2) / 2.0
-    z = sigma * lam
-    caj = np.where(z > 0, z ** nu * special.jv(nu, np.maximum(z, 1e-300)), 0.0)
-    return profile(h * lam) * caj * lam
+    # lam lies inside the profile support, so sigma * lam > 0
+    return profile(h * lam) * caljnu((n - 2) / 2.0, sigma * lam) * lam
 
 
 def _kh_prefactor(n, sigma):
@@ -83,9 +69,7 @@ def _quad_once(n, profile, h, sigma, t, refine=0):
     lo, hi = lo / h, hi / h
     rate = abs(t) + sigma
     if rate * (hi - lo) <= 16.0 and refine == 0:
-        xg, wg = leggauss(_PLAIN_N)
-        lam = (lo + hi) / 2.0 + (hi - lo) / 2.0 * xg
-        w = (hi - lo) / 2.0 * wg
+        lam, w = gauss_panels([lo, hi], _PLAIN_N)
     else:
         lam, w = _panel_nodes(lo, hi, rate, min_panels=4 * 2 ** refine)
     vals = np.exp(1j * t * lam) * _kh_integrand(n, profile, h, sigma, lam)
@@ -99,12 +83,12 @@ def _check_args(h, sigma):
         raise ValueError("h must lie in (0, 1]")
 
 
-def eval_Kh(n, profile, h, sigma, t, rel_tol=1e-8, max_refine=6):
+def eval_Kh(n, profile, h, sigma, t, rel_tol=1e-8):
     """K_h(sigma, t) with panel-refinement error control."""
     _check_dim(n)
     _check_args(h, sigma)
     prev = _quad_once(n, profile, h, sigma, t, 0)
-    for refine in range(1, max_refine + 1):
+    for refine in range(1, _MAX_REFINE + 1):
         cur = _quad_once(n, profile, h, sigma, t, refine)
         scale = max(abs(cur), 1e-300)
         if abs(cur - prev) / scale <= rel_tol or abs(cur - prev) <= 1e-16:
@@ -114,7 +98,7 @@ def eval_Kh(n, profile, h, sigma, t, rel_tol=1e-8, max_refine=6):
         f"panel refinement stalled at rel err {abs(cur - prev) / scale:.2e}")
 
 
-def eval_Kh_pm(n, profile, h, sigma, t, sign, rel_tol=1e-8, max_refine=6):
+def eval_Kh_pm(n, profile, h, sigma, t, sign):
     """The piece K_h^{+/-} of the light-cone decomposition (phase t +/- sigma).
 
     Exact for all sigma * lambda > 0 since the symbol split is exact; the
@@ -132,20 +116,16 @@ def eval_Kh_pm(n, profile, h, sigma, t, sign, rel_tol=1e-8, max_refine=6):
 
     def piece(refine):
         lam, w = _panel_nodes(lo, hi, rate, min_panels=8 * 2 ** refine)
-        z = sigma * lam
-        if sign == +1:
-            b = 0.5 * z ** nu * special.hankel1(nu, z) * np.exp(-1j * z)
-        else:
-            b = 0.5 * z ** nu * special.hankel2(nu, z) * np.exp(+1j * z)
+        b = symbol_split(nu, sigma * lam)[0 if sign == +1 else 1]
         tilde = profile(h * lam) * lam  # phi~(h lam)/h = lam phi(h lam)
         vals = np.exp(1j * (t + sign * sigma) * lam) * tilde * b
         return _kh_prefactor(n, sigma) * np.sum(w * vals)
 
     prev = piece(0)
-    for refine in range(1, max_refine + 1):
+    for refine in range(1, _MAX_REFINE + 1):
         cur = piece(refine)
         scale = max(abs(cur), 1e-300)
-        if abs(cur - prev) / scale <= rel_tol or abs(cur - prev) <= 1e-16:
+        if abs(cur - prev) / scale <= 1e-8 or abs(cur - prev) <= 1e-16:
             return cur
         prev = cur
     raise QuadratureError("panel refinement stalled in +/- piece")
@@ -181,22 +161,9 @@ def eval_Kh_sigma_batch(n, profile, h, sigma_array, t):
     rate = abs(t) + np.max(sigma_array)
     lam, w = _batch_lambda_grid(profile, h, rate)
     base = w * profile(h * lam) * lam * np.exp(1j * t * lam)
-    z = np.outer(sigma_array, lam)
-    caj = z ** nu * special.jv(nu, z)
+    caj = caljnu(nu, np.outer(sigma_array, lam))
     pref = _kh_prefactor(n, sigma_array)
     return pref * (caj @ base)
-
-
-def free_resolvent_kernel(n, lam, sign, d):
-    """Kernel of the outgoing/incoming free resolvent at distance d:
-    +/- (i/4) (lam / (2 pi d))^nu H_nu^{+/-}(lam d)."""
-    if lam <= 0 or d <= 0:
-        raise ValueError("need lam > 0 and d > 0")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    nu = (n - 2) / 2.0
-    order = BesselOrder(nu)
-    return sign * 0.25j * (lam / (2 * np.pi * d)) ** nu * hankel_H(order, sign, lam * d)
 
 
 def plancherel_lambda_side(n, profile, h, sigma, m=0):
@@ -208,9 +175,8 @@ def plancherel_lambda_side(n, profile, h, sigma, m=0):
     _check_dim(n)
     lo, hi = profile.support
     lam, w = _panel_nodes(lo / h, hi / h, 4 * sigma, min_panels=64)
-    nu = (n - 2) / 2.0
-    z = sigma * lam
-    integrand = np.abs(h * profile(h * lam) * lam * z ** nu * special.jv(nu, z)) ** 2
+    integrand = np.abs(h * profile(h * lam) * lam
+                       * caljnu((n - 2) / 2.0, sigma * lam)) ** 2
     pref = _kh_prefactor(n, sigma)
     return 2 * np.pi * pref ** 2 * h ** -2 * np.sum(w * integrand)
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .fitting import fit_power_law
+from .fitting import _stability, fit_power_law
 from .norms import op_norm_2, op_norm_2_to_inf, op_norm_p
 from .profiles import step_cutoff, step_cutoff_derivative, sqrt_compose_deriv
 from .radialop import weight_matrix
+from .specfun import gauss_panels
 
 __all__ = [
     "AlmostAnalytic",
@@ -119,12 +119,7 @@ def _x_panels(xlo, xhi, width, nodes_per_panel, floor=0.003, grade=0.3):
         w = max(floor, min(width, grade * max(d, floor)))
         x = min(x + w, xhi)
         edges.append(x)
-    edges = np.asarray(edges)
-    xg, xw = leggauss(nodes_per_panel)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = np.diff(edges) / 2
-    return ((mid[:, None] + half[:, None] * xg).ravel(),
-            (half[:, None] * xw).ravel())
+    return gauss_panels(edges, nodes_per_panel)
 
 
 def _hs_mesh(aa, tol, nodes_per_panel=5, ny_per_layer=6, panel_factor=0.5,
@@ -141,20 +136,16 @@ def _hs_mesh(aa, tol, nodes_per_panel=5, ny_per_layer=6, panel_factor=0.5,
     xlo, xhi = aa.support
     n_ord = aa.order
     c_lead = aa.deriv_sup(n_ord + 1) / factorial(n_ord)
-    yg, yw = leggauss(nodes_per_panel)
     zs, ws = [], []
 
     # cutoff band: composite panels in y over [1/2, 1]
     xs, xwts = _x_panels(xlo, xhi, 0.2, nodes_per_panel)
-    y_edges = np.linspace(0.5, 1.0, band_panels + 1)
-    for y0, y1 in zip(y_edges[:-1], y_edges[1:]):
-        ys = (y0 + y1) / 2 + (y1 - y0) / 2 * yg
-        ywts = (y1 - y0) / 2 * yw
-        for y, wy in zip(ys, ywts):
-            zs.append(xs + 1j * y)
-            ws.append(xwts * wy)
+    ys, ywts = gauss_panels(np.linspace(0.5, 1.0, band_panels + 1),
+                            nodes_per_panel)
+    for y, wy in zip(ys, ywts):
+        zs.append(xs + 1j * y)
+        ws.append(xwts * wy)
 
-    ylg, ylw = leggauss(ny_per_layer)
     for k in range(1, 25):
         y_hi, y_lo = 2.0 ** -k, 2.0 ** -(k + 1)
         # everything below y_hi is bounded by
@@ -163,8 +154,7 @@ def _hs_mesh(aa, tol, nodes_per_panel=5, ny_per_layer=6, panel_factor=0.5,
         tail = (xhi - xlo) * c_lead * y_hi ** n_ord / n_ord / np.pi
         if k >= 2 and tail < tol / 10.0:
             break
-        ys = (y_hi + y_lo) / 2 + (y_hi - y_lo) / 2 * ylg
-        ywts = (y_hi - y_lo) / 2 * ylw
+        ys, ywts = gauss_panels([y_lo, y_hi], ny_per_layer)
         xs, xwts = _x_panels(xlo, xhi, panel_factor * y_lo, nodes_per_panel)
         for y, wy in zip(ys, ywts):
             zs.append(xs + 1j * y)
@@ -219,17 +209,14 @@ def _resolvent_sum(diag, off, zs, coeffs, block=1500):
     return np.triu(s) + np.tril(s.T, -1)
 
 
-def hs_multiplier(op, profile, h, order=8, tol=1e-7, mesh=None, block=1500):
+def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     """psi(h^2 op) with psi(x) = profile(sqrt(x)) via the resolvent
     quadrature; independent of the eigendecomposition by construction.
 
     block caps how many quadrature nodes are in flight at once (memory
     scales as block * M)."""
     aa = almost_analytic(profile, order)
-    if mesh is None:
-        zs, ws = _hs_mesh(aa, tol)
-    else:
-        zs, ws = mesh
+    zs, ws = _hs_mesh(aa, tol)
     diag = h ** 2 * op.diag
     off = h ** 2 * op.offdiag
     vals = aa.dbar(zs) * ws
@@ -255,13 +242,6 @@ def phi_of_hsqrt(op, profile, h):
         return out
 
     return spectral_multiplier(op, f)
-
-
-def _stability(values):
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return 0.0
-    return float(max(vals) / min(vals))
 
 
 def verify_lemma23(grid, n, op0, op, profile, h_set, s=1.0,

@@ -18,10 +18,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .norms import op_norm_2
 from .resolvent import resolvent_difference_vector
+from .specfun import gauss_panels, simpson_weights
 
 __all__ = [
     "PropagatorRecord",
@@ -62,7 +62,6 @@ class TrajectoryRecord:
     dt: float
     u: np.ndarray
     energy_drift: float
-    richardson: bool
 
 
 def _profile_factor(profile, h, mu, square):
@@ -88,9 +87,7 @@ def wave_multiplier(op, profile, h, t, square_profile=False):
     return PropagatorRecord(float(t), float(h), profile, mat, "eigen")
 
 
-def wave_via_resolvent(grid, n, potential, profile, h, t,
-                       square_profile=True, points_per_panel=6,
-                       panels_per_period=1.5):
+def wave_via_resolvent(grid, n, potential, profile, h, t):
     """The same multiplier from the spectral-jump formula
 
         e^{it sqrt(G)} phi^2(h sqrt(G))
@@ -99,23 +96,18 @@ def wave_via_resolvent(grid, n, potential, profile, h, t,
     The jump is rank one, i pi dr x(lam) conj(x(lam))^T with x the
     outgoing-normalized regular solution, so the quadrature collapses to
     one GEMM over the lambda nodes.  Node density follows the worst phase
-    rate |t| + 2R carried by the far corner of the outer product.
+    rate |t| + 2R carried by the far corner of the outer product: 1.5
+    six-point panels per period.
     """
     lo, hi = profile.support
     lam_lo, lam_hi = lo / h, hi / h
     rate = abs(t) + 2.0 * grid.R
     periods = rate * (lam_hi - lam_lo) / (2.0 * np.pi)
-    n_panels = max(4, int(np.ceil(panels_per_period * periods)))
-    xg, wg = leggauss(points_per_panel)
-    edges = np.linspace(lam_lo, lam_hi, n_panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = np.diff(edges) / 2
-    lams = (mid[:, None] + half[:, None] * xg).ravel()
-    wts = (half[:, None] * wg).ravel()
+    n_panels = max(4, int(np.ceil(1.5 * periods)))
+    lams, wts = gauss_panels(np.linspace(lam_lo, lam_hi, n_panels + 1), 6)
 
     pf = profile(h * lams)
-    if square_profile:
-        pf = pf * pf
+    pf = pf * pf
     coeffs = wts * np.exp(1j * t * lams) * pf * lams * grid.dr
     cols = np.empty((grid.M, lams.size), dtype=complex)
     for k, lam in enumerate(lams):
@@ -134,10 +126,10 @@ def phi_difference(op0, op, profile, h, t):
     return a.matrix - b.matrix
 
 
-def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t,
-                        nodes_per_period=8):
+def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
     """int_0^t plateau_tilt(h sqrt(G0)) sin((t-tau) sqrt(G0)) V
-    e^{i tau sqrt(G)} phi(h sqrt(G)) dtau by composite Simpson.
+    e^{i tau sqrt(G)} phi(h sqrt(G)) dtau by composite Simpson, with 8
+    tau nodes per period of the top frequency.
 
     Everything is expressed in the mixed eigenbasis (G0 on the left, G on
     the right), where each tau node is an elementwise phase pattern on the
@@ -157,13 +149,10 @@ def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t,
     right = _profile_factor(profile, h, mu, square=False)
 
     top = profile.support[1] / h
-    n_steps = int(np.ceil(max(8.0, nodes_per_period * abs(t) * top
-                               / (2.0 * np.pi))))
+    n_steps = int(np.ceil(max(8.0, 8 * abs(t) * top / (2.0 * np.pi))))
     n_steps += n_steps % 2          # Simpson needs an even interval count
     taus, dtau = np.linspace(0.0, t, n_steps + 1, retstep=True)
-    sw = np.ones(n_steps + 1)
-    sw[1:-1:2], sw[2:-1:2] = 4.0, 2.0
-    sw *= dtau / 3.0
+    sw = simpson_weights(n_steps + 1, dtau)
 
     acc = np.zeros_like(coupling, dtype=complex)
     for tau, w in zip(taus, sw):
@@ -174,7 +163,7 @@ def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t,
     return mat, n_steps + 1
 
 
-def duhamel_split(op0, op, profile, h, t, nodes_per_period=8):
+def duhamel_split(op0, op, profile, h, t):
     """Stationary four-term part and O(h) time-integral remainder of the
     propagator difference; phi1_part + h * phi2_part reproduces it."""
     if op0.grid != op.grid:
@@ -206,14 +195,12 @@ def duhamel_split(op0, op, profile, h, t, nodes_per_period=8):
              + p1_0 @ e0 @ d_phi
              - 1j * p1_0 @ s0 @ d_phi
              + 1j * p1t_0 @ s0 @ d_tilt)
-    integral, n_nodes = _mixed_sin_integral(op0, op, profile, phi1_t, h, t,
-                                            nodes_per_period)
+    integral, n_nodes = _mixed_sin_integral(op0, op, profile, phi1_t, h, t)
     return DuhamelSplit(float(t), float(h), part1, -integral,
                         {"rule": "simpson", "tau_nodes": n_nodes})
 
 
-def time_domain_evolve(op, f, t_end, dt, profile=None, h=1.0,
-                       richardson=True):
+def time_domain_evolve(op, f, t_end, dt, profile=None, h=1.0):
     """Leapfrog integration of d^2 u/dt^2 = -G u as the independent
     propagator oracle.
 
@@ -258,13 +245,11 @@ def time_domain_evolve(op, f, t_end, dt, profile=None, h=1.0,
         return cur, drift
 
     if t_end == 0.0:
-        return TrajectoryRecord(0.0, dt, u0, 0.0, richardson)
+        return TrajectoryRecord(0.0, dt, u0, 0.0)
     u_c, drift_c = run(dt)
-    if not richardson:
-        return TrajectoryRecord(float(t_end), dt, u_c, drift_c, False)
     u_f, drift_f = run(dt / 2.0)
     u = (4.0 * u_f - u_c) / 3.0
-    return TrajectoryRecord(float(t_end), dt, u, max(drift_c, drift_f), True)
+    return TrajectoryRecord(float(t_end), dt, u, max(drift_c, drift_f))
 
 
 def boundary_safe_gap(rec_a, rec_b, grid, pad=8.0):
@@ -287,24 +272,22 @@ def boundary_safe_gap(rec_a, rec_b, grid, pad=8.0):
                  / ref)
 
 
-def free_sector_kernel_column(grid, n, profile, h, t, col, row_stride=4,
-                              n_theta=64):
+def free_sector_kernel_column(grid, n, profile, h, t, col):
     """Sector projection of the full-space free kernel.
 
     The angular average int_{S^{n-1}} K_h(|r e1 - r' w|, t) dw reduces to a
-    1-D theta integral against sin^{n-2}; multiplying by (r r')^{(n-1)/2}
-    gives the continuum sector kernel, comparable to an eigen-route column
-    divided by dr.  Returns (row indices, values).
+    1-D theta integral against sin^{n-2} (64-point Gauss on [0, pi]);
+    multiplying by (r r')^{(n-1)/2} gives the continuum sector kernel,
+    comparable to an eigen-route column divided by dr.  Returns (row
+    indices, values) on every fourth row.
     """
     from math import gamma
 
     from .freekernel import eval_Kh_sigma_batch
 
     rp = grid.nodes[col]
-    rows = np.arange(0, grid.M, row_stride)
-    tg, tw = leggauss(n_theta)
-    theta = (tg + 1.0) * (np.pi / 2.0)
-    tw = tw * (np.pi / 2.0)
+    rows = np.arange(0, grid.M, 4)
+    theta, tw = gauss_panels([0.0, np.pi], 64)
     r = grid.nodes[rows]
     dists = np.sqrt(r[:, None] ** 2 + rp ** 2
                     - 2.0 * r[:, None] * rp * np.cos(theta)[None, :])

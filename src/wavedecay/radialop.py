@@ -9,7 +9,6 @@ the common currency of every matrix-based module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "build_G0",
     "build_G",
     "weight_matrix",
-    "spectral_decompose",
 ]
 
 
@@ -56,9 +54,6 @@ class RadialGrid:
         # unit propagation speed: reflections stay outside the window
         if self.R < t_max + data_radius:
             raise ValueError("domain too small for the requested time window")
-
-    def to_json(self):
-        return json.dumps({"R": self.R, "M": self.M})
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,3 @@ def weight_matrix(grid, s):
     if not np.isfinite(s):
         raise ValueError("weight exponent must be finite")
     return (1.0 + grid.nodes ** 2) ** (-s / 2.0)
-
-
-def spectral_decompose(op):
-    """Eigenpairs of the operator; raises on solver failure."""
-    return op.eigensystem()

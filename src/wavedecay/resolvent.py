@@ -28,17 +28,12 @@ from .radialop import weight_matrix
 
 __all__ = [
     "ResolventRecord",
-    "LSSystem",
     "free_green_matrix",
     "regular_solution",
     "green_delta_residual",
-    "build_ls_system",
     "ls_solve",
     "resolvent_difference_vector",
-    "script_R",
     "la_norm_scan",
-    "resolvent_derivative",
-    "hoelder_scan",
     "complex_shift_compare",
 ]
 
@@ -55,18 +50,6 @@ class ResolventRecord:
     method: str
     cond: float = np.nan
     residual: float = np.nan
-
-
-@dataclass
-class LSSystem:
-    lam: float
-    sign: int
-    k_matrix: np.ndarray
-    cond: float
-
-    @property
-    def k_norm(self):
-        return float(np.linalg.norm(self.k_matrix, 2))
 
 
 def _check_sign(sign):
@@ -154,17 +137,6 @@ class _Factorization:
         return self.a0.T @ self.solve(vec, trans=1)
 
 
-def build_ls_system(grid, n, potential, lam, sign, s1=None):
-    """K(lambda) = <x>^{s1} V R0^{sign} <x>^{-s1} and its condition number."""
-    if s1 is None:
-        s1 = potential.delta - 0.5
-    a0 = free_green_matrix(grid, n, lam, sign)
-    w_in = weight_matrix(grid, s1)      # <r>^{-s1}
-    k = (potential(grid.nodes) / w_in)[:, None] * a0 * w_in[None, :]
-    cond = float(np.linalg.cond(np.eye(grid.M) + k))
-    return LSSystem(lam, sign, k, cond)
-
-
 def ls_solve(grid, n, potential, lam, sign, s=0.55, s1=None,
              check_residual=True):
     """Weighted perturbed resolvent <x>^{-s} R^{sign} <x>^{-s1} by the
@@ -195,14 +167,6 @@ def resolvent_difference_vector(grid, n, potential, lam):
     return fac.solve(u)
 
 
-def script_R(grid, n, potential, lam, sign, s, eps=DEFAULT_EPS):
-    """lambda <x>^{-1/2-s-eps} R^{sign}(lambda) <x>^{-1/2-s-eps}."""
-    w = 0.5 + s + eps
-    rec = ls_solve(grid, n, potential, lam, sign, s=w, s1=w,
-                   check_residual=False)
-    return lam * rec.matrix
-
-
 def _weighted_norm_via_lu(grid, n, potential, lam, sign, s, s1):
     """||<x>^{-s} R <x>^{-s1}|| without materializing R (power iteration on
     the factored solve)."""
@@ -223,61 +187,21 @@ def la_norm_scan(grid, n, potential, lambda_grid, s=0.5 + DEFAULT_EPS,
     """Scan of ||<x>^{-s} R^{sign}(lambda) <x>^{-s}|| over a lambda grid.
 
     Returns (fit report of log norm vs log lambda, rows); rows are
-    (lambda, norm, lambda * norm).  Failed points are recorded as gaps.
+    (lambda, norm, lambda * norm).  Points where the solve fails
+    numerically (ValueError, LinAlgError) are recorded as gaps; any other
+    error propagates.
     """
     rows, gaps = [], []
     for lam in lambda_grid:
         try:
             nrm = _weighted_norm_via_lu(grid, n, potential, lam, sign, s, s)
             rows.append((float(lam), nrm, float(lam) * nrm))
-        except Exception as exc:  # noqa: BLE001 - scan continues past bad points
+        except (ValueError, np.linalg.LinAlgError) as exc:
             gaps.append((float(lam), repr(exc)))
     report = fit_power_law([(lam, nrm) for lam, nrm, _ in rows],
                            estimate_id=estimate_id, variable="lambda",
                            target=-1.0, tolerance=0.1)
     return report, rows, gaps
-
-
-def resolvent_derivative(grid, n, potential, j, lam, s, sign=+1,
-                         eps=DEFAULT_EPS, dlam=1e-3):
-    """j-th lambda-derivative of the weighted operator family
-    lambda <x>^{-1/2-s-eps} R <x>^{-1/2-s-eps} by central differences,
-    with a Richardson consistency ratio from step halving."""
-    if j < 0:
-        raise ValueError("derivative order must be >= 0")
-
-    def fam(x):
-        return script_R(grid, n, potential, x, sign, s, eps)
-
-    def diff(step):
-        if j == 0:
-            return fam(lam)
-        if j == 1:
-            return (fam(lam + step) - fam(lam - step)) / (2 * step)
-        if j == 2:
-            return (fam(lam + step) - 2 * fam(lam) + fam(lam - step)) / step ** 2
-        raise ValueError("derivatives implemented for j <= 2")
-
-    d1 = diff(dlam)
-    d2 = diff(dlam / 2) if j > 0 else d1
-    n1, n2 = np.linalg.norm(d1, 2), np.linalg.norm(d2, 2)
-    consistency = abs(n2 - n1) / max(n2, 1e-300)
-    return {"norm": float(n2), "matrix": d2,
-            "richardson_consistency": float(consistency)}
-
-
-def hoelder_scan(grid, n, potential, m, lam0, s, gaps, sign=+1,
-                 eps=DEFAULT_EPS, dlam=1e-3):
-    """Samples (gap, ||d^m F(lam0+gap) - d^m F(lam0)||) of the weighted
-    family for a set of lambda gaps."""
-    base = resolvent_derivative(grid, n, potential, m, lam0, s, sign,
-                                eps, dlam)["matrix"]
-    out = []
-    for g in gaps:
-        other = resolvent_derivative(grid, n, potential, m, lam0 + g, s,
-                                     sign, eps, dlam)["matrix"]
-        out.append((float(g), float(np.linalg.norm(other - base, 2))))
-    return out
 
 
 def complex_shift_compare(grid, n, potential, lam, eta, s=0.5 + DEFAULT_EPS):

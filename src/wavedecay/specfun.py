@@ -1,42 +1,24 @@
-"""Bessel and Hankel evaluation, the weighted function z^nu J_nu(z), its
-exact derivatives, and the oscillatory symbol decomposition
-z^nu J_nu(z) = e^{iz} b^+ + e^{-iz} b^-.
+"""Bessel kernels and the quadrature rules the package shares.
+
+The weighted function z^nu J_nu(z) and its exact oscillatory symbol
+decomposition z^nu J_nu(z) = e^{iz} b^+ + e^{-iz} b^-, plus composite
+Gauss-Legendre panels and the composite Simpson weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 __all__ = [
-    "BesselOrder",
-    "SymbolPair",
-    "bessel_J",
-    "hankel_H",
     "caljnu",
-    "caljnu_deriv",
-    "hankel_deriv",
     "symbol_split",
+    "gauss_panels",
+    "simpson_weights",
 ]
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order nu = (n-2)/2 derived from the spatial dimension."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.nu) or self.nu < 0:
-            raise ValueError("order must be a finite real >= 0")
-
-    @classmethod
-    def from_dimension(cls, n):
-        if n < 2:
-            raise ValueError("dimension must be >= 2")
-        return cls((n - 2) / 2.0)
 
 
 def _check_positive(z):
@@ -46,115 +28,47 @@ def _check_positive(z):
     return z
 
 
-def _nu(order):
-    return order.nu if isinstance(order, BesselOrder) else float(order)
-
-
-def bessel_J(order, z):
-    """J_nu(z) for z > 0."""
-    return special.jv(_nu(order), _check_positive(z))
-
-
-def hankel_H(order, sign, z):
-    """Hankel function H_nu^+ (sign=+1) or H_nu^- (sign=-1) for z > 0.
-
-    Accepts complex z with Im z >= 0 for the outgoing branch (used by the
-    complex-energy resolvent cross-check); positivity is enforced for real
-    arguments only.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    zarr = np.asarray(z)
-    if not np.iscomplexobj(zarr):
-        zarr = _check_positive(zarr)
-    fn = special.hankel1 if sign == +1 else special.hankel2
-    return fn(_nu(order), zarr)
-
-
-def caljnu(order, z):
-    """z^nu J_nu(z)."""
+def caljnu(nu, z):
+    """z^nu J_nu(z) for z > 0."""
     z = _check_positive(z)
-    return z ** _nu(order) * special.jv(_nu(order), z)
+    return z ** nu * special.jv(nu, z)
 
 
-def _deriv_terms(nu, k):
-    """Represent d^k/dz^k [z^nu J_nu] as {(a, b): c} meaning c z^a J_b(z),
-    via d/dz (z^a J_b) = z^a J_{b-1} + (a-b) z^{a-1} J_b."""
-    terms = {(nu, nu): 1.0}
-    for _ in range(k):
-        nxt = {}
-        for (a, b), c in terms.items():
-            key = (a, b - 1)
-            nxt[key] = nxt.get(key, 0.0) + c
-            if a - b != 0.0:
-                key = (a - 1, b)
-                nxt[key] = nxt.get(key, 0.0) + c * (a - b)
-        terms = nxt
-    return terms
-
-
-def caljnu_deriv(order, k, z):
-    """k-th derivative of z^nu J_nu(z), from exact Bessel recurrences."""
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
+def symbol_split(nu, z):
+    """Exact symbol decomposition b^{+/-}(z) = (1/2) z^nu H^{+/-}(z) e^{-/+ iz},
+    returned as the pair of arrays (b^+, b^-)."""
     z = _check_positive(z)
-    nu = _nu(order)
-    out = np.zeros_like(z)
-    for (a, b), c in _deriv_terms(nu, k).items():
-        out += c * z ** a * special.jv(b, z)
-    return out
-
-
-def hankel_deriv(order, sign, z):
-    """First derivative of H_nu^{sign}, via H' = H_{nu-1} - (nu/z) H_nu."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    z = _check_positive(z)
-    nu = _nu(order)
-    fn = special.hankel1 if sign == +1 else special.hankel2
-    return fn(nu - 1, z) - (nu / z) * fn(nu, z)
-
-
-@dataclass(frozen=True)
-class SymbolPair:
-    """b^+/b^- with z^nu J_nu(z) = e^{iz} b^+ + e^{-iz} b^-."""
-
-    b_plus: complex
-    b_minus: complex
-    z: float
-
-    def recombine(self):
-        return np.exp(1j * self.z) * self.b_plus + np.exp(-1j * self.z) * self.b_minus
-
-
-def symbol_split(order, z):
-    """Exact symbol decomposition b^{+/-}(z) = (1/2) z^nu H^{+/-}(z) e^{-/+ iz}."""
-    z = _check_positive(z)
-    nu = _nu(order)
     bp = 0.5 * z ** nu * special.hankel1(nu, z) * np.exp(-1j * z)
     bm = 0.5 * z ** nu * special.hankel2(nu, z) * np.exp(+1j * z)
-    if np.ndim(z) == 0:
-        return SymbolPair(complex(bp), complex(bm), float(z))
     return bp, bm
 
 
-def symbol_deriv(order, sign, k, z, step=None):
-    """k-th derivative of b^{+/-} by central differences (symbol-order checks
-    only; the symbols have no simple closed derivative recursion)."""
-    z = _check_positive(z)
-    if step is None:
-        step = 1e-4 * np.maximum(1.0, z)
+@lru_cache(maxsize=None)
+def _legendre(points):
+    # leggauss costs 0.1-5 ms per call; the rule is shared read-only
+    xg, wg = leggauss(points)
+    xg.setflags(write=False)
+    wg.setflags(write=False)
+    return xg, wg
 
-    def b(zz):
-        nu = _nu(order)
-        if sign == +1:
-            return 0.5 * zz ** nu * special.hankel1(nu, zz) * np.exp(-1j * zz)
-        return 0.5 * zz ** nu * special.hankel2(nu, zz) * np.exp(+1j * zz)
 
-    if k == 0:
-        return b(z)
-    if k == 1:
-        return (b(z + step) - b(z - step)) / (2 * step)
-    if k == 2:
-        return (b(z + step) - 2 * b(z) + b(z - step)) / step ** 2
-    raise ValueError("symbol derivatives implemented for k <= 2")
+def gauss_panels(edges, points):
+    """Composite Gauss-Legendre rule with ``points`` nodes on each panel
+    [edges[k], edges[k+1]]; (nodes, weights), panel by panel."""
+    xg, wg = _legendre(points)
+    edges = np.asarray(edges, dtype=float)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    nodes = (mid[:, None] + half[:, None] * xg).ravel()
+    weights = (half[:, None] * wg).ravel()
+    return nodes, weights
+
+
+def simpson_weights(n_nodes, step):
+    """Composite Simpson weights on ``n_nodes`` equispaced nodes (odd
+    count, so an even number of intervals) of spacing ``step``."""
+    if n_nodes < 3 or n_nodes % 2 == 0:
+        raise ValueError("Simpson needs an odd node count >= 3")
+    sw = np.ones(n_nodes)
+    sw[1:-1:2], sw[2:-1:2] = 4.0, 2.0
+    return sw * (step / 3.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavedecay import estimates as est
+from wavedecay.fitting import _stability
 from wavedecay.norms import op_norm_1_to_inf, op_norm_2, op_norm_2_to_inf
 from wavedecay.radialop import PotentialSpec, build_G
 
@@ -46,8 +47,8 @@ def test_band_floor_and_tilt(small_grid, potential, profile):
 
 
 def test_stability_and_ratio_report():
-    assert est._stability([1.0, 4.0, 2.0]) == 4.0
-    assert est._stability([0.0, 0.0]) == 0.0
+    assert _stability([1.0, 4.0, 2.0]) == 4.0
+    assert _stability([0.0, 0.0]) == 0.0
     rep = est._ratio_report([1.0, 2.5], cap=3.0, note="x")
     assert rep["passed"] and rep["ratio"] == 2.5 and rep["note"] == "x"
     assert not est._ratio_report([1.0, 4.0], cap=3.0)["passed"]
@@ -56,8 +57,8 @@ def test_stability_and_ratio_report():
 def test_cone_sup_tracks_stated_rate(profile):
     # |K| on the cone decays like t^{-(n-1)/2} once the window transient
     # has died out
-    a = est._cone_sup(4, profile, 1.0, 64.0)
-    b = est._cone_sup(4, profile, 1.0, 128.0)
+    a = est.cone_sup(4, profile, 1.0, 64.0)
+    b = est.cone_sup(4, profile, 1.0, 128.0)
     assert b / a == pytest.approx(2.0 ** -1.5, rel=0.05)
 
 
@@ -113,3 +114,26 @@ def test_smoothing_normalizes_by_band_mass(small_grid, profile):
     assert "totals_per_band_mass" in entry and "raw_totals" in entry
     assert set(entry["totals_per_band_mass"]) == {"1", "0.5"}
     assert "passed" in entry
+
+
+def test_lattice_rejects_lambda_outside(small_grid, potential):
+    fam = est._LatticeFamily(small_grid, 4, potential, 1.4, 1.0, 1.1,
+                             1.0 / 64.0, r_cut=16.0)
+    inside = fam.deriv(1, 1.05)
+    assert inside.shape == (fam.frame.shape[1],) * 2
+    assert np.allclose(fam.value(fam.lams[-1]), fam.mats[-1])
+    for lam in (fam.lams[0] - 1e-3, fam.lams[-1] + 1e-3):
+        with pytest.raises(ValueError):
+            fam.deriv(0, lam)
+
+
+def test_mollifier_lattice_covers_theta_scan(small_grid, potential):
+    """The theta-scan and theta = 1/t reach past max(theta_set)/2; the
+    lattice must cover them rather than clamp."""
+    rep = est.mollified_multiplier_suite(
+        small_grid, 4, potential,
+        theta_set=(0.125, 0.0625, 0.03125, 0.015625))
+    for t in (8.0, 32.0):
+        scan = rep["3.46_theta_scan"][f"t{t:g}"]["scan"]
+        assert set(scan) == {f"{2.0 ** -k:g}" for k in range(1, 7)}
+        assert all(np.isfinite(v) for v in scan.values())

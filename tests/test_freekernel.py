@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from wavedecay.freekernel import (eval_Kh, eval_Kh_batch, eval_Kh_pm,
-                                  eval_Kh_sigma_batch, free_resolvent_kernel,
-                                  plancherel_lambda_side)
+                                  eval_Kh_sigma_batch, plancherel_lambda_side)
 from wavedecay.profiles import bump
 
 # frozen from an independent adaptive-quadrature evaluation of the
@@ -84,21 +83,6 @@ def test_plancherel_identity(phi, sigma):
     assert time_side == pytest.approx(lam_side, rel=0.01)
 
 
-def test_free_resolvent_kernel_n3_closed_form():
-    lam, d = 2.0, 1.5
-    expect = np.exp(1j * lam * d) / (4.0 * np.pi * d)
-    assert free_resolvent_kernel(3, lam, +1, d) == pytest.approx(expect)
-
-
-def test_free_resolvent_kernel_conjugation():
-    plus = free_resolvent_kernel(4, 2.0, +1, 1.5)
-    minus = free_resolvent_kernel(4, 2.0, -1, 1.5)
-    assert minus == pytest.approx(np.conj(plus))
-    # frozen regression value of the outgoing branch
-    assert plus == pytest.approx(-0.017224513200377604
-                                 + 0.017987636416330912j, rel=1e-12)
-
-
 def test_argument_validation(phi):
     with pytest.raises(ValueError):
         eval_Kh(1, phi, 1.0, 1.0, 1.0)
@@ -108,5 +92,3 @@ def test_argument_validation(phi):
         eval_Kh(4, phi, 1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         eval_Kh_pm(4, phi, 1.0, 1.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        free_resolvent_kernel(4, -1.0, +1, 1.0)

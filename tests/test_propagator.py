@@ -48,7 +48,6 @@ def test_time_domain_matches_eigen(ops, profile, small_grid):
     rel = np.linalg.norm(rec.u - expect) / np.linalg.norm(expect)
     assert rel < 1e-4
     assert rec.energy_drift < 1e-2
-    assert rec.richardson
 
 
 def test_time_domain_rejects_bad_step(ops, small_grid):

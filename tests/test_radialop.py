@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedecay.radialop import (DiscreteOperator, PotentialSpec, RadialGrid,
-                                build_G, build_G0, spectral_decompose,
+from wavedecay.radialop import (PotentialSpec, RadialGrid, build_G, build_G0,
                                 weight_matrix)
 
 
@@ -53,7 +52,7 @@ def test_potential_values():
 def test_operator_matches_dense_eigh(small_grid):
     """The tridiagonal eigensystem must agree with a dense solve."""
     op = build_G0(small_grid, 4)
-    vals, vecs = spectral_decompose(op)
+    vals, vecs = op.eigensystem()
     dvals, dvecs = np.linalg.eigh(op.matrix)
     assert np.allclose(vals, dvals, rtol=1e-10, atol=1e-8)
     # eigenvectors up to sign, checked through the projector

@@ -3,96 +3,76 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavedecay.specfun import (BesselOrder, bessel_J, caljnu, caljnu_deriv,
-                               hankel_H, hankel_deriv, symbol_split)
-
-
-def test_order_from_dimension():
-    assert BesselOrder.from_dimension(4).nu == 1.0
-    assert BesselOrder.from_dimension(3).nu == 0.5
-    with pytest.raises(ValueError):
-        BesselOrder.from_dimension(1)
-    with pytest.raises(ValueError):
-        BesselOrder(-0.5)
+from wavedecay.specfun import (caljnu, gauss_panels, simpson_weights,
+                               symbol_split)
 
 
 def test_half_order_closed_form():
-    # J_{1/2}(z) = sqrt(2/(pi z)) sin z
+    # z^{1/2} J_{1/2}(z) = sqrt(2/pi) sin z
     z = np.linspace(0.3, 12.0, 40)
-    expect = np.sqrt(2.0 / (np.pi * z)) * np.sin(z)
-    assert np.allclose(bessel_J(BesselOrder(0.5), z), expect)
+    expect = np.sqrt(2.0 / np.pi) * np.sin(z)
+    assert np.allclose(caljnu(0.5, z), expect)
 
 
 def test_hankel_conjugation():
-    order = BesselOrder(1.0)
+    # H^- = conj(H^+) on the real axis, so b^- = conj(b^+)
     z = np.linspace(0.5, 9.0, 20)
-    hp = hankel_H(order, +1, z)
-    hm = hankel_H(order, -1, z)
-    assert np.allclose(hm, np.conj(hp))
-
-
-def test_hankel_sum_is_2J():
-    order = BesselOrder(1.0)
-    z = np.linspace(0.5, 9.0, 20)
-    total = hankel_H(order, +1, z) + hankel_H(order, -1, z)
-    assert np.allclose(total, 2.0 * bessel_J(order, z))
+    bp, bm = symbol_split(1.0, z)
+    assert np.allclose(bm, np.conj(bp))
 
 
 def test_positivity_enforced():
     with pytest.raises(ValueError):
-        caljnu(BesselOrder(1.0), np.array([0.0, 1.0]))
+        caljnu(1.0, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        hankel_H(BesselOrder(1.0), +2, 1.0)
-
-
-def test_caljnu_deriv_order_zero():
-    order = BesselOrder(1.0)
-    z = np.linspace(0.5, 5.0, 11)
-    assert np.allclose(caljnu_deriv(order, 0, z), caljnu(order, z))
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_caljnu_deriv_vs_fd(k):
-    order = BesselOrder(1.0)
-    z = np.linspace(1.0, 8.0, 15)
-    eps = 1e-5
-    fd = (caljnu_deriv(order, k - 1, z + eps)
-          - caljnu_deriv(order, k - 1, z - eps)) / (2 * eps)
-    assert np.allclose(fd, caljnu_deriv(order, k, z), rtol=1e-6, atol=1e-8)
-
-
-def test_hankel_deriv_vs_fd():
-    order = BesselOrder(1.0)
-    z = np.linspace(1.0, 8.0, 15)
-    eps = 1e-6
-    fd = (hankel_H(order, +1, z + eps) - hankel_H(order, +1, z - eps)) \
-        / (2 * eps)
-    assert np.allclose(fd, hankel_deriv(order, +1, z), rtol=1e-6)
+        symbol_split(1.0, np.array([1.0, np.nan]))
 
 
 @given(st.floats(min_value=0.2, max_value=30.0))
 @settings(max_examples=60, deadline=None)
 def test_symbol_split_recombines(z):
     """e^{iz} b+ + e^{-iz} b- must reproduce z^nu J_nu(z) exactly."""
-    order = BesselOrder(1.0)
-    pair = symbol_split(order, z)
-    target = float(caljnu(order, np.array([z]))[0])
-    assert pair.recombine() == pytest.approx(target, rel=1e-10, abs=1e-12)
+    z = np.array([z])
+    bp, bm = symbol_split(1.0, z)
+    rec = np.exp(1j * z) * bp + np.exp(-1j * z) * bm
+    assert rec[0] == pytest.approx(caljnu(1.0, z)[0], rel=1e-10, abs=1e-12)
 
 
 def test_symbol_split_vectorized():
-    order = BesselOrder(1.0)
     z = np.linspace(0.5, 10.0, 21)
-    bp, bm = symbol_split(order, z)
+    bp, bm = symbol_split(1.0, z)
     rec = np.exp(1j * z) * bp + np.exp(-1j * z) * bm
-    assert np.allclose(rec.real, caljnu(order, z), atol=1e-12)
+    assert np.allclose(rec.real, caljnu(1.0, z), atol=1e-12)
     assert np.allclose(rec.imag, 0.0, atol=1e-12)
 
 
 def test_symbols_decay_like_sqrt():
     # |b+| ~ z^{nu - 1/2} for large z (order nu symbol of order nu - 1/2)
-    order = BesselOrder(1.0)
-    z1, z2 = 50.0, 200.0
-    r = abs(symbol_split(order, z2).b_plus) \
-        / abs(symbol_split(order, z1).b_plus)
-    assert r == pytest.approx((z2 / z1) ** 0.5, rel=0.05)
+    bp, _ = symbol_split(1.0, np.array([50.0, 200.0]))
+    assert abs(bp[1]) / abs(bp[0]) == pytest.approx(4.0 ** 0.5, rel=0.05)
+
+
+@pytest.mark.parametrize("points", [1, 4, 6])
+def test_gauss_panels_exact_to_degree_2k_minus_1(points):
+    edges = np.array([-1.3, -0.2, 0.05, 1.7, 4.0])     # uneven panels
+    nodes, weights = gauss_panels(edges, points)
+    assert nodes.shape == weights.shape == (points * (edges.size - 1),)
+    assert np.all(np.diff(nodes) > 0)                   # panel by panel
+    for deg in range(2 * points):
+        exact = (edges[-1] ** (deg + 1) - edges[0] ** (deg + 1)) / (deg + 1)
+        assert np.sum(weights * nodes ** deg) == pytest.approx(
+            exact, rel=1e-12, abs=1e-12)
+
+
+def test_simpson_weights_exact_for_cubics():
+    x, step = np.linspace(-0.7, 2.3, 9, retstep=True)
+    w = simpson_weights(x.size, step)
+    for deg in range(4):
+        exact = (x[-1] ** (deg + 1) - x[0] ** (deg + 1)) / (deg + 1)
+        assert np.sum(w * x ** deg) == pytest.approx(exact, rel=1e-13,
+                                                     abs=1e-13)
+    # a quartic is not integrated exactly
+    exact = (x[-1] ** 5 - x[0] ** 5) / 5
+    assert abs(np.sum(w * x ** 4) - exact) > 1e-6
+    with pytest.raises(ValueError):
+        simpson_weights(8, step)
