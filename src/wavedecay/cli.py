@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,6 @@ class ExperimentConfig:
     estimate_ids: tuple = ()
     out: str = "out"
     cache: bool = True
-    threads: int = 1
     sections: dict = field(default_factory=dict)
 
     @classmethod
@@ -94,7 +92,6 @@ class ExperimentConfig:
                 ("run", "cache"): ("cache",
                                    lambda s: s.lower() in ("1", "true",
                                                            "yes", "on")),
-                ("run", "threads"): ("threads", int),
             }
             for (sec, key), (attr, conv) in get.items():
                 if parser.has_option(sec, key):
@@ -217,18 +214,12 @@ def cmd_verify(cfg):
                    build_G(cfg.grid(), cfg.n, cfg.potential())):
             cache.eigensystem(op)
     reports = {}
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for part in pool.map(lambda fn: fn(cfg), selected):
-                reports.update(part)
-    else:
-        for fn in selected:
-            reports.update(fn(cfg))
+    for fn in selected:
+        reports.update(fn(cfg))
     est.emit_reports(reports, cfg.out)
     with open(os.path.join(cfg.out, "run_metadata.json"), "w") as fh:
         json.dump({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                   "estimates": list(ids), "threads": cfg.threads}, fh,
-                  indent=2)
+                   "estimates": list(ids)}, fh, indent=2)
     passes = []
     _collect_passes(reports, passes)
     for key in sorted(reports):
@@ -330,10 +321,8 @@ def main(argv=None):
     cache.add_argument("--cache", dest="cache", action="store_true",
                        default=None)
     cache.add_argument("--no-cache", dest="cache", action="store_false")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    overrides = {"out": args.out, "cache": args.cache,
-                 "threads": args.threads}
+    overrides = {"out": args.out, "cache": args.cache}
     if args.estimates is not None:
         overrides["estimate_ids"] = tuple(
             args.estimates.replace(",", " ").split())

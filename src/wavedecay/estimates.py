@@ -8,30 +8,30 @@ never absolute values.  All L^p quantities are radial-sector norms; that
 caveat is attached to the reports wherever p != 2.
 
 Propagator multipliers are handled in low-rank form: a frequency profile
-keeps only the eigenpairs in its band, so a weighted norm costs two thin
-QR factorizations instead of a dense M x M assembly.
+keeps only the eigenpairs in its band (``DiscreteOperator.band``), and the
+band norms of ``norms`` never assemble the dense M x M matrix.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from math import floor
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.special import jv
 
 from .fitting import _stability, fit_power_law
 from .freekernel import (QuadratureError, _panel_nodes, eval_Kh_batch,
                          eval_Kh_sigma_batch)
-from .norms import sector_weights
+from .norms import band_norm_1_to_inf, band_norm_2, band_norm_2_to_inf
 from .profiles import (bump, mollifier, plateau, step_cutoff,
                        step_cutoff_derivative)
 from .radialop import build_G, build_G0, weight_matrix
 from .resolvent import free_green_matrix, resolvent_difference_vector
-from .specfun import gauss_panels, simpson_weights
+from .specfun import caljnu, gauss_panels, simpson_weights
 
 __all__ = [
     "EPS",
@@ -52,67 +52,6 @@ __all__ = [
 
 EPS = 0.05
 SECTOR_NOTE = "radial-sector norm, faithful for radial data only"
-
-
-# ---------------------------------------------------------------------------
-# low-rank band machinery
-
-def _band(op, profile, h, tilt=0.0, square=False, amp_floor=0.0):
-    """(roots, amplitudes, eigenvectors) of the band the profile keeps."""
-    mu, q = op.eigensystem()
-    pos = mu > 0
-    root = np.sqrt(mu[pos])
-    amp = profile(h * root)
-    if square:
-        amp = amp * amp
-    if tilt != 0.0:
-        amp = amp * root ** tilt
-    keep = np.abs(amp) > amp_floor * (np.max(np.abs(amp)) or 1.0)
-    return root[keep], amp[keep], q[:, pos][:, keep]
-
-
-def _join_bands(bands, signs):
-    roots = np.concatenate([b[0] for b in bands])
-    amps = np.concatenate([s * b[1] for b, s in zip(bands, signs)])
-    vecs = np.concatenate([b[2] for b in bands], axis=1)
-    return roots, amps, vecs
-
-
-def _lr_norm2(left, right, coeff):
-    """|| left diag(coeff) right^T ||_2 by thin QR of both factors."""
-    rl = np.linalg.qr(left, mode="r")
-    rr = np.linalg.qr(right, mode="r")
-    return float(np.linalg.norm(rl @ (coeff[:, None] * rr.T), 2))
-
-
-def _lr_norm_2_to_inf(left, right, coeff, grid, n):
-    gram = right.T @ right
-    mid = (coeff[:, None] * gram) * np.conj(coeff)[None, :]
-    rows = np.einsum("ik,kl,il->i", left, mid, left)
-    rows = np.sqrt(np.maximum(np.real(rows), 0.0))
-    rho = sector_weights(grid, n)
-    return float(np.max(rows / rho) / np.sqrt(grid.dr))
-
-
-def _lr_norm_1_to_inf(left, right, coeff, grid, n, chunk=256):
-    rho = sector_weights(grid, n)
-    cr = right * coeff[None, :]
-    best = 0.0
-    for start in range(0, left.shape[0], chunk):
-        block = left[start:start + chunk] @ cr.T
-        scale = np.outer(rho[start:start + chunk], rho)
-        best = max(best, float(np.max(np.abs(block) / scale)))
-    return best / grid.dr
-
-
-def _phi_band(op0, op, profile, h):
-    """Low-rank form of the perturbed-minus-free propagator difference."""
-    return _join_bands([_band(op, profile, h), _band(op0, profile, h)],
-                       [+1.0, -1.0])
-
-
-def _coeff(root, amp, t):
-    return amp * np.exp(1j * t * root)
 
 
 def _ratio_report(values, cap, note=None):
@@ -220,12 +159,10 @@ def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0,
     op0 = build_G0(grid, n)
     reports = {}
 
+    band = op0.band(profile, 1.0)
     for s in s_set:
-        w = weight_matrix(grid, s)
-        band = _band(op0, profile, 1.0)
-        left, right = w[:, None] * band[2], w[:, None] * band[2]
-        rows = [(t, _lr_norm2(left, right, _coeff(band[0], band[1], t)))
-                for t in t_set]
+        wb = weight_matrix(grid, s)[:, None] * band.vecs
+        rows = [(t, band_norm_2(wb, wb, band.coeff(t))) for t in t_set]
         tol = 0.05 if s == 0.0 else 0.2
         reports[f"2.1_s{s:g}"] = fit_power_law(
             rows, "2.1", "t", target=-s, tolerance=tol,
@@ -243,10 +180,10 @@ def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0,
     w = weight_matrix(grid, 0.5 + s + eps)
 
     def rows_23(h, ts):
-        band = _band(op0, profile, h)
-        right = w[:, None] * band[2]
-        return [(t, _lr_norm_2_to_inf(band[2], right,
-                                      _coeff(band[0], band[1], t), grid, n))
+        band = op0.band(profile, h)
+        right = w[:, None] * band.vecs
+        return [(t, band_norm_2_to_inf(band.vecs, right, band.coeff(t),
+                                       grid, n))
                 for t in ts]
 
     reports["2.3_t"] = fit_power_law(rows_23(1.0, t_set), "2.3", "t",
@@ -274,26 +211,32 @@ def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0,
     return reports
 
 
-def _time_side_integral(op, profile, h, w, s, test_vectors, t_cut=64.0,
-                        dt=0.25):
-    """(total, tail ratio, band mass) of int |t|^{2s} ||w P(t) f||^2 dt
-    summed over the test vectors, computed in band coordinates.
+def _time_side_values(op, profile, h, w, s, test_vectors, t_arr):
+    """(|t|^{2s} ||w P(t) f||^2 summed over the test vectors at each t of
+    t_arr, band mass), computed in band coordinates.
 
     band mass = sum ||amp (vecs^T f)||^2, the energy the localized
     propagator actually sees.  Fixed test data loads each frequency band
-    very unevenly, so h-comparisons of the raw total only make sense
+    very unevenly, so h-comparisons of raw time integrals only make sense
     after dividing by it."""
-    root, amp, vecs = _band(op, profile, h)
-    wb = w[:, None] * vecs
+    band = op.band(profile, h)
+    wb = w[:, None] * band.vecs
     gram = wb.T @ wb
-    b = amp[:, None] * (vecs.T @ test_vectors)
-    band_mass = float(np.sum(np.abs(b) ** 2))
-    t_arr = np.arange(dt, t_cut + dt / 2, dt)
+    b = band.amps[:, None] * (band.vecs.T @ test_vectors)
     vals = np.empty(t_arr.size)
     for i, t in enumerate(t_arr):
-        ph = np.exp(1j * t * root)[:, None] * b
+        ph = np.exp(1j * t * band.roots)[:, None] * b
         vals[i] = float(np.real(np.sum(np.conj(ph) * (gram @ ph))))
-    vals = vals * t_arr ** (2.0 * s)
+    return vals * t_arr ** (2.0 * s), float(np.sum(np.abs(b) ** 2))
+
+
+def _time_side_integral(op, profile, h, w, s, test_vectors, t_cut=64.0,
+                        dt=0.25):
+    """(total, tail ratio, band mass) of int |t|^{2s} ||w P(t) f||^2 dt
+    summed over the test vectors."""
+    t_arr = np.arange(dt, t_cut + dt / 2, dt)
+    vals, band_mass = _time_side_values(op, profile, h, w, s, test_vectors,
+                                        t_arr)
     total = 2.0 * float(np.trapezoid(vals, dx=dt))
     tail = 2.0 * float(np.trapezoid(vals[t_arr > t_cut / 2], dx=dt)) / total
     return total, tail, band_mass
@@ -308,11 +251,9 @@ def check_thm31(grid, n, potential, profile, h_set, t_set=(1.0, 4.0, 16.0)):
         worst = 0.0
         for h in h_set:
             for t in t_set:
-                mats = []
-                for o in (op, op0):
-                    root, amp, vecs = _band(o, profile, h)
-                    c = _coeff(root, amp, t)
-                    mats.append((vecs * c[None, :]) @ vecs.T)
+                mats = [band.dense(band.coeff(t))
+                        for band in (op.band(profile, h),
+                                     op0.band(profile, h))]
                 worst = max(worst, float(np.abs(mats[0] - mats[1]).max()))
         return {"3.1": {"all_zero": worst == 0.0, "max_abs_entry": worst,
                         "passed": worst == 0.0,
@@ -320,8 +261,9 @@ def check_thm31(grid, n, potential, profile, h_set, t_set=(1.0, 4.0, 16.0)):
                                 "identically"}}
     rows, per_h = [], {}
     for h in h_set:
-        root, amp, vecs = _phi_band(op0, op, profile, h)
-        norms = [_lr_norm2(vecs, vecs, _coeff(root, amp, t)) for t in t_set]
+        diff = op.band(profile, h) - op0.band(profile, h)
+        norms = [band_norm_2(diff.vecs, diff.vecs, diff.coeff(t))
+                 for t in t_set]
         per_h[f"{h:g}"] = dict(zip((f"{t:g}" for t in t_set),
                                    (float(v) for v in norms)))
         rows.append((h, max(norms)))
@@ -389,10 +331,9 @@ def check_thm34(grid, n, potential, profile, h_set, t_set, s_set=None,
         w = weight_matrix(grid, s + eps)
         fits = {}
         for h in h_set:
-            root, amp, vecs = _band(op, profile, h)
-            wb = w[:, None] * vecs
-            rows = [(t, _lr_norm2(wb, wb, _coeff(root, amp, t)))
-                    for t in t_set]
+            band = op.band(profile, h)
+            wb = w[:, None] * band.vecs
+            rows = [(t, band_norm_2(wb, wb, band.coeff(t))) for t in t_set]
             tol = 0.05 if s == 0.0 else 0.2
             fits[f"{h:g}"] = fit_power_law(
                 rows, "3.18", "t", target=-s, tolerance=tol,
@@ -417,15 +358,7 @@ def check_weighted_time_integral(grid, n, potential, profile, h_set,
     t_arr = np.arange(dt, t_cut + dt / 2, dt)
     totals, blocks = {}, {}
     for h in h_set:
-        root, amp, vecs = _band(op, profile, h)
-        wb = w[:, None] * vecs
-        gram = wb.T @ wb
-        b = amp[:, None] * (vecs.T @ tests)
-        vals = np.empty(t_arr.size)
-        for i, t in enumerate(t_arr):
-            ph = np.exp(1j * t * root)[:, None] * b
-            vals[i] = float(np.real(np.sum(np.conj(ph) * (gram @ ph))))
-        vals = vals * t_arr ** (2.0 * s)
+        vals, mass = _time_side_values(op, profile, h, w, s, tests, t_arr)
         edges = [2.0 ** k for k in range(2, int(np.log2(t_cut)) + 1)]
         sums = []
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -433,7 +366,6 @@ def check_weighted_time_integral(grid, n, potential, profile, h_set,
             sums.append(2.0 * float(np.trapezoid(vals[mask], dx=dt)))
         blocks[f"{h:g}"] = sums
         # same band-mass normalization as the unweighted time integral
-        mass = float(np.sum(np.abs(b) ** 2))
         totals[f"{h:g}"] = 2.0 * float(np.trapezoid(vals, dx=dt)) / mass
     ratios = {h: [b / a for a, b in zip(s_[:-1], s_[1:])]
               for h, s_ in blocks.items()}
@@ -715,9 +647,11 @@ def _free_kernel_sup(n, profile, h, t, cone_only=False):
     if cone_only:
         d = d[(d >= t / 2) & (d <= 3 * t / 2)]
     lam, w = _panel_nodes(lo / h, hi / h, t + float(d.max()), points=6)
-    osc = np.exp(1j * t * lam) * profile(h * lam) * lam ** (n / 2.0) * w
-    bessel = jv(n / 2.0 - 1.0, np.outer(d, lam))
-    k = (2 * np.pi) ** (-n / 2.0) * d ** (1.0 - n / 2.0) * (bessel @ osc)
+    # J_nu(lam d) lam^{n/2} d^{1-n/2} = lam d^{-2 nu} (lam d)^nu J_nu(lam d)
+    nu = n / 2.0 - 1.0
+    osc = np.exp(1j * t * lam) * profile(h * lam) * lam * w
+    bessel = caljnu(nu, np.outer(d, lam))
+    k = (2 * np.pi) ** (-n / 2.0) * d ** (-2.0 * nu) * (bessel @ osc)
     return float(np.max(np.abs(k)))
 
 
@@ -729,17 +663,13 @@ def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0,
     top = (n - 1) / 2.0
     reports = {}
 
-    def phi_norms(h, ts, kind, weight=None):
-        root, amp, vecs = _phi_band(op0, op, profile, h)
-        right = vecs if weight is None else weight[:, None] * vecs
-        out = []
-        for t in ts:
-            c = _coeff(root, amp, t)
-            if kind == "1inf":
-                out.append((t, _lr_norm_1_to_inf(vecs, right, c, grid, n)))
-            else:
-                out.append((t, _lr_norm_2_to_inf(vecs, right, c, grid, n)))
-        return out
+    to_inf_1 = partial(band_norm_1_to_inf, grid=grid, n=n)
+    to_inf_2 = partial(band_norm_2_to_inf, grid=grid, n=n)
+
+    def phi_norms(h, ts, norm, weight=None):
+        diff = op.band(profile, h) - op0.band(profile, h)
+        right = diff.vecs if weight is None else weight[:, None] * diff.vecs
+        return [(t, norm(diff.vecs, right, diff.coeff(t))) for t in ts]
 
     # (4.1) p=inf == (4.10): localized free kernel, pointwise sup.
     # t-decay is read off the light cone (the sup sits there for t >> h);
@@ -761,7 +691,7 @@ def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0,
                                  "to -(n+1)/2")
     # perturbative cross-check: the sector propagator difference at the
     # same endpoints, recorded without a fit target
-    prows = phi_norms(1.0, t_set, "1inf")
+    prows = phi_norms(1.0, t_set, to_inf_1)
     reports["4.10_sector_t"] = fit_power_law(
         prows, "4.10", "t", target=-top, tolerance=0.6,
         one_sided=True).as_dict()
@@ -769,11 +699,11 @@ def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0,
 
     # (4.6): weighted L2 -> Linf surrogate
     w46 = weight_matrix(grid, (n - 1 + eps) / 2.0)
-    rows = phi_norms(1.0, t_set, "2inf", w46)
+    rows = phi_norms(1.0, t_set, to_inf_2, w46)
     reports["4.6_t"] = fit_power_law(rows, "4.6", "t", target=-top,
                                      tolerance=0.2,
                                      one_sided=True).as_dict()
-    hrows = [(h, phi_norms(h, [t_fixed], "2inf", w46)[0][1])
+    hrows = [(h, phi_norms(h, [t_fixed], to_inf_2, w46)[0][1])
              for h in h_set]
     reports["4.6_h"] = fit_power_law(hrows, "4.6", "h",
                                      target=1.0 - n / 2.0,
@@ -781,7 +711,7 @@ def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0,
 
     # (4.2) p=inf: weight alpha(n/2 + eps) with alpha = 1
     w42 = weight_matrix(grid, n / 2.0 + eps)
-    hrows = [(h, phi_norms(h, [t_fixed], "2inf", w42)[0][1])
+    hrows = [(h, phi_norms(h, [t_fixed], to_inf_2, w42)[0][1])
              for h in h_set]
     reports["4.2_h"] = fit_power_law(hrows, "4.2", "h",
                                      target=1.0 - n / 2.0,
@@ -825,32 +755,22 @@ def assemble_thm11(grid, n, potential, a=1.0, t_set=(4.0, 8.0, 16.0,
     # inside the resolved part of the spectrum.
     resolved = plateau(8.0)
 
-    def multiplier_rows(tilt, kind, weight=None):
-        root, amp, vecs = _band(op, chi, 1.0, tilt=tilt, amp_floor=1e-7)
-        amp = amp * (1.0 - resolved(root))
-        band = (root, amp, vecs)
-        right = band[2] if weight is None else weight[:, None] * band[2]
-        out = []
-        for t in t_set:
-            c = _coeff(band[0], band[1], t)
-            if kind == "2":
-                out.append((t, _lr_norm2(band[2], right, c)))
-            elif kind == "1inf":
-                out.append((t, _lr_norm_1_to_inf(band[2], right, c,
-                                                 grid, n)))
-            else:
-                out.append((t, _lr_norm_2_to_inf(band[2], right, c,
-                                                 grid, n)))
-        return out
+    def multiplier_rows(tilt, norm, weight=None):
+        band = op.band(chi, 1.0, tilt=tilt, amp_floor=1e-7)
+        band = replace(band, amps=band.amps * (1.0 - resolved(band.roots)))
+        right = band.vecs if weight is None else weight[:, None] * band.vecs
+        return [(t, norm(band.vecs, right, band.coeff(t))) for t in t_set]
 
     w14 = weight_matrix(grid, n / 2.0 + eps)
-    rows = multiplier_rows(-(n + 1) / 2.0, "2inf", w14)
+    rows = multiplier_rows(-(n + 1) / 2.0,
+                           partial(band_norm_2_to_inf, grid=grid, n=n), w14)
     reports["1.4"] = fit_power_law(rows, "1.4", "t", target=-top,
                                    tolerance=0.2, one_sided=True).as_dict()
-    rows = multiplier_rows(-(n - 1.0), "1inf")
+    rows = multiplier_rows(-(n - 1.0),
+                           partial(band_norm_1_to_inf, grid=grid, n=n))
     reports["1.3"] = fit_power_law(rows, "1.3", "t", target=-top,
                                    tolerance=0.2, one_sided=True).as_dict()
-    rows = multiplier_rows(0.0, "2")
+    rows = multiplier_rows(0.0, band_norm_2)
     reports["1.2_p2"] = fit_power_law(rows, "1.2", "t", target=0.0,
                                       tolerance=0.05).as_dict()
     for key in ("1.4", "1.3"):

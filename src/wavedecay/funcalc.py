@@ -28,7 +28,6 @@ __all__ = [
     "AlmostAnalytic",
     "almost_analytic",
     "hs_multiplier",
-    "spectral_multiplier",
     "phi_of_hsqrt",
     "verify_lemma23",
 ]
@@ -225,23 +224,10 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     return (2.0 / np.pi) * np.real(acc)
 
 
-def spectral_multiplier(op, f):
-    """f(op) through the eigendecomposition (the oracle route)."""
-    vals, vecs = op.eigensystem()
-    fv = np.asarray(f(vals))
-    return (vecs * fv[None, :]) @ vecs.T
-
-
 def phi_of_hsqrt(op, profile, h):
-    """profile(h sqrt(op)) on the positive spectrum (zero elsewhere)."""
-
-    def f(mu):
-        out = np.zeros_like(mu)
-        pos = mu > 0
-        out[pos] = profile(h * np.sqrt(mu[pos]))
-        return out
-
-    return spectral_multiplier(op, f)
+    """profile(h sqrt(op)) on the positive spectrum (zero elsewhere),
+    through the eigendecomposition (the oracle route)."""
+    return op.band(profile, h).dense()
 
 
 def verify_lemma23(grid, n, op0, op, profile, h_set, s=1.0,

@@ -64,27 +64,15 @@ class TrajectoryRecord:
     energy_drift: float
 
 
-def _profile_factor(profile, h, mu, square):
-    """phi(h sqrt(mu)) (or its square) on the positive part of the
-    spectrum, zero elsewhere."""
-    out = np.zeros_like(mu)
-    pos = mu > 0
-    vals = profile(h * np.sqrt(mu[pos]))
-    out[pos] = vals ** 2 if square else vals
-    return out
-
-
 def wave_multiplier(op, profile, h, t, square_profile=False):
-    """e^{it sqrt(op)} phi(h sqrt(op)) by the eigen route."""
-    mu, q = op.eigensystem()
-    lo, _ = profile.support
-    if np.any(mu[mu <= 0] >= (lo * lo) / (h * h)):  # pragma: no cover
-        raise ValueError("nonpositive eigenvalue inside the profile support")
-    f = _profile_factor(profile, h, mu, square_profile).astype(complex)
-    pos = mu > 0
-    f[pos] *= np.exp(1j * t * np.sqrt(mu[pos]))
-    mat = (q * f[None, :]) @ q.T
-    return PropagatorRecord(float(t), float(h), profile, mat, "eigen")
+    """e^{it sqrt(op)} phi(h sqrt(op)) (phi^2 with square_profile) by the
+    eigen route."""
+    band = op.band(profile, h)
+    c = band.coeff(t)
+    if square_profile:
+        c = c * band.amps
+    return PropagatorRecord(float(t), float(h), profile, band.dense(c),
+                            "eigen")
 
 
 def wave_via_resolvent(grid, n, potential, profile, h, t):
@@ -131,22 +119,18 @@ def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
     e^{i tau sqrt(G)} phi(h sqrt(G)) dtau by composite Simpson, with 8
     tau nodes per period of the top frequency.
 
-    Everything is expressed in the mixed eigenbasis (G0 on the left, G on
-    the right), where each tau node is an elementwise phase pattern on the
-    fixed coupling matrix Q0^T V Q; the two basis transforms happen once.
+    Everything is expressed in the mixed eigenbasis (the band of G0 on the
+    left, the band of G on the right), where each tau node is an
+    elementwise phase pattern on the fixed coupling matrix Q0^T V Q
+    between the two bands; the two basis transforms happen once.
     """
     if op.potential is None or op.potential.c == 0.0:
         z = np.zeros((op.grid.M, op.grid.M), dtype=complex)
         return z, 0
-    mu0, q0 = op0.eigensystem()
-    mu, q = op.eigensystem()
+    left = op0.band(plateau_tilt, h)
+    right = op.band(profile, h)
     v = op.potential(op.grid.nodes)
-    coupling = q0.T @ (v[:, None] * q)
-
-    root0 = np.sqrt(np.maximum(mu0, 0.0))
-    left = plateau_tilt(h * root0)
-    rootp = np.sqrt(np.maximum(mu, 0.0))
-    right = _profile_factor(profile, h, mu, square=False)
+    coupling = left.vecs.T @ (v[:, None] * right.vecs)
 
     top = profile.support[1] / h
     n_steps = int(np.ceil(max(8.0, 8 * abs(t) * top / (2.0 * np.pi))))
@@ -156,10 +140,11 @@ def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
 
     acc = np.zeros_like(coupling, dtype=complex)
     for tau, w in zip(taus, sw):
-        phase = np.sin((t - tau) * root0)[:, None] * coupling \
-            * np.exp(1j * tau * rootp)[None, :]
+        phase = np.sin((t - tau) * left.roots)[:, None] * coupling \
+            * np.exp(1j * tau * right.roots)[None, :]
         acc += w * phase
-    mat = (q0 * left[None, :]) @ acc @ (q * right[None, :]).T
+    mat = (left.vecs * left.amps[None, :]) @ acc \
+        @ (right.vecs * right.amps[None, :]).T
     return mat, n_steps + 1
 
 
@@ -172,29 +157,17 @@ def duhamel_split(op0, op, profile, h, t):
     phi_t = profile.tilt(1)          # sigma phi(sigma)
     phi1_t = phi1.tilt(-1)           # sigma^{-1} phi1(sigma)
 
-    mu0, q0 = op0.eigensystem()
-    root0 = np.sqrt(np.maximum(mu0, 0.0))
-
-    def m0(values):
-        return (q0 * values[None, :]) @ q0.T
-
-    def spectral(operator, prof):
-        mu, q = operator.eigensystem()
-        return (q * _profile_factor(prof, h, mu, False)[None, :]) @ q.T
+    def d_spectral(prof):
+        return (op.band(prof, h) - op0.band(prof, h)).dense()
 
     u_pert = wave_multiplier(op, profile, h, t).matrix
-    d_phi = spectral(op, profile) - spectral(op0, profile)
-    d_phi1 = spectral(op, phi1) - spectral(op0, phi1)
-    d_tilt = spectral(op, phi_t) - spectral(op0, phi_t)
-    e0 = m0(np.exp(1j * t * root0) * (mu0 > 0))
-    s0 = m0(np.sin(t * root0))
-    p1_0 = m0(phi1(h * root0) * (mu0 > 0))
-    p1t_0 = m0(phi1_t(h * root0) * (mu0 > 0))
-
-    part1 = (d_phi1 @ u_pert
-             + p1_0 @ e0 @ d_phi
-             - 1j * p1_0 @ s0 @ d_phi
-             + 1j * p1t_0 @ s0 @ d_tilt)
+    # the G0 factors commute: phi1 (e^{it sqrt G0} - i sin(t sqrt G0)) is
+    # phi1 cos(t sqrt G0)
+    b1, bt = op0.band(phi1, h), op0.band(phi1_t, h)
+    part1 = (d_spectral(phi1) @ u_pert
+             + b1.dense(b1.amps * np.cos(t * b1.roots)) @ d_spectral(profile)
+             + 1j * bt.dense(bt.amps * np.sin(t * bt.roots))
+             @ d_spectral(phi_t))
     integral, n_nodes = _mixed_sin_integral(op0, op, profile, phi1_t, h, t)
     return DuhamelSplit(float(t), float(h), part1, -integral,
                         {"rule": "simpson", "tau_nodes": n_nodes})
@@ -212,11 +185,10 @@ def time_domain_evolve(op, f, t_end, dt, profile=None, h=1.0):
     if dt > 0.5 * op.grid.dr:
         raise ValueError("time step violates dt <= dr/2")
     if profile is not None:
-        mu, q = op.eigensystem()
-        amp = _profile_factor(profile, h, mu, False)
-        coeff = q.T @ np.asarray(f, dtype=complex)
-        u0 = q @ (amp * coeff)
-        v0 = q @ (1j * np.sqrt(np.maximum(mu, 0.0)) * amp * coeff)
+        band = op.band(profile, h)
+        coeff = band.amps * (band.vecs.T @ np.asarray(f, dtype=complex))
+        u0 = band.vecs @ coeff
+        v0 = band.vecs @ (1j * band.roots * coeff)
     else:
         u0 = np.asarray(f, dtype=complex)
         v0 = np.zeros_like(u0)

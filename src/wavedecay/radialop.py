@@ -17,6 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 __all__ = [
     "RadialGrid",
     "PotentialSpec",
+    "SpectralBand",
     "DiscreteOperator",
     "build_G0",
     "build_G",
@@ -76,6 +77,35 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
+class SpectralBand:
+    """The eigenpairs of an operator on which a frequency profile is
+    nonzero: roots sqrt(mu), profile amplitudes and eigenvector columns.
+
+    The frequency-localized propagator e^{it sqrt(G)} phi(h sqrt(G)) is
+    vecs diag(coeff(t)) vecs^T, so norms of it need only these factors.
+    """
+
+    roots: np.ndarray
+    amps: np.ndarray
+    vecs: np.ndarray
+
+    def coeff(self, t):
+        """Diagonal of the band's propagator at time t."""
+        return self.amps * np.exp(1j * t * self.roots)
+
+    def dense(self, coeff=None):
+        """vecs diag(coeff) vecs^T; coeff defaults to the amplitudes."""
+        c = self.amps if coeff is None else coeff
+        return (self.vecs * c[None, :]) @ self.vecs.T
+
+    def __sub__(self, other):
+        # the two operators' bands side by side, the second one negated
+        return SpectralBand(np.concatenate([self.roots, other.roots]),
+                            np.concatenate([self.amps, -other.amps]),
+                            np.concatenate([self.vecs, other.vecs], axis=1))
+
+
+@dataclass(frozen=True)
 class DiscreteOperator:
     """Symmetric realization of the transformed radial operator.
 
@@ -123,6 +153,18 @@ class DiscreteOperator:
                 raise RuntimeError("eigendecomposition failed") from exc
             self._eig.append((vals, vecs))
         return self._eig[0]
+
+    def band(self, profile, h, tilt=0.0, amp_floor=0.0):
+        """The band of profile(h sqrt(G)) sqrt(G)^tilt on the positive
+        spectrum, keeping amplitudes above amp_floor times the largest."""
+        mu, q = self.eigensystem()
+        pos = mu > 0
+        root = np.sqrt(mu[pos])
+        amp = profile(h * root)
+        if tilt != 0.0:
+            amp = amp * root ** tilt
+        keep = np.abs(amp) > amp_floor * (np.max(np.abs(amp)) or 1.0)
+        return SpectralBand(root[keep], amp[keep], q[:, pos][:, keep])
 
 
 def _centrifugal(n, r):

@@ -22,11 +22,10 @@ def test_load_reads_sections(tmp_path):
     ini.write_text("[grid]\nR = 16\nM = 159\n"
                    "[potential]\nc = 1.5\n"
                    "[scan]\nh_set = 1 0.5 0.25 0.125\n"
-                   "[run]\nestimates = 2.7, 3.1\nthreads = 2\n")
+                   "[run]\nestimates = 2.7, 3.1\n")
     cfg = ExperimentConfig.load(str(ini))
     assert (cfg.R, cfg.M, cfg.c) == (16.0, 159, 1.5)
     assert cfg.estimate_ids == ("2.7", "3.1")
-    assert cfg.threads == 2
     assert "grid" in cfg.sections
 
 

@@ -3,47 +3,7 @@ import pytest
 
 from wavedecay import estimates as est
 from wavedecay.fitting import _stability
-from wavedecay.norms import op_norm_1_to_inf, op_norm_2, op_norm_2_to_inf
-from wavedecay.radialop import PotentialSpec, build_G
-
-
-def _factors(rng, m, k):
-    left = rng.standard_normal((m, k))
-    right = rng.standard_normal((m, k))
-    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return left, right, coeff
-
-
-def test_lr_norm2_matches_dense(rng):
-    left, right, coeff = _factors(rng, 80, 12)
-    dense = left @ (coeff[:, None] * right.T)
-    assert est._lr_norm2(left, right, coeff) == pytest.approx(
-        op_norm_2(dense), rel=1e-10)
-
-
-def test_lr_mixed_norms_match_dense(small_grid, rng):
-    left, right, coeff = _factors(rng, small_grid.M, 10)
-    dense = left @ (coeff[:, None] * right.T)
-    got = est._lr_norm_2_to_inf(left, right, coeff, small_grid, 4)
-    assert got == pytest.approx(op_norm_2_to_inf(dense, small_grid, 4),
-                                rel=1e-9)
-    got = est._lr_norm_1_to_inf(left, right, coeff, small_grid, 4, chunk=37)
-    assert got == pytest.approx(op_norm_1_to_inf(dense, small_grid, 4),
-                                rel=1e-9)
-
-
-def test_band_floor_and_tilt(small_grid, potential, profile):
-    op = build_G(small_grid, 4, potential)
-    root, amp, vecs = est._band(op, profile, 1.0)
-    assert root.shape == amp.shape == (vecs.shape[1],)
-    # support [1, 2] of the profile restricts the kept frequencies
-    assert root.min() >= 1.0 - 1e-9 and root.max() <= 2.0 + 1e-9
-    r2, a2, _ = est._band(op, profile, 1.0, tilt=1.0)
-    assert np.allclose(a2, amp[np.isin(root, r2)] * r2) or np.allclose(
-        a2, amp * root)
-    rf, af, _ = est._band(op, profile, 1.0, amp_floor=1e-2)
-    assert rf.size < root.size
-    assert np.all(np.abs(af) > 1e-2 * np.abs(amp).max() * (1 - 1e-12))
+from wavedecay.radialop import PotentialSpec
 
 
 def test_stability_and_ratio_report():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavedecay.funcalc import (almost_analytic, hs_multiplier, phi_of_hsqrt,
-                               spectral_multiplier, verify_lemma23)
+                               verify_lemma23)
 from wavedecay.propagator import wave_multiplier
 from wavedecay.radialop import build_G, build_G0
 
@@ -59,14 +59,11 @@ def test_quadrature_route_h_half(op, profile):
     assert np.linalg.norm(got - want, 2) <= 1e-6
 
 
-def test_spectral_multiplier_identity(op):
-    ident = spectral_multiplier(op, np.ones_like)
-    assert np.allclose(ident, np.eye(op.grid.M), atol=1e-12)
-
-
 def test_phi_of_hsqrt_is_t0_propagator(op, profile):
     mat = wave_multiplier(op, profile, 1.0, 0.0).matrix
-    assert np.allclose(phi_of_hsqrt(op, profile, 1.0), mat.real, atol=1e-12)
+    got = phi_of_hsqrt(op, profile, 1.0)
+    assert got.dtype == np.float64
+    assert np.allclose(got, mat.real, atol=1e-12)
 
 
 def test_cutoff_family_report(small_grid, potential, profile):

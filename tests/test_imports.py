@@ -1,8 +1,10 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every name a module lists in ``__all__`` is bound in it.
 
 Stdlib only: parses ``src/wavedecay/*.py`` with ``ast``.  A name counts
 as used when the module reads it (``name`` or ``name.attr``) or lists it
-in ``__all__``.
+in ``__all__``.  A name left in ``__all__`` after it moved or was deleted
+would break ``from wavedecay.x import *``.
 """
 
 import ast
@@ -27,16 +29,36 @@ def _imported_names(tree):
     return out
 
 
-def _used_names(tree):
-    used = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+def _all_names(tree):
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used |= {elt.value for elt in node.value.elts
-                     if isinstance(elt, ast.Constant)}
-    return used
+            return [elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)]
+    return []
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return used | set(_all_names(tree))
+
+
+def _bound_names(tree):
+    """Names bound at module level: definitions, assignments, imports."""
+    bound = {name for name, _ in _imported_names(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                bound |= {n.id for n in ast.walk(target)
+                          if isinstance(n, ast.Name)}
+    return bound
 
 
 def unused_imports(source):
@@ -44,6 +66,12 @@ def unused_imports(source):
     used = _used_names(tree)
     return [(name, line) for name, line in _imported_names(tree)
             if name not in used]
+
+
+def unresolved_exports(source):
+    tree = ast.parse(source)
+    bound = _bound_names(tree)
+    return [name for name in _all_names(tree) if name not in bound]
 
 
 def test_detector_flags_an_unused_import():
@@ -55,3 +83,15 @@ def test_detector_flags_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detector_flags_an_unresolved_export():
+    src = ("from json import dumps\nX, Y = 1, 2\ndef f(): pass\n"
+           "class C: pass\n__all__ = ['dumps', 'X', 'Y', 'f', 'C', 'gone']\n")
+    assert unresolved_exports(src) == ["gone"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    assert unresolved_exports(path.read_text()) == []

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavedecay.norms import (op_norm_1_to_inf, op_norm_2, op_norm_2_to_inf,
-                             op_norm_p, operator_two_norm, sector_weights)
+from wavedecay.norms import (band_norm_1_to_inf, band_norm_2,
+                             band_norm_2_to_inf, op_norm_1_to_inf, op_norm_2,
+                             op_norm_2_to_inf, op_norm_p, operator_two_norm,
+                             sector_weights)
 from wavedecay.radialop import RadialGrid
 
 
@@ -98,3 +102,51 @@ def test_power_iteration_matches_svd(rng):
 def test_power_iteration_zero_operator():
     z = np.zeros((7, 7))
     assert operator_two_norm(lambda v: z @ v, lambda v: z @ v, 7) == 0.0
+
+
+def test_power_iteration_raises_when_unconverged():
+    # top singular values 1 and 0.999: two steps cannot settle to 1e-10
+    a = np.diag([1.0, 0.999, 0.5, 0.1])
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_two_norm(lambda v: a @ v, lambda v: a.T @ v, 4, max_iter=2)
+
+
+def _factors(rng, m, k):
+    left = rng.standard_normal((m, k))
+    right = rng.standard_normal((m, k))
+    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return left, right, coeff
+
+
+def test_band_norm2_matches_dense(rng):
+    left, right, coeff = _factors(rng, 80, 12)
+    dense = left @ (coeff[:, None] * right.T)
+    assert band_norm_2(left, right, coeff) == pytest.approx(
+        op_norm_2(dense), rel=1e-10)
+
+
+def test_band_mixed_norms_match_dense(small_grid, rng):
+    left, right, coeff = _factors(rng, small_grid.M, 10)
+    dense = left @ (coeff[:, None] * right.T)
+    got = band_norm_2_to_inf(left, right, coeff, small_grid, 4)
+    assert got == pytest.approx(op_norm_2_to_inf(dense, small_grid, 4),
+                                rel=1e-9)
+    got = band_norm_1_to_inf(left, right, coeff, small_grid, 4, chunk=37)
+    assert got == pytest.approx(op_norm_1_to_inf(dense, small_grid, 4),
+                                rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 20), chunk=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_band_norms_match_dense_property(grid, k, chunk, seed):
+    """Each band norm is its dense norm of left diag(coeff) right^T."""
+    left, right, coeff = _factors(np.random.default_rng(seed), grid.M, k)
+    dense = left @ (coeff[:, None] * right.T)
+    assert band_norm_2(left, right, coeff) == pytest.approx(
+        op_norm_2(dense), rel=1e-9)
+    assert band_norm_2_to_inf(left, right, coeff, grid, 4) == pytest.approx(
+        op_norm_2_to_inf(dense, grid, 4), rel=1e-9)
+    assert band_norm_1_to_inf(left, right, coeff, grid, 4,
+                              chunk=chunk) == pytest.approx(
+        op_norm_1_to_inf(dense, grid, 4), rel=1e-9)

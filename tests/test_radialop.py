@@ -62,6 +62,40 @@ def test_operator_matches_dense_eigh(small_grid):
     assert np.linalg.norm(p1 - p2, 2) < 1e-8
 
 
+def test_eigenvectors_complete(small_grid, potential):
+    """The eigenvectors resolve the identity, so a spectral multiplier
+    built from them misses no part of the space."""
+    _, vecs = build_G(small_grid, 4, potential).eigensystem()
+    assert np.allclose(vecs @ vecs.T, np.eye(small_grid.M), atol=1e-12)
+
+
+def test_band_floor_and_tilt(small_grid, potential, profile):
+    op = build_G(small_grid, 4, potential)
+    band = op.band(profile, 1.0)
+    root, amp = band.roots, band.amps
+    assert root.shape == amp.shape == (band.vecs.shape[1],)
+    # support [1, 2] of the profile restricts the kept frequencies
+    assert root.min() >= 1.0 - 1e-9 and root.max() <= 2.0 + 1e-9
+    tilted = op.band(profile, 1.0, tilt=1.0)
+    assert np.array_equal(tilted.roots, root)
+    assert np.allclose(tilted.amps, amp * root)
+    floored = op.band(profile, 1.0, amp_floor=1e-2)
+    assert floored.roots.size < root.size
+    assert np.all(np.abs(floored.amps)
+                  > 1e-2 * np.abs(amp).max() * (1 - 1e-12))
+
+
+def test_band_difference_is_dense_difference(small_grid, potential,
+                                              profile):
+    op0, op = build_G0(small_grid, 4), build_G(small_grid, 4, potential)
+    b, b0 = op.band(profile, 0.5), op0.band(profile, 0.5)
+    diff = b - b0
+    assert diff.roots.size == b.roots.size + b0.roots.size
+    want = b.dense(b.coeff(3.0)) - b0.dense(b0.coeff(3.0))
+    assert np.allclose(diff.dense(diff.coeff(3.0)), want, atol=1e-13)
+    assert diff.dense().dtype == np.float64
+
+
 def test_apply_matches_matrix(small_grid, rng):
     op = build_G(small_grid, 4, PotentialSpec(2.0, 3.0))
     v = rng.standard_normal(small_grid.M)
