@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,30 @@ class ConfigError(ValueError):
 
 def _floats(text):
     return tuple(float(x) for x in text.replace(",", " ").split())
+
+
+# (section, key) -> (attribute, converter); configparser lowercases keys
+_KEYS = {
+    ("experiment", "n"): ("n", int),
+    ("grid", "r"): ("R", float),
+    ("grid", "m"): ("M", int),
+    ("potential", "c"): ("c", float),
+    ("potential", "delta"): ("delta", float),
+    ("profile", "a_lo"): ("a_lo", float),
+    ("profile", "a_hi"): ("a_hi", float),
+    ("profile", "kind"): ("kind", str),
+    ("scan", "h_set"): ("h_set", _floats),
+    ("scan", "t_set"): ("t_set", _floats),
+    ("scan", "s_set"): ("s_set", _floats),
+    ("scan", "lambda_grid"): ("lambda_grid", _floats),
+    ("scan", "theta_set"): ("theta_set", _floats),
+    ("mollifier", "r"): ("moll_R", float),
+    ("mollifier", "m"): ("moll_M", int),
+    ("mollifier", "s"): ("moll_s", float),
+    ("run", "estimates"): ("estimate_ids",
+                           lambda s: tuple(s.replace(",", " ").split())),
+    ("run", "out"): ("out", str),
+}
 
 
 @dataclass
@@ -58,8 +82,6 @@ class ExperimentConfig:
     moll_s: float = 1.4
     estimate_ids: tuple = ()
     out: str = "out"
-    cache: bool = True
-    sections: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, path=None, overrides=None):
@@ -68,40 +90,16 @@ class ExperimentConfig:
             parser = configparser.ConfigParser(inline_comment_prefixes="#")
             if not parser.read(path):
                 raise ConfigError(f"config file not found: {path}")
-            get = {
-                ("experiment", "n"): ("n", int),
-                ("grid", "R"): ("R", float),
-                ("grid", "M"): ("M", int),
-                ("potential", "c"): ("c", float),
-                ("potential", "delta"): ("delta", float),
-                ("profile", "a_lo"): ("a_lo", float),
-                ("profile", "a_hi"): ("a_hi", float),
-                ("profile", "kind"): ("kind", str),
-                ("scan", "h_set"): ("h_set", _floats),
-                ("scan", "t_set"): ("t_set", _floats),
-                ("scan", "s_set"): ("s_set", _floats),
-                ("scan", "lambda_grid"): ("lambda_grid", _floats),
-                ("scan", "theta_set"): ("theta_set", _floats),
-                ("mollifier", "R"): ("moll_R", float),
-                ("mollifier", "M"): ("moll_M", int),
-                ("mollifier", "s"): ("moll_s", float),
-                ("run", "estimates"): ("estimate_ids",
-                                       lambda s: tuple(s.replace(",", " ")
-                                                       .split())),
-                ("run", "out"): ("out", str),
-                ("run", "cache"): ("cache",
-                                   lambda s: s.lower() in ("1", "true",
-                                                           "yes", "on")),
-            }
-            for (sec, key), (attr, conv) in get.items():
-                if parser.has_option(sec, key):
+            for sec in parser.sections():
+                for key in parser.options(sec):
+                    if (sec, key) not in _KEYS:
+                        raise ConfigError(f"unknown key [{sec}] {key}")
+                    attr, conv = _KEYS[sec, key]
                     try:
                         setattr(cfg, attr, conv(parser.get(sec, key)))
                     except ValueError as exc:
                         raise ConfigError(
                             f"bad value for [{sec}] {key}: {exc}") from exc
-            cfg.sections = {s: dict(parser.items(s))
-                            for s in parser.sections()}
         for key, val in (overrides or {}).items():
             if val is not None:
                 setattr(cfg, key, val)
@@ -208,11 +206,10 @@ def cmd_verify(cfg):
         return 0
     selected = [fn for group_ids, fn in GROUPS
                 if any(i in group_ids for i in ids)]
-    if cfg.cache:
-        cache = EigenCache(os.path.join(cfg.out, ".cache"))
-        for op in (build_G0(cfg.grid(), cfg.n),
-                   build_G(cfg.grid(), cfg.n, cfg.potential())):
-            cache.eigensystem(op)
+    cache = EigenCache(os.path.join(cfg.out, ".cache"))
+    for op in (build_G0(cfg.grid(), cfg.n),
+               build_G(cfg.grid(), cfg.n, cfg.potential())):
+        cache.eigensystem(op)
     reports = {}
     for fn in selected:
         reports.update(fn(cfg))
@@ -317,12 +314,8 @@ def main(argv=None):
     parser.add_argument("--estimates", default=None,
                         help="comma separated estimate ids")
     parser.add_argument("--out", default=None)
-    cache = parser.add_mutually_exclusive_group()
-    cache.add_argument("--cache", dest="cache", action="store_true",
-                       default=None)
-    cache.add_argument("--no-cache", dest="cache", action="store_false")
     args = parser.parse_args(argv)
-    overrides = {"out": args.out, "cache": args.cache}
+    overrides = {"out": args.out}
     if args.estimates is not None:
         overrides["estimate_ids"] = tuple(
             args.estimates.replace(",", " ").split())

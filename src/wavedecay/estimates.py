@@ -21,7 +21,6 @@ from functools import partial
 from math import floor
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .fitting import _stability, fit_power_law
 from .freekernel import (QuadratureError, _panel_nodes, eval_Kh_batch,
@@ -30,7 +29,7 @@ from .norms import band_norm_1_to_inf, band_norm_2, band_norm_2_to_inf
 from .profiles import (bump, mollifier, plateau, step_cutoff,
                        step_cutoff_derivative)
 from .radialop import build_G, build_G0, weight_matrix
-from .resolvent import free_green_matrix, resolvent_difference_vector
+from .resolvent import _Factorization, resolvent_difference_vector
 from .specfun import caljnu, gauss_panels, simpson_weights
 
 __all__ = [
@@ -422,16 +421,13 @@ class _LatticeFamily:
         self.lo = lam_lo
         self.frame = _packet_frame(grid, r_cut)
         w = weight_matrix(grid, 0.5 + s + eps)
-        v = potential(grid.nodes)
         count = int(np.ceil((lam_hi - lam_lo) / step)) + 1
         self.lams = lam_lo + step * np.arange(count)
-        eye = np.eye(grid.M)
         wf = w[:, None] * self.frame
         mats = []
         for lam in self.lams:
-            a0 = free_green_matrix(grid, n, lam, +1)
-            lu = lu_factor(eye + a0 * v[None, :])
-            r_cols = lu_solve(lu, a0 @ wf)
+            r_cols = _Factorization(grid, n, potential, lam,
+                                    +1).apply_resolvent(wf)
             mats.append(lam * (np.conj(self.frame.T) @ (w[:, None]
                                                         * r_cols)))
         self.mats = np.stack(mats)

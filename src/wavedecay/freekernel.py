@@ -166,12 +166,9 @@ def eval_Kh_sigma_batch(n, profile, h, sigma_array, t):
     return pref * (caj @ base)
 
 
-def plancherel_lambda_side(n, profile, h, sigma, m=0):
-    """Frequency-side value of int |t|^{2m} |K_h(sigma, t)|^2 dt:
-    2 pi pref^2 h^{-2} int |d^m/dlam^m (phi~(h lam) caljnu(sigma lam))|^2 dlam.
-    Only m = 0 is needed by the cross-checks."""
-    if m != 0:
-        raise NotImplementedError("only m = 0 is exercised")
+def plancherel_lambda_side(n, profile, h, sigma):
+    """Frequency-side value of int |K_h(sigma, t)|^2 dt:
+    2 pi pref^2 h^{-2} int |phi~(h lam) caljnu(sigma lam)|^2 dlam."""
     _check_dim(n)
     lo, hi = profile.support
     lam, w = _panel_nodes(lo / h, hi / h, 4 * sigma, min_panels=64)

@@ -16,8 +16,6 @@ continuum kernel is folded into the matrix itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 from scipy.linalg import lu_factor, lu_solve, solve_banded
@@ -27,7 +25,6 @@ from .norms import operator_two_norm
 from .radialop import weight_matrix
 
 __all__ = [
-    "ResolventRecord",
     "free_green_matrix",
     "regular_solution",
     "green_delta_residual",
@@ -38,18 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 0.05
-
-
-@dataclass
-class ResolventRecord:
-    lam: float
-    sign: int
-    s: float
-    s1: float
-    matrix: np.ndarray
-    method: str
-    cond: float = np.nan
-    residual: float = np.nan
 
 
 def _check_sign(sign):
@@ -115,17 +100,12 @@ class _Factorization:
     """LU of (I + R0^{sign} V) with transpose-aware solves."""
 
     def __init__(self, grid, n, potential, lam, sign):
-        self.grid, self.n, self.lam, self.sign = grid, n, lam, sign
         self.a0 = free_green_matrix(grid, n, lam, sign)
-        self.v = potential(grid.nodes)
-        self._lu = lu_factor(np.eye(grid.M) + self.a0 * self.v[None, :])
+        v = potential(grid.nodes)
+        self._lu = lu_factor(np.eye(grid.M) + self.a0 * v[None, :])
 
     def solve(self, b, trans=0):
         return lu_solve(self._lu, b, trans=trans)
-
-    def cond_estimate(self):
-        m = np.eye(self.grid.M) + self.a0 * self.v[None, :]
-        return float(np.linalg.cond(m))
 
     def apply_resolvent(self, vec):
         """R^{sign} vec via one triangular solve."""
@@ -137,25 +117,15 @@ class _Factorization:
         return self.a0.T @ self.solve(vec, trans=1)
 
 
-def ls_solve(grid, n, potential, lam, sign, s=0.55, s1=None,
-             check_residual=True):
+def ls_solve(grid, n, potential, lam, sign, s=0.55, s1=None):
     """Weighted perturbed resolvent <x>^{-s} R^{sign} <x>^{-s1} by the
-    Lippmann-Schwinger solve; the record carries the residual of
-    R = R0 - R0 V R and a condition estimate."""
-    _check_sign(sign)
-    if s1 is None:
-        s1 = s
+    Lippmann-Schwinger solve R = (I + R0 V)^{-1} R0.  For sign = +1, lam
+    may be complex with Im lam >= 0 (the analytic continuation)."""
     fac = _Factorization(grid, n, potential, lam, sign)
     r = fac.solve(fac.a0)
-    residual = np.nan
-    if check_residual:
-        back = fac.a0 - fac.a0 @ (fac.v[:, None] * r)
-        residual = float(np.linalg.norm(back - r, 2)
-                         / max(np.linalg.norm(r, 2), 1e-300))
-    ws, ws1 = weight_matrix(grid, s), weight_matrix(grid, s1)
-    rec = ResolventRecord(lam, sign, s, s1, ws[:, None] * r * ws1[None, :],
-                          "lippmann_schwinger", fac.cond_estimate(), residual)
-    return rec
+    ws = weight_matrix(grid, s)
+    ws1 = ws if s1 is None else weight_matrix(grid, s1)
+    return ws[:, None] * r * ws1[None, :]
 
 
 def resolvent_difference_vector(grid, n, potential, lam):
@@ -217,12 +187,7 @@ def complex_shift_compare(grid, n, potential, lam, eta, s=0.5 + DEFAULT_EPS):
     if eta <= 0:
         raise ValueError("need eta > 0")
     z = lam ** 2 + 1j * eta
-    lam_c = np.sqrt(z)
-    w = weight_matrix(grid, s)
-
-    fac = _Factorization(grid, n, potential, lam_c, +1)
-    r_ls = fac.solve(fac.a0)
-    a_ls = w[:, None] * r_ls * w[None, :]
+    a_ls = ls_solve(grid, n, potential, np.sqrt(z), +1, s)
 
     op = build_G(grid, n, potential)
     ab = np.zeros((3, grid.M), complex)
@@ -230,6 +195,7 @@ def complex_shift_compare(grid, n, potential, lam, eta, s=0.5 + DEFAULT_EPS):
     ab[1] = op.diag - z
     ab[2, :-1] = op.offdiag
     r_fd = solve_banded((1, 1), ab, np.eye(grid.M))
+    w = weight_matrix(grid, s)
     a_fd = w[:, None] * r_fd * w[None, :]
 
     gap = np.linalg.norm(a_ls - a_fd, 2) / np.linalg.norm(a_fd, 2)

@@ -107,7 +107,7 @@ def test_criterion_03_light_cone_integral(kernel_reports):
 
 @pytest.mark.parametrize("sigma", [1.0, 4.0])
 def test_criterion_04_plancherel(sigma):
-    lam_side = plancherel_lambda_side(N, PROF, 1.0, sigma, m=0)
+    lam_side = plancherel_lambda_side(N, PROF, 1.0, sigma)
     dt = 0.05
     ts = np.arange(dt / 2, 200.0, dt)
     vals = np.abs(eval_Kh_batch(N, PROF, 1.0, sigma, ts)) ** 2

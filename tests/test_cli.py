@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -26,16 +27,15 @@ def test_load_reads_sections(tmp_path):
     cfg = ExperimentConfig.load(str(ini))
     assert (cfg.R, cfg.M, cfg.c) == (16.0, 159, 1.5)
     assert cfg.estimate_ids == ("2.7", "3.1")
-    assert "grid" in cfg.sections
 
 
 def test_overrides_win(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[run]\nout = from_file\n")
     cfg = ExperimentConfig.load(str(ini), {"out": "from_flag",
-                                           "cache": None})
+                                           "estimate_ids": None})
     assert cfg.out == "from_flag"
-    assert cfg.cache is True        # None override leaves the default
+    assert cfg.estimate_ids == ()   # None override leaves the default
 
 
 def test_validation_failures(tmp_path):
@@ -62,8 +62,29 @@ def test_main_exit_2_on_bad_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, named", [
+    ("[grid]\nR = 16\nm_nodes = 5\n", "[grid] m_nodes"),
+    ("[run]\ncache = on\n", "[run] cache"),
+    ("[gird]\nR = 16\n", "[gird] r"),
+])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, body, named):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(body)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        ExperimentConfig.load(str(ini))
+    assert main(["verify", "--config", str(ini)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_cache_flags_are_gone(capsys):
+    for flag in ("--cache", "--no-cache"):
+        with pytest.raises(SystemExit):
+            main(["verify", flag])
+    capsys.readouterr()
+
+
 def test_verify_without_selection_is_noop():
-    assert main(["verify", "--no-cache"]) == 0
+    assert main(["verify"]) == 0
 
 
 def test_kernel_subcommand_writes_scan(tmp_path):
@@ -83,7 +104,7 @@ def test_verify_report_round_trip(tmp_path, capsys):
     ini = tmp_path / "exp.ini"
     ini.write_text("[grid]\nR = 16\nM = 159\n"
                    "[scan]\nh_set = 1 0.5 0.25 0.125\n"
-                   "[run]\nestimates = 3.1\ncache = off\n")
+                   "[run]\nestimates = 3.1\n")
     out = tmp_path / "out"
     code = main(["verify", "--config", str(ini), "--out", str(out)])
     assert code in (0, 1)

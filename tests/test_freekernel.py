@@ -75,7 +75,7 @@ def test_cone_decay_rate(phi):
 def test_plancherel_identity(phi, sigma):
     """Truncated time-side integral of |K|^2 equals the lambda-side
     Plancherel expression to 1%."""
-    lam_side = plancherel_lambda_side(4, phi, 1.0, sigma, m=0)
+    lam_side = plancherel_lambda_side(4, phi, 1.0, sigma)
     dt = 0.05
     ts = np.arange(dt / 2, 200.0, dt)
     vals = np.abs(eval_Kh_batch(4, phi, 1.0, sigma, ts)) ** 2

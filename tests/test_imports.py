@@ -1,5 +1,7 @@
-"""Every module-level import in the package is used by its module, and
-every name a module lists in ``__all__`` is bound in it.
+"""Every module-level import in the package is used by its module, every
+name a module lists in ``__all__`` is bound in it, and each dense scipy
+kernel is reached from one module only: the LU from ``resolvent``, the
+tridiagonal eigensolve from ``radialop``.
 
 Stdlib only: parses ``src/wavedecay/*.py`` with ``ast``.  A name counts
 as used when the module reads it (``name`` or ``name.attr``) or lists it
@@ -95,3 +97,36 @@ def test_detector_flags_an_unresolved_export():
                          ids=lambda p: p.name)
 def test_all_names_resolve(path):
     assert unresolved_exports(path.read_text()) == []
+
+
+# scipy kernel -> the one module that may reach it
+KERNEL_HOMES = {"lu_factor": "resolvent.py", "lu_solve": "resolvent.py",
+                "eigh_tridiagonal": "radialop.py"}
+
+
+def kernel_names(source):
+    """The kernels of KERNEL_HOMES a module imports (at any depth) or
+    reaches as an attribute (``scipy.linalg.lu_factor``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found & set(KERNEL_HOMES)
+
+
+def test_detector_flags_kernel_bindings():
+    src = ("import scipy.linalg as sl\n"
+           "def f(a):\n"
+           "    from scipy.linalg import lu_solve as solve\n"
+           "    return solve(sl.lu_factor(a), a)\n")
+    assert kernel_names(src) == {"lu_factor", "lu_solve"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_dense_kernels_have_one_home(path):
+    strays = {name for name in kernel_names(path.read_text())
+              if KERNEL_HOMES[name] != path.name}
+    assert strays == set()

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from wavedecay import radialop
 from wavedecay.radialop import (PotentialSpec, RadialGrid, build_G, build_G0,
                                 weight_matrix)
 
@@ -18,20 +22,6 @@ def test_grid_validation():
         RadialGrid(-1.0, 100)
     with pytest.raises(ValueError):
         RadialGrid(10.0, 1)
-
-
-def test_resolution_guard():
-    g = RadialGrid(10.0, 99)
-    g.check_resolution(1.0)
-    with pytest.raises(ValueError):
-        g.check_resolution(0.5)
-
-
-def test_horizon_guard():
-    g = RadialGrid(16.0, 159)
-    g.check_horizon(8.0, 4.0)
-    with pytest.raises(ValueError):
-        g.check_horizon(14.0, 4.0)
 
 
 def test_potential_decay_constraint():
@@ -113,10 +103,29 @@ def test_zero_potential_reduces_to_free(small_grid):
 
 def test_pooling_shares_eigensystem(small_grid):
     a = build_G0(small_grid, 4)
-    b = build_G0(small_grid, 4)
-    assert a is b
-    a.eigensystem()
-    assert b._eig          # memo visible through the shared instance
+    assert build_G0(RadialGrid(16, 159), 4) is a    # equal content, int R
+    assert a.eigensystem() is build_G0(small_grid, 4).eigensystem()
+    pot = build_G(small_grid, 4, PotentialSpec(2.0, 3.0))
+    assert build_G(small_grid, 4, PotentialSpec(2, 3)) is pot
+    assert build_G(small_grid, 4, PotentialSpec(2.5, 3.0)) is not pot
+    assert build_G(small_grid, 4, PotentialSpec(0.0, 3.0)) is not a
+    assert radialop._operator.cache_info().maxsize is not None   # bounded
+
+
+def test_eigensolve_runs_once_per_operator(monkeypatch, small_grid,
+                                           potential, profile):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(radialop, "eigh_tridiagonal", counted)
+    op = replace(build_G(small_grid, 4, potential))   # empty memo
+    first = op.eigensystem()
+    assert op.eigensystem() is first
+    op.band(profile, 0.5)
+    assert len(calls) == 1
 
 
 def test_centrifugal_term_vanishes_in_3d():
