@@ -16,6 +16,7 @@ import configparser
 import csv
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -288,11 +289,12 @@ def cmd_propagator(cfg):
 def cmd_report(cfg):
     rows = []
     for name in sorted(os.listdir(cfg.out)):
-        if not (name.startswith("estimate_") and name.endswith(".json")):
-            continue
-        with open(os.path.join(cfg.out, name)) as fh:
-            key = name[len("estimate_"):-len(".json")].replace("_", ".")
-            rows.extend(est.rollup_rows({key: json.load(fh)}))
+        stem = re.fullmatch(r"estimate_(.*)\.json", name)
+        if stem:
+            # undo emit_reports' "." -> "_", not the ids' own "_" (3.18_s1)
+            key = re.sub(r"(?<=\d)_(?=\d)", ".", stem[1])
+            with open(os.path.join(cfg.out, name)) as fh:
+                rows.extend(est.rollup_rows({key: json.load(fh)}))
     path = os.path.join(cfg.out, "rollup.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

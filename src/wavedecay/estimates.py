@@ -29,7 +29,7 @@ from .norms import band_norm_1_to_inf, band_norm_2, band_norm_2_to_inf
 from .profiles import (bump, mollifier, plateau, step_cutoff,
                        step_cutoff_derivative)
 from .radialop import build_G, build_G0, weight_matrix
-from .resolvent import _Factorization, resolvent_difference_vector
+from .resolvent import ls_sweep, resolvent_difference_vector
 from .specfun import caljnu, gauss_panels, simpson_weights
 
 __all__ = [
@@ -274,8 +274,7 @@ def check_thm31(grid, n, potential, profile, h_set, t_set=(1.0, 4.0, 16.0)):
     return {"3.1": out}
 
 
-def check_smoothing(grid, n, potential, profile, h_set, eps=EPS,
-                    n_lambda=17):
+def check_smoothing(grid, n, potential, profile, h_set, eps=EPS):
     """Time-side square integrability and the frequency-side jump bound."""
     op = build_G(grid, n, potential)
     w = weight_matrix(grid, 0.5 + eps)
@@ -296,17 +295,12 @@ def check_smoothing(grid, n, potential, profile, h_set, eps=EPS,
     time_rep["passed"] = bool(time_rep["passed"]
                               and time_rep["tails_passed"])
 
-    sups = {}
-    for h in h_set:
-        lo, hi = profile.support
-        lams = np.linspace(lo / h, hi / h, n_lambda)
-        best = 0.0
-        for lam in lams:
-            x = resolvent_difference_vector(grid, n, potential, lam)
-            amp = profile(h * lam) ** 2
-            best = max(best, lam * amp * grid.dr
-                       * float(np.linalg.norm(w * x) ** 2))
-        sups[f"{h:g}"] = best
+    lo, hi = profile.support
+    lams = np.concatenate([np.linspace(lo / h, hi / h, 17) for h in h_set])
+    x = resolvent_difference_vector(grid, n, potential, lams)
+    vals = (lams * profile(np.repeat(h_set, 17) * lams) ** 2 * grid.dr
+            * np.linalg.norm(w[:, None] * x, axis=0) ** 2).reshape(-1, 17)
+    sups = {f"{h:g}": float(np.max(v)) for h, v in zip(h_set, vals)}
     freq_rep = _ratio_report(sups.values(), 3.0)
     freq_rep["sups"] = sups
     return {"3.2_time": time_rep, "3.15_freq": freq_rep}
@@ -424,13 +418,8 @@ class _LatticeFamily:
         count = int(np.ceil((lam_hi - lam_lo) / step)) + 1
         self.lams = lam_lo + step * np.arange(count)
         wf = w[:, None] * self.frame
-        mats = []
-        for lam in self.lams:
-            r_cols = _Factorization(grid, n, potential, lam,
-                                    +1).apply_resolvent(wf)
-            mats.append(lam * (np.conj(self.frame.T) @ (w[:, None]
-                                                        * r_cols)))
-        self.mats = np.stack(mats)
+        self.mats = self.lams[:, None, None] * ls_sweep(
+            grid, n, potential, self.lams, wf, +1, left=np.conj(wf).T)
 
     def value(self, lam):
         """Cubic Lagrange interpolation on the lattice (compressed

@@ -97,9 +97,7 @@ def wave_via_resolvent(grid, n, potential, profile, h, t):
     pf = profile(h * lams)
     pf = pf * pf
     coeffs = wts * np.exp(1j * t * lams) * pf * lams * grid.dr
-    cols = np.empty((grid.M, lams.size), dtype=complex)
-    for k, lam in enumerate(lams):
-        cols[:, k] = resolvent_difference_vector(grid, n, potential, lam)
+    cols = resolvent_difference_vector(grid, n, potential, lams)
     mat = (cols * coeffs[None, :]) @ np.conj(cols).T
     return PropagatorRecord(float(t), float(h), profile, mat,
                             "resolvent_formula")

@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import special
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.linalg import solve_banded
 
 from .fitting import fit_power_law
 from .norms import operator_two_norm
-from .radialop import weight_matrix
+from .radialop import build_G, build_G0, weight_matrix
 
 __all__ = [
+    "GROWTH_LIMIT",
     "free_green_matrix",
     "regular_solution",
     "green_delta_residual",
+    "ls_sweep",
     "ls_solve",
     "resolvent_difference_vector",
     "la_norm_scan",
@@ -35,41 +37,37 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 0.05
+# largest e^{Im lam R}, the sweep's round-off growth, that it accepts
+GROWTH_LIMIT = 1e8
 
 
-def _check_sign(sign):
+def _bessel_pair(grid, n, lam, sign):
+    """u1 = sqrt(r) J_nu(lam r), u2 = sqrt(r) H_nu^{sign}(lam r), a row per
+    lam.  Complex lam only with Im lam >= 0 and sign=+1 (the analytic
+    continuation)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-
-
-def _sqrtr_bessel(grid, n, lam):
-    nu = (n - 2) / 2.0
-    r = grid.nodes
-    z = lam * r
-    u1 = np.sqrt(r) * special.jv(nu, z)
-    return u1, z, nu, r
+    lam = np.asarray(lam)
+    if np.iscomplexobj(lam):
+        if sign != +1 or np.any(np.imag(lam) < 0):
+            raise ValueError("complex frequency only for the outgoing branch")
+    elif np.any(lam <= 0):
+        raise ValueError("frequency must be > 0")
+    nu, z = (n - 2) / 2.0, lam[..., None] * grid.nodes
+    hfun = special.hankel1 if sign == +1 else special.hankel2
+    root = np.sqrt(grid.nodes)
+    return root * special.jv(nu, z), root * hfun(nu, z)
 
 
 def regular_solution(grid, n, lam):
     """u(r) = sqrt(r) J_nu(lambda r), the regular half-line solution."""
-    return _sqrtr_bessel(grid, n, lam)[0]
+    return _bessel_pair(grid, n, lam, +1)[0]
 
 
 def free_green_matrix(grid, n, lam, sign):
-    """Dense free resolvent matrix (dr weight included).
-
-    Accepts complex lam with Im lam >= 0 for sign=+1 (analytic
-    continuation used by the complex-shift cross-check).
-    """
-    _check_sign(sign)
-    if np.iscomplexobj(np.asarray(lam)):
-        if sign != +1 or np.imag(lam) < 0:
-            raise ValueError("complex frequency only for the outgoing branch")
-    elif lam <= 0:
-        raise ValueError("frequency must be > 0")
-    u1, z, nu, _ = _sqrtr_bessel(grid, n, lam)
-    hfun = special.hankel1 if sign == +1 else special.hankel2
-    u2 = np.sqrt(grid.nodes) * hfun(nu, z)
+    """Dense free resolvent matrix (dr weight included): the test oracle
+    of the sweep."""
+    u1, u2 = _bessel_pair(grid, n, lam, sign)
     low = np.tril(np.outer(u2, u1))          # i >= j: r_i = r_>
     up = np.triu(np.outer(u1, u2), k=1)      # i <  j: r_i = r_<
     return sign * 0.5j * np.pi * grid.dr * (low + up)
@@ -79,8 +77,6 @@ def green_delta_residual(grid, n, lam, sign, col):
     """Apply the discretized (L - lambda^2) to one Green column; away from
     the diagonal the result should vanish relative to the delta spike.
     This is the sign/normalization oracle."""
-    from .radialop import build_G0
-
     g = free_green_matrix(grid, n, lam, sign)[:, col] / grid.dr
     op = build_G0(grid, n)
     resid = op.apply(g.real) + 1j * op.apply(g.imag) - lam ** 2 * g
@@ -96,80 +92,96 @@ def green_delta_residual(grid, n, lam, sign, col):
     return float(np.max(np.abs(resid[mask])) / spike)
 
 
-class _Factorization:
-    """LU of (I + R0^{sign} V) with transpose-aware solves."""
+def _sweep(grid, n, potential, lams, sign, b):
+    """Blocks of (I + A0 V)^{-1} [A0 b, u1] over an array of lams, A0 =
+    cdr (tril(u2 u1^T) + triu(u1 u2^T, 1)).  A block (one lam at least)
+    holds at most M^2 / 2 (lam, M, K + 1) entries: with the closing step's
+    temporary, the size of the one dense Green matrix per lam it replaces.
 
-    def __init__(self, grid, n, potential, lam, sign):
-        self.a0 = free_green_matrix(grid, n, lam, sign)
-        v = potential(grid.nodes)
-        self._lu = lu_factor(np.eye(grid.M) + self.a0 * v[None, :])
+    x = (I + A0 V)^{-1} (r + A0 b) solves x = r + A0 (b - V x).  With P, Q
+    the running sums of u1 (b - V x) and u2 (b - V x), row i reads x_i =
+    r_i + cdr [u2_i P_{i-1} - u1_i Q_{i-1} + u1_i T] (the diagonal terms
+    cancel), linear in T = Q_M: x = y + cdr T z, with y the T = 0 sweep and
+    z that of the column r = u1, b = 0.  So T = Q_M(y) / det with det =
+    1 - cdr Q_M(z) = det(I + A0 V), and that column closes to z / det.
+    """
+    lams = np.atleast_1d(lams)
+    growth = np.exp(np.imag(lams) * grid.R)
+    if np.any(growth > GROWTH_LIMIT):
+        k = np.argmax(growth)
+        raise ValueError(f"lambda {lams[k]} grows the sweep by e^(Im lambda "
+                         f"R) = {growth[k]:.3g} > limit {GROWTH_LIMIT:g}")
+    v = potential(grid.nodes)
+    cdr = sign * 0.5j * np.pi * grid.dr
+    b = np.concatenate([b, np.zeros((grid.M, 1))], axis=1)
+    step = max(1, grid.M // (2 * b.shape[1]))
+    for part in np.split(lams, np.arange(step, lams.size, step)):
+        u1, u2 = _bessel_pair(grid, n, part, sign)
+        g = cdr * np.stack([u2, -u1], axis=-1)[:, :, None, :]
+        w = np.stack([u1, u2], axis=-1)[..., None]
+        y = np.zeros(u1.shape + b.shape[1:], complex)
+        y[..., -1] = u1
+        pq = np.zeros((y.shape[0], 2, y.shape[2]), complex)
+        for i in range(grid.M):
+            y[:, i] += (g[:, i] @ pq)[:, 0]
+            pq += w[:, i] * (b[i] - v[i] * y[:, i])[:, None, :]
+        det = 1.0 - cdr * pq[:, 1, -1]
+        if not np.all(ok := np.isfinite(det) & (det != 0.0)):
+            raise np.linalg.LinAlgError(
+                f"lambda {part[~ok][0]}: det(I + A0 V) = {det[~ok][0]}")
+        y += cdr * (pq[:, 1, None, :] / det[:, None, None]) * y[..., -1:]
+        yield y
 
-    def solve(self, b, trans=0):
-        return lu_solve(self._lu, b, trans=trans)
 
-    def apply_resolvent(self, vec):
-        """R^{sign} vec via one triangular solve."""
-        return self.solve(self.a0 @ vec)
+def ls_sweep(grid, n, potential, lams, b, sign, left=None):
+    """R^{sign}(lam) b = (I + A0 V)^{-1} A0 b for an array of lam, with A0
+    the free Green matrix: shape (L, M, K) for b of shape (M, K), or
+    left @ R b when left (J, M) is given.
 
-    def apply_resolvent_t(self, vec):
-        """R^T vec; R is complex-symmetric only up to the V weighting, so
-        use R^T = A0 (I + V A0)^{-1} = A0 solve((I + A0 V)^T, .) pattern."""
-        return self.a0.T @ self.solve(vec, trans=1)
+    An O(M) recurrence per lam; no M x M matrix is built.  For sign = +1,
+    lams may be complex with Im lam >= 0; the round-off grows like
+    e^{Im lam R}, and past GROWTH_LIMIT that raises ValueError.  A singular
+    system raises np.linalg.LinAlgError.
+    """
+    b = np.asarray(b).reshape(grid.M, -1)
+    xs = (x[..., :-1] for x in _sweep(grid, n, potential, lams, sign, b))
+    return np.concatenate([x if left is None else left @ x for x in xs])
 
 
-def ls_solve(grid, n, potential, lam, sign, s=0.55, s1=None):
-    """Weighted perturbed resolvent <x>^{-s} R^{sign} <x>^{-s1} by the
-    Lippmann-Schwinger solve R = (I + R0 V)^{-1} R0.  For sign = +1, lam
-    may be complex with Im lam >= 0 (the analytic continuation)."""
-    fac = _Factorization(grid, n, potential, lam, sign)
-    r = fac.solve(fac.a0)
+def ls_solve(grid, n, potential, lam, sign, s=0.55):
+    """Dense weighted resolvent <x>^{-s} R^{sign}(lam) <x>^{-s}, the sweep
+    on the identity; lam as in ls_sweep."""
+    r = ls_sweep(grid, n, potential, [lam], np.eye(grid.M), sign)[0]
     ws = weight_matrix(grid, s)
-    ws1 = ws if s1 is None else weight_matrix(grid, s1)
-    return ws[:, None] * r * ws1[None, :]
+    return ws[:, None] * r * ws[None, :]
 
 
-def resolvent_difference_vector(grid, n, potential, lam):
-    """x with R^+ - R^- = i pi dr x conj(x)^T (rank one); free case x = u."""
-    u = regular_solution(grid, n, lam)
-    if potential.c == 0.0:
-        return u
-    fac = _Factorization(grid, n, potential, lam, +1)
-    return fac.solve(u)
+def resolvent_difference_vector(grid, n, potential, lams):
+    """x(lam) with R^+ - R^- = i pi dr x conj(x)^T, a column per lam: the
+    sweep's last column (I + A0^+ V)^{-1} u, so x = u in the free case."""
+    xs = _sweep(grid, n, potential, lams, +1, np.zeros((grid.M, 0)))
+    return np.concatenate([x[..., -1] for x in xs]).T
 
 
-def _weighted_norm_via_lu(grid, n, potential, lam, sign, s, s1):
-    """||<x>^{-s} R <x>^{-s1}|| without materializing R (power iteration on
-    the factored solve)."""
-    fac = _Factorization(grid, n, potential, lam, sign)
-    ws, ws1 = weight_matrix(grid, s), weight_matrix(grid, s1)
+def la_norm_scan(grid, n, potential, lambda_grid, s=0.5 + DEFAULT_EPS):
+    """Scan of ||<x>^{-s} R^+(lambda) <x>^{-s}|| over a lambda grid.
 
-    def mv(v):
-        return ws * fac.apply_resolvent(ws1 * v)
-
-    def mtv(v):
-        return ws1 * fac.apply_resolvent_t(ws * v)
-
-    return operator_two_norm(mv, mtv, grid.M)
-
-
-def la_norm_scan(grid, n, potential, lambda_grid, s=0.5 + DEFAULT_EPS,
-                 sign=+1, estimate_id="la"):
-    """Scan of ||<x>^{-s} R^{sign}(lambda) <x>^{-s}|| over a lambda grid.
-
-    Returns (fit report of log norm vs log lambda, rows); rows are
-    (lambda, norm, lambda * norm).  Points where the solve fails
-    numerically (ValueError, LinAlgError) are recorded as gaps; any other
-    error propagates.
+    Returns (fit report of log norm vs log lambda, rows, gaps); rows are
+    (lambda, norm, lambda * norm).  The power iteration applies the
+    weighted resolvent for B^T too: R^T = A0 (I + V A0)^{-1} = R by
+    push-through.  Points where the solve fails numerically (ValueError,
+    LinAlgError) are recorded as gaps; any other error propagates.
     """
     rows, gaps = [], []
     for lam in lambda_grid:
         try:
-            nrm = _weighted_norm_via_lu(grid, n, potential, lam, sign, s, s)
+            r = ls_solve(grid, n, potential, lam, +1, s)
+            nrm = operator_two_norm(r.dot, r.dot, grid.M)
             rows.append((float(lam), nrm, float(lam) * nrm))
         except (ValueError, np.linalg.LinAlgError) as exc:
             gaps.append((float(lam), repr(exc)))
     report = fit_power_law([(lam, nrm) for lam, nrm, _ in rows],
-                           estimate_id=estimate_id, variable="lambda",
+                           estimate_id="la", variable="lambda",
                            target=-1.0, tolerance=0.1)
     return report, rows, gaps
 
@@ -182,8 +194,6 @@ def complex_shift_compare(grid, n, potential, lam, eta, s=0.5 + DEFAULT_EPS):
     (T + V - z)^{-1} are legitimate; returns their relative gap in the
     weighted operator norm.
     """
-    from .radialop import build_G
-
     if eta <= 0:
         raise ValueError("need eta > 0")
     z = lam ** 2 + 1j * eta

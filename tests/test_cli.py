@@ -99,25 +99,29 @@ def test_kernel_subcommand_writes_scan(tmp_path):
 
 
 def test_verify_report_round_trip(tmp_path, capsys):
-    """End-to-end: run one estimate group on a desk grid, then roll the
-    emitted reports up."""
+    """End-to-end: run two estimate groups on a desk grid, one of them with
+    "_" in its report ids (3.18_s0.75), then roll the emitted reports up
+    again: report rebuilds the rows verify wrote, ids included."""
     ini = tmp_path / "exp.ini"
     ini.write_text("[grid]\nR = 16\nM = 159\n"
-                   "[scan]\nh_set = 1 0.5 0.25 0.125\n"
-                   "[run]\nestimates = 3.1\n")
+                   "[scan]\nh_set = 1 0.5 0.25 0.125\nt_set = 2 4 8 16\n"
+                   "[run]\nestimates = 3.1, 3.18\n")
     out = tmp_path / "out"
     code = main(["verify", "--config", str(ini), "--out", str(out)])
     assert code in (0, 1)
     text = capsys.readouterr().out
-    assert "3.1" in text and ("PASS" in text or "FAIL" in text)
+    assert "3.18_s0.75: " in text and ("PASS" in text or "FAIL" in text)
     assert (out / "run_metadata.json").exists()
     emitted = [p for p in os.listdir(out) if p.startswith("estimate_")]
-    assert emitted
+    assert "estimate_3_18_s0_75.json" in emitted
     meta = json.loads((out / "run_metadata.json").read_text())
-    assert meta["estimates"] == ["3.1"]
+    assert meta["estimates"] == ["3.1", "3.18"]
+    written = (out / "rollup.csv").read_text().splitlines()
 
     code2 = main(["report", "--out", str(out)])
     rollup = (out / "rollup.csv").read_text().splitlines()
     assert rollup[0].split(",")[0] == "estimate_id"
     assert len(rollup) > 1
-    assert code2 in (0, 1)
+    assert sorted(rollup) == sorted(written)
+    assert any(row.startswith("3.18_s0.75.fits.") for row in rollup)
+    assert code2 == code
