@@ -8,6 +8,7 @@ continuum-kernel solve against the banded matrix solve.
 
 import numpy as np
 
+from wavedecay.fitting import fit_power_law
 from wavedecay.radialop import PotentialSpec, RadialGrid
 from wavedecay.resolvent import complex_shift_compare, la_norm_scan
 
@@ -17,7 +18,9 @@ pert = PotentialSpec(2.0, 3.0)
 lams = np.geomspace(1.0, 8.0, 9)
 
 for label, pot in (("free", free), ("perturbed", pert)):
-    rep, rows, gaps = la_norm_scan(grid, 4, pot, lams)
+    rows, gaps = la_norm_scan(grid, 4, pot, lams)
+    rep = fit_power_law([(lam, nrm) for lam, nrm, _ in rows], "la",
+                        "lambda", target=-1.0, tolerance=0.1)
     print(f"{label}:")
     for lam, nrm, ln in rows:
         print(f"  lambda {lam:6.3f}   norm {nrm:9.5f}   "

@@ -112,10 +112,17 @@ class ExperimentConfig:
             self.grid()
             self.potential()
             self.profile()
+            RadialGrid(self.moll_R, self.moll_M)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if any(h <= 0 or h > 1 for h in self.h_set):
             raise ConfigError("h_set must lie in (0, 1]")
+        # the mollifier suite reads lambda-derivatives up to order
+        # floor(s) + 1, and its lattice caches orders <= 2
+        if not 0 < self.moll_s < 2:
+            raise ConfigError("[mollifier] s must lie in (0, 2)")
+        if any(th <= 0 for th in self.theta_set):
+            raise ConfigError("theta_set must be positive")
 
     def grid(self):
         return RadialGrid(self.R, self.M)
@@ -250,8 +257,8 @@ def cmd_resolvent(cfg):
         w.writerow(["case", "lambda", "norm", "lambda_norm"])
         for label, pot in (("free", PotentialSpec(0.0, cfg.delta, cfg.n)),
                            ("perturbed", cfg.potential())):
-            _, rows, gaps = la_norm_scan(cfg.grid(), cfg.n, pot,
-                                         cfg.lambda_grid)
+            rows, gaps = la_norm_scan(cfg.grid(), cfg.n, pot,
+                                      cfg.lambda_grid)
             for lam, nrm, ln in rows:
                 w.writerow([label, lam, repr(nrm), repr(ln)])
             for lam, err in gaps:

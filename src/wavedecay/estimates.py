@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from math import floor
 
@@ -41,7 +41,6 @@ __all__ = [
     "check_smoothing",
     "check_thm34",
     "check_weighted_time_integral",
-    "MollifiedMultiplier",
     "mollified_multiplier_suite",
     "check_thm41",
     "assemble_thm11",
@@ -421,22 +420,22 @@ class _LatticeFamily:
         self.mats = self.lams[:, None, None] * ls_sweep(
             grid, n, potential, self.lams, wf, +1, left=np.conj(wf).T)
 
-    def value(self, lam):
-        """Cubic Lagrange interpolation on the lattice (compressed
-        weighted outgoing resolvent)."""
-        return self.deriv(0, lam)
-
-    def deriv(self, order, lam):
-        """Lambda-derivative of the cubic interpolant.  Differentiating
-        the interpolant analytically avoids the 1/step^2 amplification a
-        finite difference across interpolated values would suffer.  Raises
-        ValueError for lam outside the lattice."""
-        x = (lam - self.lo) / self.step
-        if not 0.0 <= x <= len(self.mats) - 1:
+    def weights(self, order, lams):
+        """Real (len(lams), L) rows of the order-th lambda-derivative of the
+        cubic Lagrange interpolant, 4 nonzeros each: row @ mats is that
+        derivative at lam.  Differentiating the interpolant analytically
+        avoids the 1/step^2 amplification a finite difference across
+        interpolated values would suffer.  Raises ValueError for lam
+        outside the lattice."""
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        size = len(self.lams)
+        x = (lams - self.lo) / self.step
+        inside = (x >= 0.0) & (x <= size - 1)
+        if not np.all(inside):
             raise ValueError(
-                f"lambda {lam:g} outside the lattice [{self.lams[0]:g}, "
-                f"{self.lams[-1]:g}]")
-        j = min(max(int(floor(x)), 1), len(self.mats) - 3)
+                f"lambda {lams[~inside][0]:g} outside the lattice "
+                f"[{self.lams[0]:g}, {self.lams[-1]:g}]")
+        j = np.clip(np.floor(x).astype(int), 1, size - 3)
         u = x - j
         if order == 0:
             w = (-u * (u - 1) * (u - 2) / 6.0,
@@ -452,46 +451,23 @@ class _LatticeFamily:
             w = (1.0 - u, 3.0 * u - 2.0, 1.0 - 3.0 * u, u)
         else:
             raise ValueError("derivatives cached for order <= 2")
-        out = w[0] * self.mats[j - 1]
-        for k in (1, 2, 3):
-            out = out + w[k] * self.mats[j - 1 + k]
-        return out.astype(complex) / self.step ** order
+        rows = np.zeros((lams.size, size))
+        for k in range(4):
+            rows[np.arange(lams.size), j - 1 + k] = w[k]
+        return rows / self.step ** order
 
 
-@dataclass(frozen=True)
-class MollifiedMultiplier:
-    """T_theta^+ = theta^{-1} int T^+(lambda + sigma) m(sigma/theta)
-    dsigma with a unit-mass bump m supported in [1/3, 1/2]."""
-
-    family: _LatticeFamily
-    theta: float
-
-    @property
-    def mass_defect(self):
-        _, wts = self._nodes()
-        return abs(float(np.sum(wts)) - 1.0)
-
-    def _nodes(self):
-        m = mollifier()
-        sig, wts = gauss_panels([self.theta / 3.0, self.theta / 2.0], 16)
-        return sig, wts * m(sig / self.theta) / self.theta
-
-    def deriv(self, order, lam):
-        sig, wts = self._nodes()
-        acc = None
-        for s_, w_ in zip(sig, wts):
-            term = w_ * self.family.deriv(order, lam + s_)
-            acc = term if acc is None else acc + term
-        return acc / np.sum(wts)      # exact unit mass by normalization
-
-
-def _tplus(mat):
-    return mat / (np.pi * 1j)
-
-
-def _tjump(mat):
-    # T = T^+ - T^-; the incoming branch is the conjugate at real lambda
-    return (2.0 / np.pi) * np.imag(mat)
+def _row_norms(rows, mats):
+    """2-norms of the K x K matrices rows @ mats, for weight rows (..., L)
+    over a lattice stack mats (L, K, K): one contraction, batched norms.
+    Real and imaginary rows contract apart, so a real stack is never
+    copied to complex."""
+    rows = np.asarray(rows)
+    size, k = mats.shape[:2]
+    flat, flat_rows = mats.reshape(size, k * k), rows.reshape(-1, size)
+    prods = flat_rows.real @ flat + 1j * (flat_rows.imag @ flat)
+    return np.linalg.norm(prods.reshape(-1, k, k), 2,
+                          axis=(1, 2)).reshape(rows.shape[:-1])
 
 
 def mollified_multiplier_suite(grid, n, potential, s=1.4,
@@ -522,84 +498,93 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
     fam = _LatticeFamily(grid, n, potential, s, lo - 4 * pad,
                          hi + theta_max / 2.0 + 4 * pad,
                          lattice_step, r_cut, eps)
+    mol = mollifier()
+
+    def gauss(theta):
+        sig, wts = gauss_panels([theta / 3.0, theta / 2.0], 16)
+        return sig, wts * mol(sig / theta) / theta
+
+    def mollified(order, theta, lams):
+        """Rows of d^order T_theta^+ at lams, where T_theta^+ = theta^{-1}
+        int T^+(lam + sigma) m(sigma/theta) dsigma with the unit-mass bump
+        m on [1/3, 1/2]: the Gauss sum of shifted rows, normalised to exact
+        unit mass.  Summed shift by shift, so no (len(lams), 16, L) array
+        forms."""
+        sig, wts = gauss(theta)
+        acc = sum(w_ * fam.weights(order, lams + s_)
+                  for s_, w_ in zip(sig, wts))
+        return acc / np.sum(wts)
+
+    # T^+ = mats / (pi i).  Per theta the rows are d^j T_theta^+ for
+    # j = 0..m+1, then d^m T_theta^+ - d^m T^+, each at every lam_sample
+    lam_s = np.asarray(lam_sample, dtype=float)
+    raw_m = fam.weights(m_order, lam_s)
+
+    def theta_rows(th):
+        d = [mollified(j, th, lam_s) for j in range(m_order + 2)]
+        return np.stack([*d, d[m_order] - raw_m])
+
+    plus = _row_norms(np.stack([theta_rows(th) for th in theta_set]),
+                      fam.mats) / np.pi
     reports = {}
 
     # (3.40): boundedness of the first m derivatives, all theta
-    sups = {f"{th:g}": max(
-        float(np.linalg.norm(_tplus(MollifiedMultiplier(fam, th)
-                                    .deriv(j, lam)), 2))
-        for j in range(m_order + 1) for lam in lam_sample)
-        for th in theta_set}
+    sups = {f"{th:g}": float(np.max(p[:m_order + 1]))
+            for th, p in zip(theta_set, plus)}
     reports["3.40"] = _ratio_report(sups.values(), 3.0)
     reports["3.40"]["sups"] = sups
     reports["3.40"]["mass_defects"] = {
-        f"{th:g}": MollifiedMultiplier(fam, th).mass_defect
+        f"{th:g}": abs(float(np.sum(gauss(th)[1])) - 1.0)
         for th in theta_set}
 
     # (3.41): ||d^m T_theta - d^m T|| ~ theta^mu
-    rows = []
-    for th in theta_set:
-        mm = MollifiedMultiplier(fam, th)
-        diff = max(float(np.linalg.norm(
-            _tplus(mm.deriv(m_order, lam) - fam.deriv(m_order, lam)), 2))
-            for lam in lam_sample)
-        rows.append((th, diff))
+    rows = [(th, float(np.max(p[-1]))) for th, p in zip(theta_set, plus)]
     reports["3.41"] = fit_power_law(rows, "3.41", "theta", target=mu,
                                     tolerance=0.15).as_dict()
 
     # (3.43): ||d^{m+1} T_theta|| ~ theta^{mu-1}
-    rows = []
-    for th in theta_set:
-        mm = MollifiedMultiplier(fam, th)
-        val = max(float(np.linalg.norm(
-            _tplus(mm.deriv(m_order + 1, lam)), 2)) for lam in lam_sample)
-        rows.append((th, val))
+    rows = [(th, float(np.max(p[m_order + 1])))
+            for th, p in zip(theta_set, plus)]
     reports["3.43"] = fit_power_law(rows, "3.43", "theta",
                                     target=mu - 1.0,
                                     tolerance=0.15).as_dict()
 
-    # reconstruction: int e^{it lam} phi(lam) X(lam) dlam on the lattice
+    # reconstruction: int e^{it lam} phi(lam) X(lam) dlam on the lattice,
+    # X the jump T = T^+ - T^-.  The incoming branch is the conjugate at
+    # real lambda, so T = (2/pi) Im(mats); Im commutes with real weights
     base = fam.lams[(fam.lams >= lo) & (fam.lams <= hi)]
     if base.size % 2 == 0:
         base = base[:-1]
-    sw = simpson_weights(base.size, base[1] - base[0])
-    pf = profile(base)
+    quad = simpson_weights(base.size, base[1] - base[0]) * profile(base)
+    jump = (2.0 / np.pi) * np.imag(fam.mats)
+    raw = fam.weights(0, base)
 
-    def recon(t, theta=None):
-        mm = MollifiedMultiplier(fam, theta) if theta else None
-        acc = None
-        for lam, w_ in zip(base, sw * pf):
-            if w_ == 0.0:
-                continue
-            mat = _tjump(mm.deriv(0, lam) if mm else fam.value(lam))
-            term = (w_ * np.exp(1j * t * lam)) * mat
-            acc = term if acc is None else acc + term
-        return float(np.linalg.norm(acc, 2))
+    def phases(ts):
+        return quad * np.exp(1j * np.outer(ts, base))
 
-    rows = [(t, recon(t)) for t in t_fit]
-    reports["3.46_t"] = fit_power_law(rows, "3.46", "t",
+    # the theta-scan objective is ||raw - smooth part|| + ||smooth part||;
+    # each theta's (base, L) rows are reduced to (t_scan, L) at once
+    scan_raw = phases(t_scan) @ raw
+    smooth = {th: phases(t_scan) @ mollified(0, th, base)
+              for th in {*scan_thetas, *(1.0 / t for t in t_scan)}}
+    scan_rows = [[(scan_raw[i] - smooth[th][i], smooth[th][i])
+                  for th in (*scan_thetas, 1.0 / t)]
+                 for i, t in enumerate(t_scan)]
+    vals = _row_norms(np.concatenate(
+        [phases(t_fit) @ raw, np.reshape(scan_rows, (-1, len(fam.lams)))]),
+        jump)
+    recon = vals[:len(t_fit)]
+    objective = vals[len(t_fit):].reshape(len(t_scan), -1, 2).sum(axis=-1)
+
+    reports["3.46_t"] = fit_power_law(list(zip(t_fit, recon)), "3.46", "t",
                                       target=-(m_order + mu),
                                       tolerance=0.2,
                                       one_sided=True).as_dict()
 
-    def objective(t, theta):
-        mm = MollifiedMultiplier(fam, theta)
-        a = b = None
-        for lam, w_ in zip(base, sw * pf):
-            if w_ == 0.0:
-                continue
-            smooth = _tjump(mm.deriv(0, lam))
-            raw = _tjump(fam.value(lam))
-            pha = w_ * np.exp(1j * t * lam)
-            ta, tb = pha * (raw - smooth), pha * smooth
-            a = ta if a is None else a + ta
-            b = tb if b is None else b + tb
-        return float(np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
-
     scan_rep = {}
-    for t in t_scan:
-        scan = {f"{th:g}": objective(t, th) for th in scan_thetas}
-        at_inv = objective(t, 1.0 / t)
+    for t, obj in zip(t_scan, objective):
+        scan = {f"{th:g}": float(v) for th, v in zip(scan_thetas, obj)}
+        at_inv = float(obj[-1])
         best = min(scan.values())
         scan_rep[f"t{t:g}"] = {
             "scan": scan, "at_theta_1_over_t": at_inv,

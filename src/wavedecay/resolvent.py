@@ -20,7 +20,6 @@ import numpy as np
 from scipy import special
 from scipy.linalg import solve_banded
 
-from .fitting import fit_power_law
 from .norms import operator_two_norm
 from .radialop import build_G, build_G0, weight_matrix
 
@@ -166,10 +165,9 @@ def resolvent_difference_vector(grid, n, potential, lams):
 def la_norm_scan(grid, n, potential, lambda_grid, s=0.5 + DEFAULT_EPS):
     """Scan of ||<x>^{-s} R^+(lambda) <x>^{-s}|| over a lambda grid.
 
-    Returns (fit report of log norm vs log lambda, rows, gaps); rows are
-    (lambda, norm, lambda * norm).  The power iteration applies the
-    weighted resolvent for B^T too: R^T = A0 (I + V A0)^{-1} = R by
-    push-through.  Points where the solve fails numerically (ValueError,
+    Returns (rows, gaps); rows are (lambda, norm, lambda * norm), gaps
+    (lambda, error).  The power iteration applies the weighted resolvent
+    for B^T too: R^T = A0 (I + V A0)^{-1} = R by push-through.  Points where the solve fails numerically (ValueError,
     LinAlgError) are recorded as gaps; any other error propagates.
     """
     rows, gaps = [], []
@@ -180,10 +178,7 @@ def la_norm_scan(grid, n, potential, lambda_grid, s=0.5 + DEFAULT_EPS):
             rows.append((float(lam), nrm, float(lam) * nrm))
         except (ValueError, np.linalg.LinAlgError) as exc:
             gaps.append((float(lam), repr(exc)))
-    report = fit_power_law([(lam, nrm) for lam, nrm, _ in rows],
-                           estimate_id="la", variable="lambda",
-                           target=-1.0, tolerance=0.1)
-    return report, rows, gaps
+    return rows, gaps
 
 
 def complex_shift_compare(grid, n, potential, lam, eta, s=0.5 + DEFAULT_EPS):

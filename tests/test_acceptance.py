@@ -118,10 +118,12 @@ def test_criterion_04_plancherel(sigma):
 
 def test_criterion_05_limiting_absorption(grid, pot):
     lams = np.geomspace(1.0, 8.0, 9)
-    rep, _, gaps = la_norm_scan(grid, N, PotentialSpec(0.0, 3.0), lams)
+    rows, gaps = la_norm_scan(grid, N, PotentialSpec(0.0, 3.0), lams)
+    rep = fit_power_law([(lam, nrm) for lam, nrm, _ in rows], "la",
+                        "lambda", target=-1.0, tolerance=0.1)
     assert not gaps and rep.passed, (
         f"free lambda-slope {rep.fitted_exponent:.3f} not in -1 +/- 0.1")
-    _, rows, gaps = la_norm_scan(grid, N, pot, lams)
+    rows, gaps = la_norm_scan(grid, N, pot, lams)
     ln = [r[2] for r in rows]
     assert not gaps and max(ln) / min(ln) <= 10.0, (
         f"perturbed lambda*norm ratio {max(ln) / min(ln):.2f} > 10")

@@ -39,14 +39,21 @@ def test_overrides_win(tmp_path):
 
 
 def test_validation_failures(tmp_path):
-    with pytest.raises(ConfigError):
-        ExperimentConfig.load(None, {"h_set": (2.0,)})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.load(None, {"M": 0})
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[grid]\nR = not_a_number\n")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.load(str(bad))
+    for override in ({"h_set": (2.0,)}, {"M": 0}, {"moll_s": 0.0},
+                     {"theta_set": (0.5, -0.25)}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.load(None, override)
+    # bad mollifier input stops verify at load, before any group runs
+    for body in ("[grid]\nR = not_a_number\n", "[mollifier]\ns = 2.5\n",
+                 "[mollifier]\nM = 1\n", "[scan]\ntheta_set = 0.5 0\n"):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(body)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.load(str(bad))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(bad), "--estimates", "3.2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_groups_partition_estimate_ids():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from wavedecay import estimates as est
-from wavedecay.fitting import _stability
+from wavedecay.fitting import _stability, fit_power_law
+from wavedecay.profiles import mollifier
 from wavedecay.radialop import PotentialSpec
+from wavedecay.specfun import gauss_panels, simpson_weights
 
 
 def test_stability_and_ratio_report():
@@ -76,24 +78,140 @@ def test_smoothing_normalizes_by_band_mass(small_grid, profile):
     assert "passed" in entry
 
 
-def test_lattice_rejects_lambda_outside(small_grid, potential):
-    fam = est._LatticeFamily(small_grid, 4, potential, 1.4, 1.0, 1.1,
-                             1.0 / 64.0, r_cut=16.0)
-    inside = fam.deriv(1, 1.05)
-    assert inside.shape == (fam.frame.shape[1],) * 2
-    assert np.allclose(fam.value(fam.lams[-1]), fam.mats[-1])
+@pytest.fixture(scope="module")
+def lattice(small_grid, potential):
+    return est._LatticeFamily(small_grid, 4, potential, 1.4, 1.0, 1.1,
+                              1.0 / 64.0, r_cut=16.0)
+
+
+def test_lattice_rejects_lambda_outside(lattice):
+    fam = lattice
+    rows = fam.weights(1, [1.05])
+    assert rows.shape == (1, len(fam.lams))
+    assert np.count_nonzero(rows) == 4
+    last = fam.weights(0, fam.lams[-1]) @ fam.mats.reshape(len(fam.lams), -1)
+    assert np.allclose(last.reshape(fam.mats.shape[1:]), fam.mats[-1])
     for lam in (fam.lams[0] - 1e-3, fam.lams[-1] + 1e-3):
-        with pytest.raises(ValueError):
-            fam.deriv(0, lam)
+        with pytest.raises(ValueError, match="outside the lattice"):
+            fam.weights(0, [1.05, lam])
+    with pytest.raises(ValueError, match="order <= 2"):
+        fam.weights(3, [1.05])
 
 
-def test_mollifier_lattice_covers_theta_scan(small_grid, potential):
-    """The theta-scan and theta = 1/t reach past max(theta_set)/2; the
-    lattice must cover them rather than clamp."""
-    rep = est.mollified_multiplier_suite(
-        small_grid, 4, potential,
-        theta_set=(0.125, 0.0625, 0.03125, 0.015625))
-    for t in (8.0, 32.0):
-        scan = rep["3.46_theta_scan"][f"t{t:g}"]["scan"]
-        assert set(scan) == {f"{2.0 ** -k:g}" for k in range(1, 7)}
-        assert all(np.isfinite(v) for v in scan.values())
+def test_lattice_weights_reproduce_a_cubic(lattice):
+    """Cubic Lagrange rows are exact on cubics: value, first and second
+    derivative at off-node lambda, the clamped end intervals included."""
+    fam = lattice
+    # centred on the lattice, so the values, whose round-off the rows
+    # amplify by 1/step^order, stay small next to the derivatives
+    coef, mid = np.array([3.0, 2.0, -1.0, 0.01]), 1.05
+    lams = np.concatenate([fam.lams[:-1] + 0.3 * fam.step,
+                           [fam.lams[-1] - 0.1 * fam.step]])
+    for order in (0, 1, 2):
+        got = fam.weights(order, lams) @ np.polyval(coef, fam.lams - mid)
+        want = np.polyval(np.polyder(coef, order), lams - mid)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), order
+
+
+def _loop_deriv(fam, order, lam):
+    """Per-lambda cubic Lagrange derivative, one lattice window at a time:
+    the loop form the weight rows replace."""
+    x = (lam - fam.lo) / fam.step
+    j = min(max(int(np.floor(x)), 1), len(fam.mats) - 3)
+    u = x - j
+    w = {0: (-u * (u - 1) * (u - 2) / 6.0, (u + 1) * (u - 1) * (u - 2) / 2.0,
+             -(u + 1) * u * (u - 2) / 2.0, (u + 1) * u * (u - 1) / 6.0),
+         1: (-(3 * u * u - 6 * u + 2) / 6.0, (3 * u * u - 4 * u - 1) / 2.0,
+             -(3 * u * u - 2 * u - 2) / 2.0, (3 * u * u - 1) / 6.0),
+         2: (1.0 - u, 3.0 * u - 2.0, 1.0 - 3.0 * u, u)}[order]
+    out = sum(wk * fam.mats[j - 1 + k] for k, wk in enumerate(w))
+    return out / fam.step ** order
+
+
+def _loop_mollified(fam, order, theta, lam):
+    sig, wts = gauss_panels([theta / 3.0, theta / 2.0], 16)
+    wts = wts * mollifier()(sig / theta) / theta
+    acc = sum(w_ * _loop_deriv(fam, order, lam + s_)
+              for s_, w_ in zip(sig, wts))
+    return acc / np.sum(wts)
+
+
+def _loop_suite(fam, theta_set, t_scan, t_fit, lam_sample, profile):
+    """Loop-form oracle of every figure the suite reports: per-lambda Gauss
+    sums for the mollified family, per-lambda Simpson/phase sums for the
+    reconstruction."""
+    def tplus_norm(mat):
+        return np.linalg.norm(mat / (np.pi * 1j), 2)
+
+    def tjump(mat):
+        return (2.0 / np.pi) * np.imag(mat)
+
+    out = {"sups": [], "3.41": [], "3.43": []}
+    for th in theta_set:
+        out["sups"].append(max(
+            tplus_norm(_loop_mollified(fam, j, th, lam))
+            for j in (0, 1) for lam in lam_sample))
+        out["3.41"].append(max(
+            tplus_norm(_loop_mollified(fam, 1, th, lam)
+                       - _loop_deriv(fam, 1, lam)) for lam in lam_sample))
+        out["3.43"].append(max(
+            tplus_norm(_loop_mollified(fam, 2, th, lam))
+            for lam in lam_sample))
+    lo, hi = profile.support
+    base = fam.lams[(fam.lams >= lo) & (fam.lams <= hi)]
+    if base.size % 2 == 0:
+        base = base[:-1]
+    quad = simpson_weights(base.size, base[1] - base[0]) * profile(base)
+
+    def recon(t, theta=None):
+        a = b = 0.0
+        for lam, w_ in zip(base, quad):
+            pha = w_ * np.exp(1j * t * lam)
+            raw = tjump(_loop_deriv(fam, 0, lam))
+            smooth = raw if theta is None else tjump(
+                _loop_mollified(fam, 0, theta, lam))
+            a, b = a + pha * (raw - smooth), b + pha * smooth
+        return np.linalg.norm(a, 2) + np.linalg.norm(b, 2)
+
+    out["3.46_t"] = [recon(t) for t in t_fit]
+    out["scan"] = {t: [recon(t, 2.0 ** -k) for k in range(1, 7)]
+                   + [recon(t, 1.0 / t)] for t in t_scan}
+    return out
+
+
+def test_mollifier_lattice_covers_theta_scan(small_grid, potential, profile,
+                                            monkeypatch):
+    """Every figure of the one-contraction suite holds to the per-lambda
+    loop form at 1e-10.  The theta-scan and theta = 1/t reach past
+    max(theta_set)/2; the lattice must cover them rather than clamp."""
+    built = []
+
+    class Recorded(est._LatticeFamily):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(est, "_LatticeFamily", Recorded)
+    thetas, t_scan = (0.125, 0.0625, 0.03125, 0.015625), (8.0, 32.0)
+    t_fit, lam_sample = (4.0, 8.0, 16.0, 32.0, 64.0), (1.2, 1.5, 1.8)
+    rep = est.mollified_multiplier_suite(small_grid, 4, potential,
+                                         theta_set=thetas, t_scan=t_scan,
+                                         t_fit=t_fit, lam_sample=lam_sample)
+    want = _loop_suite(built[0], thetas, t_scan, t_fit, lam_sample, profile)
+
+    def close(got, ref):
+        assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
+
+    close([rep["3.40"]["sups"][f"{th:g}"] for th in thetas], want["sups"])
+    for key in ("3.41", "3.43"):
+        fit = fit_power_law(zip(thetas, want[key]))
+        close(rep[key]["fitted_exponent"], fit.fitted_exponent)
+        close(rep[key]["fitted_constant"], fit.fitted_constant)
+    fit = fit_power_law(zip(t_fit, want["3.46_t"]))
+    close(rep["3.46_t"]["fitted_exponent"], fit.fitted_exponent)
+    close(rep["3.46_t"]["fitted_constant"], fit.fitted_constant)
+    for t in t_scan:
+        got = rep["3.46_theta_scan"][f"t{t:g}"]
+        assert set(got["scan"]) == {f"{2.0 ** -k:g}" for k in range(1, 7)}
+        close([got["scan"][f"{2.0 ** -k:g}"] for k in range(1, 7)]
+              + [got["at_theta_1_over_t"]], want["scan"][t])

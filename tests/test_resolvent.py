@@ -4,6 +4,7 @@ from hypothesis import given, note, settings, target
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+from wavedecay.fitting import fit_power_law
 from wavedecay.radialop import PotentialSpec, weight_matrix
 from wavedecay.resolvent import (GROWTH_LIMIT, complex_shift_compare,
                                  free_green_matrix, green_delta_residual,
@@ -146,18 +147,29 @@ def test_la_norm_scan_free_decay(small_grid):
     # ||<x>^{-s} R0 <x>^{-s}|| ~ lambda^{-1} in the high-energy regime
     free = PotentialSpec(0.0, 3.0)
     lams = np.geomspace(1.0, 8.0, 7)
-    report, rows, gaps = la_norm_scan(small_grid, N, free, lams)
+    rows, gaps = la_norm_scan(small_grid, N, free, lams)
     assert not gaps
     assert len(rows) == 7
+    report = fit_power_law([(lam, nrm) for lam, nrm, _ in rows], "la",
+                           "lambda", target=-1.0, tolerance=0.1)
     assert report.passed
     assert abs(report.fitted_exponent + 1.0) < 0.1
 
 
 def test_la_norm_scan_records_gaps(small_grid, potential):
-    report, rows, gaps = la_norm_scan(small_grid, N, potential,
-                                      [-1.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+    rows, gaps = la_norm_scan(small_grid, N, potential,
+                              [-1.0, 1.0, 2.0, 4.0, 8.0, 16.0])
     assert len(gaps) == 1 and gaps[0][0] == -1.0
     assert len(rows) == 5
+
+
+def test_la_norm_scan_keeps_gaps_when_nothing_survives(small_grid):
+    # too few surviving lambdas for any fit: the gaps still come back
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, gaps = la_norm_scan(small_grid, N, PotentialSpec(1e300, 3.0),
+                                  [1.0, 2.0])
+    assert rows == []
+    assert [lam for lam, _ in gaps] == [1.0, 2.0]
 
 
 def test_la_norm_scan_propagates_non_numerical_errors(small_grid, potential):
