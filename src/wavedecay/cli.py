@@ -25,6 +25,7 @@ import numpy as np
 
 from . import estimates as est
 from .cache import EigenCache
+from .fitting import check_fit_window
 from .profiles import BumpProfile
 from .radialop import PotentialSpec, RadialGrid, build_G, build_G0
 
@@ -123,6 +124,17 @@ class ExperimentConfig:
             raise ConfigError("[mollifier] s must lie in (0, 2)")
         if any(th <= 0 for th in self.theta_set):
             raise ConfigError("theta_set must be positive")
+        # the sets the groups fit whole must carry a fit; t_set is also
+        # the kernel subcommand's plain scan grid, so it is held to that
+        # only when a group that fits it is selected
+        fitted = {"h_set": self.h_set, "theta_set": self.theta_set}
+        if any(fn in _FITS_T_SET for fn in _selected(self.estimate_ids)):
+            fitted["t_set"] = self.t_set
+        for name, xs in fitted.items():
+            try:
+                check_fit_window(xs)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
     def grid(self):
         return RadialGrid(self.R, self.M)
@@ -197,6 +209,13 @@ GROUPS = (
     (("4.1", "4.2", "4.6", "4.10"), _run_thm41),
     (("1.2", "1.3", "1.4", "4.3"), _run_thm11),
 )
+# the groups that fit over the whole t_set
+_FITS_T_SET = (_run_prop21, _run_thm34, _run_thm41, _run_thm11)
+
+
+def _selected(ids):
+    return [fn for group_ids, fn in GROUPS
+            if any(i in group_ids for i in ids)]
 
 
 def _collect_passes(node, out):
@@ -212,14 +231,12 @@ def cmd_verify(cfg):
     ids = cfg.estimate_ids
     if not ids:
         return 0
-    selected = [fn for group_ids, fn in GROUPS
-                if any(i in group_ids for i in ids)]
     cache = EigenCache(os.path.join(cfg.out, ".cache"))
     for op in (build_G0(cfg.grid(), cfg.n),
                build_G(cfg.grid(), cfg.n, cfg.potential())):
         cache.eigensystem(op)
     reports = {}
-    for fn in selected:
+    for fn in _selected(ids):
         reports.update(fn(cfg))
     est.emit_reports(reports, cfg.out)
     with open(os.path.join(cfg.out, "run_metadata.json"), "w") as fh:

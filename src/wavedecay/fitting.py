@@ -6,7 +6,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-__all__ = ["DecayFitReport", "fit_power_law"]
+__all__ = ["DecayFitReport", "check_fit_window", "fit_power_law"]
+
+MIN_SAMPLES = 4      # fewest samples a fit takes
+MIN_SPAN = 8.0       # least max/min ratio of the fitted variable
 
 
 @dataclass
@@ -58,19 +61,29 @@ class DecayFitReport:
         return d
 
 
+def check_fit_window(xs):
+    """Raise ValueError unless the values xs of the fitted variable can
+    carry a fit: at least MIN_SAMPLES positive values whose max/min is at
+    least MIN_SPAN."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.size < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    if np.any(xs <= 0):
+        raise ValueError("samples must be positive")
+    if np.max(xs) / np.min(xs) < MIN_SPAN:
+        raise ValueError("samples must span close to a decade in x")
+
+
 def fit_power_law(samples, estimate_id="", variable="x", target=None,
                   tolerance=0.0, residual_cap=np.inf, one_sided=False):
     """Fit y = C x^e to positive samples [(x, y), ...] by log-log least
     squares."""
     pts = [(float(x), float(y)) for x, y in samples]
-    if len(pts) < 4:
-        raise ValueError("need at least 4 samples")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
-    if np.any(xs <= 0) or np.any(ys <= 0):
+    check_fit_window(xs)
+    if np.any(ys <= 0):
         raise ValueError("samples must be positive")
-    if np.max(xs) / np.min(xs) < 8.0:
-        raise ValueError("samples must span close to a decade in x")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = float(np.max(np.abs(ly - (slope * lx + intercept))))

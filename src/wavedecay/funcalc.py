@@ -161,9 +161,29 @@ def _hs_mesh(aa, tol, nodes_per_panel=5, ny_per_layer=6, panel_factor=0.5,
     return np.concatenate(zs), np.concatenate(ws)
 
 
+# the transfer products P must keep P and 1/P normal floats
+_TINY = np.finfo(float).tiny
+_LOG_P_LIMIT = -np.log(_TINY)
+# rows per GEMM panel; the panels stop at the diagonal, so little more
+# than the upper triangle the sum keeps is computed
+_PANEL = 128
+
+
+def _continued_fraction(d, ee):
+    """l_0 = d_0, l_j = d_j - ee / l_{j-1} down the rows of d, one
+    contiguous row per step."""
+    ell = np.empty_like(d)
+    ell[0] = d[0]
+    tmp = np.empty_like(d[0])
+    for j in range(1, d.shape[0]):
+        np.divide(ee, ell[j - 1], out=tmp)
+        np.subtract(d[j], tmp, out=ell[j])
+    return ell
+
+
 def _resolvent_sum(diag, off, zs, coeffs, block=1500):
-    """sum_k coeffs[k] * (T - zs[k])^{-1} for symmetric tridiagonal T with
-    constant off-diagonal, assembled without any dense solves.
+    """Re sum_k coeffs[k] * (T - zs[k])^{-1} for symmetric tridiagonal T
+    with constant off-diagonal, assembled without any dense solves.
 
     The inverse of a tridiagonal matrix is semiseparable: with the two
     continued-fraction sweeps
@@ -172,39 +192,44 @@ def _resolvent_sum(diag, off, zs, coeffs, block=1500):
         m_{M-1} = d_{M-1},  m_j = d_j - e^2 / m_{j+1},
 
     the entries are inv_jj = 1/(l_j + m_j - d_j) and, for i < j,
-    inv_ij = inv_jj * prod_{k=i}^{j-1} (-e / l_k).  Writing the product
-    through cumulative logs turns each inverse into a rank-one outer
-    u v^T on the upper triangle, so the whole quadrature sum collapses
-    into one GEMM per block of nodes.  Im z != 0 keeps every l_j, m_j
-    away from zero (their imaginary parts have a definite sign).
+    inv_ij = inv_jj P_j / P_i with the transfer products P_j =
+    prod_{k<j} (-e / l_k).  So each inverse is the rank-one outer u v^T
+    on the upper triangle, u = coeff / P and v = inv_jj P, and the real
+    part of a block's sum is one real GEMM of the interleaved (Re, Im)
+    views of u and conj(v), inner dimension 2 * block, in row panels that
+    stop at the diagonal.  Im z != 0 keeps every l_j, m_j away from zero
+    (their imaginary parts have a definite sign).  A node whose P or 1/P
+    leaves the normal floats (|log P| > 708.4) raises FloatingPointError.
     """
-    e = complex(off[0])
+    e = float(off[0])
     if not np.allclose(off, off[0]):
         raise ValueError("constant off-diagonal required")
     m = diag.shape[0]
-    s = np.zeros((m, m), dtype=complex)
+    s = np.zeros((m, m))
     for start in range(0, zs.shape[0], block):
         z = zs[start:start + block]
-        c = coeffs[start:start + block]
-        d = diag[None, :] - z[:, None]
-        ell = np.empty_like(d)
-        ell[:, 0] = d[:, 0]
+        d = diag[:, None] - z
+        ell = _continued_fraction(d, e * e)
+        dd = _continued_fraction(d[::-1], e * e)[::-1]
+        dd += ell
+        dd -= d
+        ratio = np.divide(-e, ell, out=ell)
+        p = np.empty_like(d)
+        p[0] = 1.0
         for j in range(1, m):
-            ell[:, j] = d[:, j] - e * e / ell[:, j - 1]
-        em = np.empty_like(d)
-        em[:, -1] = d[:, -1]
-        for j in range(m - 2, -1, -1):
-            em[:, j] = d[:, j] - e * e / em[:, j + 1]
-        dd = 1.0 / (ell + em - d)
-        # cumulative log of the transfer ratios; exp of differences
-        # reproduces the products regardless of branch jumps
-        lg = np.cumsum(np.log(-e / ell[:, :-1]), axis=1)
-        u = np.empty_like(d)
-        u[:, 0] = 1.0
-        u[:, 1:] = np.exp(-lg)
-        v = dd.copy()
-        v[:, 1:] *= np.exp(lg)
-        s += (c[:, None] * u).T @ v
+            np.multiply(p[j - 1], ratio[j - 1], out=p[j])
+        mag = np.abs(p)
+        if not (mag.min() >= _TINY and mag.max() <= 1.0 / _TINY):
+            lg = np.abs(np.cumsum(np.log(np.abs(ratio[:-1])), axis=0))
+            k = np.argmax(lg.max(axis=0))
+            raise FloatingPointError(
+                f"transfer product of node z = {z[k]:.6g} leaves the float "
+                f"range: max |log P| = {lg[:, k].max():.1f} > "
+                f"{_LOG_P_LIMIT:.1f}")
+        u = (coeffs[start:start + block] / p).view(float)
+        v = np.conjugate(np.divide(p, dd, out=dd), out=dd).view(float)
+        for lo in range(0, m, _PANEL):
+            s[lo:lo + _PANEL, lo:] += u[lo:lo + _PANEL] @ v[lo:].T
     return np.triu(s) + np.tril(s.T, -1)
 
 
@@ -212,8 +237,11 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     """psi(h^2 op) with psi(x) = profile(sqrt(x)) via the resolvent
     quadrature; independent of the eigendecomposition by construction.
 
-    block caps how many quadrature nodes are in flight at once (memory
-    scales as block * M)."""
+    block caps how many quadrature nodes are in flight at once.  A block
+    holds five (M, block) complex arrays (the shifted diagonal, the
+    forward sweep reused for the ratios -e / l, the backward sweep reused
+    for v, the products P, and u) and the real |P|, besides the M x M
+    sum."""
     aa = almost_analytic(profile, order)
     zs, ws = _hs_mesh(aa, tol)
     diag = h ** 2 * op.diag
@@ -221,7 +249,7 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     vals = aa.dbar(zs) * ws
     keep = np.abs(vals) > 0.0
     acc = _resolvent_sum(diag, off, zs[keep], vals[keep], block=block)
-    return (2.0 / np.pi) * np.real(acc)
+    return (2.0 / np.pi) * acc
 
 
 def phi_of_hsqrt(op, profile, h):

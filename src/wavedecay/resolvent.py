@@ -94,8 +94,8 @@ def green_delta_residual(grid, n, lam, sign, col):
 def _sweep(grid, n, potential, lams, sign, b):
     """Blocks of (I + A0 V)^{-1} [A0 b, u1] over an array of lams, A0 =
     cdr (tril(u2 u1^T) + triu(u1 u2^T, 1)).  A block (one lam at least)
-    holds at most M^2 / 2 (lam, M, K + 1) entries: with the closing step's
-    temporary, the size of the one dense Green matrix per lam it replaces.
+    holds at most M^2 / 2 (lam, M, K + 1) entries, half the one dense Green
+    matrix per lam it replaces; the closing step works one lam at a time.
 
     x = (I + A0 V)^{-1} (r + A0 b) solves x = r + A0 (b - V x).  With P, Q
     the running sums of u1 (b - V x) and u2 (b - V x), row i reads x_i =
@@ -128,7 +128,9 @@ def _sweep(grid, n, potential, lams, sign, b):
         if not np.all(ok := np.isfinite(det) & (det != 0.0)):
             raise np.linalg.LinAlgError(
                 f"lambda {part[~ok][0]}: det(I + A0 V) = {det[~ok][0]}")
-        y += cdr * (pq[:, 1, None, :] / det[:, None, None]) * y[..., -1:]
+        close = cdr * (pq[:, 1] / det[:, None])
+        for yk, ck in zip(y, close):
+            yk += np.outer(yk[:, -1], ck)
         yield y
 
 

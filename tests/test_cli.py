@@ -39,13 +39,19 @@ def test_overrides_win(tmp_path):
 
 
 def test_validation_failures(tmp_path):
+    # the last three fail fit_power_law's rule on a set a group fits whole
     for override in ({"h_set": (2.0,)}, {"M": 0}, {"moll_s": 0.0},
-                     {"theta_set": (0.5, -0.25)}):
+                     {"theta_set": (0.5, -0.25)},
+                     {"theta_set": (0.5, 0.25, 0.125)},
+                     {"h_set": (1.0, 0.75, 0.5, 0.25)},
+                     {"t_set": (2.0, 4.0), "estimate_ids": ("3.1", "2.1")}):
         with pytest.raises(ConfigError):
             ExperimentConfig.load(None, override)
-    # bad mollifier input stops verify at load, before any group runs
+    # bad mollifier input and unfittable scan sets stop verify at load,
+    # before any group runs
     for body in ("[grid]\nR = not_a_number\n", "[mollifier]\ns = 2.5\n",
-                 "[mollifier]\nM = 1\n", "[scan]\ntheta_set = 0.5 0\n"):
+                 "[mollifier]\nM = 1\n", "[scan]\ntheta_set = 0.5 0\n",
+                 "[scan]\ntheta_set = 0.5 0.25 0.125\n"):
         bad = tmp_path / "bad.ini"
         bad.write_text(body)
         with pytest.raises(ConfigError):
@@ -54,6 +60,19 @@ def test_validation_failures(tmp_path):
         assert main(["verify", "--config", str(bad), "--estimates", "3.2",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_scan_configs_that_fit_still_load():
+    """The defaults and the benchmark's configs load; a short t_set is
+    fine where no selected group fits over it (the kernel subcommand's
+    scan, or group 3.1 alone)."""
+    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    for path in (None, os.path.join(bench, "bench.ini"),
+                 os.path.join(bench, "smoke.ini")):
+        ExperimentConfig.load(path)
+    for ids in ((), ("3.1",)):
+        ExperimentConfig.load(None, {"t_set": (2.0, 4.0),
+                                     "estimate_ids": ids})
 
 
 def test_groups_partition_estimate_ids():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wavedecay.funcalc import (almost_analytic, hs_multiplier, phi_of_hsqrt,
-                               verify_lemma23)
+from wavedecay.funcalc import (_resolvent_sum, almost_analytic,
+                               hs_multiplier, phi_of_hsqrt, verify_lemma23)
 from wavedecay.propagator import wave_multiplier
 from wavedecay.radialop import build_G, build_G0
 
@@ -57,6 +57,33 @@ def test_quadrature_route_h_half(op, profile):
     got = hs_multiplier(op, profile, 0.5, order=8, tol=1e-7)
     want = phi_of_hsqrt(op, profile, 0.5)
     assert np.linalg.norm(got - want, 2) <= 1e-6
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_resolvent_sum_matches_dense_inverse(op, rng, block):
+    """The semiseparable sum against sum_k c_k (T - z_k)^{-1} built from
+    dense inverses, with blocks of one node, a ragged block and all nodes."""
+    m = op.diag.size
+    zs = (rng.uniform(0.0, 8.0, 40) + 1j * rng.uniform(1e-3, 1.0, 40))
+    cs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    t = (np.diag(op.diag) + np.diag(op.offdiag, 1)
+         + np.diag(op.offdiag, -1))
+    want = sum(c * np.linalg.inv(t - z * np.eye(m)) for z, c in zip(zs, cs))
+    got = _resolvent_sum(op.diag, op.offdiag, zs, cs, block=block)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want.real)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_resolvent_sum_raises_outside_float_range():
+    """A diagonal that dwarfs the off-diagonal drives the transfer products
+    (-e / l)^j below the normal floats: an error naming the node, not a
+    silent NaN."""
+    m = 200
+    with pytest.raises(FloatingPointError,
+                       match=r"z = 1\+0\.1j .* max \|log P\| = 2749\."):
+        _resolvent_sum(np.full(m, 1e6), np.ones(m - 1),
+                       np.array([5e5 + 1j, 1.0 + 0.1j]),
+                       np.array([1.0, 1.0 + 0j]))
 
 
 def test_phi_of_hsqrt_is_t0_propagator(op, profile):

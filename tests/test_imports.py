@@ -3,7 +3,8 @@ name a module lists in ``__all__`` is bound in it, and the dense scipy
 kernels stay where they belong: the tridiagonal eigensolve is reached from
 ``radialop`` only, and no module reaches the dense LU (the
 Lippmann-Schwinger solves go through ``resolvent.ls_sweep``; the LU is
-the tests' oracle).
+the tests' oracle).  The resolvent quadrature of ``funcalc`` reads
+nothing of the eigen route it is checked against.
 
 Stdlib only: parses ``src/wavedecay/*.py`` with ``ast``.  A name counts
 as used when the module reads it (``name`` or ``name.attr``) or lists it
@@ -132,3 +133,63 @@ def test_dense_kernels_have_one_home(path):
     strays = {name for name in kernel_names(path.read_text())
               if KERNEL_HOMES[name] != path.name}
     assert strays == set()
+
+
+# the resolvent quadrature that criterion 6 holds against the eigen route:
+# the two stay independent only if the first reads nothing of the second
+QUADRATURE_ROUTE = ("AlmostAnalytic", "_hs_mesh", "_resolvent_sum",
+                    "hs_multiplier")
+
+
+def eigen_reads(source, roots):
+    """The eigen-route names (band, eigensystem, eigh*, np.linalg) read by
+    the module-level definitions named in roots or by any module-level
+    definition they reach."""
+    tree = ast.parse(source)
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                defs.update((n.id, node) for n in ast.walk(target)
+                            if isinstance(n, ast.Name))
+    if missing := set(roots) - set(defs):
+        raise KeyError(f"not defined at module level: {sorted(missing)}")
+    seen, todo, found = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                todo.append(node.id)
+                word = node.id
+            elif isinstance(node, ast.Attribute):
+                word = node.attr
+            else:
+                continue
+            if word in ("band", "eigensystem", "linalg") or (
+                    word.startswith("eigh")):
+                found.add(word)
+    return found
+
+
+def test_detector_flags_eigen_reads_through_helpers():
+    src = ("import numpy as np\n"
+           "SCALE = np.linalg.norm\n"
+           "def _helper(op):\n    return op.band(1).dense()\n"
+           "def route(op):\n    return _helper(op) * SCALE(op.diag)\n"
+           "def oracle(op):\n    return op.eigensystem()\n")
+    assert eigen_reads(src, ("route",)) == {"band", "linalg"}
+    assert eigen_reads(src, ("oracle",)) == {"eigensystem"}
+    with pytest.raises(KeyError, match="gone"):
+        eigen_reads(src, ("route", "gone"))
+
+
+def test_quadrature_route_reads_no_eigen_route():
+    source = (SRC / "funcalc.py").read_text()
+    assert eigen_reads(source, QUADRATURE_ROUTE) == set()
+    # the oracle next to it does read the eigen route
+    assert eigen_reads(source, ("phi_of_hsqrt",)) == {"band"}
