@@ -7,9 +7,11 @@ operator g -> (A (rho g)) / rho are the explicit expressions below.  The
 L2 -> L2 norm coincides with the plain spectral norm since the dr weight
 cancels.
 
-The band norms take A in low-rank form, left diag(coeff) right^T with
-real factors of k << M columns (a spectral band, possibly weighted), and
-never assemble the M x M matrix; the dense norms are their test oracles.
+The band norms take A in low-rank form, left diag(c) right^T with real
+factors of k << M columns (a spectral band, possibly weighted), and never
+assemble the M x M matrix; the dense norms are their test oracles.  They
+take a stack of coefficient rows c, shape (T, k), one per time t, and
+return the T norms, so the work on the factors is done once per band.
 """
 
 from __future__ import annotations
@@ -63,35 +65,51 @@ def op_norm_1_to_inf(matrix, grid, n):
     return float(np.max(a) / grid.dr)
 
 
-def band_norm_2(left, right, coeff):
-    """|| left diag(coeff) right^T ||_2 by thin QR of both factors."""
+def band_norm_2(left, right, coeffs):
+    """|| left diag(c) right^T ||_2 for each row c of coeffs (T, k): one
+    thin QR of each factor (a single one when right is left), then one
+    batched SVD of the T k x k cores."""
     rl = np.linalg.qr(left, mode="r")
-    rr = np.linalg.qr(right, mode="r")
-    return op_norm_2(rl @ (coeff[:, None] * rr.T))
+    rr = rl if right is left else np.linalg.qr(right, mode="r")
+    cores = rl @ (coeffs[:, :, None] * rr.T)
+    return np.linalg.norm(cores, 2, axis=(1, 2))
 
 
-def band_norm_2_to_inf(left, right, coeff, grid, n):
-    """op_norm_2_to_inf of left diag(coeff) right^T: the squared row norms
-    are the diagonal of left C^* G C left^T with G the Gram of right."""
+def band_norm_2_to_inf(left, right, coeffs, grid, n):
+    """op_norm_2_to_inf of left diag(c) right^T for each row c of coeffs
+    (T, k).  The squared row norms are the diagonal of A G A^* with
+    A = left diag(c) and G the Gram of right, formed once; G is real and
+    symmetric, so that diagonal is the sum of the real GEMMs of Re A and
+    Im A."""
     gram = right.T @ right
-    mid = (coeff[:, None] * gram) * np.conj(coeff)[None, :]
-    rows = np.real(np.sum((left @ mid) * left, 1))
-    rows = np.sqrt(np.maximum(rows, 0.0))
     rho = sector_weights(grid, n)
-    return float(np.max(rows / rho) / np.sqrt(grid.dr))
+    out = np.empty(len(coeffs))
+    for i, c in enumerate(coeffs):
+        rows = sum(np.sum((part @ gram) * part, 1)
+                   for part in (left * c.real, left * c.imag))
+        rows = np.sqrt(np.maximum(rows, 0.0))
+        out[i] = np.max(rows / rho)
+    return out / np.sqrt(grid.dr)
 
 
-def band_norm_1_to_inf(left, right, coeff, grid, n, chunk=256):
-    """op_norm_1_to_inf of left diag(coeff) right^T, ``chunk`` rows of the
-    product at a time."""
+def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=256):
+    """op_norm_1_to_inf of left diag(c) right^T for each row c of coeffs
+    (T, k), ``chunk`` rows of each product at a time.  The sector weights
+    are folded into the factors once, and the real and imaginary parts of
+    a block are one real GEMM."""
     rho = sector_weights(grid, n)
-    cr = right * coeff[None, :]
-    best = 0.0
-    for start in range(0, left.shape[0], chunk):
-        block = left[start:start + chunk] @ cr.T
-        scale = np.outer(rho[start:start + chunk], rho)
-        best = max(best, float(np.max(np.abs(block) / scale)))
-    return best / grid.dr
+    lw, rw = left / rho[:, None], right / rho[:, None]
+    m = left.shape[0]
+    out = np.empty(len(coeffs))
+    for i, c in enumerate(coeffs):
+        cr = np.concatenate([rw * c.real, rw * c.imag]).T
+        best = 0.0
+        for start in range(0, m, chunk):
+            block = lw[start:start + chunk] @ cr
+            best = max(best, float(np.max(np.hypot(block[:, :m],
+                                                   block[:, m:]))))
+        out[i] = best
+    return out / grid.dr
 
 
 def operator_two_norm(matvec, rmatvec, m, tol=1e-10, max_iter=500):

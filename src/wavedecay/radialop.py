@@ -79,8 +79,9 @@ class SpectralBand:
     vecs: np.ndarray
 
     def coeff(self, t):
-        """Diagonal of the band's propagator at time t."""
-        return self.amps * np.exp(1j * t * self.roots)
+        """Diagonal of the band's propagator at time t: shape (k,) for a
+        scalar t, one row per time, (T, k), for an array of T times."""
+        return self.amps * np.exp(1j * np.asarray(t)[..., None] * self.roots)
 
     def dense(self, coeff=None):
         """vecs diag(coeff) vecs^T; coeff defaults to the amplitudes."""

@@ -38,6 +38,9 @@ __all__ = [
 DEFAULT_EPS = 0.05
 # largest e^{Im lam R}, the sweep's round-off growth, that it accepts
 GROWTH_LIMIT = 1e8
+# most (lam, M, K + 1) entries one sweep block holds: 64 MB of complex
+# values, and M^2 / 2 (one lam's dense Green matrix halved) up to M = 2896
+BLOCK_ENTRIES = 2 ** 22
 
 
 def _bessel_pair(grid, n, lam, sign):
@@ -94,8 +97,9 @@ def green_delta_residual(grid, n, lam, sign, col):
 def _sweep(grid, n, potential, lams, sign, b):
     """Blocks of (I + A0 V)^{-1} [A0 b, u1] over an array of lams, A0 =
     cdr (tril(u2 u1^T) + triu(u1 u2^T, 1)).  A block (one lam at least)
-    holds at most M^2 / 2 (lam, M, K + 1) entries, half the one dense Green
-    matrix per lam it replaces; the closing step works one lam at a time.
+    holds at most min(M^2 / 2, BLOCK_ENTRIES) (lam, M, K + 1) entries, so
+    its memory stays bounded as M grows; the closing step works one lam at
+    a time.
 
     x = (I + A0 V)^{-1} (r + A0 b) solves x = r + A0 (b - V x).  With P, Q
     the running sums of u1 (b - V x) and u2 (b - V x), row i reads x_i =
@@ -113,7 +117,8 @@ def _sweep(grid, n, potential, lams, sign, b):
     v = potential(grid.nodes)
     cdr = sign * 0.5j * np.pi * grid.dr
     b = np.concatenate([b, np.zeros((grid.M, 1))], axis=1)
-    step = max(1, grid.M // (2 * b.shape[1]))
+    step = max(1, min(grid.M // (2 * b.shape[1]),
+                      BLOCK_ENTRIES // (grid.M * b.shape[1])))
     for part in np.split(lams, np.arange(step, lams.size, step)):
         u1, u2 = _bessel_pair(grid, n, part, sign)
         g = cdr * np.stack([u2, -u1], axis=-1)[:, :, None, :]

@@ -3,8 +3,9 @@ import pytest
 
 from wavedecay import estimates as est
 from wavedecay.fitting import _stability, fit_power_law
-from wavedecay.profiles import mollifier
-from wavedecay.radialop import PotentialSpec
+from wavedecay.norms import band_norm_2, op_norm_2
+from wavedecay.profiles import mollifier, step_cutoff
+from wavedecay.radialop import PotentialSpec, build_G, weight_matrix
 from wavedecay.specfun import gauss_panels, simpson_weights
 
 
@@ -65,6 +66,43 @@ def test_emit_reports_round_trip(tmp_path):
     back = json.loads((tmp_path / "estimate_9_1.json").read_text())
     assert back["fitted_exponent"] == -1.0
     assert not (tmp_path / "estimate__skip.json").exists()
+
+
+def test_time_side_values_match_per_t_loop(small_grid, potential, profile):
+    """The batched time-side values against the plain loop over t of
+    Re <w P(t) f, w P(t) f> summed over the test vectors."""
+    op = build_G(small_grid, 4, potential)
+    w = weight_matrix(small_grid, 1.55)
+    tests = est._gaussian_tests(small_grid)
+    t_arr = np.arange(0.25, 16.0, 0.25)
+    vals, mass = est._time_side_values(op, profile, 1.0, w, 0.75, tests,
+                                       t_arr)
+    band = op.band(profile, 1.0)
+    wb = w[:, None] * band.vecs
+    b = band.amps[:, None] * (band.vecs.T @ tests)
+    want = np.empty(t_arr.size)
+    for i, t in enumerate(t_arr):
+        ph = np.exp(1j * t * band.roots)[:, None] * b
+        want[i] = np.real(np.sum(np.conj(ph) * (wb.T @ wb @ ph)))
+    assert np.allclose(vals, want * t_arr ** 1.5, rtol=1e-12, atol=0.0)
+    assert mass == np.sum(b ** 2)
+
+
+def test_thm11_p2_is_the_largest_coefficient(small_grid, potential):
+    """1.2 at p = 2 reads ||V diag(c) V^T||_2 as max |c|: held to the
+    stacked band_norm_2 and the dense spectral norm."""
+    op = build_G(small_grid, 4, potential)
+    band = est._multiplier_band(op, step_cutoff(1.0), 0.0)
+    ts = (4.0, 8.0, 16.0, 32.0, 64.0)
+    coeffs = band.coeff(ts)
+    short = np.max(np.abs(coeffs), axis=1)
+    assert np.allclose(short, band_norm_2(band.vecs, band.vecs, coeffs),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(short, [op_norm_2(band.dense(c)) for c in coeffs],
+                       rtol=1e-12, atol=0.0)
+    rep = est.assemble_thm11(small_grid, 4, potential, t_set=ts)
+    assert rep["1.2_p2"]["fitted_constant"] == pytest.approx(short[0],
+                                                             rel=1e-12)
 
 
 def test_smoothing_normalizes_by_band_mass(small_grid, profile):

@@ -3,7 +3,8 @@ name a module lists in ``__all__`` is bound in it, and the dense scipy
 kernels stay where they belong: the tridiagonal eigensolve is reached from
 ``radialop`` only, and no module reaches the dense LU (the
 Lippmann-Schwinger solves go through ``resolvent.ls_sweep``; the LU is
-the tests' oracle).  The resolvent quadrature of ``funcalc`` reads
+the tests' oracle), and the order-specific Bessel kernels are bound in
+``specfun`` only, behind ``caljnu``.  The resolvent quadrature of ``funcalc`` reads
 nothing of the eigen route it is checked against.
 
 Stdlib only: parses ``src/wavedecay/*.py`` with ``ast``.  A name counts
@@ -104,7 +105,9 @@ def test_all_names_resolve(path):
 
 # scipy kernel -> the one module that may reach it (None: no module)
 KERNEL_HOMES = {"lu_factor": None, "lu_solve": None,
-                "eigh_tridiagonal": "radialop.py"}
+                "eigh_tridiagonal": "radialop.py",
+                "j0": "specfun.py", "j1": "specfun.py",
+                "spherical_jn": "specfun.py"}
 
 
 def kernel_names(source):

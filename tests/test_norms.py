@@ -111,42 +111,57 @@ def test_power_iteration_raises_when_unconverged():
         operator_two_norm(lambda v: a @ v, lambda v: a.T @ v, 4, max_iter=2)
 
 
-def _factors(rng, m, k):
+def _factors(rng, m, k, t=3):
     left = rng.standard_normal((m, k))
     right = rng.standard_normal((m, k))
-    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return left, right, coeff
+    coeffs = rng.standard_normal((t, k)) + 1j * rng.standard_normal((t, k))
+    return left, right, coeffs
+
+
+def _dense(left, right, coeffs):
+    """The T dense operators left diag(c) right^T, one per row c."""
+    return [left @ (c[:, None] * right.T) for c in coeffs]
 
 
 def test_band_norm2_matches_dense(rng):
-    left, right, coeff = _factors(rng, 80, 12)
-    dense = left @ (coeff[:, None] * right.T)
-    assert band_norm_2(left, right, coeff) == pytest.approx(
-        op_norm_2(dense), rel=1e-10)
+    left, right, coeffs = _factors(rng, 80, 12)
+    got = band_norm_2(left, right, coeffs)
+    assert got.shape == (3,)
+    for g, dense in zip(got, _dense(left, right, coeffs)):
+        assert g == pytest.approx(op_norm_2(dense), rel=1e-10)
+    # one shared QR when the factors are one array
+    got = band_norm_2(left, left, coeffs)
+    for g, dense in zip(got, _dense(left, left, coeffs)):
+        assert g == pytest.approx(op_norm_2(dense), rel=1e-10)
 
 
 def test_band_mixed_norms_match_dense(small_grid, rng):
-    left, right, coeff = _factors(rng, small_grid.M, 10)
-    dense = left @ (coeff[:, None] * right.T)
-    got = band_norm_2_to_inf(left, right, coeff, small_grid, 4)
-    assert got == pytest.approx(op_norm_2_to_inf(dense, small_grid, 4),
-                                rel=1e-9)
-    got = band_norm_1_to_inf(left, right, coeff, small_grid, 4, chunk=37)
-    assert got == pytest.approx(op_norm_1_to_inf(dense, small_grid, 4),
-                                rel=1e-9)
+    left, right, coeffs = _factors(rng, small_grid.M, 10)
+    got_2 = band_norm_2_to_inf(left, right, coeffs, small_grid, 4)
+    got_1 = band_norm_1_to_inf(left, right, coeffs, small_grid, 4, chunk=37)
+    assert got_2.shape == got_1.shape == (3,)
+    for g2, g1, dense in zip(got_2, got_1, _dense(left, right, coeffs)):
+        assert g2 == pytest.approx(op_norm_2_to_inf(dense, small_grid, 4),
+                                   rel=1e-9)
+        assert g1 == pytest.approx(op_norm_1_to_inf(dense, small_grid, 4),
+                                   rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
-@given(k=st.integers(1, 20), chunk=st.integers(1, 64),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_band_norms_match_dense_property(grid, k, chunk, seed):
-    """Each band norm is its dense norm of left diag(coeff) right^T."""
-    left, right, coeff = _factors(np.random.default_rng(seed), grid.M, k)
-    dense = left @ (coeff[:, None] * right.T)
-    assert band_norm_2(left, right, coeff) == pytest.approx(
-        op_norm_2(dense), rel=1e-9)
-    assert band_norm_2_to_inf(left, right, coeff, grid, 4) == pytest.approx(
-        op_norm_2_to_inf(dense, grid, 4), rel=1e-9)
-    assert band_norm_1_to_inf(left, right, coeff, grid, 4,
-                              chunk=chunk) == pytest.approx(
-        op_norm_1_to_inf(dense, grid, 4), rel=1e-9)
+@given(k=st.integers(1, 20), t=st.integers(1, 5), chunk=st.integers(1, 64),
+       same=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_band_norms_match_dense_property(grid, k, t, chunk, same, seed):
+    """Each row of each stacked band norm is the dense norm of its
+    left diag(c) right^T."""
+    left, right, coeffs = _factors(np.random.default_rng(seed), grid.M, k, t)
+    if same:
+        right = left
+    got_2 = band_norm_2(left, right, coeffs)
+    got_2inf = band_norm_2_to_inf(left, right, coeffs, grid, 4)
+    got_1inf = band_norm_1_to_inf(left, right, coeffs, grid, 4, chunk=chunk)
+    for i, dense in enumerate(_dense(left, right, coeffs)):
+        assert got_2[i] == pytest.approx(op_norm_2(dense), rel=1e-9)
+        assert got_2inf[i] == pytest.approx(
+            op_norm_2_to_inf(dense, grid, 4), rel=1e-9)
+        assert got_1inf[i] == pytest.approx(
+            op_norm_1_to_inf(dense, grid, 4), rel=1e-9)

@@ -86,6 +86,16 @@ def test_band_difference_is_dense_difference(small_grid, potential,
     assert diff.dense().dtype == np.float64
 
 
+def test_band_coeff_stacks_scalar_calls(small_grid, potential, profile):
+    band = build_G(small_grid, 4, potential).band(profile, 0.5)
+    ts = np.array([0.0, 0.25, 3.0, 17.5, 64.0, -2.0])
+    stack = band.coeff(ts)
+    assert stack.shape == (ts.size, band.roots.size)
+    assert np.array_equal(stack, np.stack([band.coeff(t) for t in ts]))
+    assert band.coeff(3.0).shape == band.roots.shape
+    assert np.array_equal(band.coeff((3.0,)), band.coeff(3.0)[None])
+
+
 def test_apply_matches_matrix(small_grid, rng):
     op = build_G(small_grid, 4, PotentialSpec(2.0, 3.0))
     v = rng.standard_normal(small_grid.M)

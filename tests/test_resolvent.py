@@ -4,6 +4,7 @@ from hypothesis import given, note, settings, target
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+from wavedecay import resolvent
 from wavedecay.fitting import fit_power_law
 from wavedecay.radialop import PotentialSpec, weight_matrix
 from wavedecay.resolvent import (GROWTH_LIMIT, complex_shift_compare,
@@ -111,6 +112,25 @@ def test_sweep_batches_match_one_lambda_at_a_time(small_grid, potential):
         one = resolvent_difference_vector(small_grid, N, potential,
                                           lams[k:k + 1])[:, 0]
         assert np.array_equal(x[:, k], one)
+
+
+def test_sweep_block_cap(small_grid, potential, monkeypatch):
+    """BLOCK_ENTRIES caps a block's (lam, M, K + 1) entries whatever M^2 / 2
+    allows; the capped blocks give the same values bit for bit."""
+    lams = np.linspace(0.5, 4.0, 23)
+    b = np.eye(small_grid.M)[:, :3]
+
+    def sizes():
+        return [len(x) for x in resolvent._sweep(small_grid, N, potential,
+                                                  lams, +1, b)]
+
+    # under the cap a block holds M // (2 (K + 1)) = 19 lambdas
+    assert sizes() == [19, 4]
+    full = ls_sweep(small_grid, N, potential, lams, b, +1)
+    monkeypatch.setattr(resolvent, "BLOCK_ENTRIES", 5 * small_grid.M * 4)
+    assert sizes() == [5, 5, 5, 5, 3]
+    assert np.array_equal(ls_sweep(small_grid, N, potential, lams, b, +1),
+                          full)
 
 
 def test_growth_past_the_limit_raises(small_grid, potential):

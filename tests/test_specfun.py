@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from wavedecay.specfun import (caljnu, gauss_panels, simpson_weights,
                                symbol_split)
@@ -12,6 +13,23 @@ def test_half_order_closed_form():
     z = np.linspace(0.3, 12.0, 40)
     expect = np.sqrt(2.0 / np.pi) * np.sin(z)
     assert np.allclose(caljnu(0.5, z), expect)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)),
+       z=st.floats(min_value=1e-3, max_value=400.0))
+def test_caljnu_matches_jv(nu, z):
+    """Each order-specific branch of caljnu against z^nu jv(nu, z): 1e-14
+    absolute plus 1e-12 relative, plus what moving z by one rounding does
+    to the value, eps z |d/dz (z^nu J_nu)| = eps z |z^nu J_{nu-1}(z)|.  The
+    last term covers j0 and j1 near a zero beyond z = 5, where they
+    reduce the phase in double precision (measured: a third of it at
+    most on a 6e5-point sweep of [1e-3, 400])."""
+    z = np.array([z])
+    want = z ** nu * special.jv(nu, z)
+    slope = z * np.abs(z ** nu * special.jv(nu - 1.0, z))
+    tol = 1e-14 + 1e-12 * np.abs(want) + np.finfo(float).eps * slope
+    assert np.abs(caljnu(nu, z) - want)[0] <= tol[0]
 
 
 def test_hankel_conjugation():
