@@ -29,23 +29,18 @@ def _check_positive(z):
 
 
 def caljnu(nu, z):
-    """z^nu J_nu(z) for z > 0, from the order's own kernel: j0 and j1 for
-    nu = 0 and 1, J_{l+1/2}(z) = sqrt(2z/pi) j_l(z) for a half-integer
-    order, the general-order AMOS routine jv otherwise (jv is also the
-    tests' oracle).
+    """z^nu J_nu(z) for z > 0.  nu = 1 (n = 4, the order every workload
+    runs) takes cephes' j1, about nine times faster than the
+    general-order AMOS routine jv, which serves every other order and is
+    the tests' oracle.
 
-    j0 and j1 reduce the phase z - const in double precision beyond
-    z = 5, so near a zero they are off by up to the effect of moving z
-    by one rounding, eps z |d/dz (z^nu J_nu)|; the product z = sigma lam
-    the callers form carries that rounding already."""
+    j1 reduces the phase z - 3 pi / 4 in double precision beyond z = 5,
+    so near a zero it is off by up to the effect of moving z by one
+    rounding, eps z |d/dz (z J_1)|; the product z = sigma lam the callers
+    form carries that rounding already."""
     z = _check_positive(z)
-    if nu == 0:
-        return special.j0(z)
     if nu == 1:
         return z * special.j1(z)
-    if nu > 0 and (2 * nu) % 2 == 1:
-        return (z ** nu * np.sqrt(2.0 * z / np.pi)
-                * special.spherical_jn(int(nu - 0.5), z))
     return z ** nu * special.jv(nu, z)
 
 

@@ -106,8 +106,7 @@ def test_all_names_resolve(path):
 # scipy kernel -> the one module that may reach it (None: no module)
 KERNEL_HOMES = {"lu_factor": None, "lu_solve": None,
                 "eigh_tridiagonal": "radialop.py",
-                "j0": "specfun.py", "j1": "specfun.py",
-                "spherical_jn": "specfun.py"}
+                "j1": "specfun.py"}
 
 
 def kernel_names(source):
