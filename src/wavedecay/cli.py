@@ -285,6 +285,7 @@ def cmd_resolvent(cfg):
 
 
 def cmd_propagator(cfg):
+    from .norms import op_norm_2
     from .propagator import (boundary_safe_gap, duhamel_split,
                              phi_difference, wave_multiplier,
                              wave_via_resolvent, write_propagator_norms)
@@ -299,8 +300,8 @@ def cmd_propagator(cfg):
     gap = boundary_safe_gap(res, eig, grid)
     split = duhamel_split(op0, op, prof, 0.5, t)
     phi = phi_difference(op0, op, prof, 0.5, t)
-    resid = (np.linalg.norm(split.phi1_part + 0.5 * split.phi2_part - phi, 2)
-             / np.linalg.norm(phi, 2))
+    resid = (op_norm_2(split.phi1_part + 0.5 * split.phi2_part - phi)
+             / op_norm_2(phi))
     os.makedirs(cfg.out, exist_ok=True)
     write_propagator_norms(os.path.join(cfg.out, "propagator_norms.csv"),
                            [eig, res])

@@ -219,14 +219,13 @@ def _time_side_values(op, profile, h, w, s, test_vectors, t_arr):
     after dividing by it."""
     band = op.band(profile, h)
     wb = w[:, None] * band.vecs
-    gram = wb.T @ wb
     proj = band.vecs.T @ test_vectors
-    # P(t) f in band coordinates, (k, t, test vector) flattened to
-    # (k, T J): Re <ph, gram ph> of every column is one real GEMM
+    # P(t) f in band coordinates, (k, t, test vector) flattened to (k, T J):
+    # ||w V ph||^2 of each column directly (the Gram form cancels at late t)
     ph = (band.coeff(t_arr).T[:, :, None] * proj[:, None, :]).reshape(
         len(band.roots), -1)
     parts = np.concatenate([ph.real, ph.imag], axis=1)
-    vals = np.sum(parts * (gram @ parts), axis=0)
+    vals = np.sum((wb @ parts) ** 2, axis=0)
     vals = vals.reshape(2, t_arr.size, -1).sum(axis=(0, 2))
     b = band.amps[:, None] * proj
     return vals * t_arr ** (2.0 * s), float(np.sum(np.abs(b) ** 2))

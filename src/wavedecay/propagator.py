@@ -237,9 +237,8 @@ def boundary_safe_gap(rec_a, rec_b, grid, pad=8.0):
     if not np.any(keep):
         raise ValueError("empty comparison window")
     sub = np.ix_(keep, keep)
-    ref = np.linalg.norm(rec_b.matrix[sub], 2)
-    return float(np.linalg.norm(rec_a.matrix[sub] - rec_b.matrix[sub], 2)
-                 / ref)
+    return (op_norm_2(rec_a.matrix[sub] - rec_b.matrix[sub])
+            / op_norm_2(rec_b.matrix[sub]))
 
 
 def free_sector_kernel_column(grid, n, profile, h, t, col):

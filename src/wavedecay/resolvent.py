@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 from scipy.linalg import solve_banded
 
-from .norms import operator_two_norm
+from .norms import op_norm_2, operator_two_norm
 from .radialop import build_G, build_G0, weight_matrix
 
 __all__ = [
@@ -173,9 +173,10 @@ def la_norm_scan(grid, n, potential, lambda_grid, s=0.5 + DEFAULT_EPS):
     """Scan of ||<x>^{-s} R^+(lambda) <x>^{-s}|| over a lambda grid.
 
     Returns (rows, gaps); rows are (lambda, norm, lambda * norm), gaps
-    (lambda, error).  The power iteration applies the weighted resolvent
-    for B^T too: R^T = A0 (I + V A0)^{-1} = R by push-through.  Points where the solve fails numerically (ValueError,
-    LinAlgError) are recorded as gaps; any other error propagates.
+    (lambda, error).  The Lanczos norm kernel applies the weighted
+    resolvent for B^T too: R^T = A0 (I + V A0)^{-1} = R by push-through.
+    Points where the solve fails numerically (ValueError, LinAlgError) are
+    recorded as gaps; any other error propagates.
     """
     rows, gaps = [], []
     for lam in lambda_grid:
@@ -210,5 +211,4 @@ def complex_shift_compare(grid, n, potential, lam, eta, s=0.5 + DEFAULT_EPS):
     w = weight_matrix(grid, s)
     a_fd = w[:, None] * r_fd * w[None, :]
 
-    gap = np.linalg.norm(a_ls - a_fd, 2) / np.linalg.norm(a_fd, 2)
-    return float(gap)
+    return op_norm_2(a_ls - a_fd) / op_norm_2(a_fd)

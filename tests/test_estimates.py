@@ -3,9 +3,10 @@ import pytest
 
 from wavedecay import estimates as est
 from wavedecay.fitting import _stability, fit_power_law
-from wavedecay.norms import band_norm_2, op_norm_2
-from wavedecay.profiles import mollifier, step_cutoff
-from wavedecay.radialop import PotentialSpec, build_G, weight_matrix
+from wavedecay.norms import band_norm_2
+from wavedecay.profiles import bump, mollifier, step_cutoff
+from wavedecay.radialop import (PotentialSpec, RadialGrid, build_G, build_G0,
+                               weight_matrix)
 from wavedecay.specfun import gauss_panels, simpson_weights
 
 
@@ -98,7 +99,8 @@ def test_thm11_p2_is_the_largest_coefficient(small_grid, potential):
     short = np.max(np.abs(coeffs), axis=1)
     assert np.allclose(short, band_norm_2(band.vecs, band.vecs, coeffs),
                        rtol=1e-12, atol=0.0)
-    assert np.allclose(short, [op_norm_2(band.dense(c)) for c in coeffs],
+    assert np.allclose(short, [np.linalg.norm(band.dense(c), 2)
+                               for c in coeffs],
                        rtol=1e-12, atol=0.0)
     rep = est.assemble_thm11(small_grid, 4, potential, t_set=ts)
     assert rep["1.2_p2"]["fitted_constant"] == pytest.approx(short[0],
@@ -253,3 +255,23 @@ def test_mollifier_lattice_covers_theta_scan(small_grid, potential, profile,
         assert set(got["scan"]) == {f"{2.0 ** -k:g}" for k in range(1, 7)}
         close([got["scan"][f"{2.0 ** -k:g}"] for k in range(1, 7)]
               + [got["at_theta_1_over_t"]], want["scan"][t])
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.25, 0.125])
+def test_time_side_values_direct_on_delta_data(h):
+    """Each time-side value of report 2.4's delta data at the benchmark
+    scale against ||w P(t) f||^2 summed directly at that t, to 1e-13 of
+    the value: the Gram form cancels once P(t) f has left the weight
+    window, by up to 4e-10 relative at late t."""
+    grid, s = RadialGrid(64.0, 512), 1.5
+    op0 = build_G0(grid, 4)
+    w = weight_matrix(grid, 0.5 + s + est.EPS)
+    delta = np.eye(grid.M)[:, [int(round(6.0 / grid.dr))]]
+    t_arr = np.arange(0.25, 64.125, 0.25)
+    vals, _ = est._time_side_values(op0, bump(), h, w, s, delta, t_arr)
+    band = op0.band(bump(), h)
+    wb = w[:, None] * band.vecs
+    b = band.amps * (band.vecs.T @ delta[:, 0])
+    for t, got in zip(t_arr, vals):
+        want = np.sum(np.abs(wb @ (np.exp(1j * t * band.roots) * b)) ** 2)
+        assert got == pytest.approx(want * t ** (2 * s), rel=1e-13, abs=0.0)

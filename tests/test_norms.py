@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wavedecay import estimates as est
+from wavedecay.funcalc import phi_of_hsqrt
 from wavedecay.norms import (band_norm_1_to_inf, band_norm_2,
                              band_norm_2_to_inf, op_norm_1_to_inf, op_norm_2,
                              op_norm_2_to_inf, op_norm_p, operator_two_norm,
                              sector_weights)
-from wavedecay.radialop import RadialGrid
+from wavedecay.profiles import bump, step_cutoff
+from wavedecay.radialop import RadialGrid, build_G, build_G0, weight_matrix
+from wavedecay.resolvent import ls_solve
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +29,65 @@ def test_two_norm_is_spectral(rng):
     a = rng.standard_normal((30, 30))
     s = np.linalg.svd(a, compute_uv=False)
     assert op_norm_2(a) == pytest.approx(s[0])
+
+
+def _with_singular_values(rng, rows, cols, sv, cplx):
+    """A rows x cols matrix with the given singular values (len(sv) <=
+    min(rows, cols)) between random orthonormal factors."""
+    def orth(size):
+        g = rng.standard_normal((size, len(sv)))
+        if cplx:
+            g = g + 1j * rng.standard_normal((size, len(sv)))
+        return np.linalg.qr(g)[0]
+    return (orth(rows) * sv) @ orth(cols).conj().T
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40),
+       rank=st.integers(0, 40), repeat=st.integers(1, 4),
+       cplx=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=1, cols=1, rank=1, repeat=1, cplx=False, seed=0)
+@example(rows=1, cols=9, rank=1, repeat=1, cplx=True, seed=1)
+@example(rows=12, cols=5, rank=0, repeat=1, cplx=False, seed=2)
+@example(rows=30, cols=30, rank=30, repeat=4, cplx=True, seed=3)
+def test_op_norm_2_matches_lapack_property(rows, cols, rank, repeat, cplx,
+                                           seed):
+    """op_norm_2 against LAPACK's SVD to 1e-13: real and complex, tall and
+    wide, rank-deficient (rank 0 is the zero matrix), the top singular
+    value repeated, 1 x 1 and 1 x n."""
+    rng = np.random.default_rng(seed)
+    sv = np.sort(rng.uniform(0.1, 2.0, min(rank, rows, cols)))[::-1]
+    sv[:repeat] = sv[:1]
+    a = _with_singular_values(rng, rows, cols, sv, cplx)
+    assert op_norm_2(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13,
+                                         abs=0.0)
+
+
+def _unitary_band(small_grid, potential):
+    op = build_G(small_grid, 4, potential)
+    band = est._multiplier_band(op, step_cutoff(1.0), 0.0)
+    return band.dense(band.coeff(16.0))
+
+
+def _weighted_cutoff(small_grid, potential):
+    # <x>^{-1} P0 <x> at h = 1/8 on the benchmark grid (report 2.26): a
+    # clustered top, about 100 Lanczos steps
+    grid = RadialGrid(64.0, 512)
+    ws = weight_matrix(grid, 1.0)
+    return ws[:, None] * phi_of_hsqrt(build_G0(grid, 4), bump(), 0.125) / ws
+
+
+def _weighted_resolvent(small_grid, potential):
+    return ls_solve(small_grid, 4, potential, 2.0, +1)
+
+
+@pytest.mark.parametrize("build", [_unitary_band, _weighted_cutoff,
+                                   _weighted_resolvent],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_op_norm_2_named_cases(build, small_grid, potential):
+    a = build(small_grid, potential)
+    assert op_norm_2(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13,
+                                         abs=0.0)
 
 
 def test_p_norms_attained_by_vectors(grid, rng):
@@ -91,6 +154,8 @@ def test_p2_matches_spectral(grid, rng):
     assert op_norm_p(a, grid, 4, 2) == op_norm_2(a)
     with pytest.raises(ValueError):
         op_norm_p(a, grid, 4, 3)
+    with pytest.raises(ValueError):     # before any work on the arguments
+        op_norm_p(None, None, 4, 3)
 
 
 def test_power_iteration_matches_svd(rng):
@@ -128,11 +193,11 @@ def test_band_norm2_matches_dense(rng):
     got = band_norm_2(left, right, coeffs)
     assert got.shape == (3,)
     for g, dense in zip(got, _dense(left, right, coeffs)):
-        assert g == pytest.approx(op_norm_2(dense), rel=1e-10)
+        assert g == pytest.approx(np.linalg.norm(dense, 2), rel=1e-10)
     # one shared QR when the factors are one array
     got = band_norm_2(left, left, coeffs)
     for g, dense in zip(got, _dense(left, left, coeffs)):
-        assert g == pytest.approx(op_norm_2(dense), rel=1e-10)
+        assert g == pytest.approx(np.linalg.norm(dense, 2), rel=1e-10)
 
 
 def test_band_mixed_norms_match_dense(small_grid, rng):
@@ -160,7 +225,7 @@ def test_band_norms_match_dense_property(grid, k, t, chunk, same, seed):
     got_2inf = band_norm_2_to_inf(left, right, coeffs, grid, 4)
     got_1inf = band_norm_1_to_inf(left, right, coeffs, grid, 4, chunk=chunk)
     for i, dense in enumerate(_dense(left, right, coeffs)):
-        assert got_2[i] == pytest.approx(op_norm_2(dense), rel=1e-9)
+        assert got_2[i] == pytest.approx(np.linalg.norm(dense, 2), rel=1e-9)
         assert got_2inf[i] == pytest.approx(
             op_norm_2_to_inf(dense, grid, 4), rel=1e-9)
         assert got_1inf[i] == pytest.approx(
