@@ -6,9 +6,9 @@ and prints the fitted theta-slopes of (3.41) and (3.43) next to their
 targets mu = 0.4 and mu - 1 = -0.6.  The question is whether the slopes
 move toward the targets as the box grows.  The probe frame's packet
 centres stop at r = 90 whatever the box; only its slowly decaying tail
-columns grow with it.  R = 512 takes about 4.5-5.5 s on one core and
-peaks at about 0.23 GB (getrusage); the Lippmann-Schwinger sweep's blocks
-are capped at resolvent.BLOCK_ENTRIES entries.
+columns grow with it.  R = 512 takes about 8 s on one core and the whole
+run peaks at about 0.09 GB (getrusage): the resolvent is one banded solve
+per lambda, so its memory grows like M times the 28 probes.
 """
 
 import time

@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError("[mollifier] s must lie in (0, 2)")
         if any(th <= 0 for th in self.theta_set):
             raise ConfigError("theta_set must be positive")
+        if unknown := [i for i in self.estimate_ids if not _selected([i])]:
+            raise ConfigError(f"unknown estimate ids: {', '.join(unknown)}")
         # the sets the groups fit whole must carry a fit; t_set is also
         # the kernel subcommand's plain scan grid, so it is held to that
         # only when a group that fits it is selected

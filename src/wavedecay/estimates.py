@@ -23,14 +23,13 @@ from math import floor
 import numpy as np
 
 from .fitting import _stability, fit_power_law
-from .freekernel import (QuadratureError, _panel_nodes, eval_Kh_batch,
-                         eval_Kh_sigma_batch)
+from .freekernel import QuadratureError, eval_Kh_batch, eval_Kh_sigma_batch
 from .norms import band_norm_1_to_inf, band_norm_2, band_norm_2_to_inf
 from .profiles import (bump, mollifier, plateau, step_cutoff,
                        step_cutoff_derivative)
 from .radialop import build_G, build_G0, weight_matrix
-from .resolvent import ls_sweep, resolvent_difference_vector
-from .specfun import caljnu, gauss_panels, simpson_weights
+from .resolvent import EPS, ls_sweep, resolvent_difference_vector
+from .specfun import gauss_panels, simpson_weights
 
 __all__ = [
     "EPS",
@@ -48,7 +47,6 @@ __all__ = [
     "emit_reports",
 ]
 
-EPS = 0.05
 SECTOR_NOTE = "radial-sector norm, faithful for radial data only"
 
 
@@ -147,8 +145,7 @@ def check_kernel_bounds(n, profile, h_set, t_set=None, s_set=None,
     return reports
 
 
-def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0,
-                 s_set=None, eps=EPS):
+def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0, s_set=None):
     """Free propagator decay: weighted L2, kernel sup, L2->Linf rows and
     the weighted time integral of delta-like data."""
     if s_set is None:
@@ -176,7 +173,7 @@ def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0,
                                      tolerance=0.3).as_dict()
 
     s = top
-    w = weight_matrix(grid, 0.5 + s + eps)
+    w = weight_matrix(grid, 0.5 + s + EPS)
 
     def rows_23(h, ts):
         band = op0.band(profile, h)
@@ -275,10 +272,10 @@ def check_thm31(grid, n, potential, profile, h_set, t_set=(1.0, 4.0, 16.0)):
     return {"3.1": out}
 
 
-def check_smoothing(grid, n, potential, profile, h_set, eps=EPS):
+def check_smoothing(grid, n, potential, profile, h_set):
     """Time-side square integrability and the frequency-side jump bound."""
     op = build_G(grid, n, potential)
-    w = weight_matrix(grid, 0.5 + eps)
+    w = weight_matrix(grid, 0.5 + EPS)
     tests = _gaussian_tests(grid)
     totals, tails, raw = {}, {}, {}
     for h in h_set:
@@ -313,8 +310,7 @@ def _gaussian_tests(grid):
     return np.stack(cols, axis=1)
 
 
-def check_thm34(grid, n, potential, profile, h_set, t_set, s_set=None,
-                eps=EPS):
+def check_thm34(grid, n, potential, profile, h_set, t_set, s_set=None):
     """Weighted L2 decay of the perturbed propagator, per s, with
     h-uniformity of the fitted exponents."""
     if s_set is None:
@@ -322,7 +318,7 @@ def check_thm34(grid, n, potential, profile, h_set, t_set, s_set=None,
     op = build_G(grid, n, potential)
     reports = {}
     for s in s_set:
-        w = weight_matrix(grid, s + eps)
+        w = weight_matrix(grid, s + EPS)
         fits = {}
         for h in h_set:
             band = op.band(profile, h)
@@ -342,12 +338,12 @@ def check_thm34(grid, n, potential, profile, h_set, t_set, s_set=None,
 
 
 def check_weighted_time_integral(grid, n, potential, profile, h_set,
-                                 s=None, eps=EPS, t_cut=64.0, dt=0.125):
+                                 s=None, t_cut=64.0, dt=0.125):
     """Dyadic-block decay of int |t|^{2s} ||w P w f||^2 dt."""
     if s is None:
         s = (n - 1) / 2.0
     op = build_G(grid, n, potential)
-    w = weight_matrix(grid, 0.5 + s + eps)
+    w = weight_matrix(grid, 0.5 + s + EPS)
     tests = w[:, None] * _gaussian_tests(grid)
     t_arr = np.arange(dt, t_cut + dt / 2, dt)
     totals, blocks = {}, {}
@@ -410,12 +406,11 @@ class _LatticeFamily:
     probes themselves reach far into the weight tails.
     """
 
-    def __init__(self, grid, n, potential, s, lam_lo, lam_hi, step,
-                 r_cut, eps=EPS):
+    def __init__(self, grid, n, potential, s, lam_lo, lam_hi, step, r_cut):
         self.step = step
         self.lo = lam_lo
         self.frame = _packet_frame(grid, r_cut)
-        w = weight_matrix(grid, 0.5 + s + eps)
+        w = weight_matrix(grid, 0.5 + s + EPS)
         count = int(np.ceil((lam_hi - lam_lo) / step)) + 1
         self.lams = lam_lo + step * np.arange(count)
         wf = w[:, None] * self.frame
@@ -479,7 +474,7 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
                                t_fit=(4.0, 8.0, 16.0, 32.0, 64.0),
                                lam_sample=(1.2, 1.5, 1.8),
                                profile=None, r_cut=96.0,
-                               lattice_step=1.0 / 256.0, eps=EPS):
+                               lattice_step=1.0 / 256.0):
     """Regularity-vs-blowup tradeoff of the mollified multiplier family
     and the stationary reconstruction it controls.
 
@@ -499,7 +494,7 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
     pad = 2 * lattice_step
     fam = _LatticeFamily(grid, n, potential, s, lo - 4 * pad,
                          hi + theta_max / 2.0 + 4 * pad,
-                         lattice_step, r_cut, eps)
+                         lattice_step, r_cut)
     mol = mollifier()
 
     def gauss(theta):
@@ -605,30 +600,19 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
 # section 4 / section 1 assemblies
 
 def _free_kernel_sup(n, profile, h, t, cone_only=False):
-    """sup_d of the free n-dim localized wave kernel at distance d,
-
-        k(d) = (2 pi)^{-n/2} d^{1-n/2}
-               int e^{i t lam} phi(h lam) J_{n/2-1}(lam d) lam^{n/2} dlam.
-
-    Sampling is dense near d = t (spacing h/4) because the cone peak has
-    width O(h).  cone_only restricts to d in [t/2, 3t/2]."""
-    lo, hi = profile.support
+    """sup_d |K_h(d, t)| of the free n-dim localized wave kernel
+    (``eval_Kh_sigma_batch``) over distances d.  Sampling is dense near
+    d = t (spacing h/4) because the cone peak has width O(h).  cone_only
+    restricts to d in [t/2, 3t/2]."""
     d = np.concatenate([np.linspace(0.05, t + 5.0, 400),
                         t + h * np.linspace(-20.0, 20.0, 161)])
     d = np.unique(d[d > 0])
     if cone_only:
         d = d[(d >= t / 2) & (d <= 3 * t / 2)]
-    lam, w = _panel_nodes(lo / h, hi / h, t + float(d.max()), points=6)
-    # J_nu(lam d) lam^{n/2} d^{1-n/2} = lam d^{-2 nu} (lam d)^nu J_nu(lam d)
-    nu = n / 2.0 - 1.0
-    osc = np.exp(1j * t * lam) * profile(h * lam) * lam * w
-    bessel = caljnu(nu, np.outer(d, lam))
-    k = (2 * np.pi) ** (-n / 2.0) * d ** (-2.0 * nu) * (bessel @ osc)
-    return float(np.max(np.abs(k)))
+    return float(np.max(np.abs(eval_Kh_sigma_batch(n, profile, h, d, t))))
 
 
-def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0,
-                eps=EPS):
+def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0):
     """Propagator-difference decay at the L^p endpoints (sector
     surrogates for p = infinity)."""
     op0, op = build_G0(grid, n), build_G(grid, n, potential)
@@ -670,7 +654,7 @@ def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0,
     reports["4.10_sector_t"]["note"] = SECTOR_NOTE
 
     # (4.6): weighted L2 -> Linf surrogate
-    w46 = weight_matrix(grid, (n - 1 + eps) / 2.0)
+    w46 = weight_matrix(grid, (n - 1 + EPS) / 2.0)
     rows = phi_norms(1.0, t_set, to_inf_2, w46)
     reports["4.6_t"] = fit_power_law(rows, "4.6", "t", target=-top,
                                      tolerance=0.2,
@@ -682,7 +666,7 @@ def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0,
                                      tolerance=0.3).as_dict()
 
     # (4.2) p=inf: weight alpha(n/2 + eps) with alpha = 1
-    w42 = weight_matrix(grid, n / 2.0 + eps)
+    w42 = weight_matrix(grid, n / 2.0 + EPS)
     hrows = [(h, phi_norms(h, [t_fixed], to_inf_2, w42)[0][1])
              for h in h_set]
     reports["4.2_h"] = fit_power_law(hrows, "4.2", "h",
@@ -709,7 +693,7 @@ def _multiplier_band(op, chi, tilt):
 
 def assemble_thm11(grid, n, potential, a=1.0, t_set=(4.0, 8.0, 16.0,
                                                      32.0, 64.0),
-                   eps=EPS, sigma_grid=(0.5, 1.0, 1.7, 2.5, 4.0)):
+                   sigma_grid=(0.5, 1.0, 1.7, 2.5, 4.0)):
     """Scalar frequency-integration identity plus sector surrogates of
     the final dispersive estimates (alpha = 1 endpoints)."""
     op = build_G(grid, n, potential)
@@ -737,7 +721,7 @@ def assemble_thm11(grid, n, potential, a=1.0, t_set=(4.0, 8.0, 16.0,
         right = band.vecs if weight is None else weight[:, None] * band.vecs
         return list(zip(t_set, norm(band.vecs, right, band.coeff(t_set))))
 
-    w14 = weight_matrix(grid, n / 2.0 + eps)
+    w14 = weight_matrix(grid, n / 2.0 + EPS)
     rows = multiplier_rows(-(n + 1) / 2.0,
                            partial(band_norm_2_to_inf, grid=grid, n=n), w14)
     reports["1.4"] = fit_power_law(rows, "1.4", "t", target=-top,

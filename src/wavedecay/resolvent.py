@@ -7,58 +7,53 @@ the continuum free Green kernel on the Liouville half line,
     G0^{+/-}(r, r'; lambda) = +/- (i pi / 2) sqrt(r r')
                               J_nu(lambda r_<) H_nu^{+/-}(lambda r_>),
 
-and the Lippmann-Schwinger solve R = (I + R0 V)^{-1} R0.  The discrete
-matrix enters only through the complex-shift cross-check.
-
-All matrices here are plain l2 operators: the dr quadrature weight of the
-continuum kernel is folded into the matrix itself.
+and the Lippmann-Schwinger solve R = (I + R0 V)^{-1} R0 = (A0^{-1} + V)^{-1}:
+the free Green matrix A0 (dr weight folded in) is semiseparable, so A0^{-1}
+is tridiagonal and R one banded solve per lambda.  Only the dense oracle
+``free_green_matrix`` is M x M; the discrete matrix enters only in the
+complex-shift cross-check.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
-from scipy import special
 from scipy.linalg import solve_banded
 
-from .norms import op_norm_2, operator_two_norm
+from .norms import operator_two_norm
 from .radialop import build_G, build_G0, weight_matrix
+from .specfun import bessel_jh
 
 __all__ = [
-    "GROWTH_LIMIT",
+    "EPS",
     "free_green_matrix",
     "regular_solution",
     "green_delta_residual",
     "ls_sweep",
-    "ls_solve",
     "resolvent_difference_vector",
     "la_norm_scan",
     "complex_shift_compare",
 ]
 
-DEFAULT_EPS = 0.05
-# largest e^{Im lam R}, the sweep's round-off growth, that it accepts
-GROWTH_LIMIT = 1e8
-# most (lam, M, K + 1) entries one sweep block holds: 64 MB of complex
-# values, and M^2 / 2 (one lam's dense Green matrix halved) up to M = 2896
-BLOCK_ENTRIES = 2 ** 22
+EPS = 0.05
+SCAN_S = 0.5 + EPS      # the scans' weight <x>^{-SCAN_S}
+TAYLOR_TERMS = 18       # of the series for a cancelling cross product
 
 
 def _bessel_pair(grid, n, lam, sign):
-    """u1 = sqrt(r) J_nu(lam r), u2 = sqrt(r) H_nu^{sign}(lam r), a row per
-    lam.  Complex lam only with Im lam >= 0 and sign=+1 (the analytic
-    continuation)."""
+    """u1 = sqrt(r) J_nu(lam r), u2 = sqrt(r) H_nu^{sign}(lam r).  Complex
+    lam only with Im lam >= 0 and sign=+1 (the analytic continuation)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    lam = np.asarray(lam)
     if np.iscomplexobj(lam):
-        if sign != +1 or np.any(np.imag(lam) < 0):
+        if sign != +1 or np.imag(lam) < 0:
             raise ValueError("complex frequency only for the outgoing branch")
-    elif np.any(lam <= 0):
+    elif lam <= 0:
         raise ValueError("frequency must be > 0")
-    nu, z = (n - 2) / 2.0, lam[..., None] * grid.nodes
-    hfun = special.hankel1 if sign == +1 else special.hankel2
+    j, h = bessel_jh((n - 2) / 2.0, lam * grid.nodes, sign)
     root = np.sqrt(grid.nodes)
-    return root * special.jv(nu, z), root * hfun(nu, z)
+    return root * j, root * h
 
 
 def regular_solution(grid, n, lam):
@@ -67,8 +62,8 @@ def regular_solution(grid, n, lam):
 
 
 def free_green_matrix(grid, n, lam, sign):
-    """Dense free resolvent matrix (dr weight included): the test oracle
-    of the sweep."""
+    """Dense free resolvent matrix A0 (dr weight included): the test
+    oracle of the banded solve."""
     u1, u2 = _bessel_pair(grid, n, lam, sign)
     low = np.tril(np.outer(u2, u1))          # i >= j: r_i = r_>
     up = np.triu(np.outer(u1, u2), k=1)      # i <  j: r_i = r_<
@@ -94,121 +89,127 @@ def green_delta_residual(grid, n, lam, sign, col):
     return float(np.max(np.abs(resid[mask])) / spike)
 
 
-def _sweep(grid, n, potential, lams, sign, b):
-    """Blocks of (I + A0 V)^{-1} [A0 b, u1] over an array of lams, A0 =
-    cdr (tril(u2 u1^T) + triu(u1 u2^T, 1)).  A block (one lam at least)
-    holds at most min(M^2 / 2, BLOCK_ENTRIES) (lam, M, K + 1) entries, so
-    its memory stays bounded as M grows; the closing step works one lam at
-    a time.
+def _inverse_green(grid, n, lam, sign):
+    """(A0^{-1} in solve_banded's (3, M) layout, u1, u2, c) for A0 = c
+    (tril(u2 u1^T) + triu(u1 u2^T, 1)), c = sign (i pi / 2) dr.  With D_i,
+    E_i the cross products u1_i u2_j - u1_j u2_i, j = i + 1, i + 2, A0^{-1}
+    has off-diagonal 1 / (c D_i), diagonal -E_{i-1} / (c D_{i-1} D_i) and
+    ends -u1_2 / (c u1_1 D_1), -u2_{M-1} / (c u2_M D_{M-1}).  Cross products
+    come from J and H directly, except where d = lam (r_j - r_i) is small
+    against a = lam r_i, |d| <= min(1, |a| / 8): there they cancel and are
+    sign i sqrt(r_i r_j) (2 / (pi a)) phi(a + d), phi the Bessel solution
+    with phi(a) = 0, phi'(a) = 1 (the J, Y Wronskian is 2 / (pi a)), by 18
+    Taylor terms in d: phi(a + d) / a = sum_k b_k (d / a)^k, b_0 = 0, b_1 = 1,
+    (k + 2)(k + 1) b_{k+2} = -[(2k + 1)(k + 1) b_{k+1} + (k^2 - nu^2 + a^2) b_k
+    + a^2 (2 b_{k-1} + b_{k-2})]; b_k a^(1 - k) are the Taylor coefficients."""
+    u1, u2 = _bessel_pair(grid, n, lam, sign)
+    r, m, c = grid.nodes, grid.M, sign * 0.5j * np.pi * grid.dr
+    a2 = (lam * r[:-1]) ** 2
+    b = [0.0 * a2] * 3 + [1.0 + 0.0 * a2]     # b_-2, b_-1, b_0, b_1
+    for k in range(TAYLOR_TERMS - 2):
+        b.append(-((2 * k + 1) * (k + 1) * b[k + 3]
+                   + (k * k - (n - 2) ** 2 / 4.0 + a2) * b[k + 2]
+                   + a2 * (2.0 * b[k + 1] + b[k])) / ((k + 2) * (k + 1)))
+    x = np.outer((1.0, 2.0), grid.dr / r[:-1])  # d / a for j = i + 1, i + 2
+    psi = np.polynomial.polynomial.polyval(x, b[2:], tensor=False)
+    d1, d2 = (np.where((s * abs(lam) * grid.dr <= 1.0)
+                       & (x[s - 1, :m - s] <= 0.125),
+                       2j * sign / np.pi * np.sqrt(r[:-s] * r[s:])
+                       * psi[s - 1, :m - s],
+                       u1[:-s] * u2[s:] - u1[s:] * u2[:-s])
+              for s in (1, 2))
+    band = np.zeros((3, m), complex)
+    band[0, 1:] = band[2, :-1] = 1.0 / (c * d1)
+    band[1, 1:-1] = -d2 / (c * d1[:-1] * d1[1:])
+    band[1, 0] = -u1[1] / (c * u1[0] * d1[0])
+    band[1, -1] = -u2[-2] / (c * u2[-1] * d1[-1])
+    return band, u1, u2, c
 
-    x = (I + A0 V)^{-1} (r + A0 b) solves x = r + A0 (b - V x).  With P, Q
-    the running sums of u1 (b - V x) and u2 (b - V x), row i reads x_i =
-    r_i + cdr [u2_i P_{i-1} - u1_i Q_{i-1} + u1_i T] (the diagonal terms
-    cancel), linear in T = Q_M: x = y + cdr T z, with y the T = 0 sweep and
-    z that of the column r = u1, b = 0.  So T = Q_M(y) / det with det =
-    1 - cdr Q_M(z) = det(I + A0 V), and that column closes to z / det.
-    """
-    lams = np.atleast_1d(lams)
-    growth = np.exp(np.imag(lams) * grid.R)
-    if np.any(growth > GROWTH_LIMIT):
-        k = np.argmax(growth)
-        raise ValueError(f"lambda {lams[k]} grows the sweep by e^(Im lambda "
-                         f"R) = {growth[k]:.3g} > limit {GROWTH_LIMIT:g}")
+
+def _solver(grid, n, potential, lam, sign):
+    """(b -> R^{sign}(lam) b, u1) for b of shape (M,) or (M, K).  The rows
+    of A0^{-1} nearly cancel, so the banded solve x of (A0^{-1} + V) x = b
+    is off by about eps ||A0^{-1}|| ||R|| (up to 6e-13 against the dense
+    LU).  One refinement step against A0 itself, applied by two running
+    sums, takes that to eps: z = A0 (b - V x) has (I + A0 V)(x - R b) =
+    x - z, so R b = z - R V (z - x).  A singular system raises
+    numpy.linalg.LinAlgError, a non-finite one (Bessel values or V outside
+    the float range) ValueError naming lam."""
+    band, u1, u2, c = _inverse_green(grid, n, lam, sign)
     v = potential(grid.nodes)
-    cdr = sign * 0.5j * np.pi * grid.dr
-    b = np.concatenate([b, np.zeros((grid.M, 1))], axis=1)
-    step = max(1, min(grid.M // (2 * b.shape[1]),
-                      BLOCK_ENTRIES // (grid.M * b.shape[1])))
-    for part in np.split(lams, np.arange(step, lams.size, step)):
-        u1, u2 = _bessel_pair(grid, n, part, sign)
-        g = cdr * np.stack([u2, -u1], axis=-1)[:, :, None, :]
-        w = np.stack([u1, u2], axis=-1)[..., None]
-        y = np.zeros(u1.shape + b.shape[1:], complex)
-        y[..., -1] = u1
-        pq = np.zeros((y.shape[0], 2, y.shape[2]), complex)
-        for i in range(grid.M):
-            y[:, i] += (g[:, i] @ pq)[:, 0]
-            pq += w[:, i] * (b[i] - v[i] * y[:, i])[:, None, :]
-        det = 1.0 - cdr * pq[:, 1, -1]
-        if not np.all(ok := np.isfinite(det) & (det != 0.0)):
-            raise np.linalg.LinAlgError(
-                f"lambda {part[~ok][0]}: det(I + A0 V) = {det[~ok][0]}")
-        close = cdr * (pq[:, 1] / det[:, None])
-        for yk, ck in zip(y, close):
-            yk += np.outer(yk[:, -1], ck)
-        yield y
+    band[1] += v
+    if not np.all(np.isfinite(band)):
+        raise ValueError(f"lambda {lam}: A0^-1 + V is not finite")
+
+    def solve(b):
+        # (K, M) rows; a Fortran-order b reaches solve_banded uncopied
+        rhs = b.reshape(grid.M, -1).T
+        x = solve_banded((1, 1), band, rhs.T).T
+        y = rhs - v * x
+        z = c * u2 * np.cumsum(u1 * y, axis=1)
+        z[:, :-1] += c * u1[:-1] * np.cumsum((u2 * y)[:, :0:-1], 1)[:, ::-1]
+        z -= solve_banded((1, 1), band, (v * (z - x)).T).T
+        return z.T.reshape(b.shape)
+    return solve, u1
+
+
+def _weighted_norm(apply, w):
+    """||w A w||_2 of a complex symmetric A (A^T = A) given as x -> A x."""
+    def op(x):
+        return w * apply(w * x)
+    return operator_two_norm(op, op, w.size)
 
 
 def ls_sweep(grid, n, potential, lams, b, sign, left=None):
-    """R^{sign}(lam) b = (I + A0 V)^{-1} A0 b for an array of lam, with A0
-    the free Green matrix: shape (L, M, K) for b of shape (M, K), or
-    left @ R b when left (J, M) is given.
-
-    An O(M) recurrence per lam; no M x M matrix is built.  For sign = +1,
-    lams may be complex with Im lam >= 0; the round-off grows like
-    e^{Im lam R}, and past GROWTH_LIMIT that raises ValueError.  A singular
-    system raises np.linalg.LinAlgError.
-    """
-    b = np.asarray(b).reshape(grid.M, -1)
-    xs = (x[..., :-1] for x in _sweep(grid, n, potential, lams, sign, b))
-    return np.concatenate([x if left is None else left @ x for x in xs])
-
-
-def ls_solve(grid, n, potential, lam, sign, s=0.55):
-    """Dense weighted resolvent <x>^{-s} R^{sign}(lam) <x>^{-s}, the sweep
-    on the identity; lam as in ls_sweep."""
-    r = ls_sweep(grid, n, potential, [lam], np.eye(grid.M), sign)[0]
-    ws = weight_matrix(grid, s)
-    return ws[:, None] * r * ws[None, :]
+    """R^{sign}(lam) b for an array of lam: shape (L, M, K) for b of shape
+    (M, K), or left @ R b when left (J, M) is given.  One banded solve per
+    lam; for sign = +1, lams may be complex with Im lam >= 0.  Raises as
+    ``_solver``."""
+    b = np.asfortranarray(np.asarray(b).reshape(grid.M, -1))
+    xs = (_solver(grid, n, potential, lam, sign)[0](b)
+          for lam in np.atleast_1d(lams))
+    return np.array([x if left is None else left @ x for x in xs])
 
 
 def resolvent_difference_vector(grid, n, potential, lams):
-    """x(lam) with R^+ - R^- = i pi dr x conj(x)^T, a column per lam: the
-    sweep's last column (I + A0^+ V)^{-1} u, so x = u in the free case."""
-    xs = _sweep(grid, n, potential, lams, +1, np.zeros((grid.M, 0)))
-    return np.concatenate([x[..., -1] for x in xs]).T
+    """x(lam) with R^+ - R^- = i pi dr x conj(x)^T, a column per lam:
+    x = (I + A0^+ V)^{-1} u = u - R^+ V u, so x = u in the free case."""
+    v = potential(grid.nodes)
+    pairs = (_solver(grid, n, potential, lam, +1)
+             for lam in np.atleast_1d(lams))
+    return np.stack([u - solve(v * u) for solve, u in pairs], axis=1)
 
 
-def la_norm_scan(grid, n, potential, lambda_grid, s=0.5 + DEFAULT_EPS):
-    """Scan of ||<x>^{-s} R^+(lambda) <x>^{-s}|| over a lambda grid.
-
-    Returns (rows, gaps); rows are (lambda, norm, lambda * norm), gaps
-    (lambda, error).  The Lanczos norm kernel applies the weighted
-    resolvent for B^T too: R^T = A0 (I + V A0)^{-1} = R by push-through.
-    Points where the solve fails numerically (ValueError, LinAlgError) are
-    recorded as gaps; any other error propagates.
-    """
+def la_norm_scan(grid, n, potential, lambda_grid):
+    """||<x>^{-s} R^+(lambda) <x>^{-s}||, s = SCAN_S, over a lambda grid:
+    (rows, gaps), rows (lambda, norm, lambda * norm) and gaps (lambda,
+    error).  The Lanczos kernel applies the banded solve for B^T too:
+    R^T = A0 (I + V A0)^{-1} = R by push-through.  A numerical failure
+    (ValueError, LinAlgError) is a gap; any other error propagates."""
+    w = weight_matrix(grid, SCAN_S)
     rows, gaps = [], []
     for lam in lambda_grid:
         try:
-            r = ls_solve(grid, n, potential, lam, +1, s)
-            nrm = operator_two_norm(r.dot, r.dot, grid.M)
+            nrm = _weighted_norm(_solver(grid, n, potential, lam, +1)[0], w)
             rows.append((float(lam), nrm, float(lam) * nrm))
         except (ValueError, np.linalg.LinAlgError) as exc:
             gaps.append((float(lam), repr(exc)))
     return rows, gaps
 
 
-def complex_shift_compare(grid, n, potential, lam, eta, s=0.5 + DEFAULT_EPS):
-    """Cross-check the continuum-kernel route against the discrete matrix.
-
-    At z = lambda^2 + i eta both the analytic continuation of the
+def complex_shift_compare(grid, n, potential, lam, eta):
+    """Cross-check of the continuum-kernel route against the discrete matrix
+    at z = lambda^2 + i eta, where the analytic continuation of the
     Lippmann-Schwinger solve (at sqrt(z)) and a banded solve of
-    (T + V - z)^{-1} are legitimate; returns their relative gap in the
-    weighted operator norm.
-    """
+    (T + V - z)^{-1} are both legitimate: their relative gap in the weighted
+    operator norm (weight exponent SCAN_S), both applied implicitly."""
     if eta <= 0:
         raise ValueError("need eta > 0")
     z = lam ** 2 + 1j * eta
-    a_ls = ls_solve(grid, n, potential, np.sqrt(z), +1, s)
-
+    solve = _solver(grid, n, potential, np.sqrt(z), +1)[0]
     op = build_G(grid, n, potential)
-    ab = np.zeros((3, grid.M), complex)
-    ab[0, 1:] = op.offdiag
-    ab[1] = op.diag - z
-    ab[2, :-1] = op.offdiag
-    r_fd = solve_banded((1, 1), ab, np.eye(grid.M))
-    w = weight_matrix(grid, s)
-    a_fd = w[:, None] * r_fd * w[None, :]
-
-    return op_norm_2(a_ls - a_fd) / op_norm_2(a_fd)
+    ab = np.array([np.r_[0, op.offdiag], op.diag - z, np.r_[op.offdiag, 0]])
+    w = weight_matrix(grid, SCAN_S)
+    fd = partial(solve_banded, (1, 1), ab)
+    return (_weighted_norm(lambda x: solve(x) - fd(x), w)
+            / _weighted_norm(fd, w))

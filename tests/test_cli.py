@@ -60,6 +60,12 @@ def test_validation_failures(tmp_path):
         assert main(["verify", "--config", str(bad), "--estimates", "3.2",
                      "--out", str(out)]) == 2
         assert not out.exists()
+    # an id that no group carries is named, and nothing runs
+    with pytest.raises(ConfigError, match="unknown estimate ids: 9.9, 3.180"):
+        ExperimentConfig.load(None, {"estimate_ids": ("3.2", "9.9", "3.180")})
+    out = tmp_path / "out"
+    assert main(["verify", "--estimates", "9.9,3.180", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_scan_configs_that_fit_still_load():

@@ -1,11 +1,12 @@
 """Every module-level import in the package is used by its module, every
 name a module lists in ``__all__`` is bound in it, and the dense scipy
 kernels stay where they belong: the tridiagonal eigensolve is reached from
-``radialop`` only, and no module reaches the dense LU (the
-Lippmann-Schwinger solves go through ``resolvent.ls_sweep``; the LU is
-the tests' oracle), and the order-specific Bessel kernels are bound in
-``specfun`` only, behind ``caljnu``.  The resolvent quadrature of ``funcalc`` reads
-nothing of the eigen route it is checked against.
+``radialop`` only, the banded solve from ``resolvent`` only (the
+Lippmann-Schwinger solves are one tridiagonal solve per lambda there), no
+module reaches the dense LU (the tests' oracle), and the order-specific
+Bessel kernels are bound in ``specfun`` only, behind ``caljnu``.  The
+resolvent quadrature of ``funcalc`` reads nothing of the eigen route it is
+checked against.
 
 Stdlib only: parses ``src/wavedecay/*.py`` with ``ast``.  A name counts
 as used when the module reads it (``name`` or ``name.attr``) or lists it
@@ -106,6 +107,7 @@ def test_all_names_resolve(path):
 # scipy kernel -> the one module that may reach it (None: no module)
 KERNEL_HOMES = {"lu_factor": None, "lu_solve": None,
                 "eigh_tridiagonal": "radialop.py",
+                "solve_banded": "resolvent.py",
                 "j1": "specfun.py"}
 
 

@@ -11,7 +11,7 @@ from wavedecay.norms import (band_norm_1_to_inf, band_norm_2,
                              sector_weights)
 from wavedecay.profiles import bump, step_cutoff
 from wavedecay.radialop import RadialGrid, build_G, build_G0, weight_matrix
-from wavedecay.resolvent import ls_solve
+from wavedecay.resolvent import ls_sweep
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,9 @@ def _weighted_cutoff(small_grid, potential):
 
 
 def _weighted_resolvent(small_grid, potential):
-    return ls_solve(small_grid, 4, potential, 2.0, +1)
+    r = ls_sweep(small_grid, 4, potential, [2.0], np.eye(small_grid.M), +1)
+    w = weight_matrix(small_grid, 0.55)
+    return w[:, None] * r[0] * w[None, :]
 
 
 @pytest.mark.parametrize("build", [_unitary_band, _weighted_cutoff,

@@ -6,14 +6,16 @@ from scipy.linalg import lu_factor, lu_solve
 
 from wavedecay import resolvent
 from wavedecay.fitting import fit_power_law
-from wavedecay.radialop import PotentialSpec, weight_matrix
-from wavedecay.resolvent import (GROWTH_LIMIT, complex_shift_compare,
+from wavedecay.radialop import (PotentialSpec, RadialGrid, build_G,
+                                weight_matrix)
+from wavedecay.resolvent import (SCAN_S, complex_shift_compare,
                                  free_green_matrix, green_delta_residual,
-                                 la_norm_scan, ls_solve, ls_sweep,
-                                 regular_solution,
+                                 la_norm_scan, ls_sweep, regular_solution,
                                  resolvent_difference_vector)
 
 N = 4
+# unit spacing: dr = 1 on R = 16
+UNIT_GRID = RadialGrid(16.0, 15)
 
 
 def dense_resolvent(grid, potential, lam, sign, b):
@@ -21,6 +23,27 @@ def dense_resolvent(grid, potential, lam, sign, b):
     a0 = free_green_matrix(grid, N, lam, sign)
     v = potential(grid.nodes)
     return lu_solve(lu_factor(np.eye(grid.M) + a0 * v[None, :]), a0 @ b)
+
+
+def resolvent_matrix(grid, potential, lam, sign, s=0.0):
+    """Dense <x>^{-s} R <x>^{-s}: the banded solve on the identity."""
+    r = ls_sweep(grid, N, potential, [lam], np.eye(grid.M), sign)[0]
+    ws = weight_matrix(grid, s)
+    return ws[:, None] * r * ws[None, :]
+
+
+@pytest.mark.parametrize("lam, sign", [
+    (0.2, +1), (0.2, -1), (2.0, +1), (2.0, -1), (6.0, +1), (6.0, -1),
+    (0.86 + 0.48j, +1), (5.09 + 0.49j, +1)])
+def test_tridiagonal_inverts_free_green_matrix(lam, sign):
+    """The band of _inverse_green is the inverse of the dense free Green
+    matrix.  At complex lambda the cross products cancel like
+    e^{2 Im lambda r} unless they are taken from J and H directly."""
+    band = resolvent._inverse_green(UNIT_GRID, N, lam, sign)[0]
+    t = (np.diag(band[1]) + np.diag(band[0, 1:], 1)
+         + np.diag(band[2, :-1], -1))
+    a0 = free_green_matrix(UNIT_GRID, N, lam, sign)
+    assert np.linalg.norm(a0 @ t - np.eye(UNIT_GRID.M), 2) <= 1e-12
 
 
 def test_green_column_solves_equation(small_grid):
@@ -51,41 +74,36 @@ def test_difference_vector_perturbed(small_grid, potential):
     """R^+ - R^- stays rank one with the potential on."""
     lam = 2.0
     x = resolvent_difference_vector(small_grid, N, potential, [lam])[:, 0]
-    rp = ls_solve(small_grid, N, potential, lam, +1, s=0.0)
-    rm = ls_solve(small_grid, N, potential, lam, -1, s=0.0)
+    rp = resolvent_matrix(small_grid, potential, lam, +1)
+    rm = resolvent_matrix(small_grid, potential, lam, -1)
     expect = 1j * np.pi * small_grid.dr * np.outer(x, np.conj(x))
     scale = np.max(np.abs(expect))
     assert np.allclose(rp - rm, expect, atol=1e-8 * scale)
 
 
 def test_ls_solve_residual_and_record(small_grid, potential):
-    """The solve satisfies R = R0 - R0 V R, R is complex-symmetric (what
-    la_norm_scan's power iteration relies on), and the weights sit on the
-    outside: <x>^{-s} R <x>^{-s}."""
-    r = ls_solve(small_grid, N, potential, 2.0, +1, s=0.0)
+    """The solve satisfies R = R0 - R0 V R, and R is complex-symmetric
+    (what la_norm_scan's Lanczos norm relies on)."""
+    r = resolvent_matrix(small_grid, potential, 2.0, +1)
     r0 = free_green_matrix(small_grid, N, 2.0, +1)
     v = potential(small_grid.nodes)
     back = r0 - r0 @ (v[:, None] * r)
     assert np.linalg.norm(back - r, 2) < 1e-10 * np.linalg.norm(r, 2)
     assert np.linalg.norm(r - r.T, 2) < 1e-12 * np.linalg.norm(r, 2)
-    ws = weight_matrix(small_grid, 0.55)
-    weighted = ls_solve(small_grid, N, potential, 2.0, +1, s=0.55)
-    assert np.allclose(weighted, ws[:, None] * r * ws[None, :],
-                       rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(lam=st.floats(0.2, 6.0), im=st.floats(0.0, 0.5),
+@given(lam=st.floats(0.2, 6.0), im=st.floats(0.0, 3.0),
        complex_lam=st.booleans(), sign=st.sampled_from((+1, -1)),
        c=st.floats(0.0, 4.0),
        delta=st.floats(2.5, 4.0, exclude_min=True),
        k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_sweep_matches_dense_lu(small_grid, lam, im, complex_lam, sign, c,
                                 delta, k, seed):
-    """The sweep against the dense LU over random frequencies, potentials
-    and right-hand sides.  Tolerance: 1e-12 relative for real lambda; for
-    complex lambda (outgoing branch, Im lambda <= 0.5) 1e-12 times the
-    sweep's growth e^{Im lambda R}, which reaches about 3e3 on this grid."""
+    """The banded solve against the dense LU over random frequencies,
+    potentials and right-hand sides: 1e-12 relative, for real lambda and
+    for complex lambda (outgoing branch, Im lambda <= 3, where
+    e^{Im lambda R} reaches 7e20 on this grid)."""
     if complex_lam:
         lam, sign = complex(lam, im), +1
     growth = float(np.exp(np.imag(lam) * small_grid.R))
@@ -98,15 +116,15 @@ def test_sweep_matches_dense_lu(small_grid, lam, im, complex_lam, sign, c,
     want = dense_resolvent(small_grid, pot, lam, sign, b)
     got = ls_sweep(small_grid, N, pot, [lam], b, sign)[0]
     err = np.linalg.norm(got - want) / np.linalg.norm(want)
-    assert err <= 1e-12 * growth
+    assert err <= 1e-12
     left = rng.standard_normal((2, small_grid.M))
     projected = ls_sweep(small_grid, N, pot, [lam], b, sign, left=left)[0]
     assert np.allclose(projected, left @ got, rtol=1e-13, atol=0.0)
 
 
 def test_sweep_batches_match_one_lambda_at_a_time(small_grid, potential):
-    """A lambda array through the blocks equals the lambdas one by one."""
-    lams = np.linspace(0.5, 4.0, 200)       # blocks of M // 2 = 79 lambdas
+    """A lambda array equals the lambdas one by one."""
+    lams = np.linspace(0.5, 4.0, 200)
     x = resolvent_difference_vector(small_grid, N, potential, lams)
     for k in (0, 78, 79, 157, 158, 199):
         one = resolvent_difference_vector(small_grid, N, potential,
@@ -114,52 +132,22 @@ def test_sweep_batches_match_one_lambda_at_a_time(small_grid, potential):
         assert np.array_equal(x[:, k], one)
 
 
-def test_sweep_block_cap(small_grid, potential, monkeypatch):
-    """BLOCK_ENTRIES caps a block's (lam, M, K + 1) entries whatever M^2 / 2
-    allows; the capped blocks give the same values bit for bit."""
-    lams = np.linspace(0.5, 4.0, 23)
-    b = np.eye(small_grid.M)[:, :3]
-
-    def sizes():
-        return [len(x) for x in resolvent._sweep(small_grid, N, potential,
-                                                  lams, +1, b)]
-
-    # under the cap a block holds M // (2 (K + 1)) = 19 lambdas
-    assert sizes() == [19, 4]
-    full = ls_sweep(small_grid, N, potential, lams, b, +1)
-    monkeypatch.setattr(resolvent, "BLOCK_ENTRIES", 5 * small_grid.M * 4)
-    assert sizes() == [5, 5, 5, 5, 3]
-    assert np.array_equal(ls_sweep(small_grid, N, potential, lams, b, +1),
-                          full)
-
-
-def test_growth_past_the_limit_raises(small_grid, potential):
-    lam = 2.0 + 1.2j                          # e^{1.2 * 16} = 2.2e8
-    with pytest.raises(ValueError, match=r"lambda \(2\+1\.2j\).*2\.18e\+08"
-                       r".*limit 1e\+08"):
-        ls_sweep(small_grid, N, potential, [2.0, lam], np.eye(small_grid.M),
-                 +1)
-    assert GROWTH_LIMIT == 1e8
-    # just inside the limit the sweep runs and stays finite
-    r = ls_solve(small_grid, N, potential, 2.0 + 1.1j, +1)
-    assert np.all(np.isfinite(r))
-
-
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_singular_system_raises(small_grid):
-    """An overflowing potential leaves det(I + A0 V) non-finite."""
-    huge = PotentialSpec(1e300, 3.0)
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=r"lambda 2\.0: det\(I \+ A0 V\) = \(nan"):
-        ls_sweep(small_grid, N, huge, [2.0], np.eye(small_grid.M), +1)
-    with pytest.raises(np.linalg.LinAlgError, match="det"):
-        resolvent_difference_vector(small_grid, N, huge, [2.0])
+def test_singular_system_raises(potential):
+    """Bessel values that leave the float range (J_nu(lambda R) ~
+    e^{60 * 16}) make A0^-1 + V non-finite: a ValueError naming lambda."""
+    with pytest.raises(ValueError, match=r"lambda \(2\+60j\): A0\^-1 \+ V "
+                       r"is not finite"):
+        ls_sweep(UNIT_GRID, N, potential, [2.0, 2.0 + 60j],
+                 np.eye(UNIT_GRID.M), +1)
+    with pytest.raises(ValueError, match=r"lambda \(2\+60j\)"):
+        resolvent_difference_vector(UNIT_GRID, N, potential, [2.0 + 60j])
 
 
 def test_ls_reduces_to_free(small_grid):
     free = PotentialSpec(0.0, 3.0)
-    r = ls_solve(small_grid, N, free, 2.0, +1, s=0.0)
+    r = resolvent_matrix(small_grid, free, 2.0, +1)
     assert np.allclose(r, free_green_matrix(small_grid, N, 2.0, +1))
 
 
@@ -185,11 +173,22 @@ def test_la_norm_scan_records_gaps(small_grid, potential):
 
 def test_la_norm_scan_keeps_gaps_when_nothing_survives(small_grid):
     # too few surviving lambdas for any fit: the gaps still come back
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows, gaps = la_norm_scan(small_grid, N, PotentialSpec(1e300, 3.0),
-                                  [1.0, 2.0])
+    rows, gaps = la_norm_scan(small_grid, N, PotentialSpec(np.inf, 3.0),
+                              [1.0, 2.0])
     assert rows == []
     assert [lam for lam, _ in gaps] == [1.0, 2.0]
+    assert "not finite" in gaps[0][1]
+
+
+def test_la_norm_scan_matches_dense_norm(small_grid, potential):
+    """The implicit Lanczos norm against LAPACK's 2-norm of w R w."""
+    lams = [0.5, 2.0, 5.0]
+    rows, gaps = la_norm_scan(small_grid, N, potential, lams)
+    assert not gaps
+    for lam, (_, nrm, _) in zip(lams, rows):
+        dense = np.linalg.norm(
+            resolvent_matrix(small_grid, potential, lam, +1, SCAN_S), 2)
+        assert nrm == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 def test_la_norm_scan_propagates_non_numerical_errors(small_grid, potential):
@@ -209,6 +208,21 @@ def test_complex_shift_routes_agree(small_grid, potential):
     assert gaps[2] < 0.06
     with pytest.raises(ValueError):
         complex_shift_compare(small_grid, N, potential, 2.0, eta=0.0)
+
+
+def test_complex_shift_matches_dense_form(small_grid, potential):
+    """The implicit norms against the dense matrices they replace."""
+    w = weight_matrix(small_grid, SCAN_S)
+    for lam, eta in ((2.0, 0.5), (1.0, 2.0)):
+        z = lam ** 2 + 1j * eta
+        a_ls = resolvent_matrix(small_grid, potential, np.sqrt(z), +1, SCAN_S)
+        g = build_G(small_grid, N, potential).matrix
+        r_fd = np.linalg.solve(g - z * np.eye(small_grid.M),
+                               np.eye(small_grid.M))
+        a_fd = w[:, None] * r_fd * w[None, :]
+        dense = np.linalg.norm(a_ls - a_fd, 2) / np.linalg.norm(a_fd, 2)
+        got = complex_shift_compare(small_grid, N, potential, lam, eta)
+        assert got == pytest.approx(dense, rel=1e-10, abs=0.0)
 
 
 def test_free_green_validation(small_grid):
