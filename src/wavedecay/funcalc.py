@@ -42,7 +42,6 @@ def _chi_c(y):
 
 
 def _chi_c_prime(y):
-    y = np.asarray(y, dtype=float)
     return -np.sign(y) * _CHI_D(np.abs(y))
 
 
@@ -72,24 +71,29 @@ class AlmostAnalytic:
         out[pos] = sqrt_compose_deriv(self.profile, k, x[pos])
         return out
 
-    def _taylor(self, x, y):
-        acc = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        iy = 1j * np.asarray(y, dtype=float)
+    def _taylor(self, z):
+        """sum_k psi^(k)(x) (iy)^k / k! up to k = order at z = x + iy, each
+        factor evaluated once per distinct x or y (a mesh has far fewer of
+        each than nodes); also the distinct x, y and their gather indices."""
+        xu, ix = np.unique(z.real, return_inverse=True)
+        yu, iy = np.unique(z.imag, return_inverse=True)
+        ix, iy = ix.reshape(z.shape), iy.reshape(z.shape)
+        acc = np.zeros(z.shape, dtype=complex)
         for k in range(self.order + 1):
-            acc += self.psi_deriv(k, x) * iy ** k / factorial(k)
-        return acc
+            acc += (self.psi_deriv(k, xu)[ix] * ((1j * yu) ** k)[iy]
+                    / factorial(k))
+        return acc, xu, ix, yu, iy
 
     def tilde(self, z):
-        z = np.asarray(z, dtype=complex)
-        return _chi_c(z.imag) * self._taylor(z.real, z.imag)
+        acc, _, _, yu, iy = self._taylor(np.asarray(z, dtype=complex))
+        return _chi_c(yu)[iy] * acc
 
     def dbar(self, z):
         """(1/2)(d/dx + i d/dy) of the extension; O(|Im z|^N) near the axis."""
-        z = np.asarray(z, dtype=complex)
-        x, y = z.real, z.imag
-        lead = (_chi_c(y) * self.psi_deriv(self.order + 1, x)
-                * (1j * y) ** self.order / factorial(self.order))
-        return 0.5 * lead + 0.5j * _chi_c_prime(y) * self._taylor(x, y)
+        acc, xu, ix, yu, iy = self._taylor(np.asarray(z, dtype=complex))
+        lead = (_chi_c(yu)[iy] * self.psi_deriv(self.order + 1, xu)[ix]
+                * ((1j * yu) ** self.order)[iy] / factorial(self.order))
+        return 0.5 * lead + 0.5j * _chi_c_prime(yu)[iy] * acc
 
     def deriv_sup(self, k, samples=2000):
         lo, hi = self.support
@@ -161,45 +165,41 @@ def _hs_mesh(aa, tol, nodes_per_panel=5, ny_per_layer=6, panel_factor=0.5,
     return np.concatenate(zs), np.concatenate(ws)
 
 
-# the transfer products P must keep P and 1/P normal floats
+# the boundary solutions must stay normal floats
 _TINY = np.finfo(float).tiny
-_LOG_P_LIMIT = -np.log(_TINY)
 # rows per GEMM panel; the panels stop at the diagonal, so little more
 # than the upper triangle the sum keeps is computed
 _PANEL = 128
 
 
-def _continued_fraction(d, ee):
-    """l_0 = d_0, l_j = d_j - ee / l_{j-1} down the rows of d, one
-    contiguous row per step."""
-    ell = np.empty_like(d)
-    ell[0] = d[0]
-    tmp = np.empty_like(d[0])
-    for j in range(1, d.shape[0]):
-        np.divide(ee, ell[j - 1], out=tmp)
-        np.subtract(d[j], tmp, out=ell[j])
-    return ell
+def _boundary_sweep(a):
+    """f_0 = 1, f_1 = a_0, f_{j+1} = a_j f_j - f_{j-1} down the rows of a."""
+    f = np.empty_like(a)
+    f[0], f[1] = 1.0, a[0]
+    for j in range(1, a.shape[0] - 1):
+        np.multiply(a[j], f[j], out=f[j + 1])
+        np.subtract(f[j + 1], f[j - 1], out=f[j + 1])
+    return f
 
 
 def _resolvent_sum(diag, off, zs, coeffs, block=1500):
     """Re sum_k coeffs[k] * (T - zs[k])^{-1} for symmetric tridiagonal T
-    with constant off-diagonal, assembled without any dense solves.
+    with constant off-diagonal e, assembled without any dense solves.
 
-    The inverse of a tridiagonal matrix is semiseparable: with the two
-    continued-fraction sweeps
-
-        l_0 = d_0,       l_j = d_j - e^2 / l_{j-1},
-        m_{M-1} = d_{M-1},  m_j = d_j - e^2 / m_{j+1},
-
-    the entries are inv_jj = 1/(l_j + m_j - d_j) and, for i < j,
-    inv_ij = inv_jj P_j / P_i with the transfer products P_j =
-    prod_{k<j} (-e / l_k).  So each inverse is the rank-one outer u v^T
-    on the upper triangle, u = coeff / P and v = inv_jj P, and the real
-    part of a block's sum is one real GEMM of the interleaved (Re, Im)
-    views of u and conj(v), inner dimension 2 * block, in row panels that
-    stop at the diagonal.  Im z != 0 keeps every l_j, m_j away from zero
-    (their imaginary parts have a definite sign).  A node whose P or 1/P
-    leaves the normal floats (|log P| > 708.4) raises FloatingPointError.
+    The inverse of a tridiagonal matrix is semiseparable: inv_ij =
+    phi_i psi_j / w for i <= j, where phi and psi solve e f_{j-1} +
+    (d_j - z) f_j + e f_{j+1} = 0 and meet the top and the bottom boundary
+    row (phi_{-1} = psi_M = 0, phi_0 = psi_{M-1} = 1), and w = (d_0 - z)
+    psi_0 + e psi_1.  Per block of nodes, laid out (M, 2 block), one
+    division-free sweep f_{j+1} = ((z - d_j) / e) f_j - f_{j-1} over the
+    stacked columns [top | bottom] (the bottom half on reversed rows)
+    gives both.  Each inverse is then the rank-one u v^T on the upper
+    triangle, u = coeff phi / w and v = psi, and the real part of a
+    block's sum is one real GEMM of the interleaved (Re, Im) views of u
+    and conj(v), inner dimension 2 * block, in row panels that stop at the
+    diagonal.  f_j is the transfer product P_j = prod_{k<j} f_{k+1} / f_k:
+    a node whose phi, psi or w leaves the normal floats (|log P| > 708.4)
+    raises FloatingPointError naming the node and its largest |log P|.
     """
     e = float(off[0])
     if not np.allclose(off, off[0]):
@@ -208,26 +208,28 @@ def _resolvent_sum(diag, off, zs, coeffs, block=1500):
     s = np.zeros((m, m))
     for start in range(0, zs.shape[0], block):
         z = zs[start:start + block]
-        d = diag[:, None] - z
-        ell = _continued_fraction(d, e * e)
-        dd = _continued_fraction(d[::-1], e * e)[::-1]
-        dd += ell
-        dd -= d
-        ratio = np.divide(-e, ell, out=ell)
-        p = np.empty_like(d)
-        p[0] = 1.0
-        for j in range(1, m):
-            np.multiply(p[j - 1], ratio[j - 1], out=p[j])
-        mag = np.abs(p)
-        if not (mag.min() >= _TINY and mag.max() <= 1.0 / _TINY):
-            lg = np.abs(np.cumsum(np.log(np.abs(ratio[:-1])), axis=0))
-            k = np.argmax(lg.max(axis=0))
+        nz = z.shape[0]
+        a = np.empty((m, 2 * nz), dtype=complex)
+        np.divide(z - diag[:, None], e, out=a[:, :nz])
+        a[:, nz:] = a[::-1, :nz]
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _boundary_sweep(a)
+            phi, psi = f[:, :nz], f[::-1, nz:]
+            w = (diag[0] - z) * psi[0] + e * psi[1]
+        if not all(x.min() >= _TINY and x.max() <= 1.0 / _TINY
+                   for x in (np.abs(f), np.abs(w))):
+            # log |P| from the ratios f_{j+1} / f_j, in range where f is not
+            r = [a[0]]
+            for row in a[1:-1]:
+                r.append(row - 1.0 / r[-1])
+            lg = np.abs(np.cumsum(np.log(np.abs(r)), axis=0)).max(axis=0)
+            lg = np.maximum(lg[:nz], lg[nz:])
+            k = np.argmax(lg)
             raise FloatingPointError(
                 f"transfer product of node z = {z[k]:.6g} leaves the float "
-                f"range: max |log P| = {lg[:, k].max():.1f} > "
-                f"{_LOG_P_LIMIT:.1f}")
-        u = (coeffs[start:start + block] / p).view(float)
-        v = np.conjugate(np.divide(p, dd, out=dd), out=dd).view(float)
+                f"range: max |log P| = {lg[k]:.1f} > {-np.log(_TINY):.1f}")
+        u = np.multiply(phi, coeffs[start:start + block] / w, out=a[:, :nz])
+        u, v = u.view(float), np.conjugate(psi, out=a[:, nz:]).view(float)
         for lo in range(0, m, _PANEL):
             s[lo:lo + _PANEL, lo:] += u[lo:lo + _PANEL] @ v[lo:].T
     return np.triu(s) + np.tril(s.T, -1)
@@ -238,14 +240,12 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     quadrature; independent of the eigendecomposition by construction.
 
     block caps how many quadrature nodes are in flight at once.  A block
-    holds five (M, block) complex arrays (the shifted diagonal, the
-    forward sweep reused for the ratios -e / l, the backward sweep reused
-    for v, the products P, and u) and the real |P|, besides the M x M
-    sum."""
+    holds two (M, 2 block) complex arrays, the sweep coefficients (z - d)
+    / e, reused for u and v, and the boundary solutions [phi | psi], and
+    the real |phi| and |psi| of the range check, besides the M x M sum."""
     aa = almost_analytic(profile, order)
     zs, ws = _hs_mesh(aa, tol)
-    diag = h ** 2 * op.diag
-    off = h ** 2 * op.offdiag
+    diag, off = h ** 2 * op.diag, h ** 2 * op.offdiag
     vals = aa.dbar(zs) * ws
     keep = np.abs(vals) > 0.0
     acc = _resolvent_sum(diag, off, zs[keep], vals[keep], block=block)

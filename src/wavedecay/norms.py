@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .radialop import top_eigenpair
+
 __all__ = [
     "sector_weights",
     "op_norm_2",
@@ -123,9 +125,10 @@ def operator_two_norm(matvec, rmatvec, m, tol=1e-14, max_iter=500):
     deterministic: the whole pipeline is RNG-free by design.  Stops once
     the top Ritz pair's residual beta_j |s_j| <= tol * theta or beta_j
     vanishes (an invariant subspace: projectors, unitary bands, C^m); from
-    step 16 on the pair is checked every (j // 8)-th step only, as the
-    dense tridiagonal eigensolve outgrows a step.  Raises LinAlgError
-    after ``max_iter`` steps.
+    step 16 on the pair is checked every (j // 8)-th step only.  The pair
+    is the top eigenpair of the j x j Lanczos tridiagonal, from
+    ``radialop.top_eigenpair``.  Raises LinAlgError after ``max_iter``
+    steps.
     """
     k = np.arange(m)
     v = 1.0 + 0.5 * np.cos(0.7 * k) + 0.1 * np.sin(0.13 * k + 0.4)
@@ -143,10 +146,9 @@ def operator_two_norm(matvec, rmatvec, m, tol=1e-14, max_iter=500):
         beta = np.linalg.norm(w)
         exact = beta <= tol * max(alphas) or j == m
         if exact or j % max(1, j // 8) == 0:
-            vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
-                                        + np.diag(betas, -1))
-            if exact or beta * abs(vecs[-1, -1]) <= tol * vals[-1]:
-                return float(np.sqrt(max(vals[-1], 0.0)))
+            theta, s = top_eigenpair(alphas, betas)
+            if exact or beta * abs(s[-1]) <= tol * theta:
+                return float(np.sqrt(max(theta, 0.0)))
         betas.append(beta)
         v = w / beta
     raise np.linalg.LinAlgError(

@@ -23,6 +23,7 @@ __all__ = [
     "build_G0",
     "build_G",
     "weight_matrix",
+    "top_eigenpair",
 ]
 
 
@@ -201,3 +202,14 @@ def weight_matrix(grid, s):
     if not np.isfinite(s):
         raise ValueError("weight exponent must be finite")
     return (1.0 + grid.nodes ** 2) ** (-s / 2.0)
+
+
+def top_eigenpair(diag, offdiag):
+    """Largest eigenvalue of a symmetric tridiagonal matrix and its unit
+    eigenvector (the Ritz step of ``norms.operator_two_norm``): one index
+    of LAPACK's tridiagonal solver (bisection and inverse iteration), not
+    a full eigensolve."""
+    top = len(diag) - 1
+    vals, vecs = eigh_tridiagonal(diag, offdiag, select="i",
+                                  select_range=(top, top))
+    return vals[0], vecs[:, 0]

@@ -1,7 +1,12 @@
+from math import factorial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavedecay.funcalc import (_resolvent_sum, almost_analytic,
+from wavedecay.funcalc import (_chi_c, _chi_c_prime, _hs_mesh,
+                               _resolvent_sum, almost_analytic,
                                hs_multiplier, phi_of_hsqrt, verify_lemma23)
 from wavedecay.propagator import wave_multiplier
 from wavedecay.radialop import build_G, build_G0
@@ -39,6 +44,39 @@ def test_dbar_order_near_axis(profile):
     s1 = np.max(np.abs(aa.dbar(x + 1e-2j)))
     s2 = np.max(np.abs(aa.dbar(x + 2e-2j)))
     assert s2 / s1 == pytest.approx(2.0 ** order, rel=0.1)
+
+
+def _dbar_per_node(aa, z):
+    """dbar from its definition with every factor evaluated at every node,
+    nothing shared between nodes."""
+    x, y = z.real, z.imag
+    taylor = np.zeros(z.shape, dtype=complex)
+    for k in range(aa.order + 1):
+        taylor += aa.psi_deriv(k, x) * (1j * y) ** k / factorial(k)
+    lead = (_chi_c(y) * aa.psi_deriv(aa.order + 1, x)
+            * (1j * y) ** aa.order / factorial(aa.order))
+    return 0.5 * lead + 0.5j * _chi_c_prime(y) * taylor
+
+
+def test_dbar_gathers_exactly(profile):
+    """dbar evaluates each factor once per distinct Re z and Im z; on the
+    quadrature mesh (far fewer distinct x and y than nodes) and on a 2-D
+    array of z with repeated x that is bit for bit the evaluation at every
+    node.  The 2-D y stay below the cutoff band, where chi_c is exactly 1
+    and chi_c' exactly 0: inside it chi_c is a Gauss sum by a BLAS
+    matrix-vector product, whose last bit can depend on the row count."""
+    aa = almost_analytic(profile, 8)
+    zs, _ = _hs_mesh(aa, 1e-7)
+    assert np.unique(zs.real).size < zs.size / 10
+    assert np.array_equal(aa.dbar(zs), _dbar_per_node(aa, zs))
+    grid = (np.linspace(0.9, 4.2, 7)[None, :]
+            + 1j * np.array([0.01, 0.1, 0.3, 0.45])[:, None])
+    z2 = np.concatenate([grid, grid[:, ::-1]], axis=1)
+    got = aa.dbar(z2)
+    assert got.shape == z2.shape
+    assert np.array_equal(got, _dbar_per_node(aa, z2))
+    assert np.array_equal(got, np.vectorize(aa.dbar)(z2))
+    assert np.array_equal(aa.tilde(z2), np.vectorize(aa.tilde)(z2))
 
 
 def test_order_validation(profile):
@@ -83,6 +121,44 @@ def test_resolvent_sum_raises_outside_float_range():
                        match=r"z = 1\+0\.1j .* max \|log P\| = 2749\."):
         _resolvent_sum(np.full(m, 1e6), np.ones(m - 1),
                        np.array([5e5 + 1j, 1.0 + 0.1j]),
+                       np.array([1.0, 1.0 + 0j]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 80), nodes=st.integers(1, 12),
+       block=st.integers(1, 12), e=st.floats(0.1, 4.0),
+       negative_e=st.booleans(), top=st.floats(0.0, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_resolvent_sum_matches_dense_inverse_property(m, nodes, block, e,
+                                                      negative_e, top, seed):
+    """The boundary-solution sum against sums of dense inverses to 1e-12
+    of the largest entry: random sizes and blocks, either sign of the
+    off-diagonal, a diagonal with a steep top like the centrifugal term
+    (top / j^2) over a random potential, Re z across the spectrum and
+    Im z in [1e-3, 1]."""
+    rng = np.random.default_rng(seed)
+    diag = (2.0 * e + top / np.arange(1, m + 1) ** 2
+            + rng.uniform(0.0, 1.0, m))
+    off = np.full(m - 1, -e if negative_e else e)
+    zs = (rng.uniform(0.0, 4.0 * e + 1.0, nodes)
+          + 1j * 10.0 ** rng.uniform(-3.0, 0.0, nodes))
+    cs = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    want = sum(c * np.linalg.inv(t - z * np.eye(m)) for z, c in zip(zs, cs))
+    got = _resolvent_sum(diag, off, zs, cs, block=block)
+    assert np.max(np.abs(got - want.real)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_resolvent_sum_raises_on_huge_bottom_rows():
+    """A diagonal that dwarfs the off-diagonal in the bottom rows only: the
+    top boundary solution leaves the floats there, and the bottom one
+    starts there; an error naming the node with the larger |log P|."""
+    m = 200
+    diag = np.ones(m)
+    diag[-60:] = 1e6
+    with pytest.raises(FloatingPointError,
+                       match=r"z = 3\+1j .* max \|log P\| = 930\."):
+        _resolvent_sum(diag, np.ones(m - 1), np.array([1.0 + 0.1j, 3.0 + 1j]),
                        np.array([1.0, 1.0 + 0j]))
 
 
