@@ -1,4 +1,4 @@
-"""Command line front end: configuration, orchestration, caching, and
+"""Command line front end: configuration, orchestration and
 report emission.
 
 Subcommands: ``kernel`` (free-kernel CSV scans), ``resolvent`` (weighted
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimates as est
-from .cache import EigenCache
 from .fitting import check_fit_window
 from .profiles import BumpProfile
 from .radialop import PotentialSpec, RadialGrid, build_G, build_G0
@@ -233,10 +232,6 @@ def cmd_verify(cfg):
     ids = cfg.estimate_ids
     if not ids:
         return 0
-    cache = EigenCache(os.path.join(cfg.out, ".cache"))
-    for op in (build_G0(cfg.grid(), cfg.n),
-               build_G(cfg.grid(), cfg.n, cfg.potential())):
-        cache.eigensystem(op)
     reports = {}
     for fn in _selected(ids):
         reports.update(fn(cfg))

@@ -23,7 +23,7 @@ from math import floor
 import numpy as np
 
 from .fitting import _stability, fit_power_law
-from .freekernel import QuadratureError, eval_Kh_batch, eval_Kh_sigma_batch
+from .freekernel import eval_Kh_batch, eval_Kh_sigma_batch
 from .norms import band_norm_1_to_inf, band_norm_2, band_norm_2_to_inf
 from .profiles import (bump, mollifier, plateau, step_cutoff,
                        step_cutoff_derivative)
@@ -79,36 +79,25 @@ def cone_sup(n, profile, h, t, weight_power=0.0):
 KERNEL_T = tuple(8.0 * 2.0 ** (k / 2.0) for k in range(9))
 
 
-def check_kernel_bounds(n, profile, h_set, t_set=None, s_set=None,
-                        t_fixed=16.0,
-                        sigma_set=(1.0, 2.0, 4.0, 8.0, 16.0),
-                        t_cut=64.0, dt=0.125):
+def check_kernel_bounds(n, profile, h_set):
     """Pointwise decay, weighted time integrals, and the light-cone
     integral of the free kernel."""
-    if t_set is None:
-        t_set = KERNEL_T
-    if s_set is None:
-        s_set = (0.0, (n - 1) / 4.0, (n - 1) / 2.0)
     top = (n - 1) / 2.0
-    reports, gaps = {}, []
+    reports = {}
 
-    for s in s_set:
-        rows = []
-        for t in t_set:
-            try:
-                rows.append((t, cone_sup(n, profile, 1.0, t,
-                                         weight_power=top - s)))
-            except QuadratureError as exc:
-                gaps.append({"check": "2.7", "t": t, "error": repr(exc)})
+    for s in (0.0, (n - 1) / 4.0, top):
+        rows = [(t, cone_sup(n, profile, 1.0, t, weight_power=top - s))
+                for t in KERNEL_T]
         reports[f"2.7_t_s{s:g}"] = fit_power_law(
             rows, "2.7", "t", target=-s, tolerance=0.2).as_dict()
 
-    rows = [(h, cone_sup(n, profile, h, t_fixed)) for h in h_set]
+    rows = [(h, cone_sup(n, profile, h, 16.0)) for h in h_set]
     reports["2.7_h"] = fit_power_law(rows, "2.7", "h",
                                      target=-(n + 1) / 2.0,
                                      tolerance=0.3).as_dict()
 
     # (2.8): truncated int |t|^{2s} |K|^2 dt at s=0, sigma- and h-scans
+    dt, t_cut = 0.125, 64.0
     t_arr = np.arange(dt, t_cut + dt / 2, dt)
 
     def time_integral(h, sigma):
@@ -119,7 +108,7 @@ def check_kernel_bounds(n, profile, h_set, t_set=None, s_set=None,
         return total, tail
 
     rows, tails = [], {}
-    for sigma in sigma_set:
+    for sigma in (1.0, 2.0, 4.0, 8.0, 16.0):
         total, tail = time_integral(1.0, sigma)
         rows.append((sigma, total))
         tails[f"{sigma:g}"] = tail
@@ -133,7 +122,7 @@ def check_kernel_bounds(n, profile, h_set, t_set=None, s_set=None,
 
     # (2.9): |t|^{(n-1)/2} int_0^{t/2} sigma^{n-1} |K| dsigma bounded
     values = {}
-    for t in t_set:
+    for t in KERNEL_T:
         sig = np.linspace(t / 512.0, t / 2.0, 257)
         vals = sig ** (n - 1) * np.abs(
             eval_Kh_sigma_batch(n, profile, 1.0, sig, t))
@@ -141,7 +130,6 @@ def check_kernel_bounds(n, profile, h_set, t_set=None, s_set=None,
             t ** top * np.trapezoid(vals, sig))
     reports["2.9"] = _ratio_report(values.values(), 3.0)
     reports["2.9"]["values"] = values
-    reports["_gaps"] = gaps
     return reports
 
 

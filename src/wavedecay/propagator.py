@@ -171,25 +171,21 @@ def duhamel_split(op0, op, profile, h, t):
                         {"rule": "simpson", "tau_nodes": n_nodes})
 
 
-def time_domain_evolve(op, f, t_end, dt, profile=None, h=1.0):
+def time_domain_evolve(op, f, t_end, dt, profile, h):
     """Leapfrog integration of d^2 u/dt^2 = -G u as the independent
     propagator oracle.
 
-    With profile given, the initial data u(0) = phi(h sqrt(G)) f and
-    u'(0) = i sqrt(G) phi(h sqrt(G)) f make the exact solution
-    e^{it sqrt(G)} phi(h sqrt(G)) f.  Richardson extrapolation over one
-    step halving removes the leading O(dt^2) error.
+    The initial data u(0) = phi(h sqrt(G)) f and u'(0) = i sqrt(G)
+    phi(h sqrt(G)) f make the exact solution e^{it sqrt(G)} phi(h sqrt(G))
+    f.  Richardson extrapolation over one step halving removes the leading
+    O(dt^2) error.
     """
     if dt > 0.5 * op.grid.dr:
         raise ValueError("time step violates dt <= dr/2")
-    if profile is not None:
-        band = op.band(profile, h)
-        coeff = band.amps * (band.vecs.T @ np.asarray(f, dtype=complex))
-        u0 = band.vecs @ coeff
-        v0 = band.vecs @ (1j * band.roots * coeff)
-    else:
-        u0 = np.asarray(f, dtype=complex)
-        v0 = np.zeros_like(u0)
+    band = op.band(profile, h)
+    coeff = band.amps * (band.vecs.T @ np.asarray(f, dtype=complex))
+    u0 = band.vecs @ coeff
+    v0 = band.vecs @ (1j * band.roots * coeff)
 
     def run(step):
         # snap the step down to an exact divisor of the time window; the
@@ -202,11 +198,11 @@ def time_domain_evolve(op, f, t_end, dt, profile=None, h=1.0):
         e0 = None
         drift = 0.0
         for _ in range(n_steps - 1):
-            nxt = 2.0 * cur - prev + step ** 2 * (-op.apply(cur))
+            g_cur = op.apply(cur)
+            nxt = 2.0 * cur - prev + step ** 2 * (-g_cur)
             # staggered invariant of the leapfrog scheme, exactly conserved
             vel = (nxt - cur) / step
-            en = (np.linalg.norm(vel) ** 2
-                  + np.real(np.vdot(op.apply(cur), nxt)))
+            en = np.linalg.norm(vel) ** 2 + np.real(np.vdot(g_cur, nxt))
             if e0 is None:
                 e0 = en
             else:

@@ -137,7 +137,7 @@ class DiscreteOperator:
     @cached_property
     def _eigen(self):
         # cached_property writes the instance __dict__ directly, which a
-        # frozen dataclass allows; cache.EigenCache seeds the same slot
+        # frozen dataclass allows
         try:
             return eigh_tridiagonal(self.diag, self.offdiag)
         except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -144,6 +144,7 @@ def test_verify_report_round_trip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "3.18_s0.75: " in text and ("PASS" in text or "FAIL" in text)
     assert (out / "run_metadata.json").exists()
+    assert not (out / ".cache").exists()
     emitted = [p for p in os.listdir(out) if p.startswith("estimate_")]
     assert "estimate_3_18_s0_75.json" in emitted
     meta = json.loads((out / "run_metadata.json").read_text())

@@ -8,18 +8,26 @@ Bessel kernels are bound in ``specfun`` only, behind ``caljnu``.  The
 resolvent quadrature of ``funcalc`` reads nothing of the eigen route it is
 checked against.
 
-Stdlib only: parses ``src/wavedecay/*.py`` with ``ast``.  A name counts
+The benchmark under ``perfbench/`` imports the package by name, so every
+``from wavedecay... import name`` there, and every layer its tracer
+imports, must resolve here too (``cache`` is kept for that import alone).
+
+Parses ``src/wavedecay/*.py`` and ``perfbench/**/*.py`` with ``ast``;
+only the benchmark check imports the package.  A name counts
 as used when the module reads it (``name`` or ``name.attr``) or lists it
 in ``__all__``.  A name left in ``__all__`` after it moved or was deleted
 would break ``from wavedecay.x import *``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wavedecay"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wavedecay"
+BENCH = ROOT / "perfbench"
 
 
 def _imported_names(tree):
@@ -197,3 +205,38 @@ def test_quadrature_route_reads_no_eigen_route():
     assert eigen_reads(source, QUADRATURE_ROUTE) == set()
     # the oracle next to it does read the eigen route
     assert eigen_reads(source, ("phi_of_hsqrt",)) == {"band"}
+
+
+def benchmark_imports(source):
+    """(module, name) for each ``from wavedecay[.mod] import name`` at any
+    depth, and the tuple bound to ``LAYERS``, if any."""
+    tree = ast.parse(source)
+    pairs = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module
+             and node.module.split(".")[0] == "wavedecay"
+             for alias in node.names]
+    layers = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "LAYERS"
+                      for t in node.targets)]
+    return pairs, (layers[0] if layers else ())
+
+
+def test_detector_reads_benchmark_imports():
+    src = ("LAYERS = ('cache', 'cli')\n"
+           "def f():\n    from wavedecay.cache import EigenCache\n"
+           "    from wavedecay import estimates\n    import json\n")
+    assert benchmark_imports(src) == (
+        [("wavedecay.cache", "EigenCache"), ("wavedecay", "estimates")],
+        ("cache", "cli"))
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(BENCH)))
+def test_benchmark_imports_resolve(path):
+    pairs, layers = benchmark_imports(path.read_text())
+    for layer in layers:
+        importlib.import_module(f"wavedecay.{layer}")
+    for module, name in pairs:
+        if not hasattr(importlib.import_module(module), name):
+            importlib.import_module(f"{module}.{name}")   # a submodule

@@ -50,10 +50,11 @@ def test_time_domain_matches_eigen(ops, profile, small_grid):
     assert rec.energy_drift < 1e-2
 
 
-def test_time_domain_rejects_bad_step(ops, small_grid):
+def test_time_domain_rejects_bad_step(ops, profile, small_grid):
     _, op = ops
-    with pytest.raises(ValueError):
-        time_domain_evolve(op, _gaussian(small_grid), 1.0, small_grid.dr)
+    with pytest.raises(ValueError, match="dt <= dr/2"):
+        time_domain_evolve(op, _gaussian(small_grid), 1.0, small_grid.dr,
+                           profile, 1.0)
 
 
 def test_resolvent_route_matches_eigen(ops, profile, small_grid, potential):
