@@ -92,7 +92,8 @@ def _bump_cdf(a, b, s):
     mid = (hi + a) / 2.0
     pts = mid[..., None] + half[..., None] * _GL_NODES
     vals = _raw_bump(a, b, pts)
-    return half * (vals @ _GL_WEIGHTS)
+    # a per-row sum: a BLAS product would round by the batch size
+    return half * np.einsum("...k,k->...", vals, _GL_WEIGHTS)
 
 
 @dataclass(frozen=True)

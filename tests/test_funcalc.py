@@ -62,21 +62,23 @@ def test_dbar_gathers_exactly(profile):
     """dbar evaluates each factor once per distinct Re z and Im z; on the
     quadrature mesh (far fewer distinct x and y than nodes) and on a 2-D
     array of z with repeated x that is bit for bit the evaluation at every
-    node.  The 2-D y stay below the cutoff band, where chi_c is exactly 1
-    and chi_c' exactly 0: inside it chi_c is a Gauss sum by a BLAS
-    matrix-vector product, whose last bit can depend on the row count."""
+    node.  Half of the 2-D y lie in the cutoff band 1/2 < Im z < 1, where
+    chi_c is a Gauss sum (``profiles._bump_cdf``); that sum is per row, so
+    its last bit does not depend on how many values share the call."""
     aa = almost_analytic(profile, 8)
     zs, _ = _hs_mesh(aa, 1e-7)
     assert np.unique(zs.real).size < zs.size / 10
     assert np.array_equal(aa.dbar(zs), _dbar_per_node(aa, zs))
-    grid = (np.linspace(0.9, 4.2, 7)[None, :]
-            + 1j * np.array([0.01, 0.1, 0.3, 0.45])[:, None])
-    z2 = np.concatenate([grid, grid[:, ::-1]], axis=1)
-    got = aa.dbar(z2)
-    assert got.shape == z2.shape
-    assert np.array_equal(got, _dbar_per_node(aa, z2))
-    assert np.array_equal(got, np.vectorize(aa.dbar)(z2))
-    assert np.array_equal(aa.tilde(z2), np.vectorize(aa.tilde)(z2))
+    for ys in ([0.01, 0.1, 0.3, 0.45, 0.55, 0.7, 0.85, 0.95],
+               [0.6, 0.75, 0.9], [0.52, 0.65, 0.8, 0.99]):
+        grid = (np.linspace(0.9, 4.2, 7)[None, :]
+                + 1j * np.array(ys)[:, None])
+        z2 = np.concatenate([grid, grid[:, ::-1]], axis=1)
+        got = aa.dbar(z2)
+        assert got.shape == z2.shape
+        assert np.array_equal(got, _dbar_per_node(aa, z2))
+        assert np.array_equal(got, np.vectorize(aa.dbar)(z2))
+        assert np.array_equal(aa.tilde(z2), np.vectorize(aa.tilde)(z2))
 
 
 def test_order_validation(profile):
