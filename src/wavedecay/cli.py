@@ -1,5 +1,4 @@
-"""Command line front end: configuration, orchestration and
-report emission.
+"""Command line front end: configuration, orchestration and report emission.
 
 Subcommands: ``kernel`` (free-kernel CSV scans), ``resolvent`` (weighted
 resolvent norm scans), ``propagator`` (cross-method checks), ``verify``

@@ -62,7 +62,7 @@ def test_dbar_gathers_exactly(profile):
     """dbar evaluates each factor once per distinct Re z and Im z; on the
     quadrature mesh (far fewer distinct x and y than nodes) and on a 2-D
     array of z with repeated x that is bit for bit the evaluation at every
-    node.  Half of the 2-D y lie in the cutoff band 1/2 < Im z < 1, where
+    node.  Most of the 2-D y lie in the cutoff band 1/2 < Im z < 1, where
     chi_c is a Gauss sum (``profiles._bump_cdf``); that sum is per row, so
     its last bit does not depend on how many values share the call."""
     aa = almost_analytic(profile, 8)
