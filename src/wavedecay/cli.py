@@ -308,22 +308,20 @@ def cmd_propagator(cfg):
 
 
 def cmd_report(cfg):
-    rows = []
+    reports = {}
     for name in sorted(os.listdir(cfg.out)):
         stem = re.fullmatch(r"estimate_(.*)\.json", name)
         if stem:
             # undo emit_reports' "." -> "_", not the ids' own "_" (3.18_s1)
             key = re.sub(r"(?<=\d)_(?=\d)", ".", stem[1])
             with open(os.path.join(cfg.out, name)) as fh:
-                rows.extend(est.rollup_rows({key: json.load(fh)}))
-    path = os.path.join(cfg.out, "rollup.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["estimate_id", "variable", "target", "fitted",
-                    "tolerance", "pass"])
-        w.writerows(rows)
+                reports[key] = json.load(fh)
+    path, rows = est.write_rollup(reports, cfg.out)
     print(f"wrote {path} ({len(rows)} rows)")
-    return 0 if all(r[-1] for r in rows) else 1
+    # verify's pass rule: every passed flag, also those no row carries
+    passes = []
+    _collect_passes(reports, passes)
+    return 0 if all(passes) else 1
 
 
 def main(argv=None):

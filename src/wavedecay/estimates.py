@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import replace
 from functools import partial
 from math import floor
@@ -44,6 +45,7 @@ __all__ = [
     "check_thm41",
     "assemble_thm11",
     "rollup_rows",
+    "write_rollup",
     "emit_reports",
 ]
 
@@ -78,6 +80,21 @@ def cone_sup(n, profile, h, t, weight_power=0.0):
 # off, so the horizon cap of the grid-based checks does not apply.
 KERNEL_T = tuple(8.0 * 2.0 ** (k / 2.0) for k in range(9))
 
+# a time integral over t in R is twice one over (0, T_CUT], at steps of dt
+T_CUT = 64.0
+
+
+def _times(dt):
+    return np.arange(dt, T_CUT + dt / 2, dt)
+
+
+def _total_and_tail(vals, dt):
+    """Time integral of vals at _times(dt), and its share past T_CUT / 2."""
+    total = 2.0 * float(np.trapezoid(vals, dx=dt))
+    tail = 2.0 * float(np.trapezoid(vals[_times(dt) > T_CUT / 2],
+                                    dx=dt)) / total
+    return total, tail
+
 
 def check_kernel_bounds(n, profile, h_set):
     """Pointwise decay, weighted time integrals, and the light-cone
@@ -97,15 +114,9 @@ def check_kernel_bounds(n, profile, h_set):
                                      tolerance=0.3).as_dict()
 
     # (2.8): truncated int |t|^{2s} |K|^2 dt at s=0, sigma- and h-scans
-    dt, t_cut = 0.125, 64.0
-    t_arr = np.arange(dt, t_cut + dt / 2, dt)
-
     def time_integral(h, sigma):
-        vals = np.abs(eval_Kh_batch(n, profile, h, sigma, t_arr)) ** 2
-        total = 2.0 * float(np.trapezoid(vals, dx=dt))
-        tail = 2.0 * float(np.trapezoid(vals[t_arr > t_cut / 2],
-                                        dx=dt)) / total
-        return total, tail
+        vals = np.abs(eval_Kh_batch(n, profile, h, sigma, _times(0.125))) ** 2
+        return _total_and_tail(vals, 0.125)
 
     rows, tails = [], {}
     for sigma in (1.0, 2.0, 4.0, 8.0, 16.0):
@@ -133,18 +144,16 @@ def check_kernel_bounds(n, profile, h_set):
     return reports
 
 
-def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0, s_set=None):
+def check_prop21(grid, n, profile, h_set, t_set):
     """Free propagator decay: weighted L2, kernel sup, L2->Linf rows and
-    the weighted time integral of delta-like data."""
-    if s_set is None:
-        s_set = (0.0, (n - 1) / 4.0, (n - 1) / 2.0)
+    the weighted time integral of delta-like data; h-scans at t = 16."""
     top = (n - 1) / 2.0
     op0 = build_G0(grid, n)
     reports = {}
 
     band = op0.band(profile, 1.0)
     coeffs = band.coeff(t_set)
-    for s in s_set:
+    for s in (0.0, (n - 1) / 4.0, top):
         wb = weight_matrix(grid, s)[:, None] * band.vecs
         rows = list(zip(t_set, band_norm_2(wb, wb, coeffs)))
         tol = 0.05 if s == 0.0 else 0.2
@@ -155,7 +164,7 @@ def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0, s_set=None):
     rows = [(t, cone_sup(n, profile, 1.0, t)) for t in KERNEL_T]
     reports["2.2_t"] = fit_power_law(rows, "2.2", "t", target=-top,
                                      tolerance=0.2).as_dict()
-    rows = [(h, cone_sup(n, profile, h, t_fixed)) for h in h_set]
+    rows = [(h, cone_sup(n, profile, h, 16.0)) for h in h_set]
     reports["2.2_h"] = fit_power_law(rows, "2.2", "h",
                                      target=-(n + 1) / 2.0,
                                      tolerance=0.3).as_dict()
@@ -172,7 +181,7 @@ def check_prop21(grid, n, profile, h_set, t_set, t_fixed=16.0, s_set=None):
     reports["2.3_t"] = fit_power_law(rows_23(1.0, t_set), "2.3", "t",
                                      target=-s, tolerance=0.2,
                                      one_sided=True).as_dict()
-    hrows = [(h, rows_23(h, [t_fixed])[0][1]) for h in h_set]
+    hrows = [(h, rows_23(h, [16.0])[0][1]) for h in h_set]
     reports["2.3_h"] = fit_power_law(hrows, "2.3", "h",
                                      target=-(n + 1) / 2.0,
                                      tolerance=0.3).as_dict()
@@ -216,16 +225,12 @@ def _time_side_values(op, profile, h, w, s, test_vectors, t_arr):
     return vals * t_arr ** (2.0 * s), float(np.sum(np.abs(b) ** 2))
 
 
-def _time_side_integral(op, profile, h, w, s, test_vectors, t_cut=64.0,
-                        dt=0.25):
+def _time_side_integral(op, profile, h, w, s, test_vectors):
     """(total, tail ratio, band mass) of int |t|^{2s} ||w P(t) f||^2 dt
-    summed over the test vectors."""
-    t_arr = np.arange(dt, t_cut + dt / 2, dt)
+    summed over the test vectors, sampled at steps of 1/4."""
     vals, band_mass = _time_side_values(op, profile, h, w, s, test_vectors,
-                                        t_arr)
-    total = 2.0 * float(np.trapezoid(vals, dx=dt))
-    tail = 2.0 * float(np.trapezoid(vals[t_arr > t_cut / 2], dx=dt)) / total
-    return total, tail, band_mass
+                                        _times(0.25))
+    return (*_total_and_tail(vals, 0.25), band_mass)
 
 
 def check_thm31(grid, n, potential, profile, h_set, t_set=(1.0, 4.0, 16.0)):
@@ -325,26 +330,25 @@ def check_thm34(grid, n, potential, profile, h_set, t_set, s_set=None):
     return reports
 
 
-def check_weighted_time_integral(grid, n, potential, profile, h_set,
-                                 s=None, t_cut=64.0, dt=0.125):
-    """Dyadic-block decay of int |t|^{2s} ||w P w f||^2 dt."""
-    if s is None:
-        s = (n - 1) / 2.0
+def check_weighted_time_integral(grid, n, potential, profile, h_set):
+    """Dyadic-block decay of int |t|^{2s} ||w P w f||^2 dt at the top
+    weight s = (n - 1) / 2."""
+    s, dt = (n - 1) / 2.0, 0.125
     op = build_G(grid, n, potential)
     w = weight_matrix(grid, 0.5 + s + EPS)
     tests = w[:, None] * _gaussian_tests(grid)
-    t_arr = np.arange(dt, t_cut + dt / 2, dt)
+    t_arr = _times(dt)
+    edges = [2.0 ** k for k in range(2, int(np.log2(T_CUT)) + 1)]
     totals, blocks = {}, {}
     for h in h_set:
         vals, mass = _time_side_values(op, profile, h, w, s, tests, t_arr)
-        edges = [2.0 ** k for k in range(2, int(np.log2(t_cut)) + 1)]
         sums = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             mask = (t_arr >= lo) & (t_arr < hi)
             sums.append(2.0 * float(np.trapezoid(vals[mask], dx=dt)))
         blocks[f"{h:g}"] = sums
         # same band-mass normalization as the unweighted time integral
-        totals[f"{h:g}"] = 2.0 * float(np.trapezoid(vals, dx=dt)) / mass
+        totals[f"{h:g}"] = _total_and_tail(vals, dt)[0] / mass
     ratios = {h: [b / a for a, b in zip(s_[:-1], s_[1:])]
               for h, s_ in blocks.items()}
     # geometric decay beyond t = 16: the last block ratios
@@ -359,14 +363,14 @@ def check_weighted_time_integral(grid, n, potential, profile, h_set,
 # ---------------------------------------------------------------------------
 # mollified multiplier family
 
-def _packet_frame(grid, r_cut, carrier=1.5):
+def _packet_frame(grid, r_cut):
     """Orthonormal frame of radial probes: plain Gaussians plus packets
-    oscillating at the band carrier, with dyadic-ish centers out to
+    oscillating at the band carrier 1.5, with dyadic-ish centers out to
     r_cut.  The carrier copies are what couple to the outgoing e^{i
     lambda r} tails of the resolvent, whose lambda-derivatives grow like
     powers of r; a frame confined to small r would see an artificially
     smooth family."""
-    r = grid.nodes
+    r, carrier = grid.nodes, 1.5
     centers = [c for c in (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 18.0, 27.0,
                            40.0, 60.0, 90.0) if c <= r_cut]
     cols = []
@@ -460,11 +464,10 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
                                           0.03125),
                                t_scan=(8.0, 32.0),
                                t_fit=(4.0, 8.0, 16.0, 32.0, 64.0),
-                               lam_sample=(1.2, 1.5, 1.8),
-                               profile=None, r_cut=96.0,
+                               lam_sample=(1.2, 1.5, 1.8), r_cut=96.0,
                                lattice_step=1.0 / 256.0):
     """Regularity-vs-blowup tradeoff of the mollified multiplier family
-    and the stationary reconstruction it controls.
+    of the canonical bump and the stationary reconstruction it controls.
 
     The smoothing scale theta trades the Hoelder defect of the m-th
     derivative (slope mu) against blow-up of the (m+1)-st (slope mu - 1);
@@ -472,8 +475,7 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
     """
     m_order = int(floor(s))
     mu = s - m_order
-    if profile is None:
-        profile = bump()
+    profile = bump()
     lo, hi = profile.support
     scan_thetas = [2.0 ** -k for k in range(1, 7)]
     # the mollifier reaches theta/2 past lambda; size the lattice for the
@@ -600,9 +602,9 @@ def _free_kernel_sup(n, profile, h, t, cone_only=False):
     return float(np.max(np.abs(eval_Kh_sigma_batch(n, profile, h, d, t))))
 
 
-def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0):
+def check_thm41(grid, n, potential, profile, h_set, t_set):
     """Propagator-difference decay at the L^p endpoints (sector
-    surrogates for p = infinity)."""
+    surrogates for p = infinity); the sector h-scans are taken at t = 4."""
     op0, op = build_G0(grid, n), build_G(grid, n, potential)
     top = (n - 1) / 2.0
     reports = {}
@@ -647,7 +649,7 @@ def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0):
     reports["4.6_t"] = fit_power_law(rows, "4.6", "t", target=-top,
                                      tolerance=0.2,
                                      one_sided=True).as_dict()
-    hrows = [(h, phi_norms(h, [t_fixed], to_inf_2, w46)[0][1])
+    hrows = [(h, phi_norms(h, [4.0], to_inf_2, w46)[0][1])
              for h in h_set]
     reports["4.6_h"] = fit_power_law(hrows, "4.6", "h",
                                      target=1.0 - n / 2.0,
@@ -655,7 +657,7 @@ def check_thm41(grid, n, potential, profile, h_set, t_set, t_fixed=4.0):
 
     # (4.2) p=inf: weight alpha(n/2 + eps) with alpha = 1
     w42 = weight_matrix(grid, n / 2.0 + EPS)
-    hrows = [(h, phi_norms(h, [t_fixed], to_inf_2, w42)[0][1])
+    hrows = [(h, phi_norms(h, [4.0], to_inf_2, w42)[0][1])
              for h in h_set]
     reports["4.2_h"] = fit_power_law(hrows, "4.2", "h",
                                      target=1.0 - n / 2.0,
@@ -680,8 +682,7 @@ def _multiplier_band(op, chi, tilt):
 
 
 def assemble_thm11(grid, n, potential, a=1.0, t_set=(4.0, 8.0, 16.0,
-                                                     32.0, 64.0),
-                   sigma_grid=(0.5, 1.0, 1.7, 2.5, 4.0)):
+                                                     32.0, 64.0)):
     """Scalar frequency-integration identity plus sector surrogates of
     the final dispersive estimates (alpha = 1 endpoints)."""
     op = build_G(grid, n, potential)
@@ -693,7 +694,7 @@ def assemble_thm11(grid, n, potential, a=1.0, t_set=(4.0, 8.0, 16.0,
     beta = (n + 1) / 2.0
     phi_id = step_cutoff_derivative(a, power=1.0 - beta)
     resid = 0.0
-    for sigma in sigma_grid:
+    for sigma in (0.5, 1.0, 1.7, 2.5, 4.0):
         lhs = sigma ** -beta * chi(np.array([sigma]))[0]
         tg, tw = gauss_panels([min(a / sigma, 1.0), min(2 * a / sigma, 1.0)],
                               64)
@@ -766,10 +767,20 @@ def rollup_rows(reports):
     return rows
 
 
+def write_rollup(reports, out_dir):
+    """rollup.csv of the reports in out_dir; returns (path, rows)."""
+    rows = rollup_rows(reports)
+    path = os.path.join(out_dir, "rollup.csv")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["estimate_id", "variable", "target", "fitted",
+                    "tolerance", "pass"])
+        w.writerows(rows)
+    return path, rows
+
+
 def emit_reports(reports, out_dir):
     """One JSON file per top-level estimate id plus rollup.csv."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for key, node in sorted(reports.items()):
@@ -779,11 +790,5 @@ def emit_reports(reports, out_dir):
         with open(path, "w") as fh:
             json.dump(node, fh, indent=2, sort_keys=True, default=float)
         written.append(path)
-    path = os.path.join(out_dir, "rollup.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["estimate_id", "variable", "target", "fitted",
-                    "tolerance", "pass"])
-        w.writerows(rollup_rows(reports))
-    written.append(path)
+    written.append(write_rollup(reports, out_dir)[0])
     return written

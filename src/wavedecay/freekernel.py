@@ -39,14 +39,14 @@ _PLAIN_N = 96
 _MAX_REFINE = 6
 
 
-def _panel_nodes(lo, hi, rate, min_panels=4, points=4):
-    """Composite Gauss-Legendre nodes on [lo, hi]; panel width at most an
-    eighth of the oscillation period 2 pi / rate."""
+def _panel_nodes(lo, hi, rate, min_panels=4):
+    """Composite 4-point Gauss-Legendre nodes on [lo, hi]; panel width at
+    most an eighth of the oscillation period 2 pi / rate."""
     if rate <= 0:
         npan = min_panels
     else:
         npan = max(min_panels, int(np.ceil((hi - lo) * rate / (2 * np.pi) * 8)))
-    return gauss_panels(np.linspace(lo, hi, npan + 1), points)
+    return gauss_panels(np.linspace(lo, hi, npan + 1), 4)
 
 
 def _kh_integrand(n, profile, h, sigma, lam):
@@ -83,19 +83,27 @@ def _check_args(h, sigma):
         raise ValueError("h must lie in (0, 1]")
 
 
-def eval_Kh(n, profile, h, sigma, t, rel_tol=1e-8):
-    """K_h(sigma, t) with panel-refinement error control."""
-    _check_dim(n)
-    _check_args(h, sigma)
-    prev = _quad_once(n, profile, h, sigma, t, 0)
+def _refine(piece, rel_tol=1e-8):
+    """piece(refine) for refine = 0, 1, ... until two in a row agree to
+    rel_tol (or to 1e-16 absolute); QuadratureError after _MAX_REFINE
+    refinements."""
+    prev = piece(0)
     for refine in range(1, _MAX_REFINE + 1):
-        cur = _quad_once(n, profile, h, sigma, t, refine)
+        cur = piece(refine)
         scale = max(abs(cur), 1e-300)
         if abs(cur - prev) / scale <= rel_tol or abs(cur - prev) <= 1e-16:
             return cur
         prev = cur
     raise QuadratureError(
         f"panel refinement stalled at rel err {abs(cur - prev) / scale:.2e}")
+
+
+def eval_Kh(n, profile, h, sigma, t, rel_tol=1e-8):
+    """K_h(sigma, t) with panel-refinement error control."""
+    _check_dim(n)
+    _check_args(h, sigma)
+    return _refine(lambda refine: _quad_once(n, profile, h, sigma, t, refine),
+                   rel_tol)
 
 
 def eval_Kh_pm(n, profile, h, sigma, t, sign):
@@ -121,14 +129,7 @@ def eval_Kh_pm(n, profile, h, sigma, t, sign):
         vals = np.exp(1j * (t + sign * sigma) * lam) * tilde * b
         return _kh_prefactor(n, sigma) * np.sum(w * vals)
 
-    prev = piece(0)
-    for refine in range(1, _MAX_REFINE + 1):
-        cur = piece(refine)
-        scale = max(abs(cur), 1e-300)
-        if abs(cur - prev) / scale <= 1e-8 or abs(cur - prev) <= 1e-16:
-            return cur
-        prev = cur
-    raise QuadratureError("panel refinement stalled in +/- piece")
+    return _refine(piece)
 
 
 def _batch_lambda_grid(profile, h, rate):

@@ -95,9 +95,9 @@ class AlmostAnalytic:
                 * ((1j * yu) ** self.order)[iy] / factorial(self.order))
         return 0.5 * lead + 0.5j * _chi_c_prime(yu)[iy] * acc
 
-    def deriv_sup(self, k, samples=2000):
+    def deriv_sup(self, k):
         lo, hi = self.support
-        x = np.linspace(lo, hi, samples)
+        x = np.linspace(lo, hi, 2000)
         return float(np.max(np.abs(self.psi_deriv(k, x))))
 
 
@@ -107,9 +107,11 @@ def almost_analytic(profile, order):
     return AlmostAnalytic(profile, order)
 
 
-def _x_panels(xlo, xhi, width, nodes_per_panel, floor=0.003, grade=0.3):
-    """Composite Gauss nodes on [xlo, xhi] with panels capped at ``width``
-    and graded geometrically toward both endpoints.
+def _x_panels(xlo, xhi, width):
+    """Composite 5-point Gauss nodes on [xlo, xhi] with panels capped at
+    ``width`` and graded geometrically toward both endpoints: a panel at
+    distance d from the nearer one is at most 0.3 max(d, 0.003) wide, and
+    at least 0.003.
 
     High derivatives of the cutoff concentrate in boundary layers at the
     support endpoints with variation scale far below any uniform panel
@@ -119,22 +121,22 @@ def _x_panels(xlo, xhi, width, nodes_per_panel, floor=0.003, grade=0.3):
     x = xlo
     while x < xhi - 1e-12:
         d = min(x - xlo, xhi - x)
-        w = max(floor, min(width, grade * max(d, floor)))
+        w = max(0.003, min(width, 0.3 * max(d, 0.003)))
         x = min(x + w, xhi)
         edges.append(x)
-    return gauss_panels(edges, nodes_per_panel)
+    return gauss_panels(edges, 5)
 
 
-def _hs_mesh(aa, tol, nodes_per_panel=5, ny_per_layer=6, panel_factor=0.5,
-             band_panels=12):
+def _hs_mesh(aa, tol):
     """Graded mesh on the upper half plane.
 
     The cutoff band y in [1/2, 1], where the chi_c' term lives and the
-    integrand is a sharp bump in y, gets composite Gauss panels of its
-    own; below it, dyadic layers in y with x panels proportional to the
-    layer's y (the resolvent's variation scale).  Truncation below the
-    bottom layer is bounded via the dbar envelope with the measured
-    derivative sup; layers are added until that bound sits below tol/10.
+    integrand is a sharp bump in y, gets 12 composite 5-point Gauss panels
+    of its own; below it, dyadic layers in y of 6 Gauss points each, with
+    x panels half the layer's lower y (the resolvent's variation scale).
+    Truncation below the bottom layer is bounded via the dbar envelope
+    with the measured derivative sup; layers are added until that bound
+    sits below tol/10.
     """
     xlo, xhi = aa.support
     n_ord = aa.order
@@ -142,9 +144,8 @@ def _hs_mesh(aa, tol, nodes_per_panel=5, ny_per_layer=6, panel_factor=0.5,
     zs, ws = [], []
 
     # cutoff band: composite panels in y over [1/2, 1]
-    xs, xwts = _x_panels(xlo, xhi, 0.2, nodes_per_panel)
-    ys, ywts = gauss_panels(np.linspace(0.5, 1.0, band_panels + 1),
-                            nodes_per_panel)
+    xs, xwts = _x_panels(xlo, xhi, 0.2)
+    ys, ywts = gauss_panels(np.linspace(0.5, 1.0, 13), 5)
     for y, wy in zip(ys, ywts):
         zs.append(xs + 1j * y)
         ws.append(xwts * wy)
@@ -157,8 +158,8 @@ def _hs_mesh(aa, tol, nodes_per_panel=5, ny_per_layer=6, panel_factor=0.5,
         tail = (xhi - xlo) * c_lead * y_hi ** n_ord / n_ord / np.pi
         if k >= 2 and tail < tol / 10.0:
             break
-        ys, ywts = gauss_panels([y_lo, y_hi], ny_per_layer)
-        xs, xwts = _x_panels(xlo, xhi, panel_factor * y_lo, nodes_per_panel)
+        ys, ywts = gauss_panels([y_lo, y_hi], 6)
+        xs, xwts = _x_panels(xlo, xhi, 0.5 * y_lo)
         for y, wy in zip(ys, ywts):
             zs.append(xs + 1j * y)
             ws.append(xwts * wy)
@@ -258,16 +259,16 @@ def phi_of_hsqrt(op, profile, h):
     return op.band(profile, h).dense()
 
 
-def verify_lemma23(grid, n, op0, op, profile, h_set, s=1.0,
-                   p_set=(1, 2, np.inf)):
-    """Boundedness and h-scaling checks of the spectral cutoff family.
+def verify_lemma23(grid, n, op0, op, profile, h_set):
+    """Boundedness and h-scaling checks of the spectral cutoff family,
+    with the weight <r>^{-1} and p in {1, 2, inf}.
 
     Returns a dict keyed by estimate id.  Entries are either stability
     ratios (bounded-in-h surrogates) or DecayFitReports for the h-slopes.
     The L^p entries are sector norms for radial data; p=1 columns of the
     L2->Lp items are recorded as not computed (no tractable exact norm).
     """
-    ws = weight_matrix(grid, s)          # <r>^{-s}
+    ws, p_set = weight_matrix(grid, 1.0), (1, 2, np.inf)
     rows = {"2.26": [], "2.27": [], "2.28": [],
             "2.29": {p: [] for p in p_set}, "2.30": {p: [] for p in p_set},
             "2.31": {p: [] for p in p_set},

@@ -118,12 +118,12 @@ def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=256):
     return out / grid.dr
 
 
-def operator_two_norm(matvec, rmatvec, m, tol=1e-14, max_iter=500):
+def operator_two_norm(matvec, rmatvec, m, max_iter=500):
     """Largest singular value of an implicitly given operator B on C^m by
     Lanczos on B^H B with full reorthogonalization.  ``rmatvec`` must apply
     B^T (not B^H); conjugation is handled here.  The start vector is
     deterministic: the whole pipeline is RNG-free by design.  Stops once
-    the top Ritz pair's residual beta_j |s_j| <= tol * theta or beta_j
+    the top Ritz pair's residual beta_j |s_j| <= 1e-14 theta or beta_j
     vanishes (an invariant subspace: projectors, unitary bands, C^m); from
     step 16 on the pair is checked every (j // 8)-th step only.  The pair
     is the top eigenpair of the j x j Lanczos tridiagonal, from
@@ -144,10 +144,10 @@ def operator_two_norm(matvec, rmatvec, m, tol=1e-14, max_iter=500):
         w = w - coef @ basis[:j]
         w = w - np.conj(basis[:j] @ np.conj(w)) @ basis[:j]
         beta = np.linalg.norm(w)
-        exact = beta <= tol * max(alphas) or j == m
+        exact = beta <= 1e-14 * max(alphas) or j == m
         if exact or j % max(1, j // 8) == 0:
             theta, s = top_eigenpair(alphas, betas)
-            if exact or beta * abs(s[-1]) <= tol * theta:
+            if exact or beta * abs(s[-1]) <= 1e-14 * theta:
                 return float(np.sqrt(max(theta, 0.0)))
         betas.append(beta)
         v = w / beta

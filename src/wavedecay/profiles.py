@@ -5,7 +5,7 @@ computed from closed-form recursions (no finite differencing), which keeps
 the downstream envelope and almost-analytic checks free of differencing
 noise.  Three kinds are provided:
 
-* ``bump``     -- the canonical bump itself
+* ``bump``     -- the canonical bump on (1, 2)
 * ``plateau``  -- smoothed indicator: rises on [a, 2a], equals 1 up to b,
                   falls smoothly on [b, 2b]; ``b = inf`` gives the step
                   cutoff (1 on [2a, inf))
@@ -14,7 +14,8 @@ noise.  Three kinds are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -96,6 +97,12 @@ def _bump_cdf(a, b, s):
     return half * np.einsum("...k,k->...", vals, _GL_WEIGHTS)
 
 
+@lru_cache(maxsize=None)
+def _bump_mass(a, b):
+    """Integral of the canonical bump over (a, b)."""
+    return float(_bump_cdf(a, b, np.array(b)))
+
+
 @dataclass(frozen=True)
 class BumpProfile:
     """A smooth frequency profile with support in (0, inf).
@@ -109,7 +116,6 @@ class BumpProfile:
     kind: str = "bump"
     power: float = 0.0
     scale: float = 1.0
-    _mass: float = field(default=0.0, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.a_lo):
@@ -118,9 +124,6 @@ class BumpProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if np.isfinite(self.a_hi) and not self.a_lo < self.a_hi:
             raise ValueError("need a_lo < a_hi")
-        if self.kind == "plateau":
-            z = float(_bump_cdf(self.a_lo, 2 * self.a_lo, np.array(2 * self.a_lo)))
-            object.__setattr__(self, "_mass", z)
 
     @property
     def support(self):
@@ -134,11 +137,10 @@ class BumpProfile:
             return _raw_bump(self.a_lo, self.a_hi, s)
         s = np.asarray(s, dtype=float)
         a = self.a_lo
-        out = _bump_cdf(a, 2 * a, s) / self._mass
+        out = _bump_cdf(a, 2 * a, s) / _bump_mass(a, 2 * a)
         if np.isfinite(self.a_hi):
             b = self.a_hi
-            zfall = float(_bump_cdf(b, 2 * b, np.array(2 * b)))
-            out = out - _bump_cdf(b, 2 * b, s) / zfall
+            out = out - _bump_cdf(b, 2 * b, s) / _bump_mass(b, 2 * b)
         return out
 
     def _base_deriv(self, k, s):
@@ -147,11 +149,11 @@ class BumpProfile:
         if self.kind == "bump":
             return _raw_bump_deriv(self.a_lo, self.a_hi, k, s)
         a = self.a_lo
-        out = _raw_bump_deriv(a, 2 * a, k - 1, s) / self._mass
+        out = _raw_bump_deriv(a, 2 * a, k - 1, s) / _bump_mass(a, 2 * a)
         if np.isfinite(self.a_hi):
             b = self.a_hi
-            zfall = float(_bump_cdf(b, 2 * b, np.array(2 * b)))
-            out = out - _raw_bump_deriv(b, 2 * b, k - 1, s) / zfall
+            out = (out - _raw_bump_deriv(b, 2 * b, k - 1, s)
+                   / _bump_mass(b, 2 * b))
         return out
 
     def value(self, s):
@@ -185,10 +187,10 @@ class BumpProfile:
     def __call__(self, s):
         return self.value(s)
 
-    def tilt(self, q, scale=1.0):
-        """Same base profile multiplied by sigma^q (and optionally rescaled)."""
+    def tilt(self, q):
+        """Same base profile multiplied by sigma^q."""
         return BumpProfile(self.a_lo, self.a_hi, self.kind,
-                           self.power + q, self.scale * scale)
+                           self.power + q, self.scale)
 
     def companion_plateau(self):
         """A plateau equal to 1 on this profile's support (phi_1 with
@@ -199,8 +201,8 @@ class BumpProfile:
         return BumpProfile(lo / 2.0, hi, "plateau")
 
 
-def bump(a_lo=1.0, a_hi=2.0, power=0.0):
-    return BumpProfile(a_lo, a_hi, "bump", power)
+def bump():
+    return BumpProfile(1.0, 2.0)
 
 
 def plateau(a_lo, a_hi=np.inf):
@@ -214,14 +216,14 @@ def step_cutoff(a):
 
 def step_cutoff_derivative(a, power=0.0):
     """chi_a' (a normalized bump on (a, 2a)), optionally tilted by sigma^power."""
-    z = float(_bump_cdf(a, 2 * a, np.array(2 * a)))
-    return BumpProfile(a, 2 * a, "bump", power, 1.0 / z)
+    return BumpProfile(a, 2 * a, "bump", power,
+                       1.0 / _bump_mass(a, 2 * a))
 
 
 def mollifier():
     """Nonnegative bump supported in [1/3, 1/2] with unit integral."""
-    z = float(_bump_cdf(1.0 / 3.0, 0.5, np.array(0.5)))
-    return BumpProfile(1.0 / 3.0, 0.5, "bump", 0.0, 1.0 / z)
+    return BumpProfile(1.0 / 3.0, 0.5, "bump", 0.0,
+                       1.0 / _bump_mass(1.0 / 3.0, 0.5))
 
 
 def sqrt_compose_deriv(profile, k, x):

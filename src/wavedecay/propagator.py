@@ -42,15 +42,12 @@ __all__ = [
 class PropagatorRecord:
     t: float
     h: float
-    profile: object
     matrix: np.ndarray
     method: str
 
 
 @dataclass(frozen=True)
 class DuhamelSplit:
-    t: float
-    h: float
     phi1_part: np.ndarray
     phi2_part: np.ndarray
     quadrature: dict
@@ -58,8 +55,6 @@ class DuhamelSplit:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    t_end: float
-    dt: float
     u: np.ndarray
     energy_drift: float
 
@@ -71,8 +66,7 @@ def wave_multiplier(op, profile, h, t, square_profile=False):
     c = band.coeff(t)
     if square_profile:
         c = c * band.amps
-    return PropagatorRecord(float(t), float(h), profile, band.dense(c),
-                            "eigen")
+    return PropagatorRecord(float(t), float(h), band.dense(c), "eigen")
 
 
 def wave_via_resolvent(grid, n, potential, profile, h, t):
@@ -99,8 +93,7 @@ def wave_via_resolvent(grid, n, potential, profile, h, t):
     coeffs = wts * np.exp(1j * t * lams) * pf * lams * grid.dr
     cols = resolvent_difference_vector(grid, n, potential, lams)
     mat = (cols * coeffs[None, :]) @ np.conj(cols).T
-    return PropagatorRecord(float(t), float(h), profile, mat,
-                            "resolvent_formula")
+    return PropagatorRecord(float(t), float(h), mat, "resolvent_formula")
 
 
 def phi_difference(op0, op, profile, h, t):
@@ -167,7 +160,7 @@ def duhamel_split(op0, op, profile, h, t):
              + 1j * bt.dense(bt.amps * np.sin(t * bt.roots))
              @ d_spectral(phi_t))
     integral, n_nodes = _mixed_sin_integral(op0, op, profile, phi1_t, h, t)
-    return DuhamelSplit(float(t), float(h), part1, -integral,
+    return DuhamelSplit(part1, -integral,
                         {"rule": "simpson", "tau_nodes": n_nodes})
 
 
@@ -211,11 +204,11 @@ def time_domain_evolve(op, f, t_end, dt, profile, h):
         return cur, drift
 
     if t_end == 0.0:
-        return TrajectoryRecord(0.0, dt, u0, 0.0)
+        return TrajectoryRecord(u0, 0.0)
     u_c, drift_c = run(dt)
     u_f, drift_f = run(dt / 2.0)
     u = (4.0 * u_f - u_c) / 3.0
-    return TrajectoryRecord(float(t_end), dt, u, max(drift_c, drift_f))
+    return TrajectoryRecord(u, max(drift_c, drift_f))
 
 
 def boundary_safe_gap(rec_a, rec_b, grid, pad=8.0):

@@ -112,10 +112,6 @@ class DiscreteOperator:
     potential: PotentialSpec | None = None
 
     @property
-    def shape(self):
-        return (self.grid.M, self.grid.M)
-
-    @property
     def matrix(self):
         m = np.diag(self.diag)
         idx = np.arange(self.grid.M - 1)

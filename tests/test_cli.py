@@ -158,3 +158,25 @@ def test_verify_report_round_trip(tmp_path, capsys):
     assert sorted(rollup) == sorted(written)
     assert any(row.startswith("3.18_s0.75.fits.") for row in rollup)
     assert code2 == code
+
+
+_FIT = {"variable": "t", "target": -1.5, "fitted_exponent": -1.45,
+        "tolerance": 0.2, "passed": True}
+
+
+@pytest.mark.parametrize("name, node", [
+    # every fit passes; the exponent-spread clause alone fails
+    ("estimate_3_18_s1_5.json",
+     {"fits": {"1": _FIT, "0.5": dict(_FIT, fitted_exponent=-1.17)},
+      "exponent_spread": 0.28, "passed": False}),
+    # the zero-potential node carries no fit and no ratio
+    ("estimate_3_1.json",
+     {"all_zero": False, "max_abs_entry": 1e-3, "passed": False}),
+], ids=["3.18_spread", "3.1_zero"])
+def test_report_fails_on_flags_no_row_carries(tmp_path, capsys, name, node):
+    """report exits by verify's rule, every passed flag of the reports,
+    also where no rollup row carries the failing flag."""
+    (tmp_path / name).write_text(json.dumps(node))
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    rows = (tmp_path / "rollup.csv").read_text().splitlines()
+    assert all(row.endswith(",True") for row in rows[1:])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from wavedecay.freekernel import (eval_Kh, eval_Kh_batch, eval_Kh_pm,
-                                  eval_Kh_sigma_batch, plancherel_lambda_side)
+from wavedecay import freekernel
+from wavedecay.freekernel import (QuadratureError, eval_Kh, eval_Kh_batch,
+                                  eval_Kh_pm, eval_Kh_sigma_batch,
+                                  plancherel_lambda_side)
 from wavedecay.profiles import bump
 
 # frozen from an independent adaptive-quadrature evaluation of the
@@ -31,6 +33,23 @@ def test_panel_refinement_stability(phi):
     a = eval_Kh(4, phi, 1.0, 2.0, 7.0, rel_tol=1e-8)
     b = eval_Kh(4, phi, 1.0, 2.0, 7.0, rel_tol=1e-12)
     assert abs(a - b) / abs(b) < 1e-8
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda phi: eval_Kh(4, phi, 1.0, 2.0, 7.0),
+    lambda phi: eval_Kh_pm(4, phi, 1.0, 2.0, 7.0, +1),
+], ids=["eval_Kh", "eval_Kh_pm"])
+def test_stalled_refinement_raises(phi, monkeypatch, evaluate):
+    # weights that drift with the panel count: no two refinements agree
+    panels = freekernel._panel_nodes
+
+    def drifting(lo, hi, rate, min_panels=4):
+        lam, w = panels(lo, hi, rate, min_panels)
+        return lam, w * (1.0 + 1e-3 * min_panels)
+
+    monkeypatch.setattr(freekernel, "_panel_nodes", drifting)
+    with pytest.raises(QuadratureError, match="stalled"):
+        evaluate(phi)
 
 
 def test_pm_split_reassembles(phi):

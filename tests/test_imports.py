@@ -11,6 +11,8 @@ checked against.
 The benchmark under ``perfbench/`` imports the package by name, so every
 ``from wavedecay... import name`` there, and every layer its tracer
 imports, must resolve here too (``cache`` is kept for that import alone).
+And every parameter with a default is set by some call in the tree: one
+that no call sets is a constant in all but name.
 
 Parses ``src/wavedecay/*.py`` and ``perfbench/**/*.py`` with ``ast``;
 only the benchmark check imports the package.  A name counts
@@ -240,3 +242,75 @@ def test_benchmark_imports_resolve(path):
     for module, name in pairs:
         if not hasattr(importlib.import_module(module), name):
             importlib.import_module(f"{module}.{name}")   # a submodule
+
+
+def defaulted_params(source):
+    """(function, parameter, slot) for each parameter with a default of
+    every function or method defined in source; slot is its positional
+    index after self or cls, None for a keyword-only one."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        pos = node.args.posonlyargs + node.args.args
+        bound = int(bool(pos) and pos[0].arg in ("self", "cls"))
+        first = len(pos) - len(node.args.defaults)
+        out += [(node.name, a.arg, i - bound)
+                for i, a in enumerate(pos[first:], first)]
+        out += [(node.name, a.arg, None) for a, d in
+                zip(node.args.kwonlyargs, node.args.kw_defaults) if d]
+    return out
+
+
+def call_settings(sources):
+    """For each callee name (``f(...)`` or ``x.f(...)``): the keywords its
+    calls pass and the most positional arguments one passes; a call
+    through ``*args`` or ``**kwargs`` counts as passing every slot."""
+    keywords, slots = set(), {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                      or any(k.arg is None for k in node.keywords))
+            count = float("inf") if spread else len(node.args)
+            slots[name] = max(slots.get(name, 0), count)
+            keywords |= {(name, k.arg) for k in node.keywords}
+            if spread:
+                keywords.add((name, None))
+    return keywords, slots
+
+
+def never_set(source, callers):
+    """(function, parameter) for each defaulted parameter of source that no
+    call in callers sets, by keyword or by position.  Calls are matched by
+    the callee's bare name, so a call sets the parameter of every function
+    of that name."""
+    keywords, slots = call_settings(callers)
+    return [(fn, arg) for fn, arg, slot in defaulted_params(source)
+            if (fn, arg) not in keywords and (fn, None) not in keywords
+            and (slot is None or slots.get(fn, 0) <= slot)]
+
+
+def test_detector_flags_never_set_defaults():
+    src = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+           "class C:\n    def m(self, x, y=0):\n        pass\n"
+           "def g(p=1):\n    pass\n")
+    callers = ["f(0, 5)\nf(0, d=4)\nC().m(1)\n", "g(*args)\n"]
+    assert never_set(src, callers) == [("f", "c"), ("f", "e"), ("m", "y")]
+
+
+# ROADMAP item 12's demo study varies the mollifier suite's frame extent and
+# lattice step by hand, so they stay parameters that no call sets
+VARIED_BY_HAND = {("mollified_multiplier_suite", "r_cut"),
+                  ("mollified_multiplier_suite", "lattice_step")}
+
+
+def test_every_default_is_set_by_some_call():
+    callers = [path.read_text() for folder in ("src", "tests", "demos",
+                                               "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    found = {pair for path in sorted(SRC.glob("*.py"))
+             for pair in never_set(path.read_text(), callers)}
+    assert found == VARIED_BY_HAND
