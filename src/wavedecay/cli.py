@@ -24,7 +24,7 @@ import numpy as np
 
 from . import estimates as est
 from .fitting import check_fit_window
-from .profiles import BumpProfile
+from .profiles import bump
 from .radialop import PotentialSpec, RadialGrid, build_G, build_G0
 
 __all__ = ["ExperimentConfig", "main"]
@@ -40,46 +40,29 @@ def _floats(text):
 
 # (section, key) -> (attribute, converter); configparser lowercases keys
 _KEYS = {
-    ("experiment", "n"): ("n", int),
     ("grid", "r"): ("R", float),
     ("grid", "m"): ("M", int),
     ("potential", "c"): ("c", float),
     ("potential", "delta"): ("delta", float),
-    ("profile", "a_lo"): ("a_lo", float),
-    ("profile", "a_hi"): ("a_hi", float),
-    ("profile", "kind"): ("kind", str),
-    ("scan", "h_set"): ("h_set", _floats),
     ("scan", "t_set"): ("t_set", _floats),
-    ("scan", "s_set"): ("s_set", _floats),
-    ("scan", "lambda_grid"): ("lambda_grid", _floats),
-    ("scan", "theta_set"): ("theta_set", _floats),
     ("mollifier", "r"): ("moll_R", float),
     ("mollifier", "m"): ("moll_M", int),
-    ("mollifier", "s"): ("moll_s", float),
-    ("run", "estimates"): ("estimate_ids",
-                           lambda s: tuple(s.replace(",", " ").split())),
-    ("run", "out"): ("out", str),
 }
 
 
 @dataclass
 class ExperimentConfig:
-    n: int = 4
+    # the reference experiment fixes the dimension and the h-window
+    n = 4
+    h_set = (1.0, 0.5, 0.25, 0.125)
+
     R: float = 64.0
     M: int = 1280
     c: float = 2.0
     delta: float = 3.0
-    a_lo: float = 1.0
-    a_hi: float = 2.0
-    kind: str = "bump"
-    h_set: tuple = (1.0, 0.5, 0.25, 0.125)
     t_set: tuple = (4.0, 5.66, 8.0, 11.31, 16.0, 22.63, 32.0, 45.25, 64.0)
-    s_set: tuple = (0.0, 0.75, 1.5)
-    lambda_grid: tuple = tuple(np.linspace(1.0, 8.0, 15))
-    theta_set: tuple = (0.5, 0.25, 0.125, 0.0625, 0.03125)
     moll_R: float = 128.0
     moll_M: int = 1280
-    moll_s: float = 1.4
     estimate_ids: tuple = ()
     out: str = "out"
 
@@ -110,31 +93,18 @@ class ExperimentConfig:
         try:
             self.grid()
             self.potential()
-            self.profile()
             RadialGrid(self.moll_R, self.moll_M)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if any(h <= 0 or h > 1 for h in self.h_set):
-            raise ConfigError("h_set must lie in (0, 1]")
-        # the mollifier suite reads lambda-derivatives up to order
-        # floor(s) + 1, and its lattice caches orders <= 2
-        if not 0 < self.moll_s < 2:
-            raise ConfigError("[mollifier] s must lie in (0, 2)")
-        if any(th <= 0 for th in self.theta_set):
-            raise ConfigError("theta_set must be positive")
         if unknown := [i for i in self.estimate_ids if not _selected([i])]:
             raise ConfigError(f"unknown estimate ids: {', '.join(unknown)}")
-        # the sets the groups fit whole must carry a fit; t_set is also
-        # the kernel subcommand's plain scan grid, so it is held to that
-        # only when a group that fits it is selected
-        fitted = {"h_set": self.h_set, "theta_set": self.theta_set}
+        # t_set is also the kernel subcommand's plain scan grid, so it must
+        # carry a fit only when a group that fits over it is selected
         if any(fn in _FITS_T_SET for fn in _selected(self.estimate_ids)):
-            fitted["t_set"] = self.t_set
-        for name, xs in fitted.items():
             try:
-                check_fit_window(xs)
+                check_fit_window(self.t_set)
             except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+                raise ConfigError(f"t_set: {exc}") from exc
 
     def grid(self):
         return RadialGrid(self.R, self.M)
@@ -143,7 +113,7 @@ class ExperimentConfig:
         return PotentialSpec(self.c, self.delta, self.n)
 
     def profile(self):
-        return BumpProfile(self.a_lo, self.a_hi, self.kind)
+        return bump()
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +141,7 @@ def _run_smoothing(cfg):
 
 def _run_thm34(cfg):
     return est.check_thm34(cfg.grid(), cfg.n, cfg.potential(),
-                           cfg.profile(), cfg.h_set[:3], cfg.t_set,
-                           cfg.s_set)
+                           cfg.profile(), cfg.h_set[:3], cfg.t_set)
 
 
 def _run_time_integral(cfg):
@@ -183,9 +152,7 @@ def _run_time_integral(cfg):
 
 def _run_mollifier(cfg):
     grid = RadialGrid(cfg.moll_R, cfg.moll_M)
-    return est.mollified_multiplier_suite(grid, cfg.n, cfg.potential(),
-                                          s=cfg.moll_s,
-                                          theta_set=cfg.theta_set)
+    return est.mollified_multiplier_suite(grid, cfg.n, cfg.potential())
 
 
 def _run_thm41(cfg):
@@ -195,7 +162,7 @@ def _run_thm41(cfg):
 
 def _run_thm11(cfg):
     return est.assemble_thm11(cfg.grid(), cfg.n, cfg.potential(),
-                              a=cfg.a_lo, t_set=cfg.t_set)
+                              t_set=cfg.t_set)
 
 
 GROUPS = (
@@ -218,13 +185,14 @@ def _selected(ids):
             if any(i in group_ids for i in ids)]
 
 
-def _collect_passes(node, out):
-    if isinstance(node, dict):
-        if "passed" in node:
-            out.append(bool(node["passed"]))
-        for key, val in node.items():
-            if not str(key).startswith("_"):
-                _collect_passes(val, out)
+def _passed(node):
+    """Whether every ``passed`` flag in a report tree holds; keys with a
+    leading "_" hold no checks."""
+    if not isinstance(node, dict):
+        return True
+    return bool(node.get("passed", True)) and all(
+        _passed(val) for key, val in node.items()
+        if not str(key).startswith("_"))
 
 
 def cmd_verify(cfg):
@@ -238,15 +206,10 @@ def cmd_verify(cfg):
     with open(os.path.join(cfg.out, "run_metadata.json"), "w") as fh:
         json.dump({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                    "estimates": list(ids)}, fh, indent=2)
-    passes = []
-    _collect_passes(reports, passes)
     for key in sorted(reports):
-        if key.startswith("_"):
-            continue
-        sub = []
-        _collect_passes(reports[key], sub)
-        print(f"{key}: {'PASS' if all(sub) else 'FAIL'}")
-    return 0 if all(passes) else 1
+        if not key.startswith("_"):
+            print(f"{key}: {'PASS' if _passed(reports[key]) else 'FAIL'}")
+    return 0 if _passed(reports) else 1
 
 
 def cmd_kernel(cfg):
@@ -271,7 +234,7 @@ def cmd_resolvent(cfg):
         for label, pot in (("free", PotentialSpec(0.0, cfg.delta, cfg.n)),
                            ("perturbed", cfg.potential())):
             rows, gaps = la_norm_scan(cfg.grid(), cfg.n, pot,
-                                      cfg.lambda_grid)
+                                      np.linspace(1.0, 8.0, 15))
             for lam, nrm, ln in rows:
                 w.writerow([label, lam, repr(nrm), repr(ln)])
             for lam, err in gaps:
@@ -319,9 +282,7 @@ def cmd_report(cfg):
     path, rows = est.write_rollup(reports, cfg.out)
     print(f"wrote {path} ({len(rows)} rows)")
     # verify's pass rule: every passed flag, also those no row carries
-    passes = []
-    _collect_passes(reports, passes)
-    return 0 if all(passes) else 1
+    return 0 if _passed(reports) else 1
 
 
 def main(argv=None):

@@ -459,7 +459,7 @@ def _row_norms(rows, mats):
                           axis=(1, 2)).reshape(rows.shape[:-1])
 
 
-def mollified_multiplier_suite(grid, n, potential, s=1.4,
+def mollified_multiplier_suite(grid, n, potential,
                                theta_set=(0.5, 0.25, 0.125, 0.0625,
                                           0.03125),
                                t_scan=(8.0, 32.0),
@@ -471,8 +471,11 @@ def mollified_multiplier_suite(grid, n, potential, s=1.4,
 
     The smoothing scale theta trades the Hoelder defect of the m-th
     derivative (slope mu) against blow-up of the (m+1)-st (slope mu - 1);
-    the reconstruction objective is minimized near theta = 1/|t|.
+    the reconstruction objective is minimized near theta = 1/|t|.  The
+    order is s = 1.4: the suite reads lambda-derivatives up to order
+    floor(s) + 1 = 2, the highest the lattice interpolates.
     """
+    s = 1.4
     m_order = int(floor(s))
     mu = s - m_order
     profile = bump()
@@ -681,11 +684,13 @@ def _multiplier_band(op, chi, tilt):
     return replace(band, amps=band.amps * (1.0 - plateau(8.0)(band.roots)))
 
 
-def assemble_thm11(grid, n, potential, a=1.0, t_set=(4.0, 8.0, 16.0,
-                                                     32.0, 64.0)):
+def assemble_thm11(grid, n, potential, t_set=(4.0, 8.0, 16.0, 32.0,
+                                              64.0)):
     """Scalar frequency-integration identity plus sector surrogates of
-    the final dispersive estimates (alpha = 1 endpoints)."""
+    the final dispersive estimates (alpha = 1 endpoints), for the step
+    cutoff chi_a at a = 1."""
     op = build_G(grid, n, potential)
+    a = 1.0
     chi = step_cutoff(a)
     reports = {}
 

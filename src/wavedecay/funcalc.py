@@ -20,7 +20,7 @@ import numpy as np
 
 from .fitting import _stability, fit_power_law
 from .norms import op_norm_2, op_norm_2_to_inf, op_norm_p
-from .profiles import step_cutoff, step_cutoff_derivative, sqrt_compose_deriv
+from .profiles import step_cutoff, step_cutoff_derivative, sqrt_compose_derivs
 from .radialop import weight_matrix
 from .specfun import gauss_panels
 
@@ -64,25 +64,27 @@ class AlmostAnalytic:
         out[pos] = self.profile(np.sqrt(x[pos]))
         return out
 
-    def psi_deriv(self, k, x):
+    def psi_derivs(self, k_max, x):
+        """psi^(k)(x) for k = 0..k_max, stacked; 0 where x <= 0."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+        out = np.zeros((k_max + 1,) + x.shape)
         pos = x > 0
-        out[pos] = sqrt_compose_deriv(self.profile, k, x[pos])
+        out[:, pos] = sqrt_compose_derivs(self.profile, k_max, x[pos])
         return out
 
     def _taylor(self, z):
         """sum_k psi^(k)(x) (iy)^k / k! up to k = order at z = x + iy, each
         factor evaluated once per distinct x or y (a mesh has far fewer of
-        each than nodes); also the distinct x, y and their gather indices."""
+        each than nodes); also psi^(order + 1) at the distinct x, the
+        distinct y and their gather indices."""
         xu, ix = np.unique(z.real, return_inverse=True)
         yu, iy = np.unique(z.imag, return_inverse=True)
         ix, iy = ix.reshape(z.shape), iy.reshape(z.shape)
+        psi = self.psi_derivs(self.order + 1, xu)
         acc = np.zeros(z.shape, dtype=complex)
         for k in range(self.order + 1):
-            acc += (self.psi_deriv(k, xu)[ix] * ((1j * yu) ** k)[iy]
-                    / factorial(k))
-        return acc, xu, ix, yu, iy
+            acc += psi[k][ix] * ((1j * yu) ** k)[iy] / factorial(k)
+        return acc, psi[-1], ix, yu, iy
 
     def tilde(self, z):
         acc, _, _, yu, iy = self._taylor(np.asarray(z, dtype=complex))
@@ -90,15 +92,15 @@ class AlmostAnalytic:
 
     def dbar(self, z):
         """(1/2)(d/dx + i d/dy) of the extension; O(|Im z|^N) near the axis."""
-        acc, xu, ix, yu, iy = self._taylor(np.asarray(z, dtype=complex))
-        lead = (_chi_c(yu)[iy] * self.psi_deriv(self.order + 1, xu)[ix]
+        acc, psi_top, ix, yu, iy = self._taylor(np.asarray(z, dtype=complex))
+        lead = (_chi_c(yu)[iy] * psi_top[ix]
                 * ((1j * yu) ** self.order)[iy] / factorial(self.order))
         return 0.5 * lead + 0.5j * _chi_c_prime(yu)[iy] * acc
 
     def deriv_sup(self, k):
         lo, hi = self.support
         x = np.linspace(lo, hi, 2000)
-        return float(np.max(np.abs(self.psi_deriv(k, x))))
+        return float(np.max(np.abs(self.psi_derivs(k, x)[k])))
 
 
 def almost_analytic(profile, order):

@@ -28,7 +28,7 @@ __all__ = [
     "step_cutoff",
     "step_cutoff_derivative",
     "mollifier",
-    "sqrt_compose_deriv",
+    "sqrt_compose_derivs",
 ]
 
 
@@ -226,17 +226,25 @@ def mollifier():
                        1.0 / _bump_mass(1.0 / 3.0, 0.5))
 
 
-def sqrt_compose_deriv(profile, k, x):
-    """k-th x-derivative of psi(x) = profile(sqrt(x)) for x > 0.
+def sqrt_compose_derivs(profile, k_max, x):
+    """x-derivatives of psi(x) = profile(sqrt(x)) for x > 0, orders 0 to
+    k_max, as a (k_max + 1, *x.shape) array.
 
     Maintains the exact representation
-    psi^(k)(x) = sum_j c_j x^(p_j) profile^(j)(sqrt(x)).
+    psi^(k)(x) = sum_j c_j x^(p_j) profile^(j)(sqrt(x)),
+    each order's term table built from the last, so every profile^(j)
+    is evaluated once.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("sqrt composition defined for x > 0 only")
+    u = np.sqrt(x)
+    derivs = [profile.deriv(j, u) for j in range(k_max + 1)]
+    out = np.zeros((k_max + 1,) + x.shape)
     terms = {(0.0, 0): 1.0}  # (power p, deriv order j) -> coeff
-    for _ in range(k):
+    for k in range(k_max + 1):
+        for (p, j), c in terms.items():
+            out[k] += c * x ** p * derivs[j]
         nxt = {}
         for (p, j), c in terms.items():
             if p != 0.0:
@@ -245,8 +253,4 @@ def sqrt_compose_deriv(profile, k, x):
             key = (p - 0.5, j + 1)
             nxt[key] = nxt.get(key, 0.0) + 0.5 * c
         terms = nxt
-    u = np.sqrt(x)
-    out = np.zeros_like(x)
-    for (p, j), c in terms.items():
-        out += c * x ** p * profile.deriv(j, u)
     return out

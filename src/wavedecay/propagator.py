@@ -50,7 +50,6 @@ class PropagatorRecord:
 class DuhamelSplit:
     phi1_part: np.ndarray
     phi2_part: np.ndarray
-    quadrature: dict
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,7 @@ def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
     between the two bands; the two basis transforms happen once.
     """
     if op.potential is None or op.potential.c == 0.0:
-        z = np.zeros((op.grid.M, op.grid.M), dtype=complex)
-        return z, 0
+        return np.zeros((op.grid.M, op.grid.M), dtype=complex)
     left = op0.band(plateau_tilt, h)
     right = op.band(profile, h)
     v = op.potential(op.grid.nodes)
@@ -134,9 +132,8 @@ def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
         phase = np.sin((t - tau) * left.roots)[:, None] * coupling \
             * np.exp(1j * tau * right.roots)[None, :]
         acc += w * phase
-    mat = (left.vecs * left.amps[None, :]) @ acc \
+    return (left.vecs * left.amps[None, :]) @ acc \
         @ (right.vecs * right.amps[None, :]).T
-    return mat, n_steps + 1
 
 
 def duhamel_split(op0, op, profile, h, t):
@@ -159,9 +156,8 @@ def duhamel_split(op0, op, profile, h, t):
              + b1.dense(b1.amps * np.cos(t * b1.roots)) @ d_spectral(profile)
              + 1j * bt.dense(bt.amps * np.sin(t * bt.roots))
              @ d_spectral(phi_t))
-    integral, n_nodes = _mixed_sin_integral(op0, op, profile, phi1_t, h, t)
-    return DuhamelSplit(part1, -integral,
-                        {"rule": "simpson", "tau_nodes": n_nodes})
+    return DuhamelSplit(part1,
+                        -_mixed_sin_integral(op0, op, profile, phi1_t, h, t))
 
 
 def time_domain_evolve(op, f, t_end, dt, profile, h):

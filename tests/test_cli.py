@@ -1,10 +1,14 @@
+import configparser
 import json
 import os
 import re
 
 import pytest
 
-from wavedecay.cli import GROUPS, ConfigError, ExperimentConfig, _floats, main
+from wavedecay.cli import (_KEYS, GROUPS, ConfigError, ExperimentConfig,
+                           _floats, main)
+
+BENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def test_floats_accepts_commas_and_spaces():
@@ -21,37 +25,30 @@ def test_defaults_are_the_reference_experiment():
 def test_load_reads_sections(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[grid]\nR = 16\nM = 159\n"
-                   "[potential]\nc = 1.5\n"
-                   "[scan]\nh_set = 1 0.5 0.25 0.125\n"
-                   "[run]\nestimates = 2.7, 3.1\n")
+                   "[potential]\nc = 1.5\n")
     cfg = ExperimentConfig.load(str(ini))
     assert (cfg.R, cfg.M, cfg.c) == (16.0, 159, 1.5)
-    assert cfg.estimate_ids == ("2.7", "3.1")
 
 
 def test_overrides_win(tmp_path):
     ini = tmp_path / "exp.ini"
-    ini.write_text("[run]\nout = from_file\n")
-    cfg = ExperimentConfig.load(str(ini), {"out": "from_flag",
+    ini.write_text("[grid]\nR = 16\n")
+    cfg = ExperimentConfig.load(str(ini), {"R": 32.0, "out": "from_flag",
                                            "estimate_ids": None})
+    assert cfg.R == 32.0
     assert cfg.out == "from_flag"
     assert cfg.estimate_ids == ()   # None override leaves the default
 
 
 def test_validation_failures(tmp_path):
-    # the last three fail fit_power_law's rule on a set a group fits whole
-    for override in ({"h_set": (2.0,)}, {"M": 0}, {"moll_s": 0.0},
-                     {"theta_set": (0.5, -0.25)},
-                     {"theta_set": (0.5, 0.25, 0.125)},
-                     {"h_set": (1.0, 0.75, 0.5, 0.25)},
+    # the last fails fit_power_law's rule on a set a selected group fits
+    for override in ({"M": 0},
                      {"t_set": (2.0, 4.0), "estimate_ids": ("3.1", "2.1")}):
         with pytest.raises(ConfigError):
             ExperimentConfig.load(None, override)
-    # bad mollifier input and unfittable scan sets stop verify at load,
-    # before any group runs
-    for body in ("[grid]\nR = not_a_number\n", "[mollifier]\ns = 2.5\n",
-                 "[mollifier]\nM = 1\n", "[scan]\ntheta_set = 0.5 0\n",
-                 "[scan]\ntheta_set = 0.5 0.25 0.125\n"):
+    # a bad value or a bad mollifier grid stops verify at load, before any
+    # group runs
+    for body in ("[grid]\nR = not_a_number\n", "[mollifier]\nM = 1\n"):
         bad = tmp_path / "bad.ini"
         bad.write_text(body)
         with pytest.raises(ConfigError):
@@ -72,13 +69,24 @@ def test_scan_configs_that_fit_still_load():
     """The defaults and the benchmark's configs load; a short t_set is
     fine where no selected group fits over it (the kernel subcommand's
     scan, or group 3.1 alone)."""
-    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
-    for path in (None, os.path.join(bench, "bench.ini"),
-                 os.path.join(bench, "smoke.ini")):
+    for path in (None, os.path.join(BENCH, "bench.ini"),
+                 os.path.join(BENCH, "smoke.ini")):
         ExperimentConfig.load(path)
     for ids in ((), ("3.1",)):
         ExperimentConfig.load(None, {"t_set": (2.0, 4.0),
                                      "estimate_ids": ids})
+
+
+def test_every_key_is_set_by_a_shipped_config():
+    """A key that no config in the tree sets is a constant in all but
+    name: every key the loader knows is set by the benchmark's configs."""
+    parser = configparser.ConfigParser(inline_comment_prefixes="#")
+    for name in ("bench.ini", "smoke.ini"):
+        parser.read(os.path.join(BENCH, name))
+    shipped = {(sec, key) for sec in parser.sections()
+               for key in parser.options(sec)}
+    unset = sorted(set(_KEYS) - shipped)
+    assert not unset, f"keys no shipped config sets: {unset}"
 
 
 def test_groups_partition_estimate_ids():
@@ -98,6 +106,11 @@ def test_main_exit_2_on_bad_config(capsys):
     ("[grid]\nR = 16\nm_nodes = 5\n", "[grid] m_nodes"),
     ("[run]\ncache = on\n", "[run] cache"),
     ("[gird]\nR = 16\n", "[gird] r"),
+    # keys the reference experiment fixes, and the flags' own values
+    ("[experiment]\nn = 4\n", "[experiment] n"),
+    ("[profile]\nkind = bump\n", "[profile] kind"),
+    ("[scan]\nh_set = 1 0.5 0.25 0.125\n", "[scan] h_set"),
+    ("[run]\nout = out\n", "[run] out"),
 ])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, body, named):
     ini = tmp_path / "exp.ini"
@@ -135,11 +148,10 @@ def test_verify_report_round_trip(tmp_path, capsys):
     "_" in its report ids (3.18_s0.75), then roll the emitted reports up
     again: report rebuilds the rows verify wrote, ids included."""
     ini = tmp_path / "exp.ini"
-    ini.write_text("[grid]\nR = 16\nM = 159\n"
-                   "[scan]\nh_set = 1 0.5 0.25 0.125\nt_set = 2 4 8 16\n"
-                   "[run]\nestimates = 3.1, 3.18\n")
+    ini.write_text("[grid]\nR = 16\nM = 159\n[scan]\nt_set = 2 4 8 16\n")
     out = tmp_path / "out"
-    code = main(["verify", "--config", str(ini), "--out", str(out)])
+    code = main(["verify", "--config", str(ini), "--estimates", "3.1,3.18",
+                 "--out", str(out)])
     assert code in (0, 1)
     text = capsys.readouterr().out
     assert "3.18_s0.75: " in text and ("PASS" in text or "FAIL" in text)

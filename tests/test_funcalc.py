@@ -50,10 +50,11 @@ def _dbar_per_node(aa, z):
     """dbar from its definition with every factor evaluated at every node,
     nothing shared between nodes."""
     x, y = z.real, z.imag
+    psi = aa.psi_derivs(aa.order + 1, x)
     taylor = np.zeros(z.shape, dtype=complex)
     for k in range(aa.order + 1):
-        taylor += aa.psi_deriv(k, x) * (1j * y) ** k / factorial(k)
-    lead = (_chi_c(y) * aa.psi_deriv(aa.order + 1, x)
+        taylor += psi[k] * (1j * y) ** k / factorial(k)
+    lead = (_chi_c(y) * psi[aa.order + 1]
             * (1j * y) ** aa.order / factorial(aa.order))
     return 0.5 * lead + 0.5j * _chi_c_prime(y) * taylor
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wavedecay.profiles import (BumpProfile, bump, mollifier, plateau,
                                 step_cutoff, step_cutoff_derivative,
-                                sqrt_compose_deriv)
+                                sqrt_compose_derivs)
 
 
 def test_bump_support_and_positivity():
@@ -103,16 +103,16 @@ def test_sqrt_compose_first_derivative():
     phi = bump()
     x = np.linspace(1.3, 3.7, 13)
     expect = phi.deriv(1, np.sqrt(x)) / (2.0 * np.sqrt(x))
-    assert np.allclose(sqrt_compose_deriv(phi, 1, x), expect)
+    assert np.allclose(sqrt_compose_derivs(phi, 1, x)[1], expect)
 
 
 def test_sqrt_compose_higher_vs_fd():
     phi = bump()
     x = np.linspace(1.3, 3.7, 13)
     eps = 1e-4
-    fd = (sqrt_compose_deriv(phi, 1, x + eps)
-          - sqrt_compose_deriv(phi, 1, x - eps)) / (2 * eps)
-    assert np.allclose(fd, sqrt_compose_deriv(phi, 2, x), rtol=1e-5,
+    fd = (sqrt_compose_derivs(phi, 1, x + eps)[1]
+          - sqrt_compose_derivs(phi, 1, x - eps)[1]) / (2 * eps)
+    assert np.allclose(fd, sqrt_compose_derivs(phi, 2, x)[2], rtol=1e-5,
                        atol=1e-7)
 
 
