@@ -18,7 +18,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,7 +83,11 @@ class ExperimentConfig:
                     except ValueError as exc:
                         raise ConfigError(
                             f"bad value for [{sec}] {key}: {exc}") from exc
-        for key, val in (overrides or {}).items():
+        overrides = overrides or {}
+        settable = {f.name for f in fields(cls)}
+        if unknown := sorted(set(overrides) - settable):
+            raise ConfigError(f"unknown overrides: {', '.join(unknown)}")
+        for key, val in overrides.items():
             if val is not None:
                 setattr(cfg, key, val)
         cfg.validate()
@@ -203,9 +207,13 @@ def cmd_verify(cfg):
     for fn in _selected(ids):
         reports.update(fn(cfg))
     est.emit_reports(reports, cfg.out)
+    # the rollup's row order, which the reports' sorted JSON keys lose;
+    # report writes its rows in this order
+    order = [row[0] for row in est.rollup_rows(reports)]
     with open(os.path.join(cfg.out, "run_metadata.json"), "w") as fh:
         json.dump({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                   "estimates": list(ids)}, fh, indent=2)
+                   "estimates": list(ids), "rollup_order": order},
+                  fh, indent=2)
     for key in sorted(reports):
         if not key.startswith("_"):
             print(f"{key}: {'PASS' if _passed(reports[key]) else 'FAIL'}")
@@ -270,6 +278,14 @@ def cmd_propagator(cfg):
     return 0 if ok else 1
 
 
+def _group_rank(key):
+    """Index in GROUPS of the group that emits report key, whose estimate
+    id is the part before the first "_"; len(GROUPS) for none."""
+    base = key.split("_")[0]
+    return next((i for i, (ids, _) in enumerate(GROUPS) if base in ids),
+                len(GROUPS))
+
+
 def cmd_report(cfg):
     reports = {}
     for name in sorted(os.listdir(cfg.out)):
@@ -279,7 +295,19 @@ def cmd_report(cfg):
             key = re.sub(r"(?<=\d)_(?=\d)", ".", stem[1])
             with open(os.path.join(cfg.out, name)) as fh:
                 reports[key] = json.load(fh)
-    path, rows = est.write_rollup(reports, cfg.out)
+    # verify's row order: the one its run_metadata.json records, then
+    # GROUPS order for rows it does not record
+    meta = os.path.join(cfg.out, "run_metadata.json")
+    order = []
+    if os.path.exists(meta):
+        with open(meta) as fh:
+            order = json.load(fh).get("rollup_order", [])
+    rank = {row_id: i for i, row_id in enumerate(order)}
+    keyed = [((rank.get(row[0], len(order)), _group_rank(key)), row)
+             for key, node in reports.items()
+             for row in est.rollup_rows({key: node})]
+    rows = [row for _, row in sorted(keyed, key=lambda pair: pair[0])]
+    path = est.write_rollup(rows, cfg.out)
     print(f"wrote {path} ({len(rows)} rows)")
     # verify's pass rule: every passed flag, also those no row carries
     return 0 if _passed(reports) else 1

@@ -772,16 +772,15 @@ def rollup_rows(reports):
     return rows
 
 
-def write_rollup(reports, out_dir):
-    """rollup.csv of the reports in out_dir; returns (path, rows)."""
-    rows = rollup_rows(reports)
+def write_rollup(rows, out_dir):
+    """rollup.csv of rollup rows in out_dir; returns its path."""
     path = os.path.join(out_dir, "rollup.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["estimate_id", "variable", "target", "fitted",
                     "tolerance", "pass"])
         w.writerows(rows)
-    return path, rows
+    return path
 
 
 def emit_reports(reports, out_dir):
@@ -795,5 +794,5 @@ def emit_reports(reports, out_dir):
         with open(path, "w") as fh:
             json.dump(node, fh, indent=2, sort_keys=True, default=float)
         written.append(path)
-    written.append(write_rollup(reports, out_dir)[0])
+    written.append(write_rollup(rollup_rows(reports), out_dir))
     return written

@@ -168,6 +168,21 @@ def _hs_mesh(aa, tol):
     return np.concatenate(zs), np.concatenate(ws)
 
 
+def _certified_keep(zs, vals, budget):
+    """Mask of the nodes the sum keeps.  For real symmetric T,
+    ||(T - z)^{-1}||_2 <= 1/Im z, so node k moves the 2-norm of
+    (2/pi) Re sum_k vals[k] (T - zs[k])^{-1} by at most
+    b_k = (2/pi) |vals[k]| / Im zs[k], whatever the spectrum.  The nodes
+    of smallest b_k (stable order) are dropped while their b_k sum to at
+    most budget; zero-weight nodes have b_k = 0 and go first."""
+    bound = (2.0 / np.pi) * np.abs(vals) / zs.imag
+    order = np.argsort(bound, kind="stable")
+    n_drop = np.searchsorted(np.cumsum(bound[order]), budget, side="right")
+    keep = np.ones(zs.shape, dtype=bool)
+    keep[order[:n_drop]] = False
+    return keep
+
+
 # the boundary solutions must stay normal floats
 _TINY = np.finfo(float).tiny
 # rows per GEMM panel; the panels stop at the diagonal, so little more
@@ -242,6 +257,14 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     """psi(h^2 op) with psi(x) = profile(sqrt(x)) via the resolvent
     quadrature; independent of the eigendecomposition by construction.
 
+    The certified truncation is at most tol/10 + 1e-6 tol in 2-norm: the
+    mesh stops its layers once the bound on the rest sits under tol/10
+    (``_hs_mesh``), and ``_certified_keep`` drops the nodes whose
+    resolvent bounds sum to at most 1e-6 tol, which at tol = 1e-7 is
+    below the sum's own round-off against dense inverses.  On the
+    criterion-6 mesh (order 8, tol 1e-7) 16,138 of the 25,890 nodes are
+    kept, at every M and h.
+
     block caps how many quadrature nodes are in flight at once.  A block
     holds two (M, 2 block) complex arrays, the sweep coefficients (z - d)
     / e, reused for u and v, and the boundary solutions [phi | psi], and
@@ -250,7 +273,7 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     zs, ws = _hs_mesh(aa, tol)
     diag, off = h ** 2 * op.diag, h ** 2 * op.offdiag
     vals = aa.dbar(zs) * ws
-    keep = np.abs(vals) > 0.0
+    keep = _certified_keep(zs, vals, 1e-6 * tol)
     acc = _resolvent_sum(diag, off, zs[keep], vals[keep], block=block)
     return (2.0 / np.pi) * acc
 

@@ -1,4 +1,5 @@
 import configparser
+import filecmp
 import json
 import os
 import re
@@ -6,7 +7,7 @@ import re
 import pytest
 
 from wavedecay.cli import (_KEYS, GROUPS, ConfigError, ExperimentConfig,
-                           _floats, main)
+                           _floats, _group_rank, main)
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -63,6 +64,13 @@ def test_validation_failures(tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--estimates", "9.9,3.180", "--out", str(out)]) == 2
     assert not out.exists()
+    # an override must name a settable field: a folded constant or a
+    # misspelling is named, and the class constant stays as it is
+    with pytest.raises(ConfigError, match="unknown overrides: h_set, n_typo"):
+        ExperimentConfig.load(None, {"h_set": (2.0,), "n_typo": 3})
+    with pytest.raises(ConfigError, match="unknown overrides: n"):
+        ExperimentConfig.load(None, {"n": None})
+    assert ExperimentConfig.h_set == (1.0, 0.5, 0.25, 0.125)
 
 
 def test_scan_configs_that_fit_still_load():
@@ -144,32 +152,45 @@ def test_kernel_subcommand_writes_scan(tmp_path):
 
 
 def test_verify_report_round_trip(tmp_path, capsys):
-    """End-to-end: run two estimate groups on a desk grid, one of them with
-    "_" in its report ids (3.18_s0.75), then roll the emitted reports up
-    again: report rebuilds the rows verify wrote, ids included."""
+    """End-to-end: run all nine estimate groups on desk grids, then roll
+    the emitted reports up again.  report leaves rollup.csv byte for byte
+    as verify wrote it, "_" in report ids (3.18_s0.75) included, though
+    groups such as 4.1 emit their ids out of name order (4.10_t before
+    4.1_p2) and the JSON files sort the keys inside a report (3.18_s0's
+    fits "1" before "0.5" in the rollup).  Without the order
+    run_metadata.json records, the rows come in GROUPS order."""
     ini = tmp_path / "exp.ini"
-    ini.write_text("[grid]\nR = 16\nM = 159\n[scan]\nt_set = 2 4 8 16\n")
+    ini.write_text("[grid]\nR = 16\nM = 159\n[scan]\nt_set = 2 4 8 16\n"
+                   "[mollifier]\nR = 16\nM = 159\n")
     out = tmp_path / "out"
-    code = main(["verify", "--config", str(ini), "--estimates", "3.1,3.18",
+    ids = [group_ids[0] for group_ids, _ in GROUPS]
+    code = main(["verify", "--config", str(ini), "--estimates", ",".join(ids),
                  "--out", str(out)])
     assert code in (0, 1)
     text = capsys.readouterr().out
     assert "3.18_s0.75: " in text and ("PASS" in text or "FAIL" in text)
-    assert (out / "run_metadata.json").exists()
     assert not (out / ".cache").exists()
     emitted = [p for p in os.listdir(out) if p.startswith("estimate_")]
     assert "estimate_3_18_s0_75.json" in emitted
     meta = json.loads((out / "run_metadata.json").read_text())
-    assert meta["estimates"] == ["3.1", "3.18"]
-    written = (out / "rollup.csv").read_text().splitlines()
+    assert meta["estimates"] == ids
+    written = tmp_path / "verify_rollup.csv"
+    written.write_bytes((out / "rollup.csv").read_bytes())
 
-    code2 = main(["report", "--out", str(out)])
+    assert main(["report", "--out", str(out)]) == code
     rollup = (out / "rollup.csv").read_text().splitlines()
     assert rollup[0].split(",")[0] == "estimate_id"
-    assert len(rollup) > 1
-    assert sorted(rollup) == sorted(written)
     assert any(row.startswith("3.18_s0.75.fits.") for row in rollup)
-    assert code2 == code
+    assert filecmp.cmp(written, out / "rollup.csv", shallow=False)
+
+    (out / "run_metadata.json").unlink()
+    assert main(["report", "--out", str(out)]) == code
+    capsys.readouterr()
+    rows = (out / "rollup.csv").read_text().splitlines()[1:]
+    assert sorted(rows) == sorted(rollup[1:])
+    row_ids = [row.split(",")[0] for row in rows]
+    ranks = [_group_rank(".".join(i.split(".", 2)[:2])) for i in row_ids]
+    assert ranks == sorted(ranks) and len(set(ranks)) == len(GROUPS)
 
 
 _FIT = {"variable": "t", "target": -1.5, "fitted_exponent": -1.45,

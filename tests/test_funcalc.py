@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavedecay.funcalc import (_chi_c, _chi_c_prime, _hs_mesh,
-                               _resolvent_sum, almost_analytic,
+from wavedecay.funcalc import (_certified_keep, _chi_c, _chi_c_prime,
+                               _hs_mesh, _resolvent_sum, almost_analytic,
                                hs_multiplier, phi_of_hsqrt, verify_lemma23)
 from wavedecay.propagator import wave_multiplier
 from wavedecay.radialop import build_G, build_G0
@@ -98,6 +98,60 @@ def test_quadrature_route_h_half(op, profile):
     got = hs_multiplier(op, profile, 0.5, order=8, tol=1e-7)
     want = phi_of_hsqrt(op, profile, 0.5)
     assert np.linalg.norm(got - want, 2) <= 1e-6
+
+
+def _mesh_nodes(profile, tol):
+    aa = almost_analytic(profile, 8)
+    zs, ws = _hs_mesh(aa, tol)
+    return zs, aa.dbar(zs) * ws
+
+
+def _bounds(zs, vals):
+    # node k moves the 2-norm of the sum by at most (2/pi) |c_k| / Im z_k
+    return (2.0 / np.pi) * np.abs(vals) / zs.imag
+
+
+def test_certified_drop_on_the_mesh(profile):
+    """On criterion 6's mesh (order 8, tol 1e-7): the dropped nodes'
+    bounds sum to at most the budget 1e-6 tol, every zero-weight node is
+    among them, and no kept node's bound is below a dropped one's."""
+    tol = 1e-7
+    zs, vals = _mesh_nodes(profile, tol)
+    keep = _certified_keep(zs, vals, 1e-6 * tol)
+    bound = _bounds(zs, vals)
+    assert bound[~keep].sum() <= 1e-6 * tol
+    assert not keep[vals == 0].any()
+    assert bound[~keep].max() <= bound[keep].min()
+    assert (zs.size, np.count_nonzero(vals), keep.sum()) == (25890, 22998,
+                                                              16138)
+
+
+def test_certified_drop_weighs_by_imaginary_part():
+    """A node with the smallest weight but Im z = 1e-6 has the largest
+    bound and is kept; nodes of larger weight far from the axis go.  A
+    rule on |c| alone would drop the first node instead."""
+    zs = np.array([2.0 + 1e-6j, 2.0 + 0.5j, 3.0 + 0.5j, 2.5 + 0.7j])
+    vals = np.array([1e-12, 1e-9, 0.0, 2e-9 + 1e-9j])
+    keep = _certified_keep(zs, vals, 1e-8)
+    assert keep.tolist() == [True, False, False, False]
+    assert _bounds(zs, vals)[~keep].sum() <= 1e-8
+    # a budget below the smallest nonzero bound drops the zero weight only
+    assert _certified_keep(zs, vals, 1e-10).tolist() == [True, True, False,
+                                                         True]
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_certified_drop_moves_the_sum_within_budget(op, profile, h):
+    """hs_multiplier against the same sum over every nonzero-weight node:
+    they differ by at most the budget 1e-6 tol in 2-norm."""
+    tol = 1e-7
+    zs, vals = _mesh_nodes(profile, tol)
+    nz = vals != 0
+    full = (2.0 / np.pi) * _resolvent_sum(h ** 2 * op.diag,
+                                          h ** 2 * op.offdiag,
+                                          zs[nz], vals[nz])
+    got = hs_multiplier(op, profile, h, order=8, tol=tol)
+    assert np.linalg.norm(got - full, 2) <= 1e-6 * tol
 
 
 @pytest.mark.parametrize("block", [1, 7, 40])
