@@ -9,7 +9,8 @@ the continuum free Green kernel on the Liouville half line,
 
 and the Lippmann-Schwinger solve R = (I + R0 V)^{-1} R0 = (A0^{-1} + V)^{-1}:
 the free Green matrix A0 (dr weight folded in) is semiseparable, so A0^{-1}
-is tridiagonal and R one banded solve per lambda.  Only the dense oracle
+is tridiagonal and R one tridiagonal LU (zgttrf) per lambda, the bands
+built for a chunk of lambdas at once.  Only the dense oracle
 ``free_green_matrix`` is M x M; the discrete matrix enters only in the
 complex-shift cross-check.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .norms import operator_two_norm
 from .radialop import build_G, build_G0, weight_matrix
@@ -39,19 +40,24 @@ __all__ = [
 EPS = 0.05
 SCAN_S = 0.5 + EPS      # the scans' weight <x>^{-SCAN_S}
 TAYLOR_TERMS = 18       # of the series for a cancelling cross product
+CHUNK = 1 << 14         # lambda x M entries of the bands built at once
+
+_GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
 
 
 def _bessel_pair(grid, n, lam, sign):
-    """u1 = sqrt(r) J_nu(lam r), u2 = sqrt(r) H_nu^{sign}(lam r).  Complex
-    lam only with Im lam >= 0 and sign=+1 (the analytic continuation)."""
+    """u1 = sqrt(r) J_nu(lam r), u2 = sqrt(r) H_nu^{sign}(lam r), of shape
+    lam.shape + (M,) for a scalar or an array lam.  Complex lam only with
+    Im lam >= 0 and sign=+1 (the analytic continuation)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    lam = np.asarray(lam)
     if np.iscomplexobj(lam):
-        if sign != +1 or np.imag(lam) < 0:
+        if sign != +1 or np.any(lam.imag < 0):
             raise ValueError("complex frequency only for the outgoing branch")
-    elif lam <= 0:
+    elif np.any(lam <= 0):
         raise ValueError("frequency must be > 0")
-    j, h = bessel_jh((n - 2) / 2.0, lam * grid.nodes, sign)
+    j, h = bessel_jh((n - 2) / 2.0, lam[..., None] * grid.nodes, sign)
     root = np.sqrt(grid.nodes)
     return root * j, root * h
 
@@ -90,19 +96,24 @@ def green_delta_residual(grid, n, lam, sign, col):
 
 
 def _inverse_green(grid, n, lam, sign):
-    """(A0^{-1} in solve_banded's (3, M) layout, u1, u2, c) for A0 = c
-    (tril(u2 u1^T) + triu(u1 u2^T, 1)), c = sign (i pi / 2) dr.  With D_i,
-    E_i the cross products u1_i u2_j - u1_j u2_i, j = i + 1, i + 2, A0^{-1}
-    has off-diagonal 1 / (c D_i), diagonal -E_{i-1} / (c D_{i-1} D_i) and
-    ends -u1_2 / (c u1_1 D_1), -u2_{M-1} / (c u2_M D_{M-1}).  Cross products
+    """(off, diag, u1, u2, c) for a scalar or an array lam, each array of
+    shape lam.shape + (M - 1,) or (M,): A0^{-1} is the symmetric tridiagonal
+    with off-diagonal off and diagonal diag, for A0 = c (tril(u2 u1^T) +
+    triu(u1 u2^T, 1)), c = sign (i pi / 2) dr.  With D_i, E_i the cross
+    products u1_i u2_j - u1_j u2_i, j = i + 1, i + 2, A0^{-1} has
+    off-diagonal 1 / (c D_i), diagonal -E_{i-1} / (c D_{i-1} D_i) and ends
+    -u1_2 / (c u1_1 D_1), -u2_{M-1} / (c u2_M D_{M-1}).  Cross products
     come from J and H directly, except where d = lam (r_j - r_i) is small
     against a = lam r_i, |d| <= min(1, |a| / 8): there they cancel and are
     sign i sqrt(r_i r_j) (2 / (pi a)) phi(a + d), phi the Bessel solution
     with phi(a) = 0, phi'(a) = 1 (the J, Y Wronskian is 2 / (pi a)), by 18
     Taylor terms in d: phi(a + d) / a = sum_k b_k (d / a)^k, b_0 = 0, b_1 = 1,
     (k + 2)(k + 1) b_{k+2} = -[(2k + 1)(k + 1) b_{k+1} + (k^2 - nu^2 + a^2) b_k
-    + a^2 (2 b_{k-1} + b_{k-2})]; b_k a^(1 - k) are the Taylor coefficients."""
+    + a^2 (2 b_{k-1} + b_{k-2})]; b_k a^(1 - k) are the Taylor coefficients.
+    Every lam of an array takes the same operations as a scalar lam, so the
+    two agree bit for bit."""
     u1, u2 = _bessel_pair(grid, n, lam, sign)
+    lam = np.asarray(lam)[..., None]
     r, m, c = grid.nodes, grid.M, sign * 0.5j * np.pi * grid.dr
     a2 = (lam * r[:-1]) ** 2
     b = [0.0 * a2] * 3 + [1.0 + 0.0 * a2]     # b_-2, b_-1, b_0, b_1
@@ -111,46 +122,77 @@ def _inverse_green(grid, n, lam, sign):
                    + (k * k - (n - 2) ** 2 / 4.0 + a2) * b[k + 2]
                    + a2 * (2.0 * b[k + 1] + b[k])) / ((k + 2) * (k + 1)))
     x = np.outer((1.0, 2.0), grid.dr / r[:-1])  # d / a for j = i + 1, i + 2
-    psi = np.polynomial.polynomial.polyval(x, b[2:], tensor=False)
-    d1, d2 = (np.where((s * abs(lam) * grid.dr <= 1.0)
+    psi = 0.0 * x
+    for bk in b[:1:-1]:                         # Horner, as polyval sums
+        psi = bk[..., None, :] + psi * x
+    d1, d2 = (np.where((s * np.abs(lam) * grid.dr <= 1.0)
                        & (x[s - 1, :m - s] <= 0.125),
                        2j * sign / np.pi * np.sqrt(r[:-s] * r[s:])
-                       * psi[s - 1, :m - s],
-                       u1[:-s] * u2[s:] - u1[s:] * u2[:-s])
+                       * psi[..., s - 1, :m - s],
+                       u1[..., :-s] * u2[..., s:] - u1[..., s:] * u2[..., :-s])
               for s in (1, 2))
-    band = np.zeros((3, m), complex)
-    band[0, 1:] = band[2, :-1] = 1.0 / (c * d1)
-    band[1, 1:-1] = -d2 / (c * d1[:-1] * d1[1:])
-    band[1, 0] = -u1[1] / (c * u1[0] * d1[0])
-    band[1, -1] = -u2[-2] / (c * u2[-1] * d1[-1])
-    return band, u1, u2, c
+    diag = np.empty(u1.shape, complex)
+    diag[..., 1:-1] = -d2 / (c * d1[..., :-1] * d1[..., 1:])
+    diag[..., 0] = -u1[..., 1] / (c * u1[..., 0] * d1[..., 0])
+    diag[..., -1] = -u2[..., -2] / (c * u2[..., -1] * d1[..., -1])
+    return 1.0 / (c * d1), diag, u1, u2, c
+
+
+def _factor(off, diag, lam):
+    """zgttrf's LU of the symmetric tridiagonal (off, diag): the leading
+    arguments of zgttrs.  An exactly singular pivot raises
+    numpy.linalg.LinAlgError naming lam."""
+    *lu, info = _GTTRF(off, diag, off)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"lambda {lam}: singular tridiagonal")
+    return lu
+
+
+def _solvers(grid, n, potential, lams, sign):
+    """(b -> R^{sign}(lam) b, u1) for each lam in turn, for b of shape (M,)
+    or (M, K), with the bands of up to CHUNK // M lams built at once and
+    one zgttrf per lam.  The rows of A0^{-1} nearly cancel, so the banded
+    solve x of (A0^{-1} + V) x = b is off by about eps ||A0^{-1}|| ||R|| (up
+    to 6e-13 against the dense LU).  One refinement step against A0 itself,
+    applied by two running sums, takes that to eps: z = A0 (b - V x) has
+    (I + A0 V)(x - R b) = x - z, so R b = z - R V (z - x).  A singular
+    system raises numpy.linalg.LinAlgError, a non-finite one (Bessel values
+    or V outside the float range) ValueError, both naming lam."""
+    v = potential(grid.nodes)
+    lams = np.atleast_1d(lams)
+    step = max(1, CHUNK // grid.M)
+    for start in range(0, lams.size, step):
+        chunk = lams[start:start + step]
+        offs, diags, u1s, u2s, c = _inverse_green(grid, n, chunk, sign)
+        diags += v
+        finite = np.isfinite(offs).all(1) & np.isfinite(diags).all(1)
+        for lam, off, diag, u1, u2, ok in zip(chunk, offs, diags, u1s, u2s,
+                                              finite):
+            if not ok:
+                raise ValueError(f"lambda {lam}: A0^-1 + V is not finite")
+            yield partial(_refined_solve, lam, _factor(off, diag, lam), v,
+                          u1, u2, c), u1
+
+
+def _refined_solve(lam, lu, v, u1, u2, c, b):
+    """R b by _solvers' banded solve and refinement step; a non-finite
+    refinement right-hand side raises ValueError naming lam."""
+    # x, y, z are (K, M) rows; fix.T is Fortran-order, solved in place
+    rhs = b.reshape(v.size, -1)
+    x = _GTTRS(*lu, rhs)[0].T
+    y = rhs.T - v * x
+    z = c * u2 * np.cumsum(u1 * y, axis=1)
+    z[:, :-1] += c * u1[:-1] * np.cumsum((u2 * y)[:, :0:-1], 1)[:, ::-1]
+    fix = v * (z - x)
+    if not np.isfinite(fix).all():
+        raise ValueError(f"lambda {lam}: R b is not finite")
+    z -= _GTTRS(*lu, fix.T, overwrite_b=True)[0].T
+    return z.T.reshape(b.shape)
 
 
 def _solver(grid, n, potential, lam, sign):
-    """(b -> R^{sign}(lam) b, u1) for b of shape (M,) or (M, K).  The rows
-    of A0^{-1} nearly cancel, so the banded solve x of (A0^{-1} + V) x = b
-    is off by about eps ||A0^{-1}|| ||R|| (up to 6e-13 against the dense
-    LU).  One refinement step against A0 itself, applied by two running
-    sums, takes that to eps: z = A0 (b - V x) has (I + A0 V)(x - R b) =
-    x - z, so R b = z - R V (z - x).  A singular system raises
-    numpy.linalg.LinAlgError, a non-finite one (Bessel values or V outside
-    the float range) ValueError naming lam."""
-    band, u1, u2, c = _inverse_green(grid, n, lam, sign)
-    v = potential(grid.nodes)
-    band[1] += v
-    if not np.all(np.isfinite(band)):
-        raise ValueError(f"lambda {lam}: A0^-1 + V is not finite")
-
-    def solve(b):
-        # (K, M) rows; a Fortran-order b reaches solve_banded uncopied
-        rhs = b.reshape(grid.M, -1).T
-        x = solve_banded((1, 1), band, rhs.T).T
-        y = rhs - v * x
-        z = c * u2 * np.cumsum(u1 * y, axis=1)
-        z[:, :-1] += c * u1[:-1] * np.cumsum((u2 * y)[:, :0:-1], 1)[:, ::-1]
-        z -= solve_banded((1, 1), band, (v * (z - x)).T).T
-        return z.T.reshape(b.shape)
-    return solve, u1
+    """_solvers for the one lam."""
+    return next(_solvers(grid, n, potential, [lam], sign))
 
 
 def _weighted_norm(apply, w):
@@ -162,12 +204,11 @@ def _weighted_norm(apply, w):
 
 def ls_sweep(grid, n, potential, lams, b, sign, left=None):
     """R^{sign}(lam) b for an array of lam: shape (L, M, K) for b of shape
-    (M, K), or left @ R b when left (J, M) is given.  One banded solve per
-    lam; for sign = +1, lams may be complex with Im lam >= 0.  Raises as
-    ``_solver``."""
+    (M, K), or left @ R b when left (J, M) is given.  One zgttrf per lam,
+    the bands built a chunk of lams at a time; for sign = +1, lams may be
+    complex with Im lam >= 0.  Raises as ``_solvers``."""
     b = np.asfortranarray(np.asarray(b).reshape(grid.M, -1))
-    xs = (_solver(grid, n, potential, lam, sign)[0](b)
-          for lam in np.atleast_1d(lams))
+    xs = (solve(b) for solve, _ in _solvers(grid, n, potential, lams, sign))
     return np.array([x if left is None else left @ x for x in xs])
 
 
@@ -175,9 +216,8 @@ def resolvent_difference_vector(grid, n, potential, lams):
     """x(lam) with R^+ - R^- = i pi dr x conj(x)^T, a column per lam:
     x = (I + A0^+ V)^{-1} u = u - R^+ V u, so x = u in the free case."""
     v = potential(grid.nodes)
-    pairs = (_solver(grid, n, potential, lam, +1)
-             for lam in np.atleast_1d(lams))
-    return np.stack([u - solve(v * u) for solve, u in pairs], axis=1)
+    return np.stack([u - solve(v * u) for solve, u
+                     in _solvers(grid, n, potential, lams, +1)], axis=1)
 
 
 def la_norm_scan(grid, n, potential, lambda_grid):
@@ -201,15 +241,18 @@ def complex_shift_compare(grid, n, potential, lam, eta):
     """Cross-check of the continuum-kernel route against the discrete matrix
     at z = lambda^2 + i eta, where the analytic continuation of the
     Lippmann-Schwinger solve (at sqrt(z)) and a banded solve of
-    (T + V - z)^{-1} are both legitimate: their relative gap in the weighted
-    operator norm (weight exponent SCAN_S), both applied implicitly."""
+    (T + V - z)^{-1}, factored once, are both legitimate: their relative gap
+    in the weighted operator norm (weight exponent SCAN_S), both applied
+    implicitly."""
     if eta <= 0:
         raise ValueError("need eta > 0")
     z = lam ** 2 + 1j * eta
     solve = _solver(grid, n, potential, np.sqrt(z), +1)[0]
     op = build_G(grid, n, potential)
-    ab = np.array([np.r_[0, op.offdiag], op.diag - z, np.r_[op.offdiag, 0]])
+    lu = _factor(op.offdiag, op.diag - z, lam)
     w = weight_matrix(grid, SCAN_S)
-    fd = partial(solve_banded, (1, 1), ab)
+
+    def fd(x):
+        return _GTTRS(*lu, x)[0]
     return (_weighted_norm(lambda x: solve(x) - fd(x), w)
             / _weighted_norm(fd, w))

@@ -117,7 +117,8 @@ def test_all_names_resolve(path):
 # scipy kernel -> the one module that may reach it (None: no module)
 KERNEL_HOMES = {"lu_factor": None, "lu_solve": None,
                 "eigh_tridiagonal": "radialop.py",
-                "solve_banded": "resolvent.py",
+                "solve_banded": None,
+                "get_lapack_funcs": "resolvent.py",
                 "j1": "specfun.py"}
 
 

@@ -39,9 +39,8 @@ def test_tridiagonal_inverts_free_green_matrix(lam, sign):
     """The band of _inverse_green is the inverse of the dense free Green
     matrix.  At complex lambda the cross products cancel like
     e^{2 Im lambda r} unless they are taken from J and H directly."""
-    band = resolvent._inverse_green(UNIT_GRID, N, lam, sign)[0]
-    t = (np.diag(band[1]) + np.diag(band[0, 1:], 1)
-         + np.diag(band[2, :-1], -1))
+    off, diag = resolvent._inverse_green(UNIT_GRID, N, lam, sign)[:2]
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     a0 = free_green_matrix(UNIT_GRID, N, lam, sign)
     assert np.linalg.norm(a0 @ t - np.eye(UNIT_GRID.M), 2) <= 1e-12
 
@@ -122,14 +121,55 @@ def test_sweep_matches_dense_lu(small_grid, lam, im, complex_lam, sign, c,
     assert np.allclose(projected, left @ got, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("sign", [+1, -1, "complex"])
+def test_inverse_green_on_an_array_is_the_per_lambda_calls(small_grid, sign):
+    """Bands built for a lambda array equal the per-lambda bands bit for
+    bit, on both sides of the Taylor branch (lambda dr <= 1)."""
+    lams = np.linspace(0.2, 12.0, 9)
+    if sign == "complex":
+        lams, sign = lams + 1j * np.linspace(0.0, 2.0, 9), +1
+    whole = resolvent._inverse_green(small_grid, N, lams, sign)
+    for k, lam in enumerate(lams):
+        one = resolvent._inverse_green(small_grid, N, lam, sign)
+        for got, want in zip(whole[:4], one[:4]):
+            assert np.array_equal(got[k], want)
+        assert whole[4] == one[4]
+
+
 def test_sweep_batches_match_one_lambda_at_a_time(small_grid, potential):
-    """A lambda array equals the lambdas one by one."""
-    lams = np.linspace(0.5, 4.0, 200)
-    x = resolvent_difference_vector(small_grid, N, potential, lams)
-    for k in (0, 78, 79, 157, 158, 199):
-        one = resolvent_difference_vector(small_grid, N, potential,
-                                          lams[k:k + 1])[:, 0]
-        assert np.array_equal(x[:, k], one)
+    """A lambda array equals the lambdas one by one, at the chunk edges,
+    for real and for complex lambda."""
+    chunk = resolvent.CHUNK // small_grid.M
+    count = 2 * chunk + 2
+    real = np.linspace(0.5, 4.0, count)
+    for lams in (real, real + 1j * np.linspace(0.0, 2.0, count)):
+        x = resolvent_difference_vector(small_grid, N, potential, lams)
+        for k in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, count - 1):
+            one = resolvent_difference_vector(small_grid, N, potential,
+                                              lams[k:k + 1])[:, 0]
+            assert np.array_equal(x[:, k], one)
+
+
+def test_one_factorization_per_lambda(monkeypatch, small_grid, potential):
+    """One zgttrf per lambda and two zgttrs per apply (the solve and its
+    refinement), across a chunk edge."""
+    calls = {}
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+        return call
+    monkeypatch.setattr(resolvent, "_GTTRF",
+                        counted("gttrf", resolvent._GTTRF))
+    monkeypatch.setattr(resolvent, "_GTTRS",
+                        counted("gttrs", resolvent._GTTRS))
+    lams = np.linspace(1.0, 3.0, resolvent.CHUNK // small_grid.M + 2)
+    ls_sweep(small_grid, N, potential, lams, np.eye(small_grid.M)[:, :3], -1)
+    assert calls == {"gttrf": lams.size, "gttrs": 2 * lams.size}
+    calls.clear()
+    resolvent_difference_vector(small_grid, N, potential, lams)
+    assert calls == {"gttrf": lams.size, "gttrs": 2 * lams.size}
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -143,6 +183,31 @@ def test_singular_system_raises(potential):
                  np.eye(UNIT_GRID.M), +1)
     with pytest.raises(ValueError, match=r"lambda \(2\+60j\)"):
         resolvent_difference_vector(UNIT_GRID, N, potential, [2.0 + 60j])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_sweep_names_the_first_bad_lambda_past_the_first_chunk(potential):
+    chunk = resolvent.CHUNK // UNIT_GRID.M
+    lams = np.full(chunk + 5, 2.0, complex)
+    lams[chunk + 3], lams[chunk + 4] = 2.0 + 60j, 2.0 + 70j
+    with pytest.raises(ValueError, match=r"lambda \(2\+60j\): A0\^-1 \+ V "
+                       r"is not finite"):
+        ls_sweep(UNIT_GRID, N, potential, lams, np.ones(UNIT_GRID.M), +1)
+
+
+def test_singular_pivot_raises_naming_lambda(monkeypatch, potential):
+    """A zgttrf info > 0 (an exactly zero pivot) is a LinAlgError naming
+    lambda, and a gap of la_norm_scan."""
+    kernel = resolvent._GTTRF
+
+    def singular(*args, **kwargs):
+        return (*kernel(*args, **kwargs)[:-1], 3)
+    monkeypatch.setattr(resolvent, "_GTTRF", singular)
+    with pytest.raises(np.linalg.LinAlgError, match=r"lambda 2\.5"):
+        ls_sweep(UNIT_GRID, N, potential, [2.5], np.ones(UNIT_GRID.M), +1)
+    rows, gaps = la_norm_scan(UNIT_GRID, N, potential, [2.5])
+    assert rows == [] and gaps[0][0] == 2.5 and "LinAlgError" in gaps[0][1]
 
 
 def test_ls_reduces_to_free(small_grid):
@@ -169,6 +234,13 @@ def test_la_norm_scan_records_gaps(small_grid, potential):
                               [-1.0, 1.0, 2.0, 4.0, 8.0, 16.0])
     assert len(gaps) == 1 and gaps[0][0] == -1.0
     assert len(rows) == 5
+
+
+def test_la_norm_scan_gap_between_rows(small_grid, potential):
+    # one solver per lambda: a bad lambda is its own gap only
+    rows, gaps = la_norm_scan(small_grid, N, potential, [1.0, -1.0, 2.0])
+    assert [lam for lam, _ in gaps] == [-1.0]
+    assert [row[0] for row in rows] == [1.0, 2.0]
 
 
 def test_la_norm_scan_keeps_gaps_when_nothing_survives(small_grid):
