@@ -287,6 +287,8 @@ def _group_rank(key):
 
 
 def cmd_report(cfg):
+    if not os.path.isdir(cfg.out):
+        raise ConfigError(f"no such directory: {cfg.out}")
     reports = {}
     for name in sorted(os.listdir(cfg.out)):
         stem = re.fullmatch(r"estimate_(.*)\.json", name)
@@ -295,6 +297,8 @@ def cmd_report(cfg):
             key = re.sub(r"(?<=\d)_(?=\d)", ".", stem[1])
             with open(os.path.join(cfg.out, name)) as fh:
                 reports[key] = json.load(fh)
+    if not reports:
+        raise ConfigError(f"no estimate_*.json in {cfg.out}")
     # verify's row order: the one its run_metadata.json records, then
     # GROUPS order for rows it does not record
     meta = os.path.join(cfg.out, "run_metadata.json")
@@ -329,14 +333,14 @@ def main(argv=None):
     if args.estimates is not None:
         overrides["estimate_ids"] = tuple(
             args.estimates.replace(",", " ").split())
+    command = {"kernel": cmd_kernel, "resolvent": cmd_resolvent,
+               "propagator": cmd_propagator, "verify": cmd_verify,
+               "report": cmd_report}[args.command]
     try:
-        cfg = ExperimentConfig.load(args.config, overrides)
+        return command(ExperimentConfig.load(args.config, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return {"kernel": cmd_kernel, "resolvent": cmd_resolvent,
-            "propagator": cmd_propagator, "verify": cmd_verify,
-            "report": cmd_report}[args.command](cfg)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import replace
 from functools import partial
 from math import floor
 
@@ -673,17 +672,6 @@ def check_thm41(grid, n, potential, profile, h_set, t_set):
     return reports
 
 
-def _multiplier_band(op, chi, tilt):
-    """The band of chi(sqrt G) sqrt(G)^tilt, rolled off over [8, 16].
-
-    The cutoff chi is supported up to the grid's Nyquist frequency, where
-    discrete modes have zero group velocity and never leave the weight
-    window; the smooth roll-off keeps the multiplier inside the resolved
-    part of the spectrum."""
-    band = op.band(chi, 1.0, tilt=tilt, amp_floor=1e-7)
-    return replace(band, amps=band.amps * (1.0 - plateau(8.0)(band.roots)))
-
-
 def assemble_thm11(grid, n, potential, t_set=(4.0, 8.0, 16.0, 32.0,
                                               64.0)):
     """Scalar frequency-integration identity plus sector surrogates of
@@ -697,7 +685,7 @@ def assemble_thm11(grid, n, potential, t_set=(4.0, 8.0, 16.0, 32.0,
     # sigma^{-beta} chi_a(sigma) = int_0^1 phi(theta sigma)
     # theta^{beta-1} dtheta with phi(sigma) = sigma^{1-beta} chi'_a(sigma)
     beta = (n + 1) / 2.0
-    phi_id = step_cutoff_derivative(a, power=1.0 - beta)
+    phi_id = step_cutoff_derivative(a).tilt(1.0 - beta)
     resid = 0.0
     for sigma in (0.5, 1.0, 1.7, 2.5, 4.0):
         lhs = sigma ** -beta * chi(np.array([sigma]))[0]
@@ -710,8 +698,15 @@ def assemble_thm11(grid, n, potential, t_set=(4.0, 8.0, 16.0, 32.0,
 
     top = (n - 1) / 2.0
 
+    # chi rolled off over [8, 16]: chi (1 - chi_8) = plateau(a, 8), as
+    # chi = 1 wherever chi_8 > 0.  chi alone reaches the grid's Nyquist
+    # frequency, where discrete modes have zero group velocity and never
+    # leave the weight window; the smooth roll-off keeps the multiplier
+    # inside the resolved part of the spectrum.
+    rolled = plateau(a, 8.0)
+
     def multiplier_rows(tilt, norm, weight=None):
-        band = _multiplier_band(op, chi, tilt)
+        band = op.band(rolled.tilt(tilt), 1.0)
         right = band.vecs if weight is None else weight[:, None] * band.vecs
         return list(zip(t_set, norm(band.vecs, right, band.coeff(t_set))))
 
@@ -727,7 +722,7 @@ def assemble_thm11(grid, n, potential, t_set=(4.0, 8.0, 16.0, 32.0,
     # the unweighted band's eigenvector columns are orthonormal, so
     # ||V diag(c) V^T||_2 = max |c|, and |c| = |amps| at every t (the
     # propagator is unitary): the p = 2 row is one constant
-    top_amp = np.max(np.abs(_multiplier_band(op, chi, 0.0).amps))
+    top_amp = np.max(np.abs(op.band(rolled, 1.0).amps))
     rows = [(t, top_amp) for t in t_set]
     reports["1.2_p2"] = fit_power_law(rows, "1.2", "t", target=0.0,
                                       tolerance=0.05).as_dict()

@@ -7,9 +7,9 @@ noise.  Three kinds are provided:
 
 * ``bump``     -- the canonical bump on (1, 2)
 * ``plateau``  -- smoothed indicator: rises on [a, 2a], equals 1 up to b,
-                  falls smoothly on [b, 2b]; ``b = inf`` gives the step
-                  cutoff (1 on [2a, inf))
-* any kind may carry a power tilt sigma^q and a scalar factor
+                  falls smoothly on [b, 2b], i.e. chi_a (1 - chi_b);
+                  ``step_cutoff`` is the b = inf case (1 on [2a, inf))
+* any kind may carry a power tilt sigma^q (``tilt``) and a scalar factor
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _bump_mass(a, b):
 class BumpProfile:
     """A smooth frequency profile with support in (0, inf).
 
-    ``value``/``deriv`` evaluate the profile scale * sigma^power * base(sigma)
+    Calling it, or ``deriv``, evaluates scale * sigma^power * base(sigma)
     where base is determined by ``kind``.
     """
 
@@ -156,16 +156,6 @@ class BumpProfile:
                    / _bump_mass(b, 2 * b))
         return out
 
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self.scale * self._base_value(s)
-        if self.power != 0.0:
-            pw = np.zeros_like(s)
-            pos = s > 0
-            pw[pos] = s[pos] ** self.power
-            out = out * pw
-        return out
-
     def deriv(self, k, s):
         """k-th derivative, exact (Leibniz over the power tilt)."""
         if k < 0:
@@ -185,7 +175,7 @@ class BumpProfile:
         return self.scale * out
 
     def __call__(self, s):
-        return self.value(s)
+        return self.deriv(0, s)
 
     def tilt(self, q):
         """Same base profile multiplied by sigma^q."""
@@ -205,7 +195,7 @@ def bump():
     return BumpProfile(1.0, 2.0)
 
 
-def plateau(a_lo, a_hi=np.inf):
+def plateau(a_lo, a_hi):
     return BumpProfile(a_lo, a_hi, "plateau")
 
 
@@ -214,10 +204,9 @@ def step_cutoff(a):
     return BumpProfile(a, np.inf, "plateau")
 
 
-def step_cutoff_derivative(a, power=0.0):
-    """chi_a' (a normalized bump on (a, 2a)), optionally tilted by sigma^power."""
-    return BumpProfile(a, 2 * a, "bump", power,
-                       1.0 / _bump_mass(a, 2 * a))
+def step_cutoff_derivative(a):
+    """chi_a' (a normalized bump on (a, 2a))."""
+    return BumpProfile(a, 2 * a, "bump", scale=1.0 / _bump_mass(a, 2 * a))
 
 
 def mollifier():

@@ -143,16 +143,14 @@ class DiscreteOperator:
         """(eigenvalues ascending, orthonormal eigenvectors as columns)."""
         return self._eigen
 
-    def band(self, profile, h, tilt=0.0, amp_floor=0.0):
-        """The band of profile(h sqrt(G)) sqrt(G)^tilt on the positive
-        spectrum, keeping amplitudes above amp_floor times the largest."""
+    def band(self, profile, h):
+        """The band of profile(h sqrt(G)): the eigenpairs of the positive
+        spectrum where the profile is nonzero."""
         mu, q = self.eigensystem()
         pos = mu > 0
         root = np.sqrt(mu[pos])
         amp = profile(h * root)
-        if tilt != 0.0:
-            amp = amp * root ** tilt
-        keep = np.abs(amp) > amp_floor * (np.max(np.abs(amp)) or 1.0)
+        keep = amp != 0
         return SpectralBand(root[keep], amp[keep], q[:, pos][:, keep])
 
 

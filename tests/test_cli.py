@@ -140,6 +140,23 @@ def test_verify_without_selection_is_noop():
     assert main(["verify"]) == 0
 
 
+@pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])
+def test_report_without_estimates_is_a_config_error(tmp_path, capsys, make):
+    """report over an out dir that is missing or holds no estimate_*.json
+    has nothing to roll up: exit 2 naming the directory, write nothing."""
+    out = tmp_path / "out"
+    if make:
+        out.mkdir()
+        (out / "kernel_scan.csv").write_text("t\n")
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+    if make:
+        assert os.listdir(out) == ["kernel_scan.csv"]
+    else:
+        assert not out.exists()
+
+
 def test_kernel_subcommand_writes_scan(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[grid]\nR = 16\nM = 159\n[scan]\nt_set = 2 4\n")

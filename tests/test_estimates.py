@@ -4,7 +4,7 @@ import pytest
 from wavedecay import estimates as est
 from wavedecay.fitting import _stability, fit_power_law
 from wavedecay.norms import band_norm_2
-from wavedecay.profiles import bump, mollifier, step_cutoff
+from wavedecay.profiles import bump, mollifier, plateau, step_cutoff
 from wavedecay.radialop import (PotentialSpec, RadialGrid, build_G, build_G0,
                                weight_matrix)
 from wavedecay.specfun import gauss_panels, simpson_weights
@@ -93,7 +93,7 @@ def test_thm11_p2_is_the_largest_coefficient(small_grid, potential):
     """1.2 at p = 2 reads ||V diag(c) V^T||_2 as max |c|: held to the
     stacked band_norm_2 and the dense spectral norm."""
     op = build_G(small_grid, 4, potential)
-    band = est._multiplier_band(op, step_cutoff(1.0), 0.0)
+    band = op.band(plateau(1.0, 8.0), 1.0)
     ts = (4.0, 8.0, 16.0, 32.0, 64.0)
     coeffs = band.coeff(ts)
     short = np.max(np.abs(coeffs), axis=1)
@@ -105,6 +105,35 @@ def test_thm11_p2_is_the_largest_coefficient(small_grid, potential):
     rep = est.assemble_thm11(small_grid, 4, potential, t_set=ts)
     assert rep["1.2_p2"]["fitted_constant"] == pytest.approx(short[0],
                                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("tilt", [0.0, -2.5, -3.0])
+def test_thm11_band_is_the_rolled_off_cutoff(small_grid, potential, tilt):
+    """The 1.2 band chi_1(sqrt G) (1 - chi_8(sqrt G)) sqrt(G)^tilt keeps no
+    zero-amplitude column, lies in (1, 16), and matches, bit for bit on
+    the columns both keep, the construction that tilted the step cutoff's
+    band, dropped amplitudes below 1e-7 of the largest and multiplied the
+    roll-off in afterwards."""
+    op = build_G(small_grid, 4, potential)
+    band = op.band(plateau(1.0, 8.0).tilt(tilt), 1.0)
+    assert np.all(band.amps != 0)
+    assert band.roots.min() > 1.0 and band.roots.max() < 16.0
+
+    mu, q = op.eigensystem()
+    root, vecs = np.sqrt(mu[mu > 0]), q[:, mu > 0]
+    amp = step_cutoff(1.0)(root)
+    if tilt != 0.0:
+        amp = amp * root ** tilt
+    keep = np.abs(amp) > 1e-7 * np.max(np.abs(amp))
+    old_amps = amp[keep] * (1.0 - step_cutoff(8.0)(root[keep]))
+    old_roots, old_vecs = root[keep], vecs[:, keep]
+    assert np.any(old_amps == 0)    # the zero columns the new band drops
+    _, new_i, old_i = np.intersect1d(band.roots, old_roots,
+                                     assume_unique=True, return_indices=True)
+    assert np.array_equal(band.amps[new_i], old_amps[old_i])
+    assert np.array_equal(band.vecs[:, new_i], old_vecs[:, old_i])
+    # a column leaves only where the old amplitude was exactly 0
+    assert np.all(np.isin(old_roots[old_amps != 0], band.roots))
 
 
 def test_smoothing_normalizes_by_band_mass(small_grid, profile):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavedecay import estimates as est
 from wavedecay.funcalc import phi_of_hsqrt
 from wavedecay.norms import (band_norm_1_to_inf, band_norm_2,
                              band_norm_2_to_inf, op_norm_1_to_inf, op_norm_2,
                              op_norm_2_to_inf, op_norm_p, operator_two_norm,
                              sector_weights)
-from wavedecay.profiles import bump, step_cutoff
+from wavedecay.profiles import bump, plateau
 from wavedecay.radialop import RadialGrid, build_G, build_G0, weight_matrix
 from wavedecay.resolvent import ls_sweep
 
@@ -65,7 +64,7 @@ def test_op_norm_2_matches_lapack_property(rows, cols, rank, repeat, cplx,
 
 def _unitary_band(small_grid, potential):
     op = build_G(small_grid, 4, potential)
-    band = est._multiplier_band(op, step_cutoff(1.0), 0.0)
+    band = op.band(plateau(1.0, 8.0), 1.0)
     return band.dense(band.coeff(16.0))
 
 

@@ -34,6 +34,14 @@ def test_plateau_range(s):
         assert v == pytest.approx(1.0, abs=1e-12)
 
 
+def test_plateau_is_the_rolled_off_step_cutoff():
+    """plateau(1, 8) = chi_1 (1 - chi_8) bit for bit: chi_1 is exactly 1
+    wherever chi_8 > 0."""
+    s = np.linspace(0.0, 40.0, 8001)[1:]
+    want = step_cutoff(1.0)(s) * (1.0 - step_cutoff(8.0)(s))
+    assert np.array_equal(plateau(1.0, 8.0)(s), want)
+
+
 def test_step_cutoff_limits():
     chi = step_cutoff(1.0)
     s = np.array([0.5, 0.999, 2.0, 10.0])

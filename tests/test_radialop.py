@@ -66,13 +66,15 @@ def test_band_floor_and_tilt(small_grid, potential, profile):
     assert root.shape == amp.shape == (band.vecs.shape[1],)
     # support [1, 2] of the profile restricts the kept frequencies
     assert root.min() >= 1.0 - 1e-9 and root.max() <= 2.0 + 1e-9
-    tilted = op.band(profile, 1.0, tilt=1.0)
+    # the band keeps exactly the eigenpairs where the amplitude is nonzero
+    mu = op.eigensystem()[0]
+    every = np.sqrt(mu[mu > 0])
+    assert np.all(amp != 0)
+    assert root.size == np.count_nonzero(profile(every))
+    # a tilt is a profile operation: sigma^q multiplies the amplitudes
+    tilted = op.band(profile.tilt(1.0), 1.0)
     assert np.array_equal(tilted.roots, root)
     assert np.allclose(tilted.amps, amp * root)
-    floored = op.band(profile, 1.0, amp_floor=1e-2)
-    assert floored.roots.size < root.size
-    assert np.all(np.abs(floored.amps)
-                  > 1e-2 * np.abs(amp).max() * (1 - 1e-12))
 
 
 def test_band_difference_is_dense_difference(small_grid, potential,
