@@ -203,16 +203,20 @@ def cmd_verify(cfg):
     ids = cfg.estimate_ids
     if not ids:
         return 0
-    reports = {}
-    for fn in _selected(ids):
-        reports.update(fn(cfg))
+    reports, group_s, selected = {}, {}, _selected(ids)
+    for group_ids, fn in GROUPS:
+        if fn in selected:
+            start = time.perf_counter()
+            reports.update(fn(cfg))
+            group_s[group_ids[0]] = time.perf_counter() - start
     est.emit_reports(reports, cfg.out)
     # the rollup's row order, which the reports' sorted JSON keys lose;
     # report writes its rows in this order
     order = [row[0] for row in est.rollup_rows(reports)]
     with open(os.path.join(cfg.out, "run_metadata.json"), "w") as fh:
         json.dump({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                   "estimates": list(ids), "rollup_order": order},
+                   "estimates": list(ids), "rollup_order": order,
+                   "group_s": group_s},
                   fh, indent=2)
     for key in sorted(reports):
         if not key.startswith("_"):

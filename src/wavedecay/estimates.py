@@ -82,6 +82,9 @@ KERNEL_T = tuple(8.0 * 2.0 ** (k / 2.0) for k in range(9))
 # a time integral over t in R is twice one over (0, T_CUT], at steps of dt
 T_CUT = 64.0
 
+# times per block of _time_side_values
+_T_BLOCK = 64
+
 
 def _times(dt):
     return np.arange(dt, T_CUT + dt / 2, dt)
@@ -204,7 +207,8 @@ def check_prop21(grid, n, profile, h_set, t_set):
 
 def _time_side_values(op, profile, h, w, s, test_vectors, t_arr):
     """(|t|^{2s} ||w P(t) f||^2 summed over the test vectors at each t of
-    t_arr, band mass), computed in band coordinates.
+    t_arr, band mass), computed in band coordinates, _T_BLOCK times at a
+    time.
 
     band mass = sum ||amp (vecs^T f)||^2, the energy the localized
     propagator actually sees.  Fixed test data loads each frequency band
@@ -213,13 +217,19 @@ def _time_side_values(op, profile, h, w, s, test_vectors, t_arr):
     band = op.band(profile, h)
     wb = w[:, None] * band.vecs
     proj = band.vecs.T @ test_vectors
-    # P(t) f in band coordinates, (k, t, test vector) flattened to (k, T J):
-    # ||w V ph||^2 of each column directly (the Gram form cancels at late t)
-    ph = (band.coeff(t_arr).T[:, :, None] * proj[:, None, :]).reshape(
-        len(band.roots), -1)
-    parts = np.concatenate([ph.real, ph.imag], axis=1)
-    vals = np.sum((wb @ parts) ** 2, axis=0)
-    vals = vals.reshape(2, t_arr.size, -1).sum(axis=(0, 2))
+    # (real or imaginary part, t, test vector)
+    vals = np.empty((2, t_arr.size, proj.shape[1]))
+    for start in range(0, t_arr.size, _T_BLOCK):
+        rows = slice(start, start + _T_BLOCK)
+        # P(t) f in band coordinates, (k, t, test vector) flattened to
+        # (k, t J): ||w V ph||^2 of each column directly (the Gram form
+        # cancels at late t)
+        ph = (band.coeff(t_arr[rows]).T[:, :, None]
+              * proj[:, None, :]).reshape(len(band.roots), -1)
+        parts = np.concatenate([ph.real, ph.imag], axis=1)
+        vals[:, rows] = np.sum((wb @ parts) ** 2, axis=0).reshape(
+            2, -1, proj.shape[1])
+    vals = vals.sum(axis=(0, 2))
     b = band.amps[:, None] * proj
     return vals * t_arr ** (2.0 * s), float(np.sum(np.abs(b) ** 2))
 

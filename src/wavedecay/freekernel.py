@@ -37,6 +37,9 @@ class QuadratureError(RuntimeError):
 
 _PLAIN_N = 96
 _MAX_REFINE = 6
+# rows (times or radii) of one (rows x lambda) block in the batch
+# evaluations, so their working set is one block whatever the batch size
+_BLOCK = 64
 
 
 def _panel_nodes(lo, hi, rate, min_panels=4):
@@ -138,33 +141,46 @@ def _batch_lambda_grid(profile, h, rate):
     return _panel_nodes(lo, hi, rate, min_panels=16)
 
 
+def _row_blocks(size):
+    """Slices of _BLOCK rows covering range(size), the last one taking up
+    a lone leftover row: numpy hands a one-row product to a BLAS dot
+    rather than gemv, which rounds differently."""
+    starts = range(0, max(size - 1, 1), _BLOCK)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], size])]
+
+
 def eval_Kh_batch(n, profile, h, sigma, t_array):
-    """K_h(sigma, t) for an array of times, sharing one lambda grid."""
+    """K_h(sigma, t) for an array of times, sharing one lambda grid;
+    the phase matrix is formed _BLOCK times at a time."""
     _check_dim(n)
     _check_args(h, sigma)
-    t_array = np.asarray(t_array, dtype=float)
+    t_array = np.asarray(t_array, dtype=float).ravel()
     rate = np.max(np.abs(t_array)) + sigma
     lam, w = _batch_lambda_grid(profile, h, rate)
     g = w * _kh_integrand(n, profile, h, sigma, lam)
-    phases = np.exp(1j * np.outer(t_array, lam))
-    return _kh_prefactor(n, sigma) * (phases @ g)
+    out = np.empty(t_array.shape, dtype=complex)
+    for rows in _row_blocks(t_array.size):
+        out[rows] = np.exp(1j * np.outer(t_array[rows], lam)) @ g
+    return _kh_prefactor(n, sigma) * out
 
 
 def eval_Kh_sigma_batch(n, profile, h, sigma_array, t):
-    """K_h(sigma, t) for an array of radii at one time."""
+    """K_h(sigma, t) for an array of radii at one time, sharing one lambda
+    grid; the Bessel matrix is formed _BLOCK radii at a time."""
     _check_dim(n)
     if not (0 < h <= 1):
         raise ValueError("h must lie in (0, 1]")
-    sigma_array = np.asarray(sigma_array, dtype=float)
+    sigma_array = np.asarray(sigma_array, dtype=float).ravel()
     if np.any(sigma_array <= 0):
         raise ValueError("sigma must be > 0")
     nu = (n - 2) / 2.0
     rate = abs(t) + np.max(sigma_array)
     lam, w = _batch_lambda_grid(profile, h, rate)
     base = w * profile(h * lam) * lam * np.exp(1j * t * lam)
-    caj = caljnu(nu, np.outer(sigma_array, lam))
-    pref = _kh_prefactor(n, sigma_array)
-    return pref * (caj @ base)
+    out = np.empty(sigma_array.shape, dtype=complex)
+    for rows in _row_blocks(sigma_array.size):
+        out[rows] = caljnu(nu, np.outer(sigma_array[rows], lam)) @ base
+    return _kh_prefactor(n, sigma_array) * out
 
 
 def plancherel_lambda_side(n, profile, h, sigma):

@@ -12,6 +12,8 @@ factors of k << M columns (a spectral band, possibly weighted), and never
 assemble the M x M matrix; the dense norms are their test oracles.  They
 take a stack of coefficient rows c, shape (T, k), one per time t, and
 return the T norms, so the work on the factors is done once per band.
+The work per t is done one t at a time, in blocks of rows or in work
+arrays that every t reuses, so no working set grows with T.
 
 Every spectral norm (dense, band core or implicit) is the largest singular
 value from one Lanczos kernel, ``operator_two_norm``, with no full SVD.
@@ -34,6 +36,10 @@ __all__ = [
     "band_norm_1_to_inf",
     "operator_two_norm",
 ]
+
+# rows of a band_norm_2 core, or of a band_norm_2_to_inf product, formed
+# at a time
+_BLOCK = 64
 
 
 def sector_weights(grid, n):
@@ -74,11 +80,19 @@ def op_norm_1_to_inf(matrix, grid, n):
 def band_norm_2(left, right, coeffs):
     """|| left diag(c) right^T ||_2 for each row c of coeffs (T, k): one
     thin QR of each factor (a single one when right is left), then the
-    spectral norm of each of the T k x k cores."""
+    spectral norm of each core R_l diag(c) R_r^T, built one t at a time,
+    _BLOCK rows at a time, from real GEMMs of the real R factors."""
     rl = np.linalg.qr(left, mode="r")
-    rr = rl if right is left else np.linalg.qr(right, mode="r")
-    cores = rl @ (coeffs[:, :, None] * rr.T)
-    return np.array([op_norm_2(core) for core in cores])
+    rrt = (rl if right is left else np.linalg.qr(right, mode="r")).T
+    core = np.empty((len(rl), rrt.shape[1]), dtype=complex)
+    out = np.empty(len(coeffs))
+    for i, c in enumerate(coeffs):
+        for start in range(0, len(rl), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            core.real[rows] = (rl[rows] * c.real) @ rrt
+            core.imag[rows] = (rl[rows] * c.imag) @ rrt
+        out[i] = op_norm_2(core)
+    return out
 
 
 def band_norm_2_to_inf(left, right, coeffs, grid, n):
@@ -86,15 +100,17 @@ def band_norm_2_to_inf(left, right, coeffs, grid, n):
     (T, k).  The squared row norms are the diagonal of A G A^* with
     A = left diag(c) and G the Gram of right, formed once; G is real and
     symmetric, so that diagonal is the sum of the real GEMMs of Re A and
-    Im A."""
+    Im A, formed one t and _BLOCK rows at a time."""
     gram = right.T @ right
     rho = sector_weights(grid, n)
-    out = np.empty(len(coeffs))
+    out = np.zeros(len(coeffs))
     for i, c in enumerate(coeffs):
-        rows = sum(np.sum((part @ gram) * part, 1)
-                   for part in (left * c.real, left * c.imag))
-        rows = np.sqrt(np.maximum(rows, 0.0))
-        out[i] = np.max(rows / rho)
+        for start in range(0, len(left), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            sq = sum(np.sum((part @ gram) * part, 1)
+                     for part in (left[rows] * c.real, left[rows] * c.imag))
+            out[i] = max(out[i], np.max(np.sqrt(np.maximum(sq, 0.0))
+                                        / rho[rows]))
     return out / np.sqrt(grid.dr)
 
 
@@ -102,18 +118,25 @@ def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=256):
     """op_norm_1_to_inf of left diag(c) right^T for each row c of coeffs
     (T, k), ``chunk`` rows of each product at a time.  The sector weights
     are folded into the factors once, and the real and imaginary parts of
-    a block are one real GEMM."""
+    a block are one real GEMM against the stacked factor [Re; Im], which
+    every t rewrites in place, as it does the block."""
     rho = sector_weights(grid, n)
-    lw, rw = left / rho[:, None], right / rho[:, None]
+    lw = left / rho[:, None]
+    rw = lw if right is left else right / rho[:, None]
     m = left.shape[0]
+    stacked = np.empty((2 * m, rw.shape[1]))
+    block = np.empty((min(chunk, m), 2 * m))
     out = np.empty(len(coeffs))
     for i, c in enumerate(coeffs):
-        cr = np.concatenate([rw * c.real, rw * c.imag]).T
+        np.multiply(rw, c.real, out=stacked[:m])
+        np.multiply(rw, c.imag, out=stacked[m:])
         best = 0.0
         for start in range(0, m, chunk):
-            block = lw[start:start + chunk] @ cr
-            best = max(best, float(np.max(np.hypot(block[:, :m],
-                                                   block[:, m:]))))
+            rows = lw[start:start + chunk]
+            blk = np.matmul(rows, stacked.T, out=block[:len(rows)])
+            # the moduli overwrite the real parts
+            best = max(best, float(np.max(
+                np.hypot(blk[:, :m], blk[:, m:], out=blk[:, :m]))))
         out[i] = best
     return out / grid.dr
 

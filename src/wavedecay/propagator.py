@@ -245,12 +245,7 @@ def free_sector_kernel_column(grid, n, profile, h, t, col):
     r = grid.nodes[rows]
     dists = np.sqrt(r[:, None] ** 2 + rp ** 2
                     - 2.0 * r[:, None] * rp * np.cos(theta)[None, :])
-    flat = dists.ravel()
-    vals = np.empty(flat.size, dtype=complex)
-    for start in range(0, flat.size, 2048):
-        sl = slice(start, start + 2048)
-        vals[sl] = eval_Kh_sigma_batch(n, profile, h, flat[sl], t)
-    vals = vals.reshape(dists.shape)
+    vals = eval_Kh_sigma_batch(n, profile, h, dists, t).reshape(dists.shape)
     sphere = 2.0 * np.pi ** ((n - 1) / 2.0) / gamma((n - 1) / 2.0)
     angular = sphere * (vals * (np.sin(theta) ** (n - 2) * tw)[None, :]).sum(1)
     return rows, (r * rp) ** ((n - 1) / 2.0) * angular

@@ -24,3 +24,20 @@ def profile():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def traced_peak():
+    """Callable: the tracemalloc peak, in bytes, of the allocations made
+    while fn() runs."""
+    import tracemalloc
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -210,6 +210,25 @@ def test_verify_report_round_trip(tmp_path, capsys):
     assert ranks == sorted(ranks) and len(set(ranks)) == len(GROUPS)
 
 
+def test_verify_records_group_seconds(tmp_path, capsys):
+    """run_metadata.json's group_s holds the wall seconds of exactly the
+    selected groups, keyed by each group's first estimate id in GROUPS
+    order whatever the order of --estimates, and report over the out dir
+    still rebuilds rollup.csv byte for byte."""
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[grid]\nR = 16\nM = 159\n")
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(ini), "--estimates",
+                 "3.20,2.8,3.1", "--out", str(out)])
+    assert code in (0, 1)
+    group_s = json.loads((out / "run_metadata.json").read_text())["group_s"]
+    assert list(group_s) == ["2.7", "3.1", "3.20"]
+    assert all(isinstance(s, float) and s >= 0.0 for s in group_s.values())
+    written = (out / "rollup.csv").read_bytes()
+    assert main(["report", "--out", str(out)]) == code
+    assert (out / "rollup.csv").read_bytes() == written
+
+
 _FIT = {"variable": "t", "target": -1.5, "fitted_exponent": -1.45,
         "tolerance": 0.2, "passed": True}
 

@@ -89,6 +89,55 @@ def test_time_side_values_match_per_t_loop(small_grid, potential, profile):
     assert mass == np.sum(b ** 2)
 
 
+def _one_shot_time_side(op, profile, h, w, s, test_vectors, t_arr):
+    """_time_side_values' sums of squares as one (M x 2 T J) product."""
+    band = op.band(profile, h)
+    proj = band.vecs.T @ test_vectors
+    ph = (band.coeff(t_arr).T[:, :, None] * proj[:, None, :]).reshape(
+        len(band.roots), -1)
+    parts = np.concatenate([ph.real, ph.imag], axis=1)
+    vals = np.sum(((w[:, None] * band.vecs) @ parts) ** 2, axis=0)
+    return vals.reshape(2, t_arr.size, -1).sum(axis=(0, 2)) * t_arr ** (2 * s)
+
+
+_TB = est._T_BLOCK
+
+
+@pytest.mark.parametrize("size", [1, _TB - 1, _TB, _TB + 1, 2 * _TB,
+                                  2 * _TB + 1])
+@pytest.mark.parametrize("cols", [1, 3])
+def test_time_side_values_match_one_shot(small_grid, potential, profile,
+                                         size, cols):
+    """Across the time-block edge, for one and three test vectors: bit
+    for bit when every block is full, else (a last block of one time, a
+    product of 2 J columns that BLAS rounds its own way) to 1e-14."""
+    op = build_G(small_grid, 4, potential)
+    w = weight_matrix(small_grid, 1.55)
+    tests = est._gaussian_tests(small_grid)[:, :cols]
+    t_arr = np.arange(1, size + 1) * 0.25
+    vals, _ = est._time_side_values(op, profile, 0.5, w, 0.75, tests, t_arr)
+    want = _one_shot_time_side(op, profile, 0.5, w, 0.75, tests, t_arr)
+    if size <= _TB or size % _TB == 0:
+        assert np.array_equal(vals, want)
+    assert np.allclose(vals, want, rtol=1e-14, atol=0.0)
+
+
+def test_time_side_working_set_is_one_block(traced_peak):
+    """Report 3.20's 512 times of three test vectors at the benchmark
+    scale: the one-shot (512 x 3,072) product alone is 12.6 MB; the
+    time-blocked sums peak under half of it."""
+    grid = RadialGrid(64.0, 512)
+    op = build_G(grid, 4, PotentialSpec(2.0, 3.0))
+    w = weight_matrix(grid, 2.0)
+    tests = est._gaussian_tests(grid)
+    t_arr = est._times(0.125)
+    product_bytes = grid.M * 2 * t_arr.size * tests.shape[1] * 8
+    op.band(bump(), 1.0)   # the eigensystem, outside the trace
+    peak = traced_peak(lambda: est._time_side_values(
+        op, bump(), 1.0, w, 1.5, tests, t_arr))
+    assert peak < product_bytes / 2
+
+
 def test_thm11_p2_is_the_largest_coefficient(small_grid, potential):
     """1.2 at p = 2 reads ||V diag(c) V^T||_2 as max |c|: held to the
     stacked band_norm_2 and the dense spectral norm."""

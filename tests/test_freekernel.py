@@ -6,6 +6,7 @@ from wavedecay.freekernel import (QuadratureError, eval_Kh, eval_Kh_batch,
                                   eval_Kh_pm, eval_Kh_sigma_batch,
                                   plancherel_lambda_side)
 from wavedecay.profiles import bump
+from wavedecay.specfun import caljnu
 
 # frozen from an independent adaptive-quadrature evaluation of the
 # defining integral (scipy.integrate.quad on real and imaginary parts)
@@ -69,6 +70,62 @@ def test_batch_routes_agree(phi):
     sbatch = eval_Kh_sigma_batch(4, phi, 1.0, sigmas, 5.0)
     singles = [eval_Kh(4, phi, 1.0, s, 5.0) for s in sigmas]
     assert np.allclose(sbatch, singles, rtol=1e-7)
+
+
+def _one_shot_Kh_batch(n, profile, h, sigma, t_array):
+    """eval_Kh_batch as one (T x lambda) phase matrix."""
+    lam, w = freekernel._batch_lambda_grid(profile, h,
+                                           np.max(np.abs(t_array)) + sigma)
+    g = w * freekernel._kh_integrand(n, profile, h, sigma, lam)
+    phases = np.exp(1j * np.outer(t_array, lam))
+    return freekernel._kh_prefactor(n, sigma) * (phases @ g)
+
+
+def _one_shot_Kh_sigma_batch(n, profile, h, sigma_array, t):
+    """eval_Kh_sigma_batch as one (S x lambda) Bessel matrix."""
+    lam, w = freekernel._batch_lambda_grid(profile, h,
+                                           abs(t) + np.max(sigma_array))
+    base = w * profile(h * lam) * lam * np.exp(1j * t * lam)
+    caj = caljnu((n - 2) / 2.0, np.outer(sigma_array, lam))
+    return freekernel._kh_prefactor(n, sigma_array) * (caj @ base)
+
+
+_B = freekernel._BLOCK
+
+
+@pytest.mark.parametrize("size", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("h", [1.0, 0.125])
+def test_blocked_batches_match_one_shot(phi, size, h):
+    """Bit for bit: a row of a block is the same BLAS product as that row
+    of the one-shot matrix, the lone leftover row (B + 1, 2B + 1) too."""
+    ts = np.linspace(0.5, 64.0, size)
+    assert np.array_equal(eval_Kh_batch(4, phi, h, 2.0, ts),
+                          _one_shot_Kh_batch(4, phi, h, 2.0, ts))
+    sigmas = np.linspace(0.05, 30.0, size)
+    assert np.array_equal(eval_Kh_sigma_batch(4, phi, h, sigmas, 7.0),
+                          _one_shot_Kh_sigma_batch(4, phi, h, sigmas, 7.0))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, _B - 1, _B, _B + 1, 2 * _B,
+                                  2 * _B + 1, 2 * _B + 2])
+def test_row_blocks_cover_without_a_lone_row(size):
+    blocks = freekernel._row_blocks(size)
+    assert np.array_equal(np.concatenate(
+        [np.arange(size)[b] for b in blocks]), np.arange(size))
+    lens = [b.stop - b.start for b in blocks]
+    assert max(lens) <= _B + 1 and (size <= 1 or min(lens) > 1)
+
+
+def test_time_batch_working_set_is_one_block(phi, traced_peak):
+    """The (2.8) time integral at h = 1/8 over 512 times: the one-shot
+    (512 x 2,692) complex phase matrix alone is 22 MB; the blocked
+    evaluation peaks under a third of it."""
+    ts = np.arange(0.125, 64.0625, 0.125)
+    lam, _ = freekernel._batch_lambda_grid(phi, 0.125, ts[-1] + 2.0)
+    phase_bytes = ts.size * lam.size * 16
+    assert phase_bytes > 20e6
+    peak = traced_peak(lambda: eval_Kh_batch(4, phi, 0.125, 2.0, ts))
+    assert peak < phase_bytes / 3
 
 
 def test_interior_superpolynomial_decay(phi):

@@ -283,12 +283,13 @@ def call_settings(sources):
     return keywords, slots
 
 
-def never_set(source, callers):
+def never_set(source, settings):
     """(function, parameter) for each defaulted parameter of source that no
-    call in callers sets, by keyword or by position.  Calls are matched by
-    the callee's bare name, so a call sets the parameter of every function
-    of that name."""
-    keywords, slots = call_settings(callers)
+    call sets, by keyword or by position; settings is ``call_settings`` of
+    the callers, parsed once for every source checked against them.  Calls
+    are matched by the callee's bare name, so a call sets the parameter of
+    every function of that name."""
+    keywords, slots = settings
     return [(fn, arg) for fn, arg, slot in defaulted_params(source)
             if (fn, arg) not in keywords and (fn, None) not in keywords
             and (slot is None or slots.get(fn, 0) <= slot)]
@@ -299,7 +300,8 @@ def test_detector_flags_never_set_defaults():
            "class C:\n    def m(self, x, y=0):\n        pass\n"
            "def g(p=1):\n    pass\n")
     callers = ["f(0, 5)\nf(0, d=4)\nC().m(1)\n", "g(*args)\n"]
-    assert never_set(src, callers) == [("f", "c"), ("f", "e"), ("m", "y")]
+    assert never_set(src, call_settings(callers)) == [
+        ("f", "c"), ("f", "e"), ("m", "y")]
 
 
 # ROADMAP item 12's demo study varies the mollifier suite's frame extent and
@@ -312,6 +314,7 @@ def test_every_default_is_set_by_some_call():
     callers = [path.read_text() for folder in ("src", "tests", "demos",
                                                "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
+    settings = call_settings(callers)
     found = {pair for path in sorted(SRC.glob("*.py"))
-             for pair in never_set(path.read_text(), callers)}
+             for pair in never_set(path.read_text(), settings)}
     assert found == VARIED_BY_HAND

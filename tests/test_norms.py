@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wavedecay import norms
 from wavedecay.funcalc import phi_of_hsqrt
 from wavedecay.norms import (band_norm_1_to_inf, band_norm_2,
                              band_norm_2_to_inf, op_norm_1_to_inf, op_norm_2,
@@ -231,3 +232,72 @@ def test_band_norms_match_dense_property(grid, k, t, chunk, same, seed):
             op_norm_2_to_inf(dense, grid, 4), rel=1e-9)
         assert got_1inf[i] == pytest.approx(
             op_norm_1_to_inf(dense, grid, 4), rel=1e-9)
+
+
+def _one_shot_2(left, right, coeffs):
+    """band_norm_2 with all T complex cores stacked at once."""
+    rl = np.linalg.qr(left, mode="r")
+    rr = rl if right is left else np.linalg.qr(right, mode="r")
+    cores = rl @ (coeffs[:, :, None] * rr.T)
+    return np.array([op_norm_2(core) for core in cores])
+
+
+def _one_shot_2_to_inf(left, right, coeffs, grid, n):
+    """band_norm_2_to_inf with per-t copies of whole factors."""
+    gram = right.T @ right
+    rho = sector_weights(grid, n)
+    out = np.empty(len(coeffs))
+    for i, c in enumerate(coeffs):
+        rows = sum(np.sum((part @ gram) * part, 1)
+                   for part in (left * c.real, left * c.imag))
+        out[i] = np.max(np.sqrt(np.maximum(rows, 0.0)) / rho)
+    return out / np.sqrt(grid.dr)
+
+
+def _one_shot_1_to_inf(left, right, coeffs, grid, n, chunk):
+    """band_norm_1_to_inf with a fresh concatenated factor per t."""
+    rho = sector_weights(grid, n)
+    lw, rw = left / rho[:, None], right / rho[:, None]
+    m = left.shape[0]
+    out = np.empty(len(coeffs))
+    for i, c in enumerate(coeffs):
+        cr = np.concatenate([rw * c.real, rw * c.imag]).T
+        out[i] = max(float(np.max(np.hypot(block[:, :m], block[:, m:])))
+                     for block in (lw[s:s + chunk] @ cr
+                                   for s in range(0, m, chunk)))
+    return out / grid.dr
+
+
+@pytest.mark.parametrize("k", [12, 97], ids=["narrow", "wider_than_M"])
+@pytest.mark.parametrize("same", [True, False], ids=["same", "two"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_streamed_band_norms_match_one_shot(rng, k, same, order):
+    """T = 1..9 on M = 80 rows, past one row block of band_norm_2 and
+    band_norm_2_to_inf: the mixed norms bit for bit, the spectral norm
+    (real GEMMs in place of complex ones) to 1e-14 relative."""
+    grid = RadialGrid(8.0, 80)
+    assert grid.M > norms._BLOCK
+    for t in range(1, 10):
+        left, right, coeffs = _factors(rng, grid.M, k, t)
+        left = np.asarray(left, order=order)
+        right = left if same else np.asarray(right, order=order)
+        assert np.allclose(band_norm_2(left, right, coeffs),
+                           _one_shot_2(left, right, coeffs),
+                           rtol=1e-14, atol=0.0)
+        assert np.array_equal(
+            band_norm_2_to_inf(left, right, coeffs, grid, 4),
+            _one_shot_2_to_inf(left, right, coeffs, grid, 4))
+        for chunk in (37, 256):
+            assert np.array_equal(
+                band_norm_1_to_inf(left, right, coeffs, grid, 4, chunk),
+                _one_shot_1_to_inf(left, right, coeffs, grid, 4, chunk))
+
+
+def test_band_norm_2_working_set_is_one_core(rng, traced_peak):
+    """T = 9 cores of a band wider than M: the stacked complex cores
+    alone are 8.3 MB; the per-t build peaks under a third of them."""
+    m, k, t = 240, 300, 9
+    left, _, coeffs = _factors(rng, m, k, t)
+    cores_bytes = t * m * m * 16
+    peak = traced_peak(lambda: band_norm_2(left, left, coeffs))
+    assert peak < cores_bytes / 3
