@@ -24,6 +24,7 @@ import numpy as np
 
 from . import estimates as est
 from .fitting import check_fit_window
+from .norms import COUNTS as norm_counts
 from .profiles import bump
 from .radialop import PotentialSpec, RadialGrid, build_G, build_G0
 
@@ -203,12 +204,16 @@ def cmd_verify(cfg):
     ids = cfg.estimate_ids
     if not ids:
         return 0
-    reports, group_s, selected = {}, {}, _selected(ids)
+    reports, group_s, group_counts = {}, {}, {}
+    selected = _selected(ids)
     for group_ids, fn in GROUPS:
         if fn in selected:
+            counts = dict(norm_counts)
             start = time.perf_counter()
             reports.update(fn(cfg))
             group_s[group_ids[0]] = time.perf_counter() - start
+            group_counts[group_ids[0]] = {
+                key: norm_counts[key] - counts[key] for key in counts}
     est.emit_reports(reports, cfg.out)
     # the rollup's row order, which the reports' sorted JSON keys lose;
     # report writes its rows in this order
@@ -216,7 +221,7 @@ def cmd_verify(cfg):
     with open(os.path.join(cfg.out, "run_metadata.json"), "w") as fh:
         json.dump({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                    "estimates": list(ids), "rollup_order": order,
-                   "group_s": group_s},
+                   "group_s": group_s, "group_counts": group_counts},
                   fh, indent=2)
     for key in sorted(reports):
         if not key.startswith("_"):

@@ -8,15 +8,23 @@ L2 -> L2 norm coincides with the plain spectral norm since the dr weight
 cancels.
 
 The band norms take A in low-rank form, left diag(c) right^T with real
-factors of k << M columns (a spectral band, possibly weighted), and never
+factors of k columns (a spectral band, possibly weighted), and never
 assemble the M x M matrix; the dense norms are their test oracles.  They
 take a stack of coefficient rows c, shape (T, k), one per time t, and
-return the T norms, so the work on the factors is done once per band.
-The work per t is done one t at a time, in blocks of rows or in work
-arrays that every t reuses, so no working set grows with T.
+return the T norms, so the work on the factors is done once per band
+and the work per t in blocks that no T makes larger.
 
-Every spectral norm (dense, band core or implicit) is the largest singular
+- band_norm_2 runs Lanczos on the factors themselves (the thin-QR R
+  factors when k < M), applied as real GEMMs, with no core formed.
+- band_norm_2_to_inf and band_norm_1_to_inf prune exactly: a row's (or
+  an entry's) Cauchy-Schwarz bound orders the blocks of consecutive rows
+  (or tiles), and one whose bound cannot beat the running max is never
+  formed, so the max is the one the full product gives.
+
+Every spectral norm (dense, band or implicit) is the largest singular
 value from one Lanczos kernel, ``operator_two_norm``, with no full SVD.
+``COUNTS`` holds the kernel's Lanczos steps and the rows and entries the
+pruned norms formed, against their totals.
 """
 
 from __future__ import annotations
@@ -37,9 +45,19 @@ __all__ = [
     "operator_two_norm",
 ]
 
-# rows of a band_norm_2 core, or of a band_norm_2_to_inf product, formed
-# at a time
+# rows of a 2 -> inf block, and the default rows and columns of a 1 -> inf
+# tile, formed at a time
 _BLOCK = 64
+# a bound times _MARGIN is above any value a rounded length-k dot product
+# under it can read: that rounding is about k u relative (u = 2^-53),
+# under 1e-12 for k up to a few thousand
+_MARGIN = 1.0 + 1e-12
+# Lanczos steps of operator_two_norm, and the rows (2 -> inf) and entries
+# (1 -> inf) the pruned band norms computed, against their totals
+COUNTS = dict.fromkeys(
+    ("norms.power_iterations", "norms.rows_2_to_inf",
+     "norms.rows_2_to_inf_total", "norms.entries_1_to_inf",
+     "norms.entries_1_to_inf_total"), 0)
 
 
 def sector_weights(grid, n):
@@ -77,22 +95,53 @@ def op_norm_1_to_inf(matrix, grid, n):
     return float(np.max(a) / grid.dr)
 
 
+def _real_apply(a, x):
+    """a @ x for a real matrix a; a complex x goes in as its (re, im)
+    pairs, one real GEMM, since a @ x would cast a to complex."""
+    if not np.iscomplexobj(x):
+        return a @ x
+    pairs = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
+    return (a @ pairs).view(complex).ravel()
+
+
 def band_norm_2(left, right, coeffs):
-    """|| left diag(c) right^T ||_2 for each row c of coeffs (T, k): one
-    thin QR of each factor (a single one when right is left), then the
-    spectral norm of each core R_l diag(c) R_r^T, built one t at a time,
-    _BLOCK rows at a time, from real GEMMs of the real R factors."""
-    rl = np.linalg.qr(left, mode="r")
-    rrt = (rl if right is left else np.linalg.qr(right, mode="r")).T
-    core = np.empty((len(rl), rrt.shape[1]), dtype=complex)
+    """|| left diag(c) right^T ||_2 for each row c of coeffs (T, k), by
+    operator_two_norm on x -> L diag(c) R^T x and its transpose, so no
+    core is ever formed.  L and R are the thin-QR R factors of left and
+    right (one QR when right is left) when k < M; when k >= M a QR would
+    shrink nothing, and the factors are used as they are, uncopied."""
+    if left.shape[1] < left.shape[0]:
+        lf = np.linalg.qr(left, mode="r")
+        rf = lf if right is left else np.linalg.qr(right, mode="r")
+    else:
+        lf, rf = left, right
     out = np.empty(len(coeffs))
     for i, c in enumerate(coeffs):
-        for start in range(0, len(rl), _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            core.real[rows] = (rl[rows] * c.real) @ rrt
-            core.imag[rows] = (rl[rows] * c.imag) @ rrt
-        out[i] = op_norm_2(core)
+        out[i] = operator_two_norm(
+            lambda x, c=c: _real_apply(lf, c * _real_apply(rf.T, x)),
+            lambda y, c=c: _real_apply(rf, c * _real_apply(lf.T, y)),
+            len(rf))
     return out
+
+
+def _blocks_by_bound(bound, size):
+    """(top, slice) for each run of size consecutive rows, top the largest
+    bound in the run, in decreasing top."""
+    starts = np.arange(0, len(bound), size)
+    tops = np.maximum.reduceat(bound, starts)
+    return [(tops[j], slice(starts[j], starts[j] + size))
+            for j in np.argsort(-tops, kind="stable")]
+
+
+def _row_norms(a, coeffs):
+    """|| a_r o c || for every row r of a and row c of coeffs, (M, T),
+    _BLOCK rows of a at a time."""
+    mod2 = (np.abs(coeffs) ** 2).T
+    out = np.empty((len(a), len(coeffs)))
+    for start in range(0, len(a), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        out[rows] = (a[rows] ** 2) @ mod2
+    return np.sqrt(out)
 
 
 def band_norm_2_to_inf(left, right, coeffs, grid, n):
@@ -100,44 +149,65 @@ def band_norm_2_to_inf(left, right, coeffs, grid, n):
     (T, k).  The squared row norms are the diagonal of A G A^* with
     A = left diag(c) and G the Gram of right, formed once; G is real and
     symmetric, so that diagonal is the sum of the real GEMMs of Re A and
-    Im A, formed one t and _BLOCK rows at a time."""
+    Im A, formed _BLOCK rows at a time.  Blocks are pruned exactly:
+    ||row_r|| <= ||left_r o c|| sqrt(g), with g = ||G||_inf >=
+    lambda_max(G).  Each t takes its blocks in decreasing top bound / rho
+    and stops once a block's top bound times _MARGIN cannot beat the
+    running max; each block it forms is the slice an unpruned pass would
+    form, so the result is the unpruned one bit for bit."""
     gram = right.T @ right
     rho = sector_weights(grid, n)
+    g = max(np.max(np.sum(np.abs(gram[start:start + _BLOCK]), 1))
+            for start in range(0, len(gram), _BLOCK))
+    bound = _row_norms(left, coeffs) / rho[:, None] * np.sqrt(g)
     out = np.zeros(len(coeffs))
     for i, c in enumerate(coeffs):
-        for start in range(0, len(left), _BLOCK):
-            rows = slice(start, start + _BLOCK)
+        for top, rows in _blocks_by_bound(bound[:, i], _BLOCK):
+            if top * _MARGIN <= out[i]:
+                break
             sq = sum(np.sum((part @ gram) * part, 1)
                      for part in (left[rows] * c.real, left[rows] * c.imag))
             out[i] = max(out[i], np.max(np.sqrt(np.maximum(sq, 0.0))
                                         / rho[rows]))
+            COUNTS["norms.rows_2_to_inf"] += len(sq)
+        COUNTS["norms.rows_2_to_inf_total"] += len(left)
     return out / np.sqrt(grid.dr)
 
 
-def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=256):
+def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=_BLOCK):
     """op_norm_1_to_inf of left diag(c) right^T for each row c of coeffs
-    (T, k), ``chunk`` rows of each product at a time.  The sector weights
-    are folded into the factors once, and the real and imaginary parts of
-    a block are one real GEMM against the stacked factor [Re; Im], which
-    every t rewrites in place, as it does the block."""
+    (T, k), with the sector weights folded into the factors once (lw,
+    rw).  Entries are pruned exactly: |A_rr'| <= ||lw_r o c|| ||rw_r'||.
+    The product is formed in tiles of ``chunk`` consecutive rows by
+    ``chunk`` consecutive columns, the real and imaginary parts of a tile
+    in one real GEMM against its columns of rw stacked [Re; Im].  Each t
+    takes its row runs in decreasing top ||lw_r o c|| and, within one,
+    the column runs in decreasing top ||rw_r'||; a row run stops at the
+    first tile whose bound times _MARGIN cannot beat the running max,
+    and the t at the first row run that cannot."""
     rho = sector_weights(grid, n)
     lw = left / rho[:, None]
     rw = lw if right is left else right / rho[:, None]
-    m = left.shape[0]
-    stacked = np.empty((2 * m, rw.shape[1]))
-    block = np.empty((min(chunk, m), 2 * m))
-    out = np.empty(len(coeffs))
+    lnorm = _row_norms(lw, coeffs)
+    col_runs = _blocks_by_bound(np.sqrt(np.einsum("ij,ij->i", rw, rw)),
+                                chunk)
+    out = np.zeros(len(coeffs))
     for i, c in enumerate(coeffs):
-        np.multiply(rw, c.real, out=stacked[:m])
-        np.multiply(rw, c.imag, out=stacked[m:])
-        best = 0.0
-        for start in range(0, m, chunk):
-            rows = lw[start:start + chunk]
-            blk = np.matmul(rows, stacked.T, out=block[:len(rows)])
-            # the moduli overwrite the real parts
-            best = max(best, float(np.max(
-                np.hypot(blk[:, :m], blk[:, m:], out=blk[:, :m]))))
-        out[i] = best
+        for ltop, rows in _blocks_by_bound(lnorm[:, i], chunk):
+            ltop *= _MARGIN
+            if ltop * col_runs[0][0] <= out[i]:
+                break
+            for rtop, cols in col_runs:
+                if ltop * rtop <= out[i]:
+                    break
+                tile = rw[cols]
+                prod = lw[rows] @ np.concatenate([tile * c.real,
+                                                  tile * c.imag]).T
+                width = len(tile)
+                out[i] = max(out[i], float(np.max(np.hypot(
+                    prod[:, :width], prod[:, width:]))))
+                COUNTS["norms.entries_1_to_inf"] += prod.size // 2
+        COUNTS["norms.entries_1_to_inf_total"] += len(lw) * len(rw)
     return out / grid.dr
 
 
@@ -158,6 +228,7 @@ def operator_two_norm(matvec, rmatvec, m, max_iter=500):
     v = v / np.linalg.norm(v)
     basis, alphas, betas = np.empty((0, m)), [], []
     for j in range(1, max_iter + 1):
+        COUNTS["norms.power_iterations"] += 1
         w = np.conj(rmatvec(np.conj(matvec(v))))
         if j > len(basis):       # grown, never m x m up front
             basis = np.concatenate([basis, np.empty((j + 15, m), w.dtype)])

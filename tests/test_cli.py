@@ -8,6 +8,7 @@ import pytest
 
 from wavedecay.cli import (_KEYS, GROUPS, ConfigError, ExperimentConfig,
                            _floats, _group_rank, main)
+from wavedecay.norms import COUNTS
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -213,17 +214,23 @@ def test_verify_report_round_trip(tmp_path, capsys):
 def test_verify_records_group_seconds(tmp_path, capsys):
     """run_metadata.json's group_s holds the wall seconds of exactly the
     selected groups, keyed by each group's first estimate id in GROUPS
-    order whatever the order of --estimates, and report over the out dir
-    still rebuilds rollup.csv byte for byte."""
+    order whatever the order of --estimates, group_counts the norms
+    counters each group moved, and report over the out dir still rebuilds
+    rollup.csv byte for byte."""
     ini = tmp_path / "exp.ini"
     ini.write_text("[grid]\nR = 16\nM = 159\n")
     out = tmp_path / "out"
     code = main(["verify", "--config", str(ini), "--estimates",
                  "3.20,2.8,3.1", "--out", str(out)])
     assert code in (0, 1)
-    group_s = json.loads((out / "run_metadata.json").read_text())["group_s"]
+    meta = json.loads((out / "run_metadata.json").read_text())
+    group_s, counts = meta["group_s"], meta["group_counts"]
     assert list(group_s) == ["2.7", "3.1", "3.20"]
     assert all(isinstance(s, float) and s >= 0.0 for s in group_s.values())
+    assert list(counts) == list(group_s)
+    assert all(set(c) == set(COUNTS) for c in counts.values())
+    assert not any(counts["2.7"].values())
+    assert counts["3.1"]["norms.power_iterations"] > 0
     written = (out / "rollup.csv").read_bytes()
     assert main(["report", "--out", str(out)]) == code
     assert (out / "rollup.csv").read_bytes() == written

@@ -301,3 +301,102 @@ def test_band_norm_2_working_set_is_one_core(rng, traced_peak):
     cores_bytes = t * m * m * 16
     peak = traced_peak(lambda: band_norm_2(left, left, coeffs))
     assert peak < cores_bytes / 3
+
+
+def _ordered(arrays, order):
+    return [np.asarray(a, order=order) for a in arrays]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_pruned_2_to_inf_finds_a_max_of_small_bound(rng, order):
+    """The largest row sits in the row block of smallest top bound.  Rows
+    64..127 are small, but for row 97, which lies along the Gram's top
+    eigenvalue (bound and norm 0.5); every other row lies along its small
+    ones (bounds up to about 1.9 outside the block, norms about 2e-3).
+    So the max is in the last block taken, which a kernel stopping after
+    the first block would never form."""
+    grid = RadialGrid(8.0, 150)
+    assert grid.M > 2 * norms._BLOCK
+    rho = sector_weights(grid, 4)
+    rows = np.zeros((grid.M, 4))
+    rows[:, 1:] = 1.0 + 0.1 * rng.random((grid.M, 3))
+    rows[64:128] *= 0.1
+    rows[97] = (0.5, 0.0, 0.0, 0.0)
+    right = (np.linalg.qr(rng.standard_normal((grid.M, 4)))[0]
+             * [1.0, 1e-3, 1e-3, 1e-3])
+    left, right = _ordered((rho[:, None] * rows, right), order)
+    coeffs = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 4)))
+    got = band_norm_2_to_inf(left, right, coeffs, grid, 4)
+    for g, dense in zip(got, _dense(left, right, coeffs)):
+        want = op_norm_2_to_inf(dense, grid, 4)
+        assert want * np.sqrt(grid.dr) == pytest.approx(0.5)
+        assert g == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("small_col", [False, True],
+                         ids=["small_row", "small_row_and_column"])
+def test_pruned_1_to_inf_finds_a_max_of_small_bound(rng, order, small_col):
+    """The largest entry sits in the row block of smallest top bound (rows
+    64..127 are small but for row 97), and with small_col also in the
+    column block of smallest top norm (columns 64..127, but for 100).  The
+    other rows live on coordinates 1 and 2 as (a, -a), the other columns
+    as (b, b), so their entries vanish up to 1e-9 noise while their
+    bounds reach about 2; the max, 1.0 or 0.25, is in the last row block
+    (and column block) taken, which a kernel stopping at the first would
+    never form."""
+    grid = RadialGrid(8.0, 150)
+    rho = sector_weights(grid, 4)
+    noise = 1e-9 * rng.standard_normal((2, grid.M, 4))
+    a, b = 1.0 + 0.1 * rng.random((2, grid.M))
+    a[64:128] *= 0.1
+    lw = noise[0] + np.outer(a, [0.0, 1.0, -1.0, 0.0])
+    lw[97] = (0.5, 0.0, 0.0, 0.0)
+    if small_col:
+        b[64:128] *= 0.1
+    rw = noise[1] + np.outer(b, [0.0, 1.0, 1.0, 0.0])
+    rw[100 if small_col else 41] = ((0.5, 0.0, 0.0, 0.0) if small_col
+                                    else (2.0, 1.0, 1.0, 0.0))
+    left, right = _ordered((rho[:, None] * lw, rho[:, None] * rw), order)
+    coeffs = np.full((1, 4), 0.6 + 0.8j)
+    got = band_norm_1_to_inf(left, right, coeffs, grid, 4)
+    dense = _dense(left, right, coeffs)[0]
+    want = op_norm_1_to_inf(dense, grid, 4)
+    assert want * grid.dr == pytest.approx(0.25 if small_col else 1.0)
+    assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_band_norm_2_wider_than_grid(rng, traced_peak):
+    """k > M: the factors are used as they are, with no QR and no core, so
+    the norm matches LAPACK's dense 2-norm and the call's working set stays
+    below one M x k factor (the Lanczos basis, at most M x M complex, is
+    half of one here)."""
+    m, k, t = 100, 400, 3
+    left, right, coeffs = _factors(rng, m, k, t)
+    for same in (True, False):
+        r = left if same else right
+        got = band_norm_2(left, r, coeffs)
+        for g, dense in zip(got, _dense(left, r, coeffs)):
+            assert g == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12,
+                                      abs=0.0)
+        peak = traced_peak(lambda: band_norm_2(left, r, coeffs))
+        assert peak < left.nbytes
+
+
+def test_counts_record_the_work(grid, rng):
+    """COUNTS: one Lanczos step per matvec, and the pruned norms' rows and
+    entries formed against the T M rows and T M^2 entries in all."""
+    before = dict(norms.COUNTS)
+    a = rng.standard_normal((12, 12))
+    calls = []
+    operator_two_norm(lambda v: calls.append(1) or a @ v,
+                      lambda v: a.T @ v, 12)
+    left, right, coeffs = _factors(rng, grid.M, 5, 3)
+    band_norm_2_to_inf(left, right, coeffs, grid, 4)
+    band_norm_1_to_inf(left, right, coeffs, grid, 4)
+    done = {key: norms.COUNTS[key] - before[key] for key in before}
+    assert done["norms.power_iterations"] == len(calls) > 0
+    assert done["norms.rows_2_to_inf_total"] == 3 * grid.M
+    assert done["norms.entries_1_to_inf_total"] == 3 * grid.M ** 2
+    assert 0 < done["norms.rows_2_to_inf"] <= 3 * grid.M
+    assert 0 < done["norms.entries_1_to_inf"] <= 3 * grid.M ** 2
