@@ -203,7 +203,7 @@ def _passed(node):
 def cmd_verify(cfg):
     ids = cfg.estimate_ids
     if not ids:
-        return 0
+        raise ConfigError("no estimates selected: pass --estimates")
     reports, group_s, group_counts = {}, {}, {}
     selected = _selected(ids)
     for group_ids, fn in GROUPS:

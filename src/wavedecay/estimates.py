@@ -51,13 +51,10 @@ __all__ = [
 SECTOR_NOTE = "radial-sector norm, faithful for radial data only"
 
 
-def _ratio_report(values, cap, note=None):
-    rep = {"kind": "stability", "sup": float(max(values)),
-           "ratio": _stability(values), "cap": cap,
-           "passed": bool(_stability(values) <= cap)}
-    if note:
-        rep["note"] = note
-    return rep
+def _ratio_report(values, cap):
+    return {"kind": "stability", "sup": float(max(values)),
+            "ratio": _stability(values), "cap": cap,
+            "passed": bool(_stability(values) <= cap)}
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +465,16 @@ def _row_norms(rows, mats):
                           axis=(1, 2)).reshape(rows.shape[:-1])
 
 
+# the mollifier suite's theta-scan times, fit times and sampled lambdas
+_T_SCAN = (8.0, 32.0)
+_T_FIT = (4.0, 8.0, 16.0, 32.0, 64.0)
+_LAM_SAMPLE = (1.2, 1.5, 1.8)
+
+
 def mollified_multiplier_suite(grid, n, potential,
                                theta_set=(0.5, 0.25, 0.125, 0.0625,
                                           0.03125),
-                               t_scan=(8.0, 32.0),
-                               t_fit=(4.0, 8.0, 16.0, 32.0, 64.0),
-                               lam_sample=(1.2, 1.5, 1.8), r_cut=96.0,
-                               lattice_step=1.0 / 256.0):
+                               r_cut=96.0, lattice_step=1.0 / 256.0):
     """Regularity-vs-blowup tradeoff of the mollified multiplier family
     of the canonical bump and the stationary reconstruction it controls.
 
@@ -492,7 +492,7 @@ def mollified_multiplier_suite(grid, n, potential,
     scan_thetas = [2.0 ** -k for k in range(1, 7)]
     # the mollifier reaches theta/2 past lambda; size the lattice for the
     # largest theta any part of the suite evaluates
-    theta_max = max(*theta_set, *scan_thetas, *(1.0 / t for t in t_scan))
+    theta_max = max(*theta_set, *scan_thetas, *(1.0 / t for t in _T_SCAN))
     pad = 2 * lattice_step
     fam = _LatticeFamily(grid, n, potential, s, lo - 4 * pad,
                          hi + theta_max / 2.0 + 4 * pad,
@@ -515,8 +515,8 @@ def mollified_multiplier_suite(grid, n, potential,
         return acc / np.sum(wts)
 
     # T^+ = mats / (pi i).  Per theta the rows are d^j T_theta^+ for
-    # j = 0..m+1, then d^m T_theta^+ - d^m T^+, each at every lam_sample
-    lam_s = np.asarray(lam_sample, dtype=float)
+    # j = 0..m+1, then d^m T_theta^+ - d^m T^+, each at every sampled lambda
+    lam_s = np.asarray(_LAM_SAMPLE, dtype=float)
     raw_m = fam.weights(m_order, lam_s)
 
     def theta_rows(th):
@@ -562,26 +562,26 @@ def mollified_multiplier_suite(grid, n, potential,
         return quad * np.exp(1j * np.outer(ts, base))
 
     # the theta-scan objective is ||raw - smooth part|| + ||smooth part||;
-    # each theta's (base, L) rows are reduced to (t_scan, L) at once
-    scan_raw = phases(t_scan) @ raw
-    smooth = {th: phases(t_scan) @ mollified(0, th, base)
-              for th in {*scan_thetas, *(1.0 / t for t in t_scan)}}
+    # each theta's (base, L) rows are reduced to (_T_SCAN, L) at once
+    scan_raw = phases(_T_SCAN) @ raw
+    smooth = {th: phases(_T_SCAN) @ mollified(0, th, base)
+              for th in {*scan_thetas, *(1.0 / t for t in _T_SCAN)}}
     scan_rows = [[(scan_raw[i] - smooth[th][i], smooth[th][i])
                   for th in (*scan_thetas, 1.0 / t)]
-                 for i, t in enumerate(t_scan)]
+                 for i, t in enumerate(_T_SCAN)]
     vals = _row_norms(np.concatenate(
-        [phases(t_fit) @ raw, np.reshape(scan_rows, (-1, len(fam.lams)))]),
+        [phases(_T_FIT) @ raw, np.reshape(scan_rows, (-1, len(fam.lams)))]),
         jump)
-    recon = vals[:len(t_fit)]
-    objective = vals[len(t_fit):].reshape(len(t_scan), -1, 2).sum(axis=-1)
+    recon = vals[:len(_T_FIT)]
+    objective = vals[len(_T_FIT):].reshape(len(_T_SCAN), -1, 2).sum(axis=-1)
 
-    reports["3.46_t"] = fit_power_law(list(zip(t_fit, recon)), "3.46", "t",
+    reports["3.46_t"] = fit_power_law(list(zip(_T_FIT, recon)), "3.46", "t",
                                       target=-(m_order + mu),
                                       tolerance=0.2,
                                       one_sided=True).as_dict()
 
     scan_rep = {}
-    for t, obj in zip(t_scan, objective):
+    for t, obj in zip(_T_SCAN, objective):
         scan = {f"{th:g}": float(v) for th, v in zip(scan_thetas, obj)}
         at_inv = float(obj[-1])
         best = min(scan.values())

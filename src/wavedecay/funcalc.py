@@ -26,7 +26,6 @@ from .specfun import gauss_panels
 
 __all__ = [
     "AlmostAnalytic",
-    "almost_analytic",
     "hs_multiplier",
     "phi_of_hsqrt",
     "verify_lemma23",
@@ -51,6 +50,10 @@ class AlmostAnalytic:
 
     profile: object
     order: int
+
+    def __post_init__(self):
+        if self.order < 0:
+            raise ValueError("order must be >= 0")
 
     @property
     def support(self):
@@ -101,12 +104,6 @@ class AlmostAnalytic:
         lo, hi = self.support
         x = np.linspace(lo, hi, 2000)
         return float(np.max(np.abs(self.psi_derivs(k, x)[k])))
-
-
-def almost_analytic(profile, order):
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return AlmostAnalytic(profile, order)
 
 
 def _x_panels(xlo, xhi, width):
@@ -269,7 +266,7 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     holds two (M, 2 block) complex arrays, the sweep coefficients (z - d)
     / e, reused for u and v, and the boundary solutions [phi | psi], and
     the real |phi| and |psi| of the range check, besides the M x M sum."""
-    aa = almost_analytic(profile, order)
+    aa = AlmostAnalytic(profile, order)
     zs, ws = _hs_mesh(aa, tol)
     diag, off = h ** 2 * op.diag, h ** 2 * op.offdiag
     vals = aa.dbar(zs) * ws

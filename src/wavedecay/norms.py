@@ -9,10 +9,11 @@ cancels.
 
 The band norms take A in low-rank form, left diag(c) right^T with real
 factors of k columns (a spectral band, possibly weighted), and never
-assemble the M x M matrix; the dense norms are their test oracles.  They
-take a stack of coefficient rows c, shape (T, k), one per time t, and
-return the T norms, so the work on the factors is done once per band
-and the work per t in blocks that no T makes larger.
+assemble the M x M matrix; the dense norms (the 1 -> inf one kept in
+the tests) are their test oracles.  They take a stack of coefficient
+rows c, shape (T, k), one per time t, and return the T norms, so the
+work on the factors is done once per band and the work per t in blocks
+that no T makes larger.
 
 - band_norm_2 runs Lanczos on the factors themselves (the thin-QR R
   factors when k < M), applied as real GEMMs, with no core formed.
@@ -21,8 +22,13 @@ and the work per t in blocks that no T makes larger.
   (or tiles), and one whose bound cannot beat the running max is never
   formed, so the max is the one the full product gives.
 
-Every spectral norm (dense, band or implicit) is the largest singular
-value from one Lanczos kernel, ``operator_two_norm``, with no full SVD.
+Every spectral norm of a grid operator (dense, band or implicit) is the
+largest singular value from one Lanczos kernel, ``operator_two_norm``,
+with no full SVD.  The one exception is the mollifier lattice's K x K
+norms (``estimates._row_norms``): a batch of about ninety 28 x 28
+matrices, which one batched LAPACK SVD takes at once where a Lanczos
+run per matrix would loop in Python.
+
 ``COUNTS`` holds the kernel's Lanczos steps and the rows and entries the
 pruned norms formed, against their totals.
 """
@@ -38,7 +44,6 @@ __all__ = [
     "op_norm_2",
     "op_norm_p",
     "op_norm_2_to_inf",
-    "op_norm_1_to_inf",
     "band_norm_2",
     "band_norm_2_to_inf",
     "band_norm_1_to_inf",
@@ -87,12 +92,6 @@ def op_norm_2_to_inf(matrix, grid, n):
     rho = sector_weights(grid, n)
     row = np.linalg.norm(matrix, axis=1)
     return float(np.max(row / rho) / np.sqrt(grid.dr))
-
-
-def op_norm_1_to_inf(matrix, grid, n):
-    rho = sector_weights(grid, n)
-    a = np.abs(matrix) / np.outer(rho, rho)
-    return float(np.max(a) / grid.dr)
 
 
 def _real_apply(a, x):
@@ -175,14 +174,15 @@ def band_norm_2_to_inf(left, right, coeffs, grid, n):
 
 
 def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=_BLOCK):
-    """op_norm_1_to_inf of left diag(c) right^T for each row c of coeffs
-    (T, k), with the sector weights folded into the factors once (lw,
-    rw).  Entries are pruned exactly: |A_rr'| <= ||lw_r o c|| ||rw_r'||.
-    The product is formed in tiles of ``chunk`` consecutive rows by
-    ``chunk`` consecutive columns, the real and imaginary parts of a tile
-    in one real GEMM against its columns of rw stacked [Re; Im].  Each t
-    takes its row runs in decreasing top ||lw_r o c|| and, within one,
-    the column runs in decreasing top ||rw_r'||; a row run stops at the
+    """Sector L^1 -> L^inf norm, max |A_rr'| / (rho_r rho_r' dr), of
+    A = left diag(c) right^T for each row c of coeffs (T, k), with the
+    sector weights folded into the factors once (lw, rw).  Entries are
+    pruned exactly: |A_rr'| <= ||lw_r o c|| ||rw_r'||.  The product is
+    formed in tiles of ``chunk`` consecutive rows by ``chunk``
+    consecutive columns, the real and imaginary parts of a tile in one
+    real GEMM against its columns of rw stacked [Re; Im].  Each t takes
+    its row runs in decreasing top ||lw_r o c|| and, within one, the
+    column runs in decreasing top ||rw_r'||; a row run stops at the
     first tile whose bound times _MARGIN cannot beat the running max,
     and the t at the first row run that cannot."""
     rho = sector_weights(grid, n)

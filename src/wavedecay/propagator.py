@@ -33,7 +33,6 @@ __all__ = [
     "duhamel_split",
     "time_domain_evolve",
     "boundary_safe_gap",
-    "free_sector_kernel_column",
     "write_propagator_norms",
 ]
 
@@ -224,31 +223,6 @@ def boundary_safe_gap(rec_a, rec_b, grid, pad=8.0):
     sub = np.ix_(keep, keep)
     return (op_norm_2(rec_a.matrix[sub] - rec_b.matrix[sub])
             / op_norm_2(rec_b.matrix[sub]))
-
-
-def free_sector_kernel_column(grid, n, profile, h, t, col):
-    """Sector projection of the full-space free kernel.
-
-    The angular average int_{S^{n-1}} K_h(|r e1 - r' w|, t) dw reduces to a
-    1-D theta integral against sin^{n-2} (64-point Gauss on [0, pi]);
-    multiplying by (r r')^{(n-1)/2} gives the continuum sector kernel,
-    comparable to an eigen-route column divided by dr.  Returns (row
-    indices, values) on every fourth row.
-    """
-    from math import gamma
-
-    from .freekernel import eval_Kh_sigma_batch
-
-    rp = grid.nodes[col]
-    rows = np.arange(0, grid.M, 4)
-    theta, tw = gauss_panels([0.0, np.pi], 64)
-    r = grid.nodes[rows]
-    dists = np.sqrt(r[:, None] ** 2 + rp ** 2
-                    - 2.0 * r[:, None] * rp * np.cos(theta)[None, :])
-    vals = eval_Kh_sigma_batch(n, profile, h, dists, t).reshape(dists.shape)
-    sphere = 2.0 * np.pi ** ((n - 1) / 2.0) / gamma((n - 1) / 2.0)
-    angular = sphere * (vals * (np.sin(theta) ** (n - 2) * tw)[None, :]).sum(1)
-    return rows, (r * rp) ** ((n - 1) / 2.0) * angular
 
 
 def write_propagator_norms(path, records):

@@ -120,14 +120,11 @@ class DiscreteOperator:
         return m
 
     def apply(self, v):
+        """The operator times a vector v of shape (M,)."""
         v = np.asarray(v)
-        out = self.diag[:, None] * v if v.ndim == 2 else self.diag * v
-        if v.ndim == 2:
-            out[:-1] += self.offdiag[:, None] * v[1:]
-            out[1:] += self.offdiag[:, None] * v[:-1]
-        else:
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
+        out = self.diag * v
+        out[:-1] += self.offdiag * v[1:]
+        out[1:] += self.offdiag * v[:-1]
         return out
 
     @cached_property

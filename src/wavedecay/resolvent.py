@@ -23,14 +23,12 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .norms import operator_two_norm
-from .radialop import build_G, build_G0, weight_matrix
+from .radialop import build_G, weight_matrix
 from .specfun import bessel_jh
 
 __all__ = [
     "EPS",
     "free_green_matrix",
-    "regular_solution",
-    "green_delta_residual",
     "ls_sweep",
     "resolvent_difference_vector",
     "la_norm_scan",
@@ -62,11 +60,6 @@ def _bessel_pair(grid, n, lam, sign):
     return root * j, root * h
 
 
-def regular_solution(grid, n, lam):
-    """u(r) = sqrt(r) J_nu(lambda r), the regular half-line solution."""
-    return _bessel_pair(grid, n, lam, +1)[0]
-
-
 def free_green_matrix(grid, n, lam, sign):
     """Dense free resolvent matrix A0 (dr weight included): the test
     oracle of the banded solve."""
@@ -74,25 +67,6 @@ def free_green_matrix(grid, n, lam, sign):
     low = np.tril(np.outer(u2, u1))          # i >= j: r_i = r_>
     up = np.triu(np.outer(u1, u2), k=1)      # i <  j: r_i = r_<
     return sign * 0.5j * np.pi * grid.dr * (low + up)
-
-
-def green_delta_residual(grid, n, lam, sign, col):
-    """Apply the discretized (L - lambda^2) to one Green column; away from
-    the diagonal the result should vanish relative to the delta spike.
-    This is the sign/normalization oracle."""
-    g = free_green_matrix(grid, n, lam, sign)[:, col] / grid.dr
-    op = build_G0(grid, n)
-    resid = op.apply(g.real) + 1j * op.apply(g.imag) - lam ** 2 * g
-    spike = np.abs(resid[col])
-    mask = np.ones(grid.M, bool)
-    lo, hi = max(col - 1, 0), min(col + 2, grid.M)
-    mask[lo:hi] = False
-    # drop the last node too: the Dirichlet wall at R truncates H_nu
-    mask[-1] = False
-    # and the first two: the centrifugal 1/r^2 is badly resolved by the
-    # second-order stencil right at the origin
-    mask[:2] = False
-    return float(np.max(np.abs(resid[mask])) / spike)
 
 
 def _inverse_green(grid, n, lam, sign):

@@ -1,8 +1,10 @@
 """Acceptance suite: the sixteen headline checks at the reference
 experiment scale (n=4, R=64, M=1280, c=2, delta=3, bump profile on [1,2]).
 
-Each test is one criterion and prints one pass/fail line under pytest -v.
-Shared group reports are computed once per session.
+Each test is one criterion and prints one pass/fail line under pytest -v;
+one unit test on the small grid holds criterion 12's k x k core route to
+the dense SVD it replaces.  Shared group reports are computed once per
+session.
 
 The estimates are upper bounds with existential constants, so a test
 asserts what its bound states and no more: an exponent on the bounded
@@ -194,13 +196,29 @@ def test_criterion_11_difference_growth_rate(grid, pot):
 
 
 def _weighted_decay_constant(grid, op, h, s, t_set):
-    """sup_t t^s ||<r>^{-(s+EPS)} e^{it sqrt(G)} phi(h sqrt(G))
-    <r>^{-(s+EPS)}||_2, the constant of (3.18) measured by the dense
-    eigen route."""
-    w = weight_matrix(grid, s + est.EPS)
-    return max(t ** s * np.linalg.norm(
-        w[:, None] * wave_multiplier(op, PROF, h, t).matrix * w[None, :], 2)
-        for t in t_set)
+    """sup_t t^s ||W e^{it sqrt(G)} phi(h sqrt(G)) W||_2, W = <r>^{-(s+EPS)},
+    the constant of (3.18) by the eigen route.  The propagator is
+    V diag(c(t)) V^T on the band op.band(PROF, h), so with one thin QR,
+    Q R = W V, the norm is ||R diag(c(t)) R^T||_2: LAPACK's SVD of a
+    k x k core, not of the M x M matrix, and independent of the Lanczos
+    kernel that check_thm34 reaches."""
+    band = op.band(PROF, h)
+    core = np.linalg.qr(weight_matrix(grid, s + est.EPS)[:, None]
+                        * band.vecs, mode="r")
+    return max(t ** s * np.linalg.norm((core * band.coeff(t)) @ core.T, 2)
+               for t in t_set)
+
+
+@pytest.mark.parametrize("h", H_SET[:3])
+def test_weighted_decay_core_matches_dense(small_grid, potential, h):
+    """Criterion 12's core route holds to LAPACK's SVD of the dense
+    weighted propagator W A(t) W on the tests' grid."""
+    op = build_G(small_grid, N, potential)
+    w = weight_matrix(small_grid, 1.5 + est.EPS)
+    for t in (4.0, 16.0):
+        dense = w[:, None] * wave_multiplier(op, PROF, h, t).matrix * w
+        assert _weighted_decay_constant(small_grid, op, h, 1.5, (t,)) == (
+            pytest.approx(t ** 1.5 * np.linalg.norm(dense, 2), rel=1e-12))
 
 
 def test_criterion_12_weighted_decay_consistency(grid, pot, ops):

@@ -137,8 +137,14 @@ def test_cache_flags_are_gone(capsys):
     capsys.readouterr()
 
 
-def test_verify_without_selection_is_noop():
-    assert main(["verify"]) == 0
+def test_verify_without_selection_is_a_config_error(tmp_path, capsys):
+    """verify with no --estimates checks nothing: exit 2 naming the flag,
+    write nothing."""
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--estimates" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])

@@ -13,8 +13,8 @@ from wavedecay.specfun import gauss_panels, simpson_weights
 def test_stability_and_ratio_report():
     assert _stability([1.0, 4.0, 2.0]) == 4.0
     assert _stability([0.0, 0.0]) == 0.0
-    rep = est._ratio_report([1.0, 2.5], cap=3.0, note="x")
-    assert rep["passed"] and rep["ratio"] == 2.5 and rep["note"] == "x"
+    rep = est._ratio_report([1.0, 2.5], cap=3.0)
+    assert rep["passed"] and rep["ratio"] == 2.5
     assert not est._ratio_report([1.0, 4.0], cap=3.0)["passed"]
 
 
@@ -310,12 +310,11 @@ def test_mollifier_lattice_covers_theta_scan(small_grid, potential, profile,
             built.append(self)
 
     monkeypatch.setattr(est, "_LatticeFamily", Recorded)
-    thetas, t_scan = (0.125, 0.0625, 0.03125, 0.015625), (8.0, 32.0)
-    t_fit, lam_sample = (4.0, 8.0, 16.0, 32.0, 64.0), (1.2, 1.5, 1.8)
+    thetas = (0.125, 0.0625, 0.03125, 0.015625)
     rep = est.mollified_multiplier_suite(small_grid, 4, potential,
-                                         theta_set=thetas, t_scan=t_scan,
-                                         t_fit=t_fit, lam_sample=lam_sample)
-    want = _loop_suite(built[0], thetas, t_scan, t_fit, lam_sample, profile)
+                                         theta_set=thetas)
+    want = _loop_suite(built[0], thetas, est._T_SCAN, est._T_FIT,
+                       est._LAM_SAMPLE, profile)
 
     def close(got, ref):
         assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
@@ -325,10 +324,10 @@ def test_mollifier_lattice_covers_theta_scan(small_grid, potential, profile,
         fit = fit_power_law(zip(thetas, want[key]))
         close(rep[key]["fitted_exponent"], fit.fitted_exponent)
         close(rep[key]["fitted_constant"], fit.fitted_constant)
-    fit = fit_power_law(zip(t_fit, want["3.46_t"]))
+    fit = fit_power_law(zip(est._T_FIT, want["3.46_t"]))
     close(rep["3.46_t"]["fitted_exponent"], fit.fitted_exponent)
     close(rep["3.46_t"]["fitted_constant"], fit.fitted_constant)
-    for t in t_scan:
+    for t in est._T_SCAN:
         got = rep["3.46_theta_scan"][f"t{t:g}"]
         assert set(got["scan"]) == {f"{2.0 ** -k:g}" for k in range(1, 7)}
         close([got["scan"][f"{2.0 ** -k:g}"] for k in range(1, 7)]

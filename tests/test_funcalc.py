@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavedecay.funcalc import (_certified_keep, _chi_c, _chi_c_prime,
-                               _hs_mesh, _resolvent_sum, almost_analytic,
+from wavedecay.funcalc import (AlmostAnalytic, _certified_keep, _chi_c,
+                               _chi_c_prime, _hs_mesh, _resolvent_sum,
                                hs_multiplier, phi_of_hsqrt, verify_lemma23)
 from wavedecay.propagator import wave_multiplier
 from wavedecay.radialop import build_G, build_G0
@@ -20,7 +20,7 @@ def op(small_grid, potential):
 
 
 def test_extension_restricts_to_psi(profile):
-    aa = almost_analytic(profile, 4)
+    aa = AlmostAnalytic(profile, 4)
     x = np.linspace(0.5, 5.0, 40)
     assert np.allclose(aa.tilde(x + 0j).real, aa.psi(x))
     assert np.allclose(aa.tilde(x + 0j).imag, 0.0)
@@ -30,7 +30,7 @@ def test_extension_restricts_to_psi(profile):
 
 
 def test_extension_vanishes_far_from_axis(profile):
-    aa = almost_analytic(profile, 4)
+    aa = AlmostAnalytic(profile, 4)
     z = np.linspace(1.0, 4.0, 9) + 1.5j
     assert np.all(aa.tilde(z) == 0.0)
     assert np.all(aa.dbar(z) == 0.0)
@@ -39,7 +39,7 @@ def test_extension_vanishes_far_from_axis(profile):
 def test_dbar_order_near_axis(profile):
     """|dbar psi~| = O(|Im z|^order) approaching the spectrum."""
     order = 5
-    aa = almost_analytic(profile, order)
+    aa = AlmostAnalytic(profile, order)
     x = np.linspace(1.1, 3.9, 25)
     s1 = np.max(np.abs(aa.dbar(x + 1e-2j)))
     s2 = np.max(np.abs(aa.dbar(x + 2e-2j)))
@@ -66,7 +66,7 @@ def test_dbar_gathers_exactly(profile):
     node.  Most of the 2-D y lie in the cutoff band 1/2 < Im z < 1, where
     chi_c is a Gauss sum (``profiles._bump_cdf``); that sum is per row, so
     its last bit does not depend on how many values share the call."""
-    aa = almost_analytic(profile, 8)
+    aa = AlmostAnalytic(profile, 8)
     zs, _ = _hs_mesh(aa, 1e-7)
     assert np.unique(zs.real).size < zs.size / 10
     assert np.array_equal(aa.dbar(zs), _dbar_per_node(aa, zs))
@@ -84,7 +84,7 @@ def test_dbar_gathers_exactly(profile):
 
 def test_order_validation(profile):
     with pytest.raises(ValueError):
-        almost_analytic(profile, -1)
+        AlmostAnalytic(profile, -1)
 
 
 def test_quadrature_route_matches_eigen(op, profile):
@@ -101,7 +101,7 @@ def test_quadrature_route_h_half(op, profile):
 
 
 def _mesh_nodes(profile, tol):
-    aa = almost_analytic(profile, 8)
+    aa = AlmostAnalytic(profile, 8)
     zs, ws = _hs_mesh(aa, tol)
     return zs, aa.dbar(zs) * ws
 

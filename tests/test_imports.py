@@ -12,17 +12,21 @@ The benchmark under ``perfbench/`` imports the package by name, so every
 ``from wavedecay... import name`` there, and every layer its tracer
 imports, must resolve here too (``cache`` is kept for that import alone).
 And every parameter with a default is set by some call in the tree: one
-that no call sets is a constant in all but name.
+that no call sets is a constant in all but name.  Likewise every public
+function and class in ``src/`` is reached from a command, the acceptance
+suite or the benchmark: one that only unit tests reach is an oracle, and
+lives next to those tests.
 
-Parses ``src/wavedecay/*.py`` and ``perfbench/**/*.py`` with ``ast``;
-only the benchmark check imports the package.  A name counts
-as used when the module reads it (``name`` or ``name.attr``) or lists it
-in ``__all__``.  A name left in ``__all__`` after it moved or was deleted
-would break ``from wavedecay.x import *``.
+Parses ``src/wavedecay/*.py``, ``perfbench/**/*.py`` and the callers in
+the tree with ``ast``; only the benchmark check imports the package.  A
+name counts as used when the module reads it (``name`` or ``name.attr``)
+or lists it in ``__all__``.  A name left in ``__all__`` after it moved or
+was deleted would break ``from wavedecay.x import *``.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -62,20 +66,25 @@ def _used_names(tree):
     return used | set(_all_names(tree))
 
 
-def _bound_names(tree):
-    """Names bound at module level: definitions, assignments, imports."""
-    bound = {name for name, _ in _imported_names(tree)}
+def _module_defs(tree):
+    """(name, statement) for each name a module-level definition or
+    assignment binds."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            bound.add(node.name)
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
             for target in targets:
-                bound |= {n.id for n in ast.walk(target)
-                          if isinstance(n, ast.Name)}
-    return bound
+                yield from ((n.id, node) for n in ast.walk(target)
+                            if isinstance(n, ast.Name))
+
+
+def _bound_names(tree):
+    """Names bound at module level: definitions, assignments, imports."""
+    return ({name for name, _ in _imported_names(tree)}
+            | {name for name, _ in _module_defs(tree)})
 
 
 def unused_imports(source):
@@ -160,15 +169,7 @@ def eigen_reads(source, roots):
     """The eigen-route names (band, eigensystem, eigh*, np.linalg) read by
     the module-level definitions named in roots or by any module-level
     definition they reach."""
-    tree = ast.parse(source)
-    defs = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defs[node.name] = node
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                defs.update((n.id, node) for n in ast.walk(target)
-                            if isinstance(n, ast.Name))
+    defs = dict(_module_defs(ast.parse(source)))
     if missing := set(roots) - set(defs):
         raise KeyError(f"not defined at module level: {sorted(missing)}")
     seen, todo, found = set(), list(roots), set()
@@ -318,3 +319,78 @@ def test_every_default_is_set_by_some_call():
     found = {pair for path in sorted(SRC.glob("*.py"))
              for pair in never_set(path.read_text(), settings)}
     assert found == VARIED_BY_HAND
+
+
+def read_names(tree, strings=False):
+    """The names a tree reads (``name`` or ``x.name``) or imports, and
+    with strings every identifier spelled in its string constants."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out |= set(node.name.split("."))
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out |= set(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def unreached(sources, roots):
+    """module.name for each public module-level function or class of
+    sources ({module: source}) that no closure from the names roots
+    reaches: a reached name reaches every name read by the module-level
+    definitions and assignments that bind it.  Names are matched bare,
+    across modules."""
+    defs, public = {}, []
+    for module, source in sources.items():
+        for name, node in _module_defs(ast.parse(source)):
+            defs.setdefault(name, []).append(node)
+            if (not name.startswith("_") and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef))):
+                public.append(f"{module}.{name}")
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for node in defs.get(name, ()):
+                todo += read_names(node)
+    return sorted(name for name in public if name.split(".")[1] not in seen)
+
+
+def test_detector_flags_unreached_definitions():
+    sources = {"a": ("import numpy as np\n"
+                     "TABLE = {'k': np.sqrt}\n"
+                     "def main():\n    return helper(TABLE)\n"
+                     "def helper(x):\n    return b.Kernel(x)\n"
+                     "def orphan():\n    return helper(1)\n"),
+               "b": ("class Kernel:\n    def run(self):\n"
+                     "        return _inner()\n"
+                     "def _inner():\n    return pinned()\n"
+                     "def pinned():\n    pass\n"
+                     "def by_string():\n    pass\n"
+                     "def unused():\n    pass\n")}
+    assert unreached(sources, {"main"}) == ["a.orphan", "b.by_string",
+                                            "b.unused"]
+    spelled = read_names(ast.parse("HOOKS = {'b.by_string': 1}\n"),
+                         strings=True)
+    assert unreached(sources, {"main"} | spelled) == ["a.orphan",
+                                                       "b.unused"]
+
+
+def test_every_public_definition_is_reached():
+    """src/ holds only what a command, an acceptance check or the
+    benchmark reaches: the roots are ``cli.main``, the names the
+    acceptance suite reads, and every name the benchmark imports, reads
+    or spells in a string (its tracer hooks functions by dotted name)."""
+    roots = {"main"} | read_names(
+        ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    for path in sorted(BENCH.rglob("*.py")):
+        roots |= read_names(ast.parse(path.read_text()), strings=True)
+    sources = {path.stem: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    assert unreached(sources, roots) == []

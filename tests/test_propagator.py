@@ -1,11 +1,15 @@
+from math import gamma
+
 import numpy as np
 import pytest
 
+from wavedecay.freekernel import eval_Kh_sigma_batch
 from wavedecay.propagator import (boundary_safe_gap, duhamel_split,
-                                  free_sector_kernel_column, phi_difference,
-                                  time_domain_evolve, wave_multiplier,
-                                  wave_via_resolvent, write_propagator_norms)
+                                  phi_difference, time_domain_evolve,
+                                  wave_multiplier, wave_via_resolvent,
+                                  write_propagator_norms)
 from wavedecay.radialop import PotentialSpec, build_G, build_G0
+from wavedecay.specfun import gauss_panels
 
 N = 4
 
@@ -105,6 +109,27 @@ def test_phi_difference_grid_guard(small_grid, potential, profile):
     other = build_G0(RadialGrid(8.0, 79), N)
     with pytest.raises(ValueError):
         phi_difference(other, op, profile, 1.0, 1.0)
+
+
+def free_sector_kernel_column(grid, n, profile, h, t, col):
+    """Sector projection of the full-space free kernel.
+
+    The angular average int_{S^{n-1}} K_h(|r e1 - r' w|, t) dw reduces to a
+    1-D theta integral against sin^{n-2} (64-point Gauss on [0, pi]);
+    multiplying by (r r')^{(n-1)/2} gives the continuum sector kernel,
+    comparable to an eigen-route column divided by dr.  Returns (row
+    indices, values) on every fourth row.
+    """
+    rp = grid.nodes[col]
+    rows = np.arange(0, grid.M, 4)
+    theta, tw = gauss_panels([0.0, np.pi], 64)
+    r = grid.nodes[rows]
+    dists = np.sqrt(r[:, None] ** 2 + rp ** 2
+                    - 2.0 * r[:, None] * rp * np.cos(theta)[None, :])
+    vals = eval_Kh_sigma_batch(n, profile, h, dists, t).reshape(dists.shape)
+    sphere = 2.0 * np.pi ** ((n - 1) / 2.0) / gamma((n - 1) / 2.0)
+    angular = sphere * (vals * (np.sin(theta) ** (n - 2) * tw)[None, :]).sum(1)
+    return rows, (r * rp) ** ((n - 1) / 2.0) * angular
 
 
 def test_free_kernel_column_matches_eigen(small_grid, profile):

@@ -102,8 +102,6 @@ def test_apply_matches_matrix(small_grid, rng):
     op = build_G(small_grid, 4, PotentialSpec(2.0, 3.0))
     v = rng.standard_normal(small_grid.M)
     assert np.allclose(op.apply(v), op.matrix @ v)
-    vs = rng.standard_normal((small_grid.M, 3))
-    assert np.allclose(op.apply(vs), op.matrix @ vs)
 
 
 def test_zero_potential_reduces_to_free(small_grid):
