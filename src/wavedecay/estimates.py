@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from functools import partial
+from functools import cache, partial
 from math import floor
 
 import numpy as np
@@ -60,16 +60,20 @@ def _ratio_report(values, cap):
 # ---------------------------------------------------------------------------
 # free kernel checks
 
-def cone_sup(n, profile, h, t, weight_power=0.0):
-    """sup over the light-cone window sigma in [3t/4, 5t/4] (65 samples)
-    of |K_h| sigma^weight_power.
+def _cone_window(n, profile, h, t):
+    """(sigma, |K_h(sigma, t)|) on the light-cone window sigma in
+    [3t/4, 5t/4], 65 samples.
 
     The window tracks where the stated rates are attained: the deep
     interior (sigma << t) carries a transient that dies off much faster
     and would steepen small-t fits, the far field is vacuum."""
     sig = np.linspace(0.75 * t, 1.25 * t, 65)
-    vals = np.abs(eval_Kh_sigma_batch(n, profile, h, sig, t))
-    return float(np.max(vals * sig ** weight_power))
+    return sig, np.abs(eval_Kh_sigma_batch(n, profile, h, sig, t))
+
+
+def cone_sup(n, profile, h, t):
+    """sup of |K_h(sigma, t)| over the light-cone window (_cone_window)."""
+    return float(np.max(_cone_window(n, profile, h, t)[1]))
 
 
 # Free-kernel t-fits run to t = 128: there is no spatial box to reflect
@@ -100,14 +104,19 @@ def check_kernel_bounds(n, profile, h_set):
     integral of the free kernel."""
     top = (n - 1) / 2.0
     reports = {}
+    # one window per (h, t) serves every weight power
+    window = cache(partial(_cone_window, n, profile))
+
+    def sup(h, t, weight_power=0.0):
+        sig, vals = window(h, t)
+        return float(np.max(vals * sig ** weight_power))
 
     for s in (0.0, (n - 1) / 4.0, top):
-        rows = [(t, cone_sup(n, profile, 1.0, t, weight_power=top - s))
-                for t in KERNEL_T]
+        rows = [(t, sup(1.0, t, top - s)) for t in KERNEL_T]
         reports[f"2.7_t_s{s:g}"] = fit_power_law(
             rows, "2.7", "t", target=-s, tolerance=0.2).as_dict()
 
-    rows = [(h, cone_sup(n, profile, h, 16.0)) for h in h_set]
+    rows = [(h, sup(h, 16.0)) for h in h_set]
     reports["2.7_h"] = fit_power_law(rows, "2.7", "h",
                                      target=-(n + 1) / 2.0,
                                      tolerance=0.3).as_dict()

@@ -8,8 +8,13 @@ nu = (n-2)/2, is
                     J_nu(sigma lam) lam dlam,
 
 with the plus/minus decomposition obtained from the exact symbol split of
-z^nu J_nu(z).  Quadrature is composite Gauss-Legendre with a
-panels-per-period rule driven by the total phase rate |t| + sigma.
+z^nu J_nu(z).  Single points and radius batches use composite
+Gauss-Legendre with a panels-per-period rule driven by the total phase
+rate |t| + sigma.  A batch of equally spaced times is one FFT: the
+trapezoid rule on equispaced lambda nodes, which converges faster than
+any power because the integrand vanishes with all its derivatives at the
+ends of the profile's support (Trefethen & Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Review 56, 2014).
 """
 
 from __future__ import annotations
@@ -37,9 +42,13 @@ class QuadratureError(RuntimeError):
 
 _PLAIN_N = 96
 _MAX_REFINE = 6
-# rows (times or radii) of one (rows x lambda) block in the batch
-# evaluations, so their working set is one block whatever the batch size
+# radii of one (radii x lambda) Bessel block in eval_Kh_sigma_batch, so
+# its working set is one block whatever the batch size
 _BLOCK = 64
+# least trapezoid nodes on the profile's support in eval_Kh_batch: with
+# fewer, the bump's transform aliased from |t| ~ 2 pi / dlam shows above
+# round-off at h = 1
+_FFT_MIN_NODES = 128
 
 
 def _panel_nodes(lo, hi, rate, min_panels=4):
@@ -150,18 +159,42 @@ def _row_blocks(size):
 
 
 def eval_Kh_batch(n, profile, h, sigma, t_array):
-    """K_h(sigma, t) for an array of times, sharing one lambda grid;
-    the phase matrix is formed _BLOCK times at a time."""
+    """K_h(sigma, t) at equally spaced times t_j = t_0 + j dt, dt > 0, as
+    one FFT.
+
+    On the nodes lam_k = k dlam, dlam = 2 pi / (N dt), the trapezoid sum
+    of e^{i t_j lam} g(lam) is sum_k e^{i t_0 lam_k} g(lam_k)
+    e^{2 pi i j k / N}: one length-N inverse DFT of those weights folded
+    by k mod N, so a dt past Nyquist needs no more nodes.  The rule aliases
+    the kernel from |t| >= 2 pi / dlam - max|t|; N is the smallest power
+    of two with dlam at most an eighth of the fastest period
+    2 pi / (max|t| + sigma) and at least _FFT_MIN_NODES nodes on the
+    support.  ValueError unless t_array is an increasing arithmetic
+    progression (to rounding); a single time takes dt = 1.
+    """
     _check_dim(n)
     _check_args(h, sigma)
     t_array = np.asarray(t_array, dtype=float).ravel()
-    rate = np.max(np.abs(t_array)) + sigma
-    lam, w = _batch_lambda_grid(profile, h, rate)
-    g = w * _kh_integrand(n, profile, h, sigma, lam)
-    out = np.empty(t_array.shape, dtype=complex)
-    for rows in _row_blocks(t_array.size):
-        out[rows] = np.exp(1j * np.outer(t_array[rows], lam)) @ g
-    return _kh_prefactor(n, sigma) * out
+    size = t_array.size
+    t0, top = t_array[0], np.max(np.abs(t_array))
+    dt = (t_array[-1] - t0) / (size - 1) if size > 1 else 1.0
+    drift = np.max(np.abs(t0 + dt * np.arange(size) - t_array))
+    if not dt > 0 or drift > 8 * np.spacing(top):
+        raise ValueError("t_array must be an increasing arithmetic "
+                         "progression")
+    lo, hi = profile.support
+    lo, hi = lo / h, hi / h
+    span = max(8 * (top + sigma), 2 * np.pi * _FFT_MIN_NODES / (hi - lo))
+    size_fft = 2 ** int(np.ceil(np.log2(span / dt)))
+    dlam = 2 * np.pi / (size_fft * dt)
+    k = np.arange(int(lo / dlam) + 1, int(np.ceil(hi / dlam)))
+    lam = k * dlam
+    c = np.exp(1j * t0 * lam) * _kh_integrand(n, profile, h, sigma, lam)
+    fold = k % size_fft
+    folded = (np.bincount(fold, c.real, size_fft)
+              + 1j * np.bincount(fold, c.imag, size_fft))
+    sums = np.fft.ifft(folded, norm="forward")[:size]
+    return _kh_prefactor(n, sigma) * dlam * sums
 
 
 def eval_Kh_sigma_batch(n, profile, h, sigma_array, t):
@@ -179,7 +212,13 @@ def eval_Kh_sigma_batch(n, profile, h, sigma_array, t):
     base = w * profile(h * lam) * lam * np.exp(1j * t * lam)
     out = np.empty(sigma_array.shape, dtype=complex)
     for rows in _row_blocks(sigma_array.size):
-        out[rows] = caljnu(nu, np.outer(sigma_array[rows], lam)) @ base
+        # two real GEMVs: a real block times a complex vector would first
+        # cast the whole block to complex; the block is freed before the
+        # next one is formed
+        caj = caljnu(nu, np.outer(sigma_array[rows], lam))
+        out.real[rows] = caj @ base.real
+        out.imag[rows] = caj @ base.imag
+        del caj
     return _kh_prefactor(n, sigma_array) * out
 
 
@@ -196,11 +235,13 @@ def plancherel_lambda_side(n, profile, h, sigma):
 
 
 def write_kernel_scan(path, n, profile, h, sigma_values, t_values):
-    """CSV export of kernel scans: rows (sigma, t, h, re, im)."""
+    """CSV export of kernel scans: rows (sigma, t, h, re, im).  The
+    t_values need not be equally spaced, so each point takes the refined
+    eval_Kh."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sigma", "t", "h", "re", "im"])
         for sigma in sigma_values:
-            vals = eval_Kh_batch(n, profile, h, sigma, t_values)
-            for t, v in zip(t_values, vals):
+            for t in t_values:
+                v = eval_Kh(n, profile, h, sigma, t)
                 writer.writerow([sigma, t, h, v.real, v.imag])

@@ -29,8 +29,8 @@ norms (``estimates._row_norms``): a batch of about ninety 28 x 28
 matrices, which one batched LAPACK SVD takes at once where a Lanczos
 run per matrix would loop in Python.
 
-``COUNTS`` holds the kernel's Lanczos steps and the rows and entries the
-pruned norms formed, against their totals.
+``COUNTS`` holds the kernel's Lanczos steps and Ritz solves, and the rows
+and entries the pruned norms formed, against their totals.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ _BLOCK = 64
 # under it can read: that rounding is about k u relative (u = 2^-53),
 # under 1e-12 for k up to a few thousand
 _MARGIN = 1.0 + 1e-12
-# Lanczos steps of operator_two_norm, and the rows (2 -> inf) and entries
-# (1 -> inf) the pruned band norms computed, against their totals
+# Lanczos steps and Ritz solves of operator_two_norm, and the rows
+# (2 -> inf) and entries (1 -> inf) the pruned band norms computed, against
+# their totals
 COUNTS = dict.fromkeys(
-    ("norms.power_iterations", "norms.rows_2_to_inf",
+    ("norms.power_iterations", "norms.ritz_solves", "norms.rows_2_to_inf",
      "norms.rows_2_to_inf_total", "norms.entries_1_to_inf",
      "norms.entries_1_to_inf_total"), 0)
 
@@ -240,6 +241,7 @@ def operator_two_norm(matvec, rmatvec, m, max_iter=500):
         beta = np.linalg.norm(w)
         exact = beta <= 1e-14 * max(alphas) or j == m
         if exact or j % max(1, j // 8) == 0:
+            COUNTS["norms.ritz_solves"] += 1
             theta, s = top_eigenpair(alphas, betas)
             if exact or beta * abs(s[-1]) <= 1e-14 * theta:
                 return float(np.sqrt(max(theta, 0.0)))

@@ -14,6 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 __all__ = [
     "RadialGrid",
@@ -199,8 +200,19 @@ def top_eigenpair(diag, offdiag):
     """Largest eigenvalue of a symmetric tridiagonal matrix and its unit
     eigenvector (the Ritz step of ``norms.operator_two_norm``): one index
     of LAPACK's tridiagonal solver (bisection and inverse iteration), not
-    a full eigensolve."""
-    top = len(diag) - 1
-    vals, vecs = eigh_tridiagonal(diag, offdiag, select="i",
-                                  select_range=(top, top))
-    return vals[0], vecs[:, 0]
+    a full eigensolve.  LAPACK's stebz and stein are called directly with
+    the arguments ``eigh_tridiagonal(select="i")`` passes them, so the
+    pair is that function's bit for bit without its per-call checks."""
+    d = np.asarray_chkfinite(diag, dtype=float)
+    e = np.asarray_chkfinite(offdiag, dtype=float)
+    if d.size == 1:
+        return d[0], np.ones(1)
+    # range 2 = by index, il = iu = the last, abstol 0, block order "B"
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, d.size, d.size,
+                                        0.0, "B")
+    if info:
+        raise np.linalg.LinAlgError(f"stebz failed (LAPACK info={info})")
+    vecs, info = dstein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"stein failed (LAPACK info={info})")
+    return w[0], vecs[:, 0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavedecay import freekernel
 from wavedecay.profiles import bump
 from wavedecay.radialop import PotentialSpec, RadialGrid
 
@@ -41,3 +42,24 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+def _panel_Kh_batch(n, profile, h, sigma, t_array):
+    """K_h(sigma, t) at any times by composite Gauss panels on one lambda
+    grid sized for the latest time, the phase matrix formed 64 times at a
+    time: the time batch before it became one FFT.  An independent time
+    side for the FFT and for the Plancherel checks, which an FFT time side
+    would turn into discrete Parseval."""
+    t_array = np.asarray(t_array, dtype=float).ravel()
+    rate = np.max(np.abs(t_array)) + sigma
+    lam, w = freekernel._batch_lambda_grid(profile, h, rate)
+    g = w * freekernel._kh_integrand(n, profile, h, sigma, lam)
+    out = np.empty(t_array.shape, dtype=complex)
+    for rows in freekernel._row_blocks(t_array.size):
+        out[rows] = np.exp(1j * np.outer(t_array[rows], lam)) @ g
+    return freekernel._kh_prefactor(n, sigma) * out
+
+
+@pytest.fixture(scope="session")
+def panel_Kh_batch():
+    return _panel_Kh_batch

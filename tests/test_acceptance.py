@@ -29,7 +29,7 @@ import pytest
 
 from wavedecay import estimates as est
 from wavedecay.fitting import fit_power_law
-from wavedecay.freekernel import eval_Kh_batch, plancherel_lambda_side
+from wavedecay.freekernel import plancherel_lambda_side
 from wavedecay.funcalc import hs_multiplier, phi_of_hsqrt, verify_lemma23
 from wavedecay.profiles import bump
 from wavedecay.propagator import (boundary_safe_gap, duhamel_split,
@@ -108,11 +108,13 @@ def test_criterion_03_light_cone_integral(kernel_reports):
 
 
 @pytest.mark.parametrize("sigma", [1.0, 4.0])
-def test_criterion_04_plancherel(sigma):
+def test_criterion_04_plancherel(sigma, panel_Kh_batch):
+    # the time side by panel quadrature: an FFT time side would make this
+    # discrete Parseval
     lam_side = plancherel_lambda_side(N, PROF, 1.0, sigma)
     dt = 0.05
     ts = np.arange(dt / 2, 200.0, dt)
-    vals = np.abs(eval_Kh_batch(N, PROF, 1.0, sigma, ts)) ** 2
+    vals = np.abs(panel_Kh_batch(N, PROF, 1.0, sigma, ts)) ** 2
     time_side = 2.0 * float(np.sum(vals) * dt)
     gap = abs(time_side - lam_side) / lam_side
     assert gap <= 0.01, f"time vs lambda side differ by {gap:.2%}"

@@ -237,6 +237,8 @@ def test_verify_records_group_seconds(tmp_path, capsys):
     assert all(set(c) == set(COUNTS) for c in counts.values())
     assert not any(counts["2.7"].values())
     assert counts["3.1"]["norms.power_iterations"] > 0
+    assert 0 < counts["3.1"]["norms.ritz_solves"] <= counts["3.1"][
+        "norms.power_iterations"]
     written = (out / "rollup.csv").read_bytes()
     assert main(["report", "--out", str(out)]) == code
     assert (out / "rollup.csv").read_bytes() == written

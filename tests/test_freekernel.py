@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavedecay import estimates as est
 from wavedecay import freekernel
 from wavedecay.freekernel import (QuadratureError, eval_Kh, eval_Kh_batch,
                                   eval_Kh_pm, eval_Kh_sigma_batch,
@@ -62,7 +63,7 @@ def test_pm_split_reassembles(phi):
 
 
 def test_batch_routes_agree(phi):
-    ts = np.array([2.0, 5.0, 9.0])
+    ts = np.array([2.0, 5.0, 8.0])
     batch = eval_Kh_batch(4, phi, 1.0, 2.0, ts)
     single = [eval_Kh(4, phi, 1.0, 2.0, t) for t in ts]
     assert np.allclose(batch, single, rtol=1e-7)
@@ -72,22 +73,14 @@ def test_batch_routes_agree(phi):
     assert np.allclose(sbatch, singles, rtol=1e-7)
 
 
-def _one_shot_Kh_batch(n, profile, h, sigma, t_array):
-    """eval_Kh_batch as one (T x lambda) phase matrix."""
-    lam, w = freekernel._batch_lambda_grid(profile, h,
-                                           np.max(np.abs(t_array)) + sigma)
-    g = w * freekernel._kh_integrand(n, profile, h, sigma, lam)
-    phases = np.exp(1j * np.outer(t_array, lam))
-    return freekernel._kh_prefactor(n, sigma) * (phases @ g)
-
-
 def _one_shot_Kh_sigma_batch(n, profile, h, sigma_array, t):
     """eval_Kh_sigma_batch as one (S x lambda) Bessel matrix."""
     lam, w = freekernel._batch_lambda_grid(profile, h,
                                            abs(t) + np.max(sigma_array))
     base = w * profile(h * lam) * lam * np.exp(1j * t * lam)
     caj = caljnu((n - 2) / 2.0, np.outer(sigma_array, lam))
-    return freekernel._kh_prefactor(n, sigma_array) * (caj @ base)
+    return freekernel._kh_prefactor(n, sigma_array) * (
+        caj @ base.real + 1j * (caj @ base.imag))
 
 
 _B = freekernel._BLOCK
@@ -97,10 +90,8 @@ _B = freekernel._BLOCK
 @pytest.mark.parametrize("h", [1.0, 0.125])
 def test_blocked_batches_match_one_shot(phi, size, h):
     """Bit for bit: a row of a block is the same BLAS product as that row
-    of the one-shot matrix, the lone leftover row (B + 1, 2B + 1) too."""
-    ts = np.linspace(0.5, 64.0, size)
-    assert np.array_equal(eval_Kh_batch(4, phi, h, 2.0, ts),
-                          _one_shot_Kh_batch(4, phi, h, 2.0, ts))
+    of the one-shot Bessel matrix, the lone leftover row (B + 1, 2B + 1)
+    too."""
     sigmas = np.linspace(0.05, 30.0, size)
     assert np.array_equal(eval_Kh_sigma_batch(4, phi, h, sigmas, 7.0),
                           _one_shot_Kh_sigma_batch(4, phi, h, sigmas, 7.0))
@@ -116,16 +107,60 @@ def test_row_blocks_cover_without_a_lone_row(size):
     assert max(lens) <= _B + 1 and (size <= 1 or min(lens) > 1)
 
 
-def test_time_batch_working_set_is_one_block(phi, traced_peak):
-    """The (2.8) time integral at h = 1/8 over 512 times: the one-shot
-    (512 x 2,692) complex phase matrix alone is 22 MB; the blocked
-    evaluation peaks under a third of it."""
+@pytest.mark.parametrize("h", [1.0, 0.125])
+@pytest.mark.parametrize("sigma", [1.0, 16.0])
+@pytest.mark.parametrize("dt, t0", [(0.125, 0.125), (0.125, 0.0625),
+                                    (2.0, 2.0), (2.0, 1.0)])
+def test_fft_batch_matches_panels(phi, panel_Kh_batch, h, sigma, dt, t0):
+    """The FFT time batch against the panel quadrature it replaced, to
+    1e-12 of max |K| over times up to 64.  dt = 2 is past Nyquist
+    (pi / 2 at h = 1, pi / 16 at h = 1/8): at h = 1/8 the nodes on the
+    support outnumber the FFT length, so the weights are folded."""
+    ts = np.arange(t0, 64.0 + dt / 2, dt)
+    ref = panel_Kh_batch(4, phi, h, sigma, ts)
+    got = eval_Kh_batch(4, phi, h, sigma, ts)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("h", [1.0, 0.125])
+@pytest.mark.parametrize("sigma", [1.0, 16.0])
+def test_fft_batch_short_times_match_long(phi, h, sigma):
+    """Times up to 2 size the FFT by its least node count on the support,
+    not by the phase rate; they match the same times of the batch up to
+    64 (held to the panels above) to 1e-12 of its max |K|.  The panels
+    themselves are the less accurate side at so low a rate."""
     ts = np.arange(0.125, 64.0625, 0.125)
-    lam, _ = freekernel._batch_lambda_grid(phi, 0.125, ts[-1] + 2.0)
-    phase_bytes = ts.size * lam.size * 16
-    assert phase_bytes > 20e6
+    long = eval_Kh_batch(4, phi, h, sigma, ts)
+    short = eval_Kh_batch(4, phi, h, sigma, ts[:16])
+    assert np.max(np.abs(short - long[:16])) <= 1e-12 * np.max(np.abs(long))
+
+
+@pytest.mark.parametrize("ts", [[2.0, 5.0, 9.0], [3.0, 3.0], [4.0, 2.0],
+                                np.geomspace(1.0, 64.0, 9)])
+def test_fft_batch_rejects_unequal_steps(phi, ts):
+    with pytest.raises(ValueError, match="increasing arithmetic"):
+        eval_Kh_batch(4, phi, 1.0, 2.0, ts)
+
+
+def test_time_batch_working_set_is_the_fft(phi, traced_peak):
+    """The (2.8) time integral at h = 1/8 over 512 times peaks under eight
+    complex length-N buffers of its FFT (N = 8192: 1 MB), where one
+    64-time phase block of the panel batch was 2.8 MB."""
+    ts = np.arange(0.125, 64.0625, 0.125)
     peak = traced_peak(lambda: eval_Kh_batch(4, phi, 0.125, 2.0, ts))
-    assert peak < phase_bytes / 3
+    assert peak < 8 * 8192 * 16
+
+
+def test_sigma_batch_block_is_real(phi, traced_peak):
+    """_free_kernel_sup's 561 distances at h = 1/8, t = 64: the real
+    Bessel block (64 x 5,420, 2.8 MB) is never cast to complex, and is
+    freed before the next is formed, so the call peaks near two blocks
+    (the distance-frequency product and the Bessel values), not the
+    three (8.5 MB) of a block cast to complex."""
+    lam, _ = freekernel._batch_lambda_grid(phi, 0.125, 64.0 + 69.0)
+    block_bytes = _B * lam.size * 8
+    peak = traced_peak(lambda: est._free_kernel_sup(4, phi, 0.125, 64.0))
+    assert peak < 2.2 * block_bytes
 
 
 def test_interior_superpolynomial_decay(phi):
@@ -148,13 +183,14 @@ def test_cone_decay_rate(phi):
 
 
 @pytest.mark.parametrize("sigma", [1.0, 4.0])
-def test_plancherel_identity(phi, sigma):
-    """Truncated time-side integral of |K|^2 equals the lambda-side
+def test_plancherel_identity(phi, panel_Kh_batch, sigma):
+    """Truncated time-side integral of |K|^2, by panel quadrature (an FFT
+    time side would be discrete Parseval), equals the lambda-side
     Plancherel expression to 1%."""
     lam_side = plancherel_lambda_side(4, phi, 1.0, sigma)
     dt = 0.05
     ts = np.arange(dt / 2, 200.0, dt)
-    vals = np.abs(eval_Kh_batch(4, phi, 1.0, sigma, ts)) ** 2
+    vals = np.abs(panel_Kh_batch(4, phi, 1.0, sigma, ts)) ** 2
     time_side = 2.0 * float(np.sum(vals) * dt)   # even in t
     assert time_side == pytest.approx(lam_side, rel=0.01)
 

@@ -128,6 +128,7 @@ KERNEL_HOMES = {"lu_factor": None, "lu_solve": None,
                 "eigh_tridiagonal": "radialop.py",
                 "solve_banded": None,
                 "get_lapack_funcs": "resolvent.py",
+                "dstebz": "radialop.py", "dstein": "radialop.py",
                 "j1": "specfun.py"}
 
 

@@ -389,8 +389,9 @@ def test_band_norm_2_wider_than_grid(rng, traced_peak):
 
 
 def test_counts_record_the_work(grid, rng):
-    """COUNTS: one Lanczos step per matvec, and the pruned norms' rows and
-    entries formed against the T M rows and T M^2 entries in all."""
+    """COUNTS: one Lanczos step per matvec, at most one Ritz solve per
+    step, and the pruned norms' rows and entries formed against the T M
+    rows and T M^2 entries in all."""
     before = dict(norms.COUNTS)
     a = rng.standard_normal((12, 12))
     calls = []
@@ -401,6 +402,7 @@ def test_counts_record_the_work(grid, rng):
     band_norm_1_to_inf(left, right, coeffs, grid, 4)
     done = {key: norms.COUNTS[key] - before[key] for key in before}
     assert done["norms.power_iterations"] == len(calls) > 0
+    assert 0 < done["norms.ritz_solves"] <= len(calls)
     assert done["norms.rows_2_to_inf_total"] == 3 * grid.M
     assert done["norms.entries_1_to_inf_total"] == 3 * grid.M ** 2
     assert 0 < done["norms.rows_2_to_inf"] <= 3 * grid.M

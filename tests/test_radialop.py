@@ -6,7 +6,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from wavedecay import radialop
 from wavedecay.radialop import (PotentialSpec, RadialGrid, build_G, build_G0,
-                                weight_matrix)
+                                top_eigenpair, weight_matrix)
 
 
 def test_grid_nodes_and_spacing():
@@ -156,3 +156,36 @@ def test_weight_matrix_is_japanese_bracket(small_grid):
 def test_positive_spectrum(small_grid):
     vals, _ = build_G0(small_grid, 4).eigensystem()
     assert vals.min() > 0
+
+
+def _tridiagonals(rng, j):
+    """Random, repeated-eigenvalue and split (zero off-diagonal) j x j
+    symmetric tridiagonals, the Lanczos form as Python lists among them."""
+    d, e = rng.standard_normal(j), rng.standard_normal(j - 1)
+    yield d, e
+    yield list(d), list(e)
+    yield np.full(j, 2.0), np.zeros(j - 1)
+    # two equal diagonal blocks split by a zero: every eigenvalue twice
+    half = j // 2
+    if half:
+        dd = np.concatenate([d[:half], d[:half], d[2 * half:]])
+        ee = np.concatenate([e[:half - 1], [0.0], e[:half - 1],
+                             np.zeros(j - 2 * half)])[:j - 1]
+        yield dd, ee
+
+
+def test_top_eigenpair_is_eigh_tridiagonal_bit_for_bit(rng):
+    """The direct LAPACK Ritz step returns eigh_tridiagonal(select="i")'s
+    top pair bit for bit, for j = 1..64 (1 x 1 takes the quick exit)."""
+    for j in range(1, 65):
+        for d, e in _tridiagonals(rng, j):
+            vals, vecs = eigh_tridiagonal(d, e, select="i",
+                                          select_range=(j - 1, j - 1))
+            theta, s = top_eigenpair(d, e)
+            assert theta == vals[0]
+            assert np.array_equal(s, vecs[:, 0])
+
+
+def test_top_eigenpair_rejects_non_finite():
+    with pytest.raises(ValueError):
+        top_eigenpair([1.0, np.nan], [0.5])
