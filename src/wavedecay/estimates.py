@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from functools import cache, partial
+from functools import lru_cache, partial
 from math import floor
 
 import numpy as np
@@ -60,6 +60,12 @@ def _ratio_report(values, cap):
 # ---------------------------------------------------------------------------
 # free kernel checks
 
+# One window per (n, profile, h, t) serves every weight power of (2.7)
+# and the sup of (2.2), which reads the windows (2.7) formed.  A verify
+# run forms at most 9 + len(h_set) windows of 2 x 65 floats; the bound
+# caps what a long session can pin.  The arrays are read-only, so sharing
+# is safe.
+@lru_cache(maxsize=64)
 def _cone_window(n, profile, h, t):
     """(sigma, |K_h(sigma, t)|) on the light-cone window sigma in
     [3t/4, 5t/4], 65 samples.
@@ -68,7 +74,9 @@ def _cone_window(n, profile, h, t):
     interior (sigma << t) carries a transient that dies off much faster
     and would steepen small-t fits, the far field is vacuum."""
     sig = np.linspace(0.75 * t, 1.25 * t, 65)
-    return sig, np.abs(eval_Kh_sigma_batch(n, profile, h, sig, t))
+    vals = np.abs(eval_Kh_sigma_batch(n, profile, h, sig, t))
+    sig.flags.writeable = vals.flags.writeable = False
+    return sig, vals
 
 
 def cone_sup(n, profile, h, t):
@@ -104,11 +112,9 @@ def check_kernel_bounds(n, profile, h_set):
     integral of the free kernel."""
     top = (n - 1) / 2.0
     reports = {}
-    # one window per (h, t) serves every weight power
-    window = cache(partial(_cone_window, n, profile))
 
     def sup(h, t, weight_power=0.0):
-        sig, vals = window(h, t)
+        sig, vals = _cone_window(n, profile, h, t)
         return float(np.max(vals * sig ** weight_power))
 
     for s in (0.0, (n - 1) / 4.0, top):
@@ -152,6 +158,16 @@ def check_kernel_bounds(n, profile, h_set):
     return reports
 
 
+def _weighted_l2_fit(band, w, t_set, s, estimate_id):
+    """Fit of ||w P(t) w||_2 over t_set for the band P(t) of a profile:
+    target t^{-s}, to 0.05 at s = 0 and one-sided to 0.2 above."""
+    wb = w[:, None] * band.vecs
+    rows = list(zip(t_set, band_norm_2(wb, wb, band.coeff(t_set))))
+    return fit_power_law(rows, estimate_id, "t", target=-s,
+                         tolerance=0.05 if s == 0.0 else 0.2,
+                         one_sided=s > 0.0).as_dict()
+
+
 def check_prop21(grid, n, profile, h_set, t_set):
     """Free propagator decay: weighted L2, kernel sup, L2->Linf rows and
     the weighted time integral of delta-like data; h-scans at t = 16."""
@@ -160,14 +176,9 @@ def check_prop21(grid, n, profile, h_set, t_set):
     reports = {}
 
     band = op0.band(profile, 1.0)
-    coeffs = band.coeff(t_set)
     for s in (0.0, (n - 1) / 4.0, top):
-        wb = weight_matrix(grid, s)[:, None] * band.vecs
-        rows = list(zip(t_set, band_norm_2(wb, wb, coeffs)))
-        tol = 0.05 if s == 0.0 else 0.2
-        reports[f"2.1_s{s:g}"] = fit_power_law(
-            rows, "2.1", "t", target=-s, tolerance=tol,
-            one_sided=s > 0.0).as_dict()
+        reports[f"2.1_s{s:g}"] = _weighted_l2_fit(
+            band, weight_matrix(grid, s), t_set, s, "2.1")
 
     rows = [(t, cone_sup(n, profile, 1.0, t)) for t in KERNEL_T]
     reports["2.2_t"] = fit_power_law(rows, "2.2", "t", target=-top,
@@ -327,15 +338,9 @@ def check_thm34(grid, n, potential, profile, h_set, t_set, s_set=None):
     reports = {}
     for s in s_set:
         w = weight_matrix(grid, s + EPS)
-        fits = {}
-        for h in h_set:
-            band = op.band(profile, h)
-            wb = w[:, None] * band.vecs
-            rows = list(zip(t_set, band_norm_2(wb, wb, band.coeff(t_set))))
-            tol = 0.05 if s == 0.0 else 0.2
-            fits[f"{h:g}"] = fit_power_law(
-                rows, "3.18", "t", target=-s, tolerance=tol,
-                one_sided=s > 0.0).as_dict()
+        fits = {f"{h:g}": _weighted_l2_fit(op.band(profile, h), w, t_set, s,
+                                           "3.18")
+                for h in h_set}
         exps = [f["fitted_exponent"] for f in fits.values()]
         spread = float(max(exps) - min(exps))
         reports[f"3.18_s{s:g}"] = {

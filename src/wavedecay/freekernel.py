@@ -8,13 +8,14 @@ nu = (n-2)/2, is
                     J_nu(sigma lam) lam dlam,
 
 with the plus/minus decomposition obtained from the exact symbol split of
-z^nu J_nu(z).  Single points and radius batches use composite
-Gauss-Legendre with a panels-per-period rule driven by the total phase
-rate |t| + sigma.  A batch of equally spaced times is one FFT: the
-trapezoid rule on equispaced lambda nodes, which converges faster than
-any power because the integrand vanishes with all its derivatives at the
-ends of the profile's support (Trefethen & Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Review 56, 2014).
+z^nu J_nu(z).  Every evaluator takes one rule (_trapezoid_nodes): the
+trapezoid rule on the equispaced nodes lam_k = k dlam inside the
+profile's support, with dlam at most an eighth of the fastest period
+2 pi / rate (rate = |t| + sigma for K_h) and at least _MIN_NODES nodes on
+the support.  It converges faster than any power because the integrand
+vanishes with all its derivatives at the ends of the support (Trefethen &
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+56, 2014).  A batch of equally spaced times is one FFT of that rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import csv
 
 import numpy as np
 
-from .specfun import caljnu, gauss_panels, symbol_split
+from .specfun import caljnu, symbol_split
 
 __all__ = [
     "QuadratureError",
@@ -37,28 +38,32 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Raised when panel refinement stalls above the requested tolerance."""
+    """Raised when step refinement stalls above the requested tolerance."""
 
 
-_PLAIN_N = 96
 _MAX_REFINE = 6
 # radii of one (radii x lambda) Bessel block in eval_Kh_sigma_batch, so
 # its working set is one block whatever the batch size
 _BLOCK = 64
-# least trapezoid nodes on the profile's support in eval_Kh_batch: with
-# fewer, the bump's transform aliased from |t| ~ 2 pi / dlam shows above
-# round-off at h = 1
-_FFT_MIN_NODES = 128
+# least trapezoid nodes on the profile's support: with fewer, the bump's
+# transform aliased from |t| ~ 2 pi / dlam shows above round-off at h = 1
+_MIN_NODES = 128
 
 
-def _panel_nodes(lo, hi, rate, min_panels=4):
-    """Composite 4-point Gauss-Legendre nodes on [lo, hi]; panel width at
-    most an eighth of the oscillation period 2 pi / rate."""
-    if rate <= 0:
-        npan = min_panels
-    else:
-        npan = max(min_panels, int(np.ceil((hi - lo) * rate / (2 * np.pi) * 8)))
-    return gauss_panels(np.linspace(lo, hi, npan + 1), 4)
+def _trapezoid_nodes(profile, h, rate, refine=0, dt=None):
+    """(k, dlam): the trapezoid rule on lam_k = k dlam, each node of weight
+    dlam, k running over every integer with lam_k strictly inside the
+    profile's support (lo, hi) / h.  dlam is the smaller of an eighth of
+    the fastest period 2 pi / rate and (hi - lo) / _MIN_NODES, halved
+    `refine` times; given a time step dt it is rounded down to
+    2 pi / (N dt), N a power of two (eval_Kh_batch's FFT length)."""
+    lo, hi = profile.support
+    lo, hi = lo / h, hi / h
+    span = max(8 * rate, 2 * np.pi * _MIN_NODES / (hi - lo)) * 2 ** refine
+    if dt is not None:
+        span = 2 ** int(np.ceil(np.log2(span / dt))) * dt
+    dlam = 2 * np.pi / span
+    return np.arange(int(lo / dlam) + 1, int(np.ceil(hi / dlam))), dlam
 
 
 def _kh_integrand(n, profile, h, sigma, lam):
@@ -77,19 +82,15 @@ def _check_dim(n):
 
 
 def _quad_once(n, profile, h, sigma, t, refine=0):
-    lo, hi = profile.support
-    lo, hi = lo / h, hi / h
-    rate = abs(t) + sigma
-    if rate * (hi - lo) <= 16.0 and refine == 0:
-        lam, w = gauss_panels([lo, hi], _PLAIN_N)
-    else:
-        lam, w = _panel_nodes(lo, hi, rate, min_panels=4 * 2 ** refine)
+    k, dlam = _trapezoid_nodes(profile, h, abs(t) + sigma, refine)
+    lam = k * dlam
     vals = np.exp(1j * t * lam) * _kh_integrand(n, profile, h, sigma, lam)
-    return _kh_prefactor(n, sigma) * np.sum(w * vals)
+    return _kh_prefactor(n, sigma) * dlam * np.sum(vals)
 
 
 def _check_args(h, sigma):
-    if not (np.isfinite(sigma) and sigma > 0):
+    """sigma a radius or an array of radii."""
+    if not np.all(np.isfinite(sigma) & (sigma > 0)):
         raise ValueError("sigma must be finite and > 0")
     if not (0 < h <= 1):
         raise ValueError("h must lie in (0, 1]")
@@ -107,11 +108,11 @@ def _refine(piece, rel_tol=1e-8):
             return cur
         prev = cur
     raise QuadratureError(
-        f"panel refinement stalled at rel err {abs(cur - prev) / scale:.2e}")
+        f"refinement stalled at rel err {abs(cur - prev) / scale:.2e}")
 
 
 def eval_Kh(n, profile, h, sigma, t, rel_tol=1e-8):
-    """K_h(sigma, t) with panel-refinement error control."""
+    """K_h(sigma, t), halving the step until two refinements agree."""
     _check_dim(n)
     _check_args(h, sigma)
     return _refine(lambda refine: _quad_once(n, profile, h, sigma, t, refine),
@@ -130,24 +131,16 @@ def eval_Kh_pm(n, profile, h, sigma, t, sign):
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     nu = (n - 2) / 2.0
-    lo, hi = profile.support
-    lo, hi = lo / h, hi / h
-    rate = abs(t + sign * sigma)
 
     def piece(refine):
-        lam, w = _panel_nodes(lo, hi, rate, min_panels=8 * 2 ** refine)
+        k, dlam = _trapezoid_nodes(profile, h, abs(t + sign * sigma), refine)
+        lam = k * dlam
         b = symbol_split(nu, sigma * lam)[0 if sign == +1 else 1]
         tilde = profile(h * lam) * lam  # phi~(h lam)/h = lam phi(h lam)
         vals = np.exp(1j * (t + sign * sigma) * lam) * tilde * b
-        return _kh_prefactor(n, sigma) * np.sum(w * vals)
+        return _kh_prefactor(n, sigma) * dlam * np.sum(vals)
 
     return _refine(piece)
-
-
-def _batch_lambda_grid(profile, h, rate):
-    lo, hi = profile.support
-    lo, hi = lo / h, hi / h
-    return _panel_nodes(lo, hi, rate, min_panels=16)
 
 
 def _row_blocks(size):
@@ -167,10 +160,9 @@ def eval_Kh_batch(n, profile, h, sigma, t_array):
     e^{2 pi i j k / N}: one length-N inverse DFT of those weights folded
     by k mod N, so a dt past Nyquist needs no more nodes.  The rule aliases
     the kernel from |t| >= 2 pi / dlam - max|t|; N is the smallest power
-    of two with dlam at most an eighth of the fastest period
-    2 pi / (max|t| + sigma) and at least _FFT_MIN_NODES nodes on the
-    support.  ValueError unless t_array is an increasing arithmetic
-    progression (to rounding); a single time takes dt = 1.
+    of two that meets _trapezoid_nodes' rule at rate max|t| + sigma.
+    ValueError unless t_array is an increasing arithmetic progression (to
+    rounding); a single time takes dt = 1.
     """
     _check_dim(n)
     _check_args(h, sigma)
@@ -182,12 +174,8 @@ def eval_Kh_batch(n, profile, h, sigma, t_array):
     if not dt > 0 or drift > 8 * np.spacing(top):
         raise ValueError("t_array must be an increasing arithmetic "
                          "progression")
-    lo, hi = profile.support
-    lo, hi = lo / h, hi / h
-    span = max(8 * (top + sigma), 2 * np.pi * _FFT_MIN_NODES / (hi - lo))
-    size_fft = 2 ** int(np.ceil(np.log2(span / dt)))
-    dlam = 2 * np.pi / (size_fft * dt)
-    k = np.arange(int(lo / dlam) + 1, int(np.ceil(hi / dlam)))
+    k, dlam = _trapezoid_nodes(profile, h, top + sigma, dt=dt)
+    size_fft = round(2 * np.pi / (dlam * dt))
     lam = k * dlam
     c = np.exp(1j * t0 * lam) * _kh_integrand(n, profile, h, sigma, lam)
     fold = k % size_fft
@@ -201,15 +189,12 @@ def eval_Kh_sigma_batch(n, profile, h, sigma_array, t):
     """K_h(sigma, t) for an array of radii at one time, sharing one lambda
     grid; the Bessel matrix is formed _BLOCK radii at a time."""
     _check_dim(n)
-    if not (0 < h <= 1):
-        raise ValueError("h must lie in (0, 1]")
     sigma_array = np.asarray(sigma_array, dtype=float).ravel()
-    if np.any(sigma_array <= 0):
-        raise ValueError("sigma must be > 0")
+    _check_args(h, sigma_array)
     nu = (n - 2) / 2.0
-    rate = abs(t) + np.max(sigma_array)
-    lam, w = _batch_lambda_grid(profile, h, rate)
-    base = w * profile(h * lam) * lam * np.exp(1j * t * lam)
+    k, dlam = _trapezoid_nodes(profile, h, abs(t) + np.max(sigma_array))
+    lam = k * dlam
+    base = profile(h * lam) * lam * np.exp(1j * t * lam)
     out = np.empty(sigma_array.shape, dtype=complex)
     for rows in _row_blocks(sigma_array.size):
         # two real GEMVs: a real block times a complex vector would first
@@ -219,19 +204,21 @@ def eval_Kh_sigma_batch(n, profile, h, sigma_array, t):
         out.real[rows] = caj @ base.real
         out.imag[rows] = caj @ base.imag
         del caj
-    return _kh_prefactor(n, sigma_array) * out
+    return _kh_prefactor(n, sigma_array) * dlam * out
 
 
 def plancherel_lambda_side(n, profile, h, sigma):
     """Frequency-side value of int |K_h(sigma, t)|^2 dt:
-    2 pi pref^2 h^{-2} int |phi~(h lam) caljnu(sigma lam)|^2 dlam."""
+    2 pi pref^2 h^{-2} int |phi~(h lam) caljnu(sigma lam)|^2 dlam; the
+    square of J_nu oscillates at rate 2 sigma."""
     _check_dim(n)
-    lo, hi = profile.support
-    lam, w = _panel_nodes(lo / h, hi / h, 4 * sigma, min_panels=64)
+    _check_args(h, sigma)
+    k, dlam = _trapezoid_nodes(profile, h, 2 * sigma)
+    lam = k * dlam
     integrand = np.abs(h * profile(h * lam) * lam
                        * caljnu((n - 2) / 2.0, sigma * lam)) ** 2
     pref = _kh_prefactor(n, sigma)
-    return 2 * np.pi * pref ** 2 * h ** -2 * np.sum(w * integrand)
+    return 2 * np.pi * pref ** 2 * h ** -2 * dlam * np.sum(integrand)
 
 
 def write_kernel_scan(path, n, profile, h, sigma_values, t_values):

@@ -149,7 +149,8 @@ class DiscreteOperator:
         root = np.sqrt(mu[pos])
         amp = profile(h * root)
         keep = amp != 0
-        return SpectralBand(root[keep], amp[keep], q[:, pos][:, keep])
+        return SpectralBand(root[keep], amp[keep],
+                            q[:, np.flatnonzero(pos)[keep]])
 
 
 def _centrifugal(n, r):

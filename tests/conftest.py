@@ -4,6 +4,7 @@ import pytest
 from wavedecay import freekernel
 from wavedecay.profiles import bump
 from wavedecay.radialop import PotentialSpec, RadialGrid
+from wavedecay.specfun import gauss_panels
 
 
 @pytest.fixture(scope="session")
@@ -45,14 +46,18 @@ def traced_peak():
 
 
 def _panel_Kh_batch(n, profile, h, sigma, t_array):
-    """K_h(sigma, t) at any times by composite Gauss panels on one lambda
-    grid sized for the latest time, the phase matrix formed 64 times at a
-    time: the time batch before it became one FFT.  An independent time
-    side for the FFT and for the Plancherel checks, which an FFT time side
-    would turn into discrete Parseval."""
+    """K_h(sigma, t) at any times by composite 4-point Gauss-Legendre
+    panels on one lambda grid sized for the latest time (at least 64
+    panels, 8 per period 2 pi / (max|t| + sigma)), the phase matrix formed
+    64 times at a time.  A rule independent of freekernel's trapezoid
+    nodes: the oracle of its evaluators, and the time side of the
+    Plancherel checks, which an FFT time side would turn into discrete
+    Parseval."""
     t_array = np.asarray(t_array, dtype=float).ravel()
     rate = np.max(np.abs(t_array)) + sigma
-    lam, w = freekernel._batch_lambda_grid(profile, h, rate)
+    lo, hi = (edge / h for edge in profile.support)
+    panels = max(64, int(np.ceil((hi - lo) * rate / (2 * np.pi) * 8)))
+    lam, w = gauss_panels(np.linspace(lo, hi, panels + 1), 4)
     g = w * freekernel._kh_integrand(n, profile, h, sigma, lam)
     out = np.empty(t_array.shape, dtype=complex)
     for rows in freekernel._row_blocks(t_array.size):

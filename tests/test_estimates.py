@@ -26,6 +26,31 @@ def test_cone_sup_tracks_stated_rate(profile):
     assert b / a == pytest.approx(2.0 ** -1.5, rel=0.05)
 
 
+def test_prop21_reads_the_cone_windows_of_27(monkeypatch, small_grid,
+                                             profile):
+    """(2.2) is the sup over the light-cone windows that (2.7) formed:
+    after check_kernel_bounds, check_prop21 forms no window, and its fits
+    equal (2.7)'s at weight power 0 field by field."""
+    h_set = (1.0, 0.5, 0.25, 0.125)
+    calls = []
+    batch = est.eval_Kh_sigma_batch
+
+    def counted(*args):
+        calls.append(args)
+        return batch(*args)
+
+    est._cone_window.cache_clear()
+    monkeypatch.setattr(est, "eval_Kh_sigma_batch", counted)
+    kernel = est.check_kernel_bounds(4, profile, h_set)
+    formed = len(calls)
+    prop = est.check_prop21(small_grid, 4, profile, h_set,
+                            (1.0, 2.0, 4.0, 8.0))
+    assert len(calls) == formed
+    for key, twin in (("2.2_t", "2.7_t_s1.5"), ("2.2_h", "2.7_h")):
+        assert prop[key]["estimate_id"] == "2.2"
+        assert {**prop[key], "estimate_id": "2.7"} == kernel[twin]
+
+
 def test_kernel_t_window():
     assert est.KERNEL_T[0] == 8.0
     assert est.KERNEL_T[-1] == 128.0

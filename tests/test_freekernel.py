@@ -41,17 +41,20 @@ def test_panel_refinement_stability(phi):
     lambda phi: eval_Kh(4, phi, 1.0, 2.0, 7.0),
     lambda phi: eval_Kh_pm(4, phi, 1.0, 2.0, 7.0, +1),
 ], ids=["eval_Kh", "eval_Kh_pm"])
-def test_stalled_refinement_raises(phi, monkeypatch, evaluate):
-    # weights that drift with the panel count: no two refinements agree
-    panels = freekernel._panel_nodes
+def test_stalled_refinement_raises(phi, evaluate):
+    """Integrand weights that drift with the refinement level (the node
+    count doubles at each level): no two refinements agree.  The drift
+    rides on the profile because the trapezoid rule's one weight is its
+    step, and a rescaled step is again an exact rule."""
 
-    def drifting(lo, hi, rate, min_panels=4):
-        lam, w = panels(lo, hi, rate, min_panels)
-        return lam, w * (1.0 + 1e-3 * min_panels)
+    class Drifting:
+        support = phi.support
 
-    monkeypatch.setattr(freekernel, "_panel_nodes", drifting)
+        def __call__(self, x):
+            return phi(x) * (1.0 + 1e-3 * np.log2(np.size(x)))
+
     with pytest.raises(QuadratureError, match="stalled"):
-        evaluate(phi)
+        evaluate(Drifting())
 
 
 def test_pm_split_reassembles(phi):
@@ -74,12 +77,14 @@ def test_batch_routes_agree(phi):
 
 
 def _one_shot_Kh_sigma_batch(n, profile, h, sigma_array, t):
-    """eval_Kh_sigma_batch as one (S x lambda) Bessel matrix."""
-    lam, w = freekernel._batch_lambda_grid(profile, h,
-                                           abs(t) + np.max(sigma_array))
-    base = w * profile(h * lam) * lam * np.exp(1j * t * lam)
+    """eval_Kh_sigma_batch as one (S x lambda) Bessel matrix on the same
+    trapezoid nodes."""
+    k, dlam = freekernel._trapezoid_nodes(profile, h,
+                                          abs(t) + np.max(sigma_array))
+    lam = k * dlam
+    base = profile(h * lam) * lam * np.exp(1j * t * lam)
     caj = caljnu((n - 2) / 2.0, np.outer(sigma_array, lam))
-    return freekernel._kh_prefactor(n, sigma_array) * (
+    return freekernel._kh_prefactor(n, sigma_array) * dlam * (
         caj @ base.real + 1j * (caj @ base.imag))
 
 
@@ -108,6 +113,18 @@ def test_row_blocks_cover_without_a_lone_row(size):
 
 
 @pytest.mark.parametrize("h", [1.0, 0.125])
+@pytest.mark.parametrize("t", [2.0, 8.0, 16.0, 64.0, 128.0])
+def test_sigma_batch_matches_panels_on_cone_windows(phi, panel_Kh_batch,
+                                                    h, t):
+    """The radius batch against the Gauss-panel oracle on the 65-point
+    light-cone windows the (2.2)/(2.7) fits read, to 1e-13 of max |K|."""
+    sigmas = np.linspace(0.75 * t, 1.25 * t, 65)
+    ref = np.array([panel_Kh_batch(4, phi, h, s, [t])[0] for s in sigmas])
+    got = eval_Kh_sigma_batch(4, phi, h, sigmas, t)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("h", [1.0, 0.125])
 @pytest.mark.parametrize("sigma", [1.0, 16.0])
 @pytest.mark.parametrize("dt, t0", [(0.125, 0.125), (0.125, 0.0625),
                                     (2.0, 2.0), (2.0, 1.0)])
@@ -127,8 +144,9 @@ def test_fft_batch_matches_panels(phi, panel_Kh_batch, h, sigma, dt, t0):
 def test_fft_batch_short_times_match_long(phi, h, sigma):
     """Times up to 2 size the FFT by its least node count on the support,
     not by the phase rate; they match the same times of the batch up to
-    64 (held to the panels above) to 1e-12 of its max |K|.  The panels
-    themselves are the less accurate side at so low a rate."""
+    64 (held to the panels above) to 1e-12 of its max |K|, the scale of
+    the long batch: at h = 1/8, sigma = 16 the short times lie far
+    outside the cone, where |K| is about 1e-6 of it."""
     ts = np.arange(0.125, 64.0625, 0.125)
     long = eval_Kh_batch(4, phi, h, sigma, ts)
     short = eval_Kh_batch(4, phi, h, sigma, ts[:16])
@@ -153,12 +171,12 @@ def test_time_batch_working_set_is_the_fft(phi, traced_peak):
 
 def test_sigma_batch_block_is_real(phi, traced_peak):
     """_free_kernel_sup's 561 distances at h = 1/8, t = 64: the real
-    Bessel block (64 x 5,420, 2.8 MB) is never cast to complex, and is
+    Bessel block (64 x 1,355, 0.7 MB) is never cast to complex, and is
     freed before the next is formed, so the call peaks near two blocks
     (the distance-frequency product and the Bessel values), not the
-    three (8.5 MB) of a block cast to complex."""
-    lam, _ = freekernel._batch_lambda_grid(phi, 0.125, 64.0 + 69.0)
-    block_bytes = _B * lam.size * 8
+    three of a block cast to complex."""
+    k, _ = freekernel._trapezoid_nodes(phi, 0.125, 64.0 + 69.0)
+    block_bytes = _B * k.size * 8
     peak = traced_peak(lambda: est._free_kernel_sup(4, phi, 0.125, 64.0))
     assert peak < 2.2 * block_bytes
 
