@@ -26,6 +26,7 @@ from . import estimates as est
 from .fitting import check_fit_window
 from .norms import COUNTS as norm_counts
 from .profiles import bump
+from .radialop import COUNTS as eigen_counts
 from .radialop import PotentialSpec, RadialGrid, build_G, build_G0
 
 __all__ = ["ExperimentConfig", "main"]
@@ -208,12 +209,13 @@ def cmd_verify(cfg):
     selected = _selected(ids)
     for group_ids, fn in GROUPS:
         if fn in selected:
-            counts = dict(norm_counts)
+            counts = {**norm_counts, **eigen_counts}
             start = time.perf_counter()
             reports.update(fn(cfg))
             group_s[group_ids[0]] = time.perf_counter() - start
+            now = {**norm_counts, **eigen_counts}
             group_counts[group_ids[0]] = {
-                key: norm_counts[key] - counts[key] for key in counts}
+                key: now[key] - counts[key] for key in counts}
     est.emit_reports(reports, cfg.out)
     # the rollup's row order, which the reports' sorted JSON keys lose;
     # report writes its rows in this order

@@ -187,14 +187,13 @@ _TINY = np.finfo(float).tiny
 _PANEL = 128
 
 
-def _boundary_sweep(a):
-    """f_0 = 1, f_1 = a_0, f_{j+1} = a_j f_j - f_{j-1} down the rows of a."""
-    f = np.empty_like(a)
+def _boundary_sweep(a, f):
+    """f_0 = 1, f_1 = a_0, f_{j+1} = a_j f_j - f_{j-1} down the rows of a,
+    written into f (a's shape)."""
     f[0], f[1] = 1.0, a[0]
     for j in range(1, a.shape[0] - 1):
         np.multiply(a[j], f[j], out=f[j + 1])
         np.subtract(f[j + 1], f[j - 1], out=f[j + 1])
-    return f
 
 
 def _resolvent_sum(diag, off, zs, coeffs, block=1500):
@@ -221,18 +220,25 @@ def _resolvent_sum(diag, off, zs, coeffs, block=1500):
         raise ValueError("constant off-diagonal required")
     m = diag.shape[0]
     s = np.zeros((m, m))
+    # one set of work arrays for every block; a block of nz nodes works on
+    # their leading 2 nz columns
+    width = 2 * min(block, zs.shape[0])
+    a_buf = np.empty((m, width), dtype=complex)
+    f_buf = np.empty_like(a_buf)
+    mod_buf = np.empty((m, width))
     for start in range(0, zs.shape[0], block):
         z = zs[start:start + block]
         nz = z.shape[0]
-        a = np.empty((m, 2 * nz), dtype=complex)
-        np.divide(z - diag[:, None], e, out=a[:, :nz])
+        a, f, mod = a_buf[:, :2 * nz], f_buf[:, :2 * nz], mod_buf[:, :2 * nz]
+        np.subtract(z, diag[:, None], out=a[:, :nz])
+        np.divide(a[:, :nz], e, out=a[:, :nz])
         a[:, nz:] = a[::-1, :nz]
         with np.errstate(over="ignore", invalid="ignore"):
-            f = _boundary_sweep(a)
+            _boundary_sweep(a, f)
             phi, psi = f[:, :nz], f[::-1, nz:]
             w = (diag[0] - z) * psi[0] + e * psi[1]
         if not all(x.min() >= _TINY and x.max() <= 1.0 / _TINY
-                   for x in (np.abs(f), np.abs(w))):
+                   for x in (np.abs(f, out=mod), np.abs(w))):
             # log |P| from the ratios f_{j+1} / f_j, in range where f is not
             r = [a[0]]
             for row in a[1:-1]:
@@ -262,10 +268,12 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     criterion-6 mesh (order 8, tol 1e-7) 16,138 of the 25,890 nodes are
     kept, at every M and h.
 
-    block caps how many quadrature nodes are in flight at once.  A block
-    holds two (M, 2 block) complex arrays, the sweep coefficients (z - d)
-    / e, reused for u and v, and the boundary solutions [phi | psi], and
-    the real |phi| and |psi| of the range check, besides the M x M sum."""
+    block caps how many quadrature nodes are in flight at once.  With b
+    the smaller of block and the node count, a call allocates once, and
+    every block reuses, two (M, 2 b) complex arrays, the sweep
+    coefficients (z - d) / e, reused for u and v, and the boundary
+    solutions [phi | psi], and the real (M, 2 b) |phi| and |psi| of the
+    range check, besides the M x M sum."""
     aa = AlmostAnalytic(profile, order)
     zs, ws = _hs_mesh(aa, tol)
     diag, off = h ** 2 * op.diag, h ** 2 * op.offdiag
@@ -281,6 +289,37 @@ def phi_of_hsqrt(op, profile, h):
     return op.band(profile, h).dense()
 
 
+def _lemma23_rows(grid, n, op0, op, profile, h_set):
+    """The (h, norm) rows of verify_lemma23, keyed by estimate id (and p
+    for 2.29 to 2.31).  Each h's two bands are built once; the p = 2 rows
+    of 2.29 and 2.30 are max |a| (orthonormal eigenvectors), every other
+    row a dense norm."""
+    ws, p_set = weight_matrix(grid, 1.0), (1, 2, np.inf)
+    rows = {"2.26": [], "2.27": [], "2.28": [],
+            "2.29": {p: [] for p in p_set}, "2.30": {p: [] for p in p_set},
+            "2.31": {p: [] for p in p_set},
+            "2.32": [], "2.33": [], "2.34": []}
+    for h in h_set:
+        b0, bg = op0.band(profile, h), op.band(profile, h)
+        p0, pg = b0.dense(), bg.dense()
+        d = pg - p0
+        rows["2.26"].append((h, op_norm_2(ws[:, None] * p0 / ws[None, :])))
+        rows["2.27"].append((h, op_norm_2(ws[:, None] * pg / ws[None, :])))
+        rows["2.28"].append((h, op_norm_2(d / ws[None, :])))
+        for eid, band, dense in (("2.29", b0, p0), ("2.30", bg, pg)):
+            # V diag(a) V^T with orthonormal columns V has 2-norm max |a|
+            rows[eid][2].append(
+                (h, float(np.max(np.abs(band.amps), initial=0.0))))
+            for p in (1, np.inf):
+                rows[eid][p].append((h, op_norm_p(dense, grid, n, p)))
+        for p in p_set:
+            rows["2.31"][p].append((h, op_norm_p(d, grid, n, p)))
+        rows["2.32"].append((h, op_norm_2_to_inf(p0, grid, n)))
+        rows["2.33"].append((h, op_norm_2_to_inf(pg, grid, n)))
+        rows["2.34"].append((h, op_norm_2_to_inf(d / ws[None, :], grid, n)))
+    return rows
+
+
 def verify_lemma23(grid, n, op0, op, profile, h_set):
     """Boundedness and h-scaling checks of the spectral cutoff family,
     with the weight <r>^{-1} and p in {1, 2, inf}.
@@ -290,26 +329,7 @@ def verify_lemma23(grid, n, op0, op, profile, h_set):
     The L^p entries are sector norms for radial data; p=1 columns of the
     L2->Lp items are recorded as not computed (no tractable exact norm).
     """
-    ws, p_set = weight_matrix(grid, 1.0), (1, 2, np.inf)
-    rows = {"2.26": [], "2.27": [], "2.28": [],
-            "2.29": {p: [] for p in p_set}, "2.30": {p: [] for p in p_set},
-            "2.31": {p: [] for p in p_set},
-            "2.32": [], "2.33": [], "2.34": []}
-    for h in h_set:
-        p0 = phi_of_hsqrt(op0, profile, h)
-        pg = phi_of_hsqrt(op, profile, h)
-        d = pg - p0
-        rows["2.26"].append((h, op_norm_2(ws[:, None] * p0 / ws[None, :])))
-        rows["2.27"].append((h, op_norm_2(ws[:, None] * pg / ws[None, :])))
-        rows["2.28"].append((h, op_norm_2(d / ws[None, :])))
-        for p in p_set:
-            rows["2.29"][p].append((h, op_norm_p(p0, grid, n, p)))
-            rows["2.30"][p].append((h, op_norm_p(pg, grid, n, p)))
-            rows["2.31"][p].append((h, op_norm_p(d, grid, n, p)))
-        rows["2.32"].append((h, op_norm_2_to_inf(p0, grid, n)))
-        rows["2.33"].append((h, op_norm_2_to_inf(pg, grid, n)))
-        rows["2.34"].append((h, op_norm_2_to_inf(d / ws[None, :], grid, n)))
-
+    rows = _lemma23_rows(grid, n, op0, op, profile, h_set)
     report = {}
     for eid in ("2.26", "2.27"):
         report[eid] = {"sup": max(v for _, v in rows[eid]),
@@ -319,15 +339,15 @@ def verify_lemma23(grid, n, op0, op, profile, h_set):
                                    tolerance=0.3).as_dict()
     for eid in ("2.29", "2.30"):
         report[eid] = {}
-        for p in p_set:
-            vals = [v for _, v in rows[eid][p]]
+        for p, samples in rows[eid].items():
+            vals = [v for _, v in samples]
             report[eid][str(p)] = {"sup": max(vals),
                                    "h_stability": _stability(vals),
                                    "passed": _stability(vals) <= 3.0}
     report["2.31"] = {}
-    for p in p_set:
+    for p, samples in rows["2.31"].items():
         report["2.31"][str(p)] = fit_power_law(
-            rows["2.31"][p], "2.31", "h", target=2.0, tolerance=0.3).as_dict()
+            samples, "2.31", "h", target=2.0, tolerance=0.3).as_dict()
     for eid, target in (("2.32", -n / 2.0), ("2.33", -n / 2.0),
                         ("2.34", 2.0 - n / 2.0)):
         report[eid] = fit_power_law(rows[eid], eid, "h", target=target,

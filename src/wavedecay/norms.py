@@ -24,10 +24,13 @@ that no T makes larger.
 
 Every spectral norm of a grid operator (dense, band or implicit) is the
 largest singular value from one Lanczos kernel, ``operator_two_norm``,
-with no full SVD.  The one exception is the mollifier lattice's K x K
-norms (``estimates._row_norms``): a batch of about ninety 28 x 28
-matrices, which one batched LAPACK SVD takes at once where a Lanczos
-run per matrix would loop in Python.
+with no full SVD.  There are two exceptions.  The mollifier lattice's
+K x K norms (``estimates._row_norms``) are a batch of about ninety
+28 x 28 matrices, which one batched LAPACK SVD takes at once where a
+Lanczos run per matrix would loop in Python.  And a band on orthonormal
+eigenvectors, V diag(a) V^T, has 2-norm max |a| exactly, which group 1.2's
+p = 2 row (``estimates.assemble_thm11``) and lemma 2.3's 2.29 and 2.30
+p = 2 rows (``funcalc._lemma23_rows``) read off the amplitudes.
 
 ``COUNTS`` holds the kernel's Lanczos steps and Ritz solves, and the rows
 and entries the pruned norms formed, against their totals.
@@ -212,22 +215,50 @@ def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=_BLOCK):
     return out / grid.dr
 
 
+def _start_vector(m, r):
+    """The r-th deterministic start vector on C^m, of unit length: r = 0
+    starts the kernel, each r a frequency of its own."""
+    k = np.arange(m)
+    v = (1.0 + 0.5 * np.cos((0.7 + 0.1 * r) * k)
+         + 0.1 * np.sin(0.13 * k + 0.4))
+    return v / np.linalg.norm(v)
+
+
+def _restart_vector(basis, r):
+    """The first of the start vectors r, r + 1, ... that keeps 1e-3 of its
+    length projected (twice) off the rows of basis, normalized."""
+    for r in range(r, r + basis.shape[1]):
+        v = _start_vector(basis.shape[1], r)
+        for _ in range(2):
+            v = v - np.conj(basis @ np.conj(v)) @ basis
+        norm = np.linalg.norm(v)
+        if norm >= 1e-3:
+            return v / norm
+    raise np.linalg.LinAlgError("no restart vector off the Lanczos basis")
+
+
 def operator_two_norm(matvec, rmatvec, m, max_iter=500):
     """Largest singular value of an implicitly given operator B on C^m by
     Lanczos on B^H B with full reorthogonalization.  ``rmatvec`` must apply
     B^T (not B^H); conjugation is handled here.  The start vector is
-    deterministic: the whole pipeline is RNG-free by design.  Stops once
-    the top Ritz pair's residual beta_j |s_j| <= 1e-14 theta or beta_j
-    vanishes (an invariant subspace: projectors, unitary bands, C^m); from
+    deterministic: the whole pipeline is RNG-free by design.  A run stops
+    once the top Ritz pair's residual beta_j |s_j| <= 1e-14 theta; from
     step 16 on the pair is checked every (j // 8)-th step only.  The pair
-    is the top eigenpair of the j x j Lanczos tridiagonal, from
-    ``radialop.top_eigenpair``.  Raises LinAlgError after ``max_iter``
-    steps.
+    is the top eigenpair of the Lanczos tridiagonal, from
+    ``radialop.top_eigenpair``.
+
+    A vanishing beta_j before j = m marks an invariant subspace
+    (projectors, unitary bands), which may miss the top singular vector
+    (B v = 0 would read 0).  So the run restarts from a deterministic
+    vector off the basis, as a new block of the tridiagonal with Ritz
+    pairs of its own, until an invariant block does not raise the top, a
+    block converges or j = m, and returns the largest top.  Raises
+    LinAlgError after ``max_iter`` steps.
     """
-    k = np.arange(m)
-    v = 1.0 + 0.5 * np.cos(0.7 * k) + 0.1 * np.sin(0.13 * k + 0.4)
-    v = v / np.linalg.norm(v)
+    v = _start_vector(m, 0)
     basis, alphas, betas = np.empty((0, m)), [], []
+    # first step of the current block, the largest top of the blocks before
+    lo, found = 0, -np.inf
     for j in range(1, max_iter + 1):
         COUNTS["norms.power_iterations"] += 1
         w = np.conj(rmatvec(np.conj(matvec(v))))
@@ -242,9 +273,14 @@ def operator_two_norm(matvec, rmatvec, m, max_iter=500):
         exact = beta <= 1e-14 * max(alphas) or j == m
         if exact or j % max(1, j // 8) == 0:
             COUNTS["norms.ritz_solves"] += 1
-            theta, s = top_eigenpair(alphas, betas)
+            theta, s = top_eigenpair(alphas[lo:], betas[lo:])
+            if exact and j < m and theta > found * (1.0 + 1e-12):
+                found, lo = theta, j
+                betas.append(beta)       # joins no block
+                v = _restart_vector(basis[:j], j)
+                continue
             if exact or beta * abs(s[-1]) <= 1e-14 * theta:
-                return float(np.sqrt(max(theta, 0.0)))
+                return float(np.sqrt(max(theta, found, 0.0)))
         betas.append(beta)
         v = w / beta
     raise np.linalg.LinAlgError(

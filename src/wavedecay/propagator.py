@@ -137,7 +137,13 @@ def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
 
 def duhamel_split(op0, op, profile, h, t):
     """Stationary four-term part and O(h) time-integral remainder of the
-    propagator difference; phi1_part + h * phi2_part reproduces it."""
+    propagator difference; phi1_part + h * phi2_part reproduces it.
+
+    Each of the stationary part's three terms is a product of two bands,
+    (L diag(a) L^T)(R diag(b) R^T) = (L C) R^T with the thin core
+    C = diag(a) L^T R diag(b), so no M x M factor is formed: the three
+    (L C)^T are stacked and go through one real GEMM against
+    [R_1 | R_2 | R_3] as their (Re, Im) pairs."""
     if op0.grid != op.grid:
         raise ValueError("operators must share one grid")
     phi1 = profile.companion_plateau()
@@ -145,16 +151,23 @@ def duhamel_split(op0, op, profile, h, t):
     phi1_t = phi1.tilt(-1)           # sigma^{-1} phi1(sigma)
 
     def d_spectral(prof):
-        return (op.band(prof, h) - op0.band(prof, h)).dense()
+        return op.band(prof, h) - op0.band(prof, h)
 
-    u_pert = wave_multiplier(op, profile, h, t).matrix
+    pert, d1, dp, dpt = (op.band(profile, h), d_spectral(phi1),
+                         d_spectral(profile), d_spectral(phi_t))
     # the G0 factors commute: phi1 (e^{it sqrt G0} - i sin(t sqrt G0)) is
     # phi1 cos(t sqrt G0)
     b1, bt = op0.band(phi1, h), op0.band(phi1_t, h)
-    part1 = (d_spectral(phi1) @ u_pert
-             + b1.dense(b1.amps * np.cos(t * b1.roots)) @ d_spectral(profile)
-             + 1j * bt.dense(bt.amps * np.sin(t * bt.roots))
-             @ d_spectral(phi_t))
+    terms = ((d1.vecs, d1.amps, pert.vecs, pert.coeff(t)),
+             (b1.vecs, b1.amps * np.cos(t * b1.roots), dp.vecs, dp.amps),
+             (bt.vecs, 1j * bt.amps * np.sin(t * bt.roots), dpt.vecs,
+              dpt.amps))
+    # (L C)^T = (diag(b) R^T L diag(a)) L^T
+    lc_t = np.concatenate([(b[:, None] * (right.T @ left) * a) @ left.T
+                           for left, a, right, b in terms])
+    rights = np.concatenate([right for _, _, right, _ in terms], axis=1)
+    # rights @ lc_t is the transpose of the sum
+    part1 = (rights @ lc_t.view(float)).view(complex).T
     return DuhamelSplit(part1,
                         -_mixed_sin_integral(op0, op, profile, phi1_t, h, t))
 

@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 
+# tridiagonal eigensolves of the operators, under the tracer's name for them
+COUNTS = {"radialop.eigensolves": 0}
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform interior grid r_j = j * dr, j = 1..M, on (0, R)."""
@@ -132,6 +136,7 @@ class DiscreteOperator:
     def _eigen(self):
         # cached_property writes the instance __dict__ directly, which a
         # frozen dataclass allows
+        COUNTS["radialop.eigensolves"] += 1
         try:
             return eigh_tridiagonal(self.diag, self.offdiag)
         except np.linalg.LinAlgError as exc:  # pragma: no cover

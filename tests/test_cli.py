@@ -9,6 +9,7 @@ import pytest
 from wavedecay.cli import (_KEYS, GROUPS, ConfigError, ExperimentConfig,
                            _floats, _group_rank, main)
 from wavedecay.norms import COUNTS
+from wavedecay.radialop import _operator
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -221,8 +222,10 @@ def test_verify_records_group_seconds(tmp_path, capsys):
     """run_metadata.json's group_s holds the wall seconds of exactly the
     selected groups, keyed by each group's first estimate id in GROUPS
     order whatever the order of --estimates, group_counts the norms
-    counters each group moved, and report over the out dir still rebuilds
-    rollup.csv byte for byte."""
+    counters and the eigensolves each group moved (one per operator the
+    process had not yet built), and report over the out dir still
+    rebuilds rollup.csv byte for byte."""
+    _operator.cache_clear()
     ini = tmp_path / "exp.ini"
     ini.write_text("[grid]\nR = 16\nM = 159\n")
     out = tmp_path / "out"
@@ -234,8 +237,11 @@ def test_verify_records_group_seconds(tmp_path, capsys):
     assert list(group_s) == ["2.7", "3.1", "3.20"]
     assert all(isinstance(s, float) and s >= 0.0 for s in group_s.values())
     assert list(counts) == list(group_s)
-    assert all(set(c) == set(COUNTS) for c in counts.values())
+    assert all(set(c) == set(COUNTS) | {"radialop.eigensolves"}
+               for c in counts.values())
     assert not any(counts["2.7"].values())
+    # G0 and G: each solved once, by the first group that needs it
+    assert [c["radialop.eigensolves"] for c in counts.values()] == [0, 2, 0]
     assert counts["3.1"]["norms.power_iterations"] > 0
     assert 0 < counts["3.1"]["norms.ritz_solves"] <= counts["3.1"][
         "norms.power_iterations"]

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavedecay.funcalc import (AlmostAnalytic, _certified_keep, _chi_c,
-                               _chi_c_prime, _hs_mesh, _resolvent_sum,
-                               hs_multiplier, phi_of_hsqrt, verify_lemma23)
+                               _chi_c_prime, _hs_mesh, _lemma23_rows,
+                               _resolvent_sum, hs_multiplier, phi_of_hsqrt,
+                               verify_lemma23)
+from wavedecay.norms import op_norm_2
 from wavedecay.propagator import wave_multiplier
 from wavedecay.radialop import build_G, build_G0
 
@@ -169,6 +171,23 @@ def test_resolvent_sum_matches_dense_inverse(op, rng, block):
     assert np.max(np.abs(got - want.real)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_resolvent_sum_short_last_block(op, rng):
+    """Blocks of 5 over 11 nodes: the last block works on the leading
+    columns of the arrays the full blocks used, and the sum is bit for bit
+    the sum of one call per block, each on arrays of its own; one block of
+    all 11 nodes agrees to round-off (its GEMM sums in another order)."""
+    zs = rng.uniform(0.0, 8.0, 11) + 1j * rng.uniform(1e-3, 1.0, 11)
+    cs = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    got = _resolvent_sum(op.diag, op.offdiag, zs, cs, block=5)
+    per_block = 0.0
+    for part in (slice(0, 5), slice(5, 10), slice(10, 11)):
+        per_block = per_block + _resolvent_sum(op.diag, op.offdiag, zs[part],
+                                               cs[part], block=5)
+    assert np.array_equal(got, per_block)
+    one = _resolvent_sum(op.diag, op.offdiag, zs, cs, block=11)
+    assert np.max(np.abs(got - one)) <= 1e-14 * np.max(np.abs(one))
+
+
 def test_resolvent_sum_raises_outside_float_range():
     """A diagonal that dwarfs the off-diagonal drives the transfer products
     (-e / l)^j below the normal floats: an error naming the node, not a
@@ -224,6 +243,20 @@ def test_phi_of_hsqrt_is_t0_propagator(op, profile):
     got = phi_of_hsqrt(op, profile, 1.0)
     assert got.dtype == np.float64
     assert np.allclose(got, mat.real, atol=1e-12)
+
+
+def test_lemma23_orthonormal_rows_match_dense(small_grid, potential,
+                                              profile):
+    """The p = 2 rows of 2.29 and 2.30, max |a| of the band, against the
+    dense Lanczos norm of the band at each h, to 1e-13 relative."""
+    op0, op = build_G0(small_grid, N), build_G(small_grid, N, potential)
+    h_set = (1.0, 0.5, 0.25, 0.125)
+    rows = _lemma23_rows(small_grid, N, op0, op, profile, h_set)
+    for eid, oper in (("2.29", op0), ("2.30", op)):
+        assert [h for h, _ in rows[eid][2]] == list(h_set)
+        for h, got in rows[eid][2]:
+            want = op_norm_2(phi_of_hsqrt(oper, profile, h))
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_cutoff_family_report(small_grid, potential, profile):

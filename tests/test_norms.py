@@ -47,23 +47,59 @@ def _with_singular_values(rng, rows, cols, sv, cplx):
     return (orth(rows) * sv) @ orth(cols).conj().T
 
 
+def _rank_one_off_start(rng, rows, cols, cplx):
+    """A rows x cols rank-one matrix x y^T with y^T v = 0 for the kernel's
+    start vector v on the side op_norm_2 iterates on (the smaller one): y
+    is s (v_{a+1}, -v_a) at a random pair (a, a + 1) and zero elsewhere,
+    and s and every x_r are signed powers of two (times a power of i when
+    complex).  Where the BLAS rounds each product, B v cancels to exactly
+    0 and the first Lanczos block is invariant (as in the explicit
+    examples below, with numpy's OpenBLAS); a fused multiply-add leaves
+    round-off in B v, from which the kernel steps on."""
+    def powers(size):
+        p = rng.choice([-1.0, 1.0], size) * 2.0 ** rng.integers(-3, 4, size)
+        return p * 1j ** rng.integers(0, 4, size) if cplx else p
+    m = min(rows, cols)
+    v = norms._start_vector(m, 0)
+    a = rng.integers(0, m - 1)
+    y = np.zeros(m, dtype=complex if cplx else float)
+    y[a:a + 2] = powers(1) * np.array([v[a + 1], -v[a]])
+    x = powers(max(rows, cols))
+    return np.outer(x, y) if rows >= cols else np.outer(y, x)
+
+
 @settings(max_examples=80, deadline=None)
 @given(rows=st.integers(1, 40), cols=st.integers(1, 40),
        rank=st.integers(0, 40), repeat=st.integers(1, 4),
-       cplx=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-@example(rows=1, cols=1, rank=1, repeat=1, cplx=False, seed=0)
-@example(rows=1, cols=9, rank=1, repeat=1, cplx=True, seed=1)
-@example(rows=12, cols=5, rank=0, repeat=1, cplx=False, seed=2)
-@example(rows=30, cols=30, rank=30, repeat=4, cplx=True, seed=3)
+       cplx=st.booleans(), off_start=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=1, cols=1, rank=1, repeat=1, cplx=False, off_start=False,
+         seed=0)
+@example(rows=1, cols=9, rank=1, repeat=1, cplx=True, off_start=False,
+         seed=1)
+@example(rows=12, cols=5, rank=0, repeat=1, cplx=False, off_start=False,
+         seed=2)
+@example(rows=30, cols=30, rank=30, repeat=4, cplx=True, off_start=False,
+         seed=3)
+@example(rows=8, cols=6, rank=1, repeat=1, cplx=False, off_start=True,
+         seed=4)
+@example(rows=8, cols=6, rank=1, repeat=1, cplx=True, off_start=True,
+         seed=6)
+@example(rows=7, cols=20, rank=1, repeat=1, cplx=True, off_start=True,
+         seed=0)
 def test_op_norm_2_matches_lapack_property(rows, cols, rank, repeat, cplx,
-                                           seed):
+                                           off_start, seed):
     """op_norm_2 against LAPACK's SVD to 1e-13: real and complex, tall and
     wide, rank-deficient (rank 0 is the zero matrix), the top singular
-    value repeated, 1 x 1 and 1 x n."""
+    value repeated, 1 x 1 and 1 x n, and rank one with the start vector in
+    the null space (off_start)."""
     rng = np.random.default_rng(seed)
-    sv = np.sort(rng.uniform(0.1, 2.0, min(rank, rows, cols)))[::-1]
-    sv[:repeat] = sv[:1]
-    a = _with_singular_values(rng, rows, cols, sv, cplx)
+    if off_start and min(rows, cols) > 1:
+        a = _rank_one_off_start(rng, rows, cols, cplx)
+    else:
+        sv = np.sort(rng.uniform(0.1, 2.0, min(rank, rows, cols)))[::-1]
+        sv[:repeat] = sv[:1]
+        a = _with_singular_values(rng, rows, cols, sv, cplx)
     assert op_norm_2(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13,
                                          abs=0.0)
 
@@ -88,8 +124,15 @@ def _weighted_resolvent(small_grid, potential):
     return w[:, None] * r[0] * w[None, :]
 
 
+def _off_start_rank_one(small_grid, potential):
+    # ones(8) w^T with w = (v_1, -v_0, 0, 0, 0, 0), v the start vector on
+    # C^6: B v = 0, so the first block is the invariant null direction
+    v = norms._start_vector(6, 0)
+    return np.outer(np.ones(8), [v[1], -v[0], 0.0, 0.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("build", [_unitary_band, _weighted_cutoff,
-                                   _weighted_resolvent],
+                                   _weighted_resolvent, _off_start_rank_one],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_op_norm_2_named_cases(build, small_grid, potential):
     a = build(small_grid, potential)

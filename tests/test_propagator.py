@@ -95,6 +95,41 @@ def test_duhamel_split_reconstructs(ops, profile):
     assert rel < 1e-3
 
 
+def _spectral(oper, fn):
+    """fn(sqrt(G)) on the positive spectrum of G, zero elsewhere, dense from
+    the eigensystem."""
+    mu, q = oper.eigensystem()
+    vals = np.zeros(mu.shape, dtype=complex)
+    vals[mu > 0] = fn(np.sqrt(mu[mu > 0]))
+    return (q * vals) @ q.T
+
+
+@pytest.mark.parametrize("c", [2.0, 0.0], ids=["potential", "free"])
+def test_duhamel_stationary_part_matches_dense(small_grid, profile, c):
+    """phi1_part, assembled from band factors, against its three terms as
+    dense products of dense spectral functions, to 1e-13 of the largest
+    entry of the stationary part or of the propagator (the part vanishes
+    without a potential)."""
+    op0 = build_G0(small_grid, N)
+    op = build_G(small_grid, N, PotentialSpec(c, 3.0))
+    h, t = 0.5, 2.0
+    phi1 = profile.companion_plateau()
+    phi_t, phi1_t = profile.tilt(1), phi1.tilt(-1)
+
+    def diff(prof):
+        return (_spectral(op, lambda r: prof(h * r))
+                - _spectral(op0, lambda r: prof(h * r)))
+
+    u = _spectral(op, lambda r: profile(h * r) * np.exp(1j * t * r))
+    cos_t = _spectral(op0, lambda r: phi1(h * r) * np.cos(t * r))
+    sin_t = _spectral(op0, lambda r: phi1_t(h * r) * np.sin(t * r))
+    want = (diff(phi1) @ u + cos_t @ diff(profile)
+            + 1j * sin_t @ diff(phi_t))
+    got = duhamel_split(op0, op, profile, h, t).phi1_part
+    scale = max(np.max(np.abs(want)), np.max(np.abs(u)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 def test_duhamel_free_remainder_vanishes(small_grid, profile):
     op0 = build_G0(small_grid, N)
     free_op = build_G(small_grid, N, PotentialSpec(0.0, 3.0))
