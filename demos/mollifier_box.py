@@ -6,10 +6,11 @@ and prints the fitted theta-slopes of (3.41) and (3.43) next to their
 targets mu = 0.4 and mu - 1 = -0.6.  The question is whether the slopes
 move toward the targets as the box grows.  The probe frame's packet
 centres stop at r = 90 whatever the box; only its slowly decaying tail
-columns grow with it.  R = 512 takes about 6 s on one core and the whole
-run peaks at about 0.1 GB (getrusage): the resolvent is one tridiagonal
-LU per lambda, its bands built a few lambdas at a time, so its memory
-grows like M times the 28 probes.
+columns grow with it.  R = 512 takes about 3 s on one core and the whole
+run peaks at about 0.09 GB (getrusage): the resolvent is one tridiagonal
+LU and one two-column solve per lambda, each probe then applied by
+running sums over the two generators, its bands built a few lambdas at a
+time, so its memory grows like M times the 28 probes.
 """
 
 import time

@@ -28,6 +28,7 @@ from .norms import COUNTS as norm_counts
 from .profiles import bump
 from .radialop import COUNTS as eigen_counts
 from .radialop import PotentialSpec, RadialGrid, build_G, build_G0
+from .resolvent import COUNTS as solve_counts
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -209,11 +210,11 @@ def cmd_verify(cfg):
     selected = _selected(ids)
     for group_ids, fn in GROUPS:
         if fn in selected:
-            counts = {**norm_counts, **eigen_counts}
+            counts = {**norm_counts, **eigen_counts, **solve_counts}
             start = time.perf_counter()
             reports.update(fn(cfg))
             group_s[group_ids[0]] = time.perf_counter() - start
-            now = {**norm_counts, **eigen_counts}
+            now = {**norm_counts, **eigen_counts, **solve_counts}
             group_counts[group_ids[0]] = {
                 key: now[key] - counts[key] for key in counts}
     est.emit_reports(reports, cfg.out)

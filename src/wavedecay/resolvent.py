@@ -9,10 +9,13 @@ the continuum free Green kernel on the Liouville half line,
 
 and the Lippmann-Schwinger solve R = (I + R0 V)^{-1} R0 = (A0^{-1} + V)^{-1}:
 the free Green matrix A0 (dr weight folded in) is semiseparable, so A0^{-1}
-is tridiagonal and R one tridiagonal LU (zgttrf) per lambda, the bands
-built for a chunk of lambdas at once.  Only the dense oracle
-``free_green_matrix`` is M x M; the discrete matrix enters only in the
-complex-shift cross-check.
+is tridiagonal, the bands built for a chunk of lambdas at once.  Its
+inverse R is semiseparable in turn, R_ij = P_i Q_j / P_1 for i <= j, with
+P and Q the perturbed regular and outgoing solutions: one zgttrf and one
+refined solve on two columns per lambda, then every apply is two running
+sums.  ``COUNTS`` holds the zgttrf calls and the right-hand-side columns
+through zgttrs.  Only the dense oracle ``free_green_matrix`` is M x M; the
+discrete matrix enters only in the complex-shift cross-check.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ TAYLOR_TERMS = 18       # of the series for a cancelling cross product
 CHUNK = 1 << 14         # lambda x M entries of the bands built at once
 
 _GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
+# zgttrf calls and right-hand-side columns through zgttrs
+COUNTS = {"resolvent.lu_factors": 0, "resolvent.lu_solves": 0}
 
 
 def _bessel_pair(grid, n, lam, sign):
@@ -116,25 +121,40 @@ def _factor(off, diag, lam):
     """zgttrf's LU of the symmetric tridiagonal (off, diag): the leading
     arguments of zgttrs.  An exactly singular pivot raises
     numpy.linalg.LinAlgError naming lam."""
+    COUNTS["resolvent.lu_factors"] += 1
     *lu, info = _GTTRF(off, diag, off)
     if info > 0:
         raise np.linalg.LinAlgError(f"lambda {lam}: singular tridiagonal")
     return lu
 
 
+def _lu_solve(lu, b, overwrite_b=False):
+    """zgttrs on b of shape (M,) or on the columns of b (M, K)."""
+    COUNTS["resolvent.lu_solves"] += b.size // len(b)
+    return _GTTRS(*lu, b, overwrite_b=overwrite_b)[0]
+
+
 def _solvers(grid, n, potential, lams, sign):
     """(b -> R^{sign}(lam) b, u1) for each lam in turn, for b of shape (M,)
-    or (M, K), with the bands of up to CHUNK // M lams built at once and
-    one zgttrf per lam.  The rows of A0^{-1} nearly cancel, so the banded
-    solve x of (A0^{-1} + V) x = b is off by about eps ||A0^{-1}|| ||R|| (up
-    to 6e-13 against the dense LU).  One refinement step against A0 itself,
-    applied by two running sums, takes that to eps: z = A0 (b - V x) has
-    (I + A0 V)(x - R b) = x - z, so R b = z - R V (z - x).  A singular
-    system raises numpy.linalg.LinAlgError, a non-finite one (Bessel values
-    or V outside the float range) ValueError, both naming lam."""
+    or (M, K), with the bands of up to CHUNK // M lams built at once.
+    R = (A0^{-1} + V)^{-1} inverts an irreducible complex-symmetric
+    tridiagonal, so it is semiseparable: R_ij = P_i Q_j / P_1 for i <= j,
+    with P = R e_M the perturbed regular solution, Q = R e_1 the perturbed
+    outgoing one and P_1 = R_1M = Q_M.  Per lam: one zgttrf and one
+    _refined_solve on the two columns [e_M, e_1] (two zgttrs on 2 columns
+    each).  Every apply is then two running sums, R b = Q cumsum(P b) +
+    P (the cumsum of Q b from the end, excluding i), over P_1: O(M K), no
+    zgttrs on b.  On the tests' grid it is within 2.4e-15 (Frobenius,
+    relative) of the dense LU, real lam and Im lam <= 3.  R_1M ~
+    e^{-Im lam R}, so the form has a range: a zero or subnormal P_1, or a
+    non-finite P or Q / P_1, raises ValueError.  A singular system raises
+    numpy.linalg.LinAlgError, a non-finite one (Bessel values or V outside
+    the float range) ValueError, all naming lam."""
     v = potential(grid.nodes)
     lams = np.atleast_1d(lams)
     step = max(1, CHUNK // grid.M)
+    ends = np.zeros((grid.M, 2), complex, order="F")
+    ends[-1, 0] = ends[0, 1] = 1.0
     for start in range(0, lams.size, step):
         chunk = lams[start:start + step]
         offs, diags, u1s, u2s, c = _inverse_green(grid, n, chunk, sign)
@@ -144,24 +164,45 @@ def _solvers(grid, n, potential, lams, sign):
                                               finite):
             if not ok:
                 raise ValueError(f"lambda {lam}: A0^-1 + V is not finite")
-            yield partial(_refined_solve, lam, _factor(off, diag, lam), v,
-                          u1, u2, c), u1
+            p, q = _refined_solve(lam, _factor(off, diag, lam), v, u1, u2, c,
+                                  ends).T
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                q = q / p[0]
+            if not (abs(p[0]) >= np.finfo(float).tiny
+                    and np.isfinite(p).all() and np.isfinite(q).all()):
+                raise ValueError(f"lambda {lam}: generators out of range "
+                                 f"(R_1M = {p[0]})")
+            yield partial(_generator_apply, p, q), u1
 
 
 def _refined_solve(lam, lu, v, u1, u2, c, b):
-    """R b by _solvers' banded solve and refinement step; a non-finite
-    refinement right-hand side raises ValueError naming lam."""
+    """R b for b (M, K) by the banded solve x of (A0^{-1} + V) x = b and one
+    refinement step.  The rows of A0^{-1} nearly cancel, so x is off by
+    about eps ||A0^{-1}|| ||R|| (up to 6e-13 against the dense LU); the
+    step against A0 itself, applied by two running sums, takes that to eps:
+    z = A0 (b - V x) has (I + A0 V)(x - R b) = x - z, so R b = z - R V
+    (z - x).  A non-finite refinement right-hand side raises ValueError
+    naming lam."""
     # x, y, z are (K, M) rows; fix.T is Fortran-order, solved in place
-    rhs = b.reshape(v.size, -1)
-    x = _GTTRS(*lu, rhs)[0].T
-    y = rhs.T - v * x
+    x = _lu_solve(lu, b).T
+    y = b.T - v * x
     z = c * u2 * np.cumsum(u1 * y, axis=1)
     z[:, :-1] += c * u1[:-1] * np.cumsum((u2 * y)[:, :0:-1], 1)[:, ::-1]
     fix = v * (z - x)
     if not np.isfinite(fix).all():
         raise ValueError(f"lambda {lam}: R b is not finite")
-    z -= _GTTRS(*lu, fix.T, overwrite_b=True)[0].T
-    return z.T.reshape(b.shape)
+    z -= _lu_solve(lu, fix.T, overwrite_b=True).T
+    return z.T
+
+
+def _generator_apply(p, q, b):
+    """R b = q cumsum(p b) + p (the reverse cumsum of q b from i + 1 on),
+    for the generators p = P and q = Q / P_1 of _solvers."""
+    rows = b.reshape(p.size, -1).T
+    out = q * np.cumsum(p * rows, axis=1)
+    out[:, :-1] += p[:-1] * np.cumsum((q * rows)[:, :0:-1], 1)[:, ::-1]
+    return out.T.reshape(b.shape)
 
 
 def _solver(grid, n, potential, lam, sign):
@@ -178,26 +219,37 @@ def _weighted_norm(apply, w):
 
 def ls_sweep(grid, n, potential, lams, b, sign, left=None):
     """R^{sign}(lam) b for an array of lam: shape (L, M, K) for b of shape
-    (M, K), or left @ R b when left (J, M) is given.  One zgttrf per lam,
-    the bands built a chunk of lams at a time; for sign = +1, lams may be
-    complex with Im lam >= 0.  Raises as ``_solvers``."""
+    (M, K), or left @ R b, shape (L, J, K), when left (J, M) is given.
+    One zgttrf per lam, the bands built a chunk of lams at a time, each
+    lam's result written into the one output array; for sign = +1, lams
+    may be complex with Im lam >= 0.  Raises as ``_solvers``."""
     b = np.asfortranarray(np.asarray(b).reshape(grid.M, -1))
-    xs = (solve(b) for solve, _ in _solvers(grid, n, potential, lams, sign))
-    return np.array([x if left is None else left @ x for x in xs])
+    lams = np.atleast_1d(lams)
+    out = np.empty((lams.size, grid.M if left is None else len(left),
+                    b.shape[1]), complex)
+    for x, (solve, _) in zip(out, _solvers(grid, n, potential, lams, sign)):
+        if left is None:
+            x[...] = solve(b)
+        else:
+            np.matmul(left, solve(b), out=x)
+    return out
 
 
 def resolvent_difference_vector(grid, n, potential, lams):
     """x(lam) with R^+ - R^- = i pi dr x conj(x)^T, a column per lam:
     x = (I + A0^+ V)^{-1} u = u - R^+ V u, so x = u in the free case."""
     v = potential(grid.nodes)
-    return np.stack([u - solve(v * u) for solve, u
-                     in _solvers(grid, n, potential, lams, +1)], axis=1)
+    lams = np.atleast_1d(lams)
+    out = np.empty((grid.M, lams.size), complex)
+    for k, (solve, u) in enumerate(_solvers(grid, n, potential, lams, +1)):
+        out[:, k] = u - solve(v * u)
+    return out
 
 
 def la_norm_scan(grid, n, potential, lambda_grid):
     """||<x>^{-s} R^+(lambda) <x>^{-s}||, s = SCAN_S, over a lambda grid:
     (rows, gaps), rows (lambda, norm, lambda * norm) and gaps (lambda,
-    error).  The Lanczos kernel applies the banded solve for B^T too:
+    error).  The Lanczos kernel applies R by its generators for B^T too:
     R^T = A0 (I + V A0)^{-1} = R by push-through.  A numerical failure
     (ValueError, LinAlgError) is a gap; any other error propagates."""
     w = weight_matrix(grid, SCAN_S)
@@ -227,6 +279,6 @@ def complex_shift_compare(grid, n, potential, lam, eta):
     w = weight_matrix(grid, SCAN_S)
 
     def fd(x):
-        return _GTTRS(*lu, x)[0]
+        return _lu_solve(lu, x)
     return (_weighted_norm(lambda x: solve(x) - fd(x), w)
             / _weighted_norm(fd, w))

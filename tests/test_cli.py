@@ -8,6 +8,7 @@ import pytest
 
 from wavedecay.cli import (_KEYS, GROUPS, ConfigError, ExperimentConfig,
                            _floats, _group_rank, main)
+from wavedecay import resolvent
 from wavedecay.norms import COUNTS
 from wavedecay.radialop import _operator
 
@@ -222,8 +223,9 @@ def test_verify_records_group_seconds(tmp_path, capsys):
     """run_metadata.json's group_s holds the wall seconds of exactly the
     selected groups, keyed by each group's first estimate id in GROUPS
     order whatever the order of --estimates, group_counts the norms
-    counters and the eigensolves each group moved (one per operator the
-    process had not yet built), and report over the out dir still
+    counters, the eigensolves (one per operator the process had not yet
+    built) and the resolvent LU work each group moved (none: these groups
+    make no Lippmann-Schwinger solve), and report over the out dir still
     rebuilds rollup.csv byte for byte."""
     _operator.cache_clear()
     ini = tmp_path / "exp.ini"
@@ -238,7 +240,9 @@ def test_verify_records_group_seconds(tmp_path, capsys):
     assert all(isinstance(s, float) and s >= 0.0 for s in group_s.values())
     assert list(counts) == list(group_s)
     assert all(set(c) == set(COUNTS) | {"radialop.eigensolves"}
-               for c in counts.values())
+               | set(resolvent.COUNTS) for c in counts.values())
+    assert not any(c[key] for c in counts.values()
+                   for key in resolvent.COUNTS)
     assert not any(counts["2.7"].values())
     # G0 and G: each solved once, by the first group that needs it
     assert [c["radialop.eigensolves"] for c in counts.values()] == [0, 2, 0]

@@ -169,9 +169,47 @@ def test_sweep_batches_match_one_lambda_at_a_time(small_grid, potential):
             assert np.array_equal(x[:, k], one)
 
 
+@pytest.mark.parametrize("lam", [0.2, 1.0, 3.7, 6.0, 0.5 + 0.5j, 2.0 + 1.5j,
+                                 4.0 + 3.0j, 6.0 + 3.0j])
+def test_generator_apply_matches_dense_lu(small_grid, potential, lam):
+    """The generator apply, R = P Q^T / P_1 above the diagonal, against the
+    dense LU of I + A0 V on the whole identity: 1e-14 relative (Frobenius),
+    both branches at real lambda and the outgoing one at complex lambda up
+    to Im lambda = 3.  With the refinement step dropped from the generator
+    solve it reads up to 9e-14 (lambda = 0.2)."""
+    eye = np.eye(small_grid.M)
+    for sign in ((+1, -1) if np.isrealobj(lam) else (+1,)):
+        want = dense_resolvent(small_grid, potential, lam, sign, eye)
+        got = ls_sweep(small_grid, N, potential, [lam], eye, sign)[0]
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert err <= 1e-14, (sign, err)
+
+
+@pytest.mark.parametrize("lam, sign", [(0.4, -1), (2.5, +1), (3.0 + 2.0j, +1)])
+def test_projected_sweep_matches_refined_solves(small_grid, potential, lam,
+                                                sign):
+    """ls_sweep(..., left=...) against left @ the refined solve run on each
+    column of b by itself: 1e-14 of the largest entry."""
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((small_grid.M, 6)) + 1j * rng.standard_normal(
+        (small_grid.M, 6))
+    left = rng.standard_normal((4, small_grid.M))
+    off, diag, u1, u2, c = resolvent._inverse_green(small_grid, N, lam, sign)
+    v = potential(small_grid.nodes)
+    lu = resolvent._factor(off, diag + v, lam)
+    cols = np.stack([resolvent._refined_solve(
+        lam, lu, v, u1, u2, c, np.asfortranarray(b[:, [k]]))[:, 0]
+        for k in range(b.shape[1])], axis=1)
+    want = left @ cols
+    got = ls_sweep(small_grid, N, potential, [lam], b, sign, left=left)[0]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_one_factorization_per_lambda(monkeypatch, small_grid, potential):
-    """One zgttrf per lambda and two zgttrs per apply (the solve and its
-    refinement), across a chunk edge."""
+    """One zgttrf per lambda and two zgttrs per lambda (the generator solve
+    and its refinement, each on the two columns e_M, e_1), across a chunk
+    edge, whatever the number K of right-hand sides: COUNTS reads one
+    factorization and 4 solved columns per lambda."""
     calls = {}
 
     def counted(name, kernel):
@@ -184,11 +222,49 @@ def test_one_factorization_per_lambda(monkeypatch, small_grid, potential):
     monkeypatch.setattr(resolvent, "_GTTRS",
                         counted("gttrs", resolvent._GTTRS))
     lams = np.linspace(1.0, 3.0, resolvent.CHUNK // small_grid.M + 2)
-    ls_sweep(small_grid, N, potential, lams, np.eye(small_grid.M)[:, :3], -1)
-    assert calls == {"gttrf": lams.size, "gttrs": 2 * lams.size}
+    want = {"resolvent.lu_factors": lams.size,
+            "resolvent.lu_solves": 4 * lams.size}
+    for k in (1, 3, 28):
+        calls.clear()
+        before = dict(resolvent.COUNTS)
+        ls_sweep(small_grid, N, potential, lams,
+                 np.eye(small_grid.M)[:, :k], -1)
+        assert calls == {"gttrf": lams.size, "gttrs": 2 * lams.size}
+        assert {key: resolvent.COUNTS[key] - before[key]
+                for key in before} == want
     calls.clear()
+    before = dict(resolvent.COUNTS)
     resolvent_difference_vector(small_grid, N, potential, lams)
     assert calls == {"gttrf": lams.size, "gttrs": 2 * lams.size}
+    assert {key: resolvent.COUNTS[key] - before[key]
+            for key in before} == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:underflow:RuntimeWarning")
+def test_generators_out_of_range_raise(monkeypatch, potential):
+    """R_1M ~ e^{-Im lambda R}: the generator form cannot reach as far into
+    the upper half plane as the refined solve.  On R = 16 with dr = 1e-3,
+    lambda = 2 + 43.34i leaves every Bessel value and A0^-1 + V finite but
+    R_1M subnormal (9e-309): a ValueError naming lambda.  On a coarse grid
+    such as UNIT_GRID the Bessel overflow check always fires first
+    (H_nu(lambda R) underflows before R_1M does, since sqrt(r_1)
+    J_nu(lambda r_1) is larger there).  la_norm_scan's lambdas are real,
+    where R_1M stays of order one, so its gap is shown on generators
+    scaled into the subnormal range."""
+    grid = RadialGrid(16.0, 15999)
+    lam = 2.0 + 43.34j
+    assert np.isfinite(np.concatenate(
+        resolvent._inverse_green(grid, N, lam, +1)[:4])).all()
+    with pytest.raises(ValueError, match=r"lambda \(2\+43\.34j\): "
+                       r"generators out of range"):
+        ls_sweep(grid, N, potential, [2.0, lam], np.ones(grid.M), +1)
+    solve = resolvent._refined_solve
+    monkeypatch.setattr(resolvent, "_refined_solve",
+                        lambda *args: solve(*args) * 1e-310)
+    rows, gaps = la_norm_scan(UNIT_GRID, N, potential, [2.5])
+    assert rows == [] and gaps[0][0] == 2.5
+    assert "lambda 2.5: generators out of range" in gaps[0][1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
