@@ -19,7 +19,8 @@ from math import factorial
 import numpy as np
 
 from .fitting import _stability, fit_power_law
-from .norms import op_norm_2, op_norm_2_to_inf, op_norm_p
+from .norms import (band_norm_2, band_norm_2_to_inf, band_norm_inf,
+                    sector_weights)
 from .profiles import step_cutoff, step_cutoff_derivative, sqrt_compose_derivs
 from .radialop import weight_matrix
 from .specfun import gauss_panels
@@ -60,13 +61,6 @@ class AlmostAnalytic:
         lo, hi = self.profile.support
         return (lo ** 2, hi ** 2)
 
-    def psi(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = self.profile(np.sqrt(x[pos]))
-        return out
-
     def psi_derivs(self, k_max, x):
         """psi^(k)(x) for k = 0..k_max, stacked; 0 where x <= 0."""
         x = np.asarray(x, dtype=float)
@@ -75,11 +69,12 @@ class AlmostAnalytic:
         out[:, pos] = sqrt_compose_derivs(self.profile, k_max, x[pos])
         return out
 
-    def _taylor(self, z):
-        """sum_k psi^(k)(x) (iy)^k / k! up to k = order at z = x + iy, each
-        factor evaluated once per distinct x or y (a mesh has far fewer of
-        each than nodes); also psi^(order + 1) at the distinct x, the
-        distinct y and their gather indices."""
+    def dbar(self, z):
+        """(1/2)(d/dx + i d/dy) of the extension; O(|Im z|^N) near the axis.
+        The extension is chi_c(y) sum_k psi^(k)(x) (iy)^k / k! up to
+        k = order at z = x + iy; each factor is evaluated once per distinct
+        x or y (a mesh has far fewer of each than nodes) and gathered."""
+        z = np.asarray(z, dtype=complex)
         xu, ix = np.unique(z.real, return_inverse=True)
         yu, iy = np.unique(z.imag, return_inverse=True)
         ix, iy = ix.reshape(z.shape), iy.reshape(z.shape)
@@ -87,16 +82,7 @@ class AlmostAnalytic:
         acc = np.zeros(z.shape, dtype=complex)
         for k in range(self.order + 1):
             acc += psi[k][ix] * ((1j * yu) ** k)[iy] / factorial(k)
-        return acc, psi[-1], ix, yu, iy
-
-    def tilde(self, z):
-        acc, _, _, yu, iy = self._taylor(np.asarray(z, dtype=complex))
-        return _chi_c(yu)[iy] * acc
-
-    def dbar(self, z):
-        """(1/2)(d/dx + i d/dy) of the extension; O(|Im z|^N) near the axis."""
-        acc, psi_top, ix, yu, iy = self._taylor(np.asarray(z, dtype=complex))
-        lead = (_chi_c(yu)[iy] * psi_top[ix]
+        lead = (_chi_c(yu)[iy] * psi[-1][ix]
                 * ((1j * yu) ** self.order)[iy] / factorial(self.order))
         return 0.5 * lead + 0.5j * _chi_c_prime(yu)[iy] * acc
 
@@ -291,32 +277,40 @@ def phi_of_hsqrt(op, profile, h):
 
 def _lemma23_rows(grid, n, op0, op, profile, h_set):
     """The (h, norm) rows of verify_lemma23, keyed by estimate id (and p
-    for 2.29 to 2.31).  Each h's two bands are built once; the p = 2 rows
-    of 2.29 and 2.30 are max |a| (orthonormal eigenvectors), every other
-    row a dense norm."""
+    for 2.29 to 2.31), each read from the factors V diag(a) V^T of the
+    bands b0, bg and bg - b0, with the weights on V; no row forms an
+    M x M matrix.  On orthonormal V the 2-norm is max |a| (2.29 and 2.30,
+    p = 2) and row r's norm ||V_r o a|| (2.32 and 2.33).  The bands are
+    symmetric, so the p = 1 and p = inf rows are one band_norm_inf."""
     ws, p_set = weight_matrix(grid, 1.0), (1, 2, np.inf)
+    rho = sector_weights(grid, n)
     rows = {"2.26": [], "2.27": [], "2.28": [],
             "2.29": {p: [] for p in p_set}, "2.30": {p: [] for p in p_set},
             "2.31": {p: [] for p in p_set},
             "2.32": [], "2.33": [], "2.34": []}
     for h in h_set:
         b0, bg = op0.band(profile, h), op.band(profile, h)
-        p0, pg = b0.dense(), bg.dense()
-        d = pg - p0
-        rows["2.26"].append((h, op_norm_2(ws[:, None] * p0 / ws[None, :])))
-        rows["2.27"].append((h, op_norm_2(ws[:, None] * pg / ws[None, :])))
-        rows["2.28"].append((h, op_norm_2(d / ws[None, :])))
-        for eid, band, dense in (("2.29", b0, p0), ("2.30", bg, pg)):
-            # V diag(a) V^T with orthonormal columns V has 2-norm max |a|
-            rows[eid][2].append(
+        d = bg - b0
+        for eid, left, band in (("2.26", ws[:, None] * b0.vecs, b0),
+                                ("2.27", ws[:, None] * bg.vecs, bg),
+                                ("2.28", d.vecs, d)):
+            rows[eid].append((h, band_norm_2(left, band.vecs / ws[:, None],
+                                             band.amps[None])[0]))
+        rows["2.31"][2].append((h, band_norm_2(d.vecs, d.vecs,
+                                               d.amps[None])[0]))
+        for l2, to_inf, band in (("2.29", "2.32", b0), ("2.30", "2.33", bg)):
+            row = np.sqrt((band.vecs ** 2) @ band.amps ** 2)
+            rows[l2][2].append(
                 (h, float(np.max(np.abs(band.amps), initial=0.0))))
-            for p in (1, np.inf):
-                rows[eid][p].append((h, op_norm_p(dense, grid, n, p)))
-        for p in p_set:
-            rows["2.31"][p].append((h, op_norm_p(d, grid, n, p)))
-        rows["2.32"].append((h, op_norm_2_to_inf(p0, grid, n)))
-        rows["2.33"].append((h, op_norm_2_to_inf(pg, grid, n)))
-        rows["2.34"].append((h, op_norm_2_to_inf(d / ws[None, :], grid, n)))
+            rows[to_inf].append(
+                (h, float(np.max(row / rho) / np.sqrt(grid.dr))))
+        for eid, band in (("2.29", b0), ("2.30", bg), ("2.31", d)):
+            inf = band_norm_inf(band.vecs, band.vecs, band.amps[None],
+                                grid, n)[0]
+            rows[eid][1].append((h, inf))
+            rows[eid][np.inf].append((h, inf))
+        rows["2.34"].append((h, band_norm_2_to_inf(
+            d.vecs, d.vecs / ws[:, None], d.amps[None], grid, n)[0]))
     return rows
 
 

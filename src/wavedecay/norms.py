@@ -3,34 +3,37 @@
 Matrices act on the transformed variable u = r^{(n-1)/2} g in plain
 matrix-vector convention; radial L^p norms of g carry the measure
 r^{n-1} dr.  With rho_j = r_j^{(n-1)/2} the sector norms of the induced
-operator g -> (A (rho g)) / rho are the explicit expressions below.  The
-L2 -> L2 norm coincides with the plain spectral norm since the dr weight
+operator g -> (A (rho g)) / rho are the expressions in the docstrings
+below.  The L2 -> L2 norm is the plain spectral norm, since the dr weight
 cancels.
 
-The band norms take A in low-rank form, left diag(c) right^T with real
-factors of k columns (a spectral band, possibly weighted), and never
-assemble the M x M matrix; the dense norms (the 1 -> inf one kept in
-the tests) are their test oracles.  They take a stack of coefficient
-rows c, shape (T, k), one per time t, and return the T norms, so the
-work on the factors is done once per band and the work per t in blocks
-that no T makes larger.
+Every sector norm here is a band norm: A in low-rank form, left diag(c)
+right^T with real factors of k columns (a spectral band, possibly
+weighted), never assembled; the dense sector norms are their oracles in
+the tests.  A band norm takes a stack of coefficient rows c, (T, k), one
+per time t, and returns the T norms: the work on the factors is done
+once per band, the work per t in blocks that no T makes larger.
+``_reduced`` takes a factor to its thin-QR R when k < M.
 
-- band_norm_2 runs Lanczos on the factors themselves (the thin-QR R
-  factors when k < M), applied as real GEMMs, with no core formed.
-- band_norm_2_to_inf and band_norm_1_to_inf prune exactly: a row's (or
-  an entry's) Cauchy-Schwarz bound orders the blocks of consecutive rows
-  (or tiles), and one whose bound cannot beat the running max is never
-  formed, so the max is the one the full product gives.
+- band_norm_2 runs Lanczos on the reduced factors, as real GEMMs.
+- band_norm_2_to_inf forms each row as (left_r o c) R^T, R the reduced
+  right: the Gram form would square the cancellation in the rows of a
+  difference band or under a growing weight (1e-11 relative on lemma
+  2.3's 2.34 and on 4.6, against 5e-14).  It and band_norm_1_to_inf
+  prune exactly: a row's (or an entry's) Cauchy-Schwarz bound orders the
+  blocks of rows (or tiles), and one that cannot beat the running max is
+  never formed, so the max is the one the full product gives.
+- band_norm_inf sums the rows of |A| in blocks; the L^1 -> L^1 norm sums
+  its columns, so for the symmetric bands of lemma 2.3 the p = 1 and
+  p = inf rows are the one figure.
 
-Every spectral norm of a grid operator (dense, band or implicit) is the
-largest singular value from one Lanczos kernel, ``operator_two_norm``,
-with no full SVD.  There are two exceptions.  The mollifier lattice's
-K x K norms (``estimates._row_norms``) are a batch of about ninety
-28 x 28 matrices, which one batched LAPACK SVD takes at once where a
-Lanczos run per matrix would loop in Python.  And a band on orthonormal
-eigenvectors, V diag(a) V^T, has 2-norm max |a| exactly, which group 1.2's
-p = 2 row (``estimates.assemble_thm11``) and lemma 2.3's 2.29 and 2.30
-p = 2 rows (``funcalc._lemma23_rows``) read off the amplitudes.
+Every spectral norm of a grid operator is the largest singular value
+from one Lanczos kernel, ``operator_two_norm``, with two exceptions: the
+mollifier lattice's ninety or so 28 x 28 norms take one batched LAPACK
+SVD (``estimates._row_norms``), and a band V diag(a) V^T on orthonormal
+eigenvectors has 2-norm max |a| and row norms ||V_r o a||, which group
+1.2's p = 2 row and lemma 2.3's 2.29, 2.30 (p = 2), 2.32 and 2.33 read
+off the factors.
 
 ``COUNTS`` holds the kernel's Lanczos steps and Ritz solves, and the rows
 and entries the pruned norms formed, against their totals.
@@ -45,11 +48,10 @@ from .radialop import top_eigenpair
 __all__ = [
     "sector_weights",
     "op_norm_2",
-    "op_norm_p",
-    "op_norm_2_to_inf",
     "band_norm_2",
     "band_norm_2_to_inf",
     "band_norm_1_to_inf",
+    "band_norm_inf",
     "operator_two_norm",
 ]
 
@@ -80,24 +82,6 @@ def op_norm_2(matrix):
     return operator_two_norm(a.__matmul__, a.T.__matmul__, a.shape[1])
 
 
-def op_norm_p(matrix, grid, n, p):
-    """Sector L^p -> L^p norm for p in {1, 2, inf}."""
-    if p not in (1, 2, np.inf):
-        raise ValueError("sector norms computed for p in {1, 2, inf} only")
-    if p == 2:
-        return op_norm_2(matrix)
-    rho = sector_weights(grid, n)
-    if p == np.inf:
-        return float(np.max((np.abs(matrix) @ rho) / rho))
-    return float(np.max((rho @ np.abs(matrix)) / rho))
-
-
-def op_norm_2_to_inf(matrix, grid, n):
-    rho = sector_weights(grid, n)
-    row = np.linalg.norm(matrix, axis=1)
-    return float(np.max(row / rho) / np.sqrt(grid.dr))
-
-
 def _real_apply(a, x):
     """a @ x for a real matrix a; a complex x goes in as its (re, im)
     pairs, one real GEMM, since a @ x would cast a to complex."""
@@ -107,17 +91,22 @@ def _real_apply(a, x):
     return (a @ pairs).view(complex).ravel()
 
 
+def _reduced(factor):
+    """The thin-QR R factor of an (M, k) factor when k < M, so that
+    ||x R^T|| = ||x factor^T|| for every row x; when k >= M a QR would
+    shrink nothing, and the factor itself, uncopied."""
+    if factor.shape[1] < factor.shape[0]:
+        return np.linalg.qr(factor, mode="r")
+    return factor
+
+
 def band_norm_2(left, right, coeffs):
     """|| left diag(c) right^T ||_2 for each row c of coeffs (T, k), by
     operator_two_norm on x -> L diag(c) R^T x and its transpose, so no
-    core is ever formed.  L and R are the thin-QR R factors of left and
-    right (one QR when right is left) when k < M; when k >= M a QR would
-    shrink nothing, and the factors are used as they are, uncopied."""
-    if left.shape[1] < left.shape[0]:
-        lf = np.linalg.qr(left, mode="r")
-        rf = lf if right is left else np.linalg.qr(right, mode="r")
-    else:
-        lf, rf = left, right
+    core is ever formed.  L and R are the ``_reduced`` left and right (one
+    QR when right is left)."""
+    lf = _reduced(left)
+    rf = lf if right is left else _reduced(right)
     out = np.empty(len(coeffs))
     for i, c in enumerate(coeffs):
         out[i] = operator_two_norm(
@@ -148,30 +137,27 @@ def _row_norms(a, coeffs):
 
 
 def band_norm_2_to_inf(left, right, coeffs, grid, n):
-    """op_norm_2_to_inf of left diag(c) right^T for each row c of coeffs
-    (T, k).  The squared row norms are the diagonal of A G A^* with
-    A = left diag(c) and G the Gram of right, formed once; G is real and
-    symmetric, so that diagonal is the sum of the real GEMMs of Re A and
-    Im A, formed _BLOCK rows at a time.  Blocks are pruned exactly:
-    ||row_r|| <= ||left_r o c|| sqrt(g), with g = ||G||_inf >=
-    lambda_max(G).  Each t takes its blocks in decreasing top bound / rho
-    and stops once a block's top bound times _MARGIN cannot beat the
-    running max; each block it forms is the slice an unpruned pass would
-    form, so the result is the unpruned one bit for bit."""
-    gram = right.T @ right
+    """Sector L^2 -> L^inf norm, max ||A_r|| / (rho_r sqrt(dr)), of
+    A = left diag(c) right^T for each row c of coeffs (T, k).  Row r's norm
+    is ||(left_r o c) R^T||, R the ``_reduced`` right, formed _BLOCK rows at
+    a time by real GEMMs of the real and imaginary parts.  Blocks are pruned
+    exactly: ||A_r|| <= ||left_r o c|| sqrt(g), g = ||R||_1 ||R||_inf >=
+    ||R||_2^2.  Each t takes its blocks in decreasing top bound / rho and
+    stops once a block's top bound times _MARGIN cannot beat the running
+    max; each block it forms is the slice an unpruned pass would form, so
+    the result is the unpruned one bit for bit."""
+    rf = _reduced(right)
     rho = sector_weights(grid, n)
-    g = max(np.max(np.sum(np.abs(gram[start:start + _BLOCK]), 1))
-            for start in range(0, len(gram), _BLOCK))
+    g = np.linalg.norm(rf, 1) * np.linalg.norm(rf, np.inf)
     bound = _row_norms(left, coeffs) / rho[:, None] * np.sqrt(g)
     out = np.zeros(len(coeffs))
     for i, c in enumerate(coeffs):
         for top, rows in _blocks_by_bound(bound[:, i], _BLOCK):
             if top * _MARGIN <= out[i]:
                 break
-            sq = sum(np.sum((part @ gram) * part, 1)
+            sq = sum(np.sum((part @ rf.T) ** 2, 1)
                      for part in (left[rows] * c.real, left[rows] * c.imag))
-            out[i] = max(out[i], np.max(np.sqrt(np.maximum(sq, 0.0))
-                                        / rho[rows]))
+            out[i] = max(out[i], np.max(np.sqrt(sq) / rho[rows]))
             COUNTS["norms.rows_2_to_inf"] += len(sq)
         COUNTS["norms.rows_2_to_inf_total"] += len(left)
     return out / np.sqrt(grid.dr)
@@ -213,6 +199,21 @@ def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=_BLOCK):
                 COUNTS["norms.entries_1_to_inf"] += prod.size // 2
         COUNTS["norms.entries_1_to_inf_total"] += len(lw) * len(rw)
     return out / grid.dr
+
+
+def band_norm_inf(left, right, coeffs, grid, n):
+    """Sector L^inf -> L^inf norm, max_r sum_r' |A_rr'| rho_r' / rho_r, of
+    A = left diag(c) right^T for each row c of coeffs (T, k), _BLOCK rows
+    of A at a time.  The L^1 -> L^1 norm is the same sum over columns, so
+    the two are equal for a symmetric A (right is left)."""
+    rho = sector_weights(grid, n)
+    out = np.zeros(len(coeffs))
+    for i, c in enumerate(coeffs):
+        for start in range(0, len(left), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            sums = np.abs((left[rows] * c) @ right.T) @ rho
+            out[i] = max(out[i], float(np.max(sums / rho[rows])))
+    return out
 
 
 def _start_vector(m, r):

@@ -180,15 +180,14 @@ def _refined_solve(lam, lu, v, u1, u2, c, b):
     """R b for b (M, K) by the banded solve x of (A0^{-1} + V) x = b and one
     refinement step.  The rows of A0^{-1} nearly cancel, so x is off by
     about eps ||A0^{-1}|| ||R|| (up to 6e-13 against the dense LU); the
-    step against A0 itself, applied by two running sums, takes that to eps:
-    z = A0 (b - V x) has (I + A0 V)(x - R b) = x - z, so R b = z - R V
-    (z - x).  A non-finite refinement right-hand side raises ValueError
-    naming lam."""
+    step against A0 itself takes that to eps: z = A0 (b - V x) has
+    (I + A0 V)(x - R b) = x - z, so R b = z - R V (z - x).  A0 is c times
+    the generator form of u1 and u2, applied by _generator_apply.  A
+    non-finite refinement right-hand side raises ValueError naming lam."""
     # x, y, z are (K, M) rows; fix.T is Fortran-order, solved in place
     x = _lu_solve(lu, b).T
     y = b.T - v * x
-    z = c * u2 * np.cumsum(u1 * y, axis=1)
-    z[:, :-1] += c * u1[:-1] * np.cumsum((u2 * y)[:, :0:-1], 1)[:, ::-1]
+    z = c * _generator_apply(u1, u2, y.T).T
     fix = v * (z - x)
     if not np.isfinite(fix).all():
         raise ValueError(f"lambda {lam}: R b is not finite")
@@ -197,8 +196,9 @@ def _refined_solve(lam, lu, v, u1, u2, c, b):
 
 
 def _generator_apply(p, q, b):
-    """R b = q cumsum(p b) + p (the reverse cumsum of q b from i + 1 on),
-    for the generators p = P and q = Q / P_1 of _solvers."""
+    """S b = q cumsum(p b) + p (the reverse cumsum of q b from i + 1 on),
+    with S = tril(q p^T) + triu(p q^T, 1): R for the generators p = P and
+    q = Q / P_1 of _solvers, A0 / c for p = u1 and q = u2."""
     rows = b.reshape(p.size, -1).T
     out = q * np.cumsum(p * rows, axis=1)
     out[:, :-1] += p[:-1] * np.cumsum((q * rows)[:, :0:-1], 1)[:, ::-1]

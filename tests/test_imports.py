@@ -6,7 +6,8 @@ Lippmann-Schwinger solves are one tridiagonal solve per lambda there), no
 module reaches the dense LU (the tests' oracle), and the order-specific
 Bessel kernels are bound in ``specfun`` only, behind ``caljnu``.  The
 resolvent quadrature of ``funcalc`` reads nothing of the eigen route it is
-checked against.
+checked against, and only the dense oracles and records read a band's
+M x M matrix.
 
 The benchmark under ``perfbench/`` imports the package by name, so every
 ``from wavedecay... import name`` there, and every layer its tracer
@@ -210,6 +211,41 @@ def test_quadrature_route_reads_no_eigen_route():
     assert eigen_reads(source, QUADRATURE_ROUTE) == set()
     # the oracle next to it does read the eigen route
     assert eigen_reads(source, ("phi_of_hsqrt",)) == {"band"}
+
+
+# the module-level definitions that may read a band's M x M matrix
+# (SpectralBand.dense): the dense oracles phi_of_hsqrt and wave_multiplier,
+# and check_thm31, whose zero-potential branch records that the two dense
+# sides cancel bit for bit.  Every estimate reads its norms from the band
+# factors.
+DENSE_READERS = {"phi_of_hsqrt", "wave_multiplier", "check_thm31"}
+
+
+def dense_readers(source):
+    """The module-level definitions of source that read ``.dense``."""
+    return {name for name, node in _module_defs(ast.parse(source))
+            if any(isinstance(n, ast.Attribute) and n.attr == "dense"
+                   for n in ast.walk(node))}
+
+
+def test_detector_flags_dense_readers():
+    src = ("def oracle(op):\n    return op.band(1).dense()\n"
+           "def rows(b0, bg):\n    return bg.dense() - b0.dense()\n"
+           "def norm(band):\n    return abs(band.amps).max()\n"
+           "class Record:\n    def matrix(self):\n"
+           "        return self.band.dense(self.c)\n")
+    assert dense_readers(src) == {"oracle", "rows", "Record"}
+
+
+def test_only_oracles_read_dense_bands():
+    """No estimate forms a band's M x M matrix: the dense readers in src/
+    are DENSE_READERS, and lemma 2.3's rows neither read a dense band nor
+    call one of them."""
+    assert set().union(*(dense_readers(path.read_text())
+                         for path in SRC.glob("*.py"))) == DENSE_READERS
+    defs = dict(_module_defs(ast.parse((SRC / "funcalc.py").read_text())))
+    assert read_names(defs["_lemma23_rows"]) & (DENSE_READERS
+                                                | {"dense"}) == set()
 
 
 def benchmark_imports(source):

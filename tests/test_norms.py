@@ -4,10 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavedecay import norms
-from wavedecay.funcalc import phi_of_hsqrt
+from wavedecay.funcalc import _lemma23_rows, phi_of_hsqrt
 from wavedecay.norms import (band_norm_1_to_inf, band_norm_2,
-                             band_norm_2_to_inf, op_norm_2, op_norm_2_to_inf,
-                             op_norm_p, operator_two_norm, sector_weights)
+                             band_norm_2_to_inf, band_norm_inf, op_norm_2,
+                             operator_two_norm, sector_weights)
 from wavedecay.profiles import bump, plateau
 from wavedecay.radialop import RadialGrid, build_G, build_G0, weight_matrix
 from wavedecay.resolvent import ls_sweep
@@ -16,6 +16,25 @@ from wavedecay.resolvent import ls_sweep
 @pytest.fixture(scope="module")
 def grid():
     return RadialGrid(4.0, 39)
+
+
+# The dense sector norms: the oracles of the band norms, which are the
+# only sector norms in src/.
+
+
+def op_norm_p(matrix, grid, n, p):
+    """Sector L^p -> L^p norm for p in {1, inf}: the largest weighted
+    absolute column (p = 1) or row (p = inf) sum."""
+    rho = sector_weights(grid, n)
+    if p == np.inf:
+        return float(np.max((np.abs(matrix) @ rho) / rho))
+    return float(np.max((rho @ np.abs(matrix)) / rho))
+
+
+def op_norm_2_to_inf(matrix, grid, n):
+    rho = sector_weights(grid, n)
+    row = np.linalg.norm(matrix, axis=1)
+    return float(np.max(row / rho) / np.sqrt(grid.dr))
 
 
 def op_norm_1_to_inf(matrix, grid, n):
@@ -199,15 +218,6 @@ def test_1_to_inf_definition(grid, rng):
     assert np.max(np.abs(out)) == pytest.approx(claimed, rel=1e-12)
 
 
-def test_p2_matches_spectral(grid, rng):
-    a = rng.standard_normal((grid.M, grid.M))
-    assert op_norm_p(a, grid, 4, 2) == op_norm_2(a)
-    with pytest.raises(ValueError):
-        op_norm_p(a, grid, 4, 3)
-    with pytest.raises(ValueError):     # before any work on the arguments
-        op_norm_p(None, None, 4, 3)
-
-
 def test_power_iteration_matches_svd(rng):
     a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     got = operator_two_norm(lambda v: a @ v, lambda v: a.T @ v, 40)
@@ -254,12 +264,16 @@ def test_band_mixed_norms_match_dense(small_grid, rng):
     left, right, coeffs = _factors(rng, small_grid.M, 10)
     got_2 = band_norm_2_to_inf(left, right, coeffs, small_grid, 4)
     got_1 = band_norm_1_to_inf(left, right, coeffs, small_grid, 4, chunk=37)
-    assert got_2.shape == got_1.shape == (3,)
-    for g2, g1, dense in zip(got_2, got_1, _dense(left, right, coeffs)):
+    got_inf = band_norm_inf(left, right, coeffs, small_grid, 4)
+    assert got_2.shape == got_1.shape == got_inf.shape == (3,)
+    for g2, g1, ginf, dense in zip(got_2, got_1, got_inf,
+                                   _dense(left, right, coeffs)):
         assert g2 == pytest.approx(op_norm_2_to_inf(dense, small_grid, 4),
                                    rel=1e-9)
         assert g1 == pytest.approx(op_norm_1_to_inf(dense, small_grid, 4),
                                    rel=1e-9)
+        assert ginf == pytest.approx(
+            op_norm_p(dense, small_grid, 4, np.inf), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,19 +281,26 @@ def test_band_mixed_norms_match_dense(small_grid, rng):
        same=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_band_norms_match_dense_property(grid, k, t, chunk, same, seed):
     """Each row of each stacked band norm is the dense norm of its
-    left diag(c) right^T."""
+    left diag(c) right^T; with right = left, a (complex) symmetric band,
+    band_norm_inf is the L^1 -> L^1 norm too."""
     left, right, coeffs = _factors(np.random.default_rng(seed), grid.M, k, t)
     if same:
         right = left
     got_2 = band_norm_2(left, right, coeffs)
     got_2inf = band_norm_2_to_inf(left, right, coeffs, grid, 4)
     got_1inf = band_norm_1_to_inf(left, right, coeffs, grid, 4, chunk=chunk)
+    got_inf = band_norm_inf(left, right, coeffs, grid, 4)
     for i, dense in enumerate(_dense(left, right, coeffs)):
         assert got_2[i] == pytest.approx(np.linalg.norm(dense, 2), rel=1e-9)
         assert got_2inf[i] == pytest.approx(
             op_norm_2_to_inf(dense, grid, 4), rel=1e-9)
         assert got_1inf[i] == pytest.approx(
             op_norm_1_to_inf(dense, grid, 4), rel=1e-9)
+        assert got_inf[i] == pytest.approx(
+            op_norm_p(dense, grid, 4, np.inf), rel=1e-12)
+        if same:
+            assert got_inf[i] == pytest.approx(
+                op_norm_p(dense, grid, 4, 1), rel=1e-12)
 
 
 def _one_shot_2(left, right, coeffs):
@@ -292,13 +313,14 @@ def _one_shot_2(left, right, coeffs):
 
 def _one_shot_2_to_inf(left, right, coeffs, grid, n):
     """band_norm_2_to_inf with per-t copies of whole factors."""
-    gram = right.T @ right
+    thin = right.shape[1] < right.shape[0]
+    rf = np.linalg.qr(right, mode="r") if thin else right
     rho = sector_weights(grid, n)
     out = np.empty(len(coeffs))
     for i, c in enumerate(coeffs):
-        rows = sum(np.sum((part @ gram) * part, 1)
+        rows = sum(np.sum((part @ rf.T) ** 2, 1)
                    for part in (left * c.real, left * c.imag))
-        out[i] = np.max(np.sqrt(np.maximum(rows, 0.0)) / rho)
+        out[i] = np.max(np.sqrt(rows) / rho)
     return out / np.sqrt(grid.dr)
 
 
@@ -358,11 +380,12 @@ def _ordered(arrays, order):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_pruned_2_to_inf_finds_a_max_of_small_bound(rng, order):
     """The largest row sits in the row block of smallest top bound.  Rows
-    64..127 are small, but for row 97, which lies along the Gram's top
-    eigenvalue (bound and norm 0.5); every other row lies along its small
-    ones (bounds up to about 1.9 outside the block, norms about 2e-3).
-    So the max is in the last block taken, which a kernel stopping after
-    the first block would never form."""
+    64..127 are small, but for row 97, which lies along the right factor's
+    top singular direction (bound and norm 0.5); every other row lies
+    along its small ones (bounds up to about 1.9 outside the block, norms
+    up to about 0.4).  So the max is in the last block taken, which a
+    kernel stopping after the first block would never form, and which a
+    bound on ||R||_2 under 0.75 of the true one would prune."""
     grid = RadialGrid(8.0, 150)
     assert grid.M > 2 * norms._BLOCK
     rho = sector_weights(grid, 4)
@@ -371,7 +394,7 @@ def test_pruned_2_to_inf_finds_a_max_of_small_bound(rng, order):
     rows[64:128] *= 0.1
     rows[97] = (0.5, 0.0, 0.0, 0.0)
     right = (np.linalg.qr(rng.standard_normal((grid.M, 4)))[0]
-             * [1.0, 1e-3, 1e-3, 1e-3])
+             * [1.0, 0.2, 0.2, 0.2])
     left, right = _ordered((rho[:, None] * rows, right), order)
     coeffs = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 4)))
     got = band_norm_2_to_inf(left, right, coeffs, grid, 4)
@@ -412,6 +435,62 @@ def test_pruned_1_to_inf_finds_a_max_of_small_bound(rng, order, small_col):
     want = op_norm_1_to_inf(dense, grid, 4)
     assert want * grid.dr == pytest.approx(0.25 if small_col else 1.0)
     assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("weight, h", [("r", 0.25), ("r", 0.125),
+                                       ("decaying", 1.0),
+                                       ("decaying", 0.25)])
+def test_2_to_inf_of_difference_bands_matches_dense(potential, profile,
+                                                    weight, h):
+    """band_norm_2_to_inf of a difference band bg - b0 (R = 32, M = 255),
+    whose rows cancel, within 1e-13 of the dense norm: with the right
+    weight <r> of lemma 2.3's 2.34 (k = 89, and k = 326 > M at h = 1/8),
+    and with 4.6's decaying weight <r>^-1.525 at t = 16, 32 and 64.  The
+    Gram form (left_r o c) G (left_r o c)^* read these between 6.6e-13 and
+    1.1e-11 off."""
+    grid = RadialGrid(32.0, 255)
+    d = (build_G(grid, 4, potential).band(profile, h)
+         - build_G0(grid, 4).band(profile, h))
+    if weight == "r":
+        right = d.vecs / weight_matrix(grid, 1.0)[:, None]
+        coeffs = d.amps[None]
+    else:
+        right = weight_matrix(grid, 1.525)[:, None] * d.vecs
+        coeffs = d.coeff(np.array([16.0, 32.0, 64.0]))
+    assert (d.vecs.shape[1] > grid.M) == (h == 0.125)
+    got = band_norm_2_to_inf(d.vecs, right, coeffs, grid, 4)
+    for g, dense in zip(got, _dense(d.vecs, right, coeffs)):
+        assert g == pytest.approx(op_norm_2_to_inf(dense, grid, 4),
+                                  rel=1e-13, abs=0.0)
+
+
+def test_lemma23_rows_match_dense_norms(small_grid, potential, profile):
+    """Every lemma 2.3 row read from band factors against the dense norm
+    of the M x M matrix it stands for (p0, pg, their difference d and the
+    weighted copies), to 1e-12 relative; the difference band at h = 1/8 is
+    wider than the grid (k = 212 > M = 159).  The bands are symmetric, so
+    the one p = 1 and p = inf figure matches both dense norms."""
+    op0, op = build_G0(small_grid, 4), build_G(small_grid, 4, potential)
+    h_set = (1.0, 0.5, 0.25, 0.125)
+    rows = _lemma23_rows(small_grid, 4, op0, op, profile, h_set)
+    ws = weight_matrix(small_grid, 1.0)
+    for i, h in enumerate(h_set):
+        p0, pg = phi_of_hsqrt(op0, profile, h), phi_of_hsqrt(op, profile, h)
+        d = pg - p0
+        want = {"2.26": op_norm_2(ws[:, None] * p0 / ws),
+                "2.27": op_norm_2(ws[:, None] * pg / ws),
+                "2.28": op_norm_2(d / ws),
+                "2.32": op_norm_2_to_inf(p0, small_grid, 4),
+                "2.33": op_norm_2_to_inf(pg, small_grid, 4),
+                "2.34": op_norm_2_to_inf(d / ws, small_grid, 4)}
+        for eid, dense in (("2.29", p0), ("2.30", pg), ("2.31", d)):
+            for p in (1, np.inf):
+                want[eid, p] = op_norm_p(dense, small_grid, 4, p)
+        want["2.31", 2] = op_norm_2(d)
+        for key, value in want.items():
+            eid, p = key if isinstance(key, tuple) else (key, None)
+            got = rows[eid] if p is None else rows[eid][p]
+            assert got[i] == (h, pytest.approx(value, rel=1e-12, abs=0.0))
 
 
 def test_band_norm_2_wider_than_grid(rng, traced_peak):
