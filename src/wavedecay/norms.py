@@ -19,7 +19,7 @@ once per band, the work per t in blocks that no T makes larger.
 - band_norm_2_to_inf forms each row as (left_r o c) R^T, R the reduced
   right: the Gram form would square the cancellation in the rows of a
   difference band or under a growing weight (1e-11 relative on lemma
-  2.3's 2.34 and on 4.6, against 5e-14).  It and band_norm_1_to_inf
+  2.3's 2.34 and on 4.6, against 3e-14).  It and band_norm_1_to_inf
   prune exactly: a row's (or an entry's) Cauchy-Schwarz bound orders the
   blocks of rows (or tiles), and one that cannot beat the running max is
   never formed, so the max is the one the full product gives.

@@ -467,9 +467,8 @@ def test_2_to_inf_of_difference_bands_matches_dense(potential, profile,
 def test_lemma23_rows_match_dense_norms(small_grid, potential, profile):
     """Every lemma 2.3 row read from band factors against the dense norm
     of the M x M matrix it stands for (p0, pg, their difference d and the
-    weighted copies), to 1e-12 relative; the difference band at h = 1/8 is
-    wider than the grid (k = 212 > M = 159).  The bands are symmetric, so
-    the one p = 1 and p = inf figure matches both dense norms."""
+    weighted copies), to 1e-12 relative.  The bands are symmetric, so the
+    one p = 1 and p = inf figure matches both dense norms."""
     op0, op = build_G0(small_grid, 4), build_G(small_grid, 4, potential)
     h_set = (1.0, 0.5, 0.25, 0.125)
     rows = _lemma23_rows(small_grid, 4, op0, op, profile, h_set)
