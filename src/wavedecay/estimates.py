@@ -197,10 +197,13 @@ def check_prop21(grid, n, profile, h_set, t_set):
         return list(zip(ts, band_norm_2_to_inf(band.vecs, right,
                                                band.coeff(ts), grid, n)))
 
-    reports["2.3_t"] = fit_power_law(rows_23(1.0, t_set), "2.3", "t",
-                                     target=-s, tolerance=0.2,
+    # one h = 1 scan holds 2.3_t's rows and 2.3_h's h = 1 row (t = 16)
+    scan = dict(rows_23(1.0, sorted({*t_set, 16.0})))
+    reports["2.3_t"] = fit_power_law([(t, scan[t]) for t in t_set], "2.3",
+                                     "t", target=-s, tolerance=0.2,
                                      one_sided=True).as_dict()
-    hrows = [(h, rows_23(h, [16.0])[0][1]) for h in h_set]
+    hrows = [(h, scan[16.0] if h == 1.0 else rows_23(h, [16.0])[0][1])
+             for h in h_set]
     reports["2.3_h"] = fit_power_law(hrows, "2.3", "h",
                                      target=-(n + 1) / 2.0,
                                      tolerance=0.3).as_dict()
@@ -671,11 +674,13 @@ def check_thm41(grid, n, potential, profile, h_set, t_set):
 
     # (4.6): weighted L2 -> Linf surrogate
     w46 = weight_matrix(grid, (n - 1 + EPS) / 2.0)
-    rows = phi_norms(1.0, t_set, to_inf_2, w46)
-    reports["4.6_t"] = fit_power_law(rows, "4.6", "t", target=-top,
-                                     tolerance=0.2,
+    # one h = 1 scan holds 4.6_t's rows and 4.6_h's h = 1 row (t = 4)
+    scan = dict(phi_norms(1.0, sorted({*t_set, 4.0}), to_inf_2, w46))
+    reports["4.6_t"] = fit_power_law([(t, scan[t]) for t in t_set], "4.6",
+                                     "t", target=-top, tolerance=0.2,
                                      one_sided=True).as_dict()
-    hrows = [(h, phi_norms(h, [4.0], to_inf_2, w46)[0][1])
+    hrows = [(h, scan[4.0] if h == 1.0
+              else phi_norms(h, [4.0], to_inf_2, w46)[0][1])
              for h in h_set]
     reports["4.6_h"] = fit_power_law(hrows, "4.6", "h",
                                      target=1.0 - n / 2.0,

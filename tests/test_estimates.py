@@ -51,6 +51,34 @@ def test_prop21_reads_the_cone_windows_of_27(monkeypatch, small_grid,
         assert {**prop[key], "estimate_id": "2.7"} == kernel[twin]
 
 
+def test_h_scan_takes_its_h1_row_from_the_t_scan(monkeypatch, small_grid,
+                                                 profile):
+    """2.3_h's h = 1 row (t = 16) is read from the h = 1 scan over the
+    t-set and t = 16, here a t-set without 16: one band_norm_2_to_inf call
+    per h, the first with a row per t, and the report is the fit of one
+    call per h at t = 16, the separate h = 1 call it replaces."""
+    h_set = (1.0, 0.5, 0.25, 0.125)
+    norm, calls = est.band_norm_2_to_inf, []
+
+    def counted(left, right, coeffs, grid, n):
+        calls.append(len(coeffs))
+        return norm(left, right, coeffs, grid, n)
+
+    monkeypatch.setattr(est, "band_norm_2_to_inf", counted)
+    rep = est.check_prop21(small_grid, 4, profile, h_set,
+                           (1.0, 2.0, 4.0, 8.0))
+    assert calls == [5, 1, 1, 1]
+    op0, w = build_G0(small_grid, 4), weight_matrix(small_grid,
+                                                    2.0 + est.EPS)
+    rows = []
+    for h in h_set:
+        band = op0.band(profile, h)
+        rows.append((h, norm(band.vecs, w[:, None] * band.vecs,
+                             band.coeff([16.0]), small_grid, 4)[0]))
+    want = fit_power_law(rows, "2.3", "h", target=-2.5, tolerance=0.3)
+    assert rep["2.3_h"] == {**want.as_dict(), "note": est.SECTOR_NOTE}
+
+
 def test_kernel_t_window():
     assert est.KERNEL_T[0] == 8.0
     assert est.KERNEL_T[-1] == 128.0

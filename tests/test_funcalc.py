@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavedecay.funcalc import (AlmostAnalytic, _certified_keep, _chi_c,
-                               _chi_c_prime, _hs_mesh, _lemma23_rows,
-                               _resolvent_sum, hs_multiplier, phi_of_hsqrt,
-                               verify_lemma23)
+from wavedecay import funcalc
+from wavedecay.funcalc import (AlmostAnalytic, _certified_keep,
+                               _chebyshev_count, _chi_c, _chi_c_prime,
+                               _compress, _hs_mesh, _lemma23_rows,
+                               _onto_chebyshev, _resolvent_sum,
+                               hs_multiplier, phi_of_hsqrt, verify_lemma23)
 from wavedecay.norms import op_norm_2
 from wavedecay.propagator import wave_multiplier
 from wavedecay.radialop import build_G, build_G0
@@ -150,6 +152,77 @@ def test_certified_drop_moves_the_sum_within_budget(op, profile, h):
                                           zs[nz], vals[nz])
     got = hs_multiplier(op, profile, h, order=8, tol=tol)
     assert np.linalg.norm(got - full, 2) <= 1e-6 * tol
+
+
+def test_onto_chebyshev_is_exact_below_degree_n(rng):
+    """sum_a c[a] f(x[a]) = sum_m C_m f(p_m) for every f of degree < n,
+    with 2-D weights and nodes that include both ends of the interval,
+    where x[a] is a Chebyshev point and the barycentric quotient is 0/0;
+    at degree n it is not exact."""
+    n, lo, hi = 9, 1.0, 4.0
+    x = np.concatenate([[lo], rng.uniform(lo, hi, 28), [hi]])
+    c = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+    p, cm = _onto_chebyshev(x, c, lo, hi, n)
+    assert (p[0], p[-1]) == (hi, lo) and cm.shape == (n, 2)
+    for k in range(n + 1):
+        want = ((x - 2.5) / 1.5) ** k @ c
+        got = ((p - 2.5) / 1.5) ** k @ cm
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13) == (k < n)
+
+
+@pytest.mark.parametrize("across, half, reach", [(True, 1.5, 0.05),
+                                                 (True, 1.5, 0.5),
+                                                 (False, 0.25, 0.75)])
+def test_chebyshev_count_bounds_the_scalar_resolvent(across, half, reach):
+    """The certified count's interpolant of 1/(lam - z), z on a
+    horizontal line at height reach over [1, 4] or on the vertical
+    segment Im z in [1/2, 1], is off by at most the bound it states, for
+    lam across the real axis: the resolvent's entries in an
+    eigenbasis."""
+    n, bound = _chebyshev_count(1e-10, half, reach, across)
+    assert bound <= 1e-10
+    lo, hi = (1.0, 4.0) if across else (0.5, 1.0)
+    s = np.linspace(lo, hi, 1001)
+    p, basis = _onto_chebyshev(s, np.eye(s.size, dtype=complex), lo, hi,
+                               n)
+    for lam in np.linspace(0.0, 5.0, 51):
+        def f(v):
+            return 1.0 / (lam - (v + 1j * reach if across
+                                 else 2.5 + 1j * v))
+        assert np.max(np.abs(f(p) @ basis - f(s))) <= bound
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_chebyshev_compression_moves_the_sum_within_its_share(op, profile,
+                                                              h):
+    """The mesh's weights moved onto Chebyshev points, before the drop,
+    against the sum over every nonzero-weight node: within the certificate
+    in 2-norm, and the certificate within its share, half the budget
+    1e-6 tol.  The certificate and the bounds the drop then leaves out sum
+    to at most the budget.  Criterion 6's mesh goes from 25,890 nodes onto
+    14,450, of which 11,117 are kept."""
+    tol = 1e-7
+    zs, vals = _mesh_nodes(profile, tol)
+    nz = vals != 0
+    cz, cvals, moved = _compress(zs, vals, (1.0, 4.0), 1e-6 * tol)
+    diag, off = h ** 2 * op.diag, h ** 2 * op.offdiag
+    full = (2.0 / np.pi) * _resolvent_sum(diag, off, zs[nz], vals[nz])
+    got = (2.0 / np.pi) * _resolvent_sum(diag, off, cz, cvals)
+    assert moved <= 0.5e-6 * tol
+    assert np.linalg.norm(got - full, 2) <= moved
+    keep = _certified_keep(cz, cvals, 1e-6 * tol - moved)
+    assert moved + _bounds(cz, cvals)[~keep].sum() <= 1e-6 * tol
+    assert (cz.size, keep.sum()) == (14450, 11117)
+
+
+def test_counts_of_the_criterion_6_sum(op, profile):
+    """COUNTS after one criterion-6 call: the nodes summed and dropped,
+    14,450 between them, and the lines moved onto Chebyshev points."""
+    before = dict(funcalc.COUNTS)
+    hs_multiplier(op, profile, 1.0, order=8, tol=1e-7)
+    assert {key: funcalc.COUNTS[key] - before[key] for key in before} == {
+        "funcalc.nodes_summed": 11117, "funcalc.nodes_dropped": 3333,
+        "funcalc.lines_compressed": 32}
 
 
 @pytest.mark.parametrize("block", [1, 7, 40])

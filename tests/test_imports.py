@@ -163,7 +163,8 @@ def test_dense_kernels_have_one_home(path):
 
 # the resolvent quadrature that criterion 6 holds against the eigen route:
 # the two stay independent only if the first reads nothing of the second
-QUADRATURE_ROUTE = ("AlmostAnalytic", "_hs_mesh", "_certified_keep",
+QUADRATURE_ROUTE = ("AlmostAnalytic", "_hs_mesh", "_chebyshev_count",
+                    "_onto_chebyshev", "_compress", "_certified_keep",
                     "_boundary_sweep", "_resolvent_sum", "hs_multiplier")
 
 
