@@ -9,8 +9,9 @@ of psi(x) = profile(sqrt(x)),
 with a graded dyadic mesh in Im z and tridiagonal solves per node.  Since A
 is real symmetric and psi real, the lower half plane contributes the
 conjugate, so only Im z > 0 is quadratured.  ``COUNTS`` holds the nodes
-the resolvent sum took and the certified drop left out, and the mesh lines
-whose nodes moved onto Chebyshev points.
+the resolvent sum took and the certified drop left out, the mesh lines
+whose nodes moved onto Chebyshev points, and the rows of the sum computed
+from the nodes and marched through TS = ST.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ _CHI = step_cutoff(0.5)                      # 1 on [1, inf)
 _CHI_D = step_cutoff_derivative(0.5)         # its derivative bump on (1/2, 1)
 _BAND = (0.5, 1.0)                           # where chi_c' lives, in Im z
 COUNTS = dict.fromkeys(("funcalc.nodes_summed", "funcalc.nodes_dropped",
-                        "funcalc.lines_compressed"), 0)
+                        "funcalc.lines_compressed", "funcalc.rows_direct",
+                        "funcalc.rows_marched"), 0)
 
 
 def _chi_c(y):
@@ -281,9 +283,10 @@ def _certified_keep(zs, vals, budget):
 
 # the boundary solutions must stay normal floats
 _TINY = np.finfo(float).tiny
-# rows per GEMM panel; the panels stop at the diagonal, so little more
-# than the upper triangle the sum keeps is computed
-_PANEL = 128
+# _resolvent_sum's spacing of direct row pairs, and the march's drift
+# past which a segment's rows are computed directly
+_SPAN = 12
+_DRIFT = 5e-13
 
 
 def _boundary_sweep(a, f):
@@ -295,9 +298,11 @@ def _boundary_sweep(a, f):
         np.subtract(f[j + 1], f[j - 1], out=f[j + 1])
 
 
-def _resolvent_sum(diag, off, zs, coeffs, block=1500):
-    """Re sum_k coeffs[k] * (T - zs[k])^{-1} for symmetric tridiagonal T
-    with constant off-diagonal e, assembled without any dense solves.
+def _direct_rows(diag, e, zs, coeffs, rows, block):
+    """(len(rows), M) array whose row r holds row rows[r] of S =
+    Re sum_k coeffs[k] * (T - zs[k])^{-1} on and right of the diagonal,
+    for T symmetric tridiagonal with diagonal diag and every off-diagonal
+    e; rows ascend.  Left of the diagonal a row holds no entry of S.
 
     The inverse of a tridiagonal matrix is semiseparable: inv_ij =
     phi_i psi_j / w for i <= j, where phi and psi solve e f_{j-1} +
@@ -306,21 +311,19 @@ def _resolvent_sum(diag, off, zs, coeffs, block=1500):
     psi_0 + e psi_1.  Per block of nodes, laid out (M, 2 block), one
     division-free sweep f_{j+1} = ((z - d_j) / e) f_j - f_{j-1} over the
     stacked columns [top | bottom] (the bottom half on reversed rows)
-    gives both.  Each inverse is then the rank-one u v^T on the upper
-    triangle, u = coeff phi / w and v = psi, and the real part of a
-    block's sum is one real GEMM of the interleaved (Re, Im) views of u
-    and conj(v), inner dimension 2 * block, in row panels that stop at the
-    diagonal.  f_j is the transfer product P_j = prod_{k<j} f_{k+1} / f_k:
-    a node whose phi, psi or w leaves the normal floats (|log P| > 708.4)
-    raises FloatingPointError naming the node and its largest |log P|.
+    gives both.  The rows are then u psi^T with u = coeff phi / w on the
+    given rows, and the real part of a block's sum is one real GEMM of
+    the interleaved (Re, Im) views of conj(u) and conj(psi), inner
+    dimension 2 * block, on the columns from rows[0] on.  f_j is the
+    transfer product P_j = prod_{k<j} f_{k+1} / f_k: a node whose phi,
+    psi or w leaves the normal floats (|log P| > 708.4) raises
+    FloatingPointError naming the node and its largest |log P|.
     """
-    e = float(off[0])
-    if not np.allclose(off, off[0]):
-        raise ValueError("constant off-diagonal required")
-    m = diag.shape[0]
-    s = np.zeros((m, m))
+    rows = np.asarray(rows)
+    m, lo = diag.shape[0], rows[0]
+    rev = np.zeros((rows.size, m))
     # one set of work arrays for every block; a block of nz nodes works on
-    # their leading 2 nz columns
+    # their leading columns
     width = 2 * min(block, zs.shape[0])
     a_buf = np.empty((m, width), dtype=complex)
     f_buf = np.empty_like(a_buf)
@@ -348,11 +351,89 @@ def _resolvent_sum(diag, off, zs, coeffs, block=1500):
             raise FloatingPointError(
                 f"transfer product of node z = {z[k]:.6g} leaves the float "
                 f"range: max |log P| = {lg[k]:.1f} > {-np.log(_TINY):.1f}")
-        u = np.multiply(phi, coeffs[start:start + block] / w, out=a[:, :nz])
-        u, v = u.view(float), np.conjugate(psi, out=a[:, nz:]).view(float)
-        for lo in range(0, m, _PANEL):
-            s[lo:lo + _PANEL, lo:] += u[lo:lo + _PANEL] @ v[lo:].T
-    return np.triu(s) + np.tril(s.T, -1)
+        # Re(u psi) = Re(conj(u) conj(psi)), and f holds psi on reversed
+        # rows, so the GEMM fills the columns right to left; left of the
+        # diagonal u psi is no inverse entry and may leave the floats
+        u = np.conjugate(phi[rows] * (coeffs[start:start + block] / w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rev[:, :m - lo] += u.view(float) @ f[:m - lo, nz:].view(float).T
+    return rev[:, ::-1]
+
+
+def _march_step(dd, prev, cur, i, out):
+    """out[i+1:] = row i + 1 of a matrix S with TS = ST on and right of
+    the diagonal, from rows i - 1 (prev) and i (cur) there: row i of
+    TS = ST reads r_{i+1} = r_i (T - d_i) / e - r_{i-1}, with dd = d / e."""
+    j = slice(i + 1, None)
+    np.multiply(dd[j] - dd[i], cur[j], out=out[j])
+    out[j] += cur[i:-1]
+    out[i + 1:-1] += cur[i + 2:]
+    out[j] -= prev[j]
+
+
+def _resolvent_sum(diag, off, zs, coeffs, block=1500):
+    """Re sum_k coeffs[k] * (T - zs[k])^{-1} for symmetric tridiagonal T
+    with constant off-diagonal e, assembled without any dense solves.
+
+    The sum S commutes with T, as every resolvent does, so row i of
+    TS = ST gives r_{i+1} = r_i (T - d_i) / e - r_{i-1}; on and right of
+    the diagonal it reads only r_i and r_{i-1} there, and the lower
+    triangle is the mirror.  Only the anchor rows come from the nodes
+    (``_direct_rows``): row 0, the pairs (a - 1, a) for a a multiple of
+    _SPAN below M - _SPAN and for a = M - _SPAN, and the last _SPAN rows.
+    Each segment between marches from its pair
+    (``_march_step``) on to the next one; from one start row the
+    round-off would grow along the growing solutions over every row.  A
+    segment that misses the next pair by more than _DRIFT of the largest
+    anchor entry, or along which the diagonal varies by more than 2|e|,
+    has its rows computed directly, in one more pass over the nodes.
+    COUNTS records the rows computed directly and marched.
+    Besides the work arrays of ``_direct_rows``, a call holds the M x M
+    sum it returns and three rows of length M.
+    """
+    e = float(off[0])
+    if not np.allclose(off, off[0]):
+        raise ValueError("constant off-diagonal required")
+    m = diag.shape[0]
+    # the last _SPAN rows are direct: a pair among them would hold too few
+    # entries right of the diagonal for the check to see a segment drift
+    bottom = max(m - _SPAN, 0)
+    ends = [*range(0, bottom, _SPAN), bottom]
+    anchors = sorted({*ends, *(a - 1 for a in ends[1:]), *range(bottom, m)})
+    s = np.zeros((m, m))
+    for i, row in zip(anchors, _direct_rows(diag, e, zs, coeffs, anchors,
+                                            block)):
+        s[i, i:] = row[i:]
+    scale = max(np.abs(s[i, i:]).max() for i in anchors)
+    dd, zero, check = diag / e, np.zeros(m), np.empty((2, m))
+    direct, redo = set(anchors), []
+    for p, q in zip(ends, ends[1:]):
+        inner = [i for i in range(p + 1, q) if i not in direct]
+        # where the diagonal varies by more than 2|e| along the segment,
+        # round-off can grow on columns inside it, which the check rows
+        # below it no longer hold: such a segment is not marched
+        if np.ptp(diag[max(p - 1, 0):q + 1]) > 2.0 * abs(e):
+            redo += inner
+            continue
+        prev, cur = (s[p - 1] if p else zero), s[p]
+        drift = 0.0
+        for i in range(p + 1, q + 1):
+            nxt = check[i % 2] if i in direct else s[i]
+            _march_step(dd, prev, cur, i - 1, nxt)
+            if i in direct:
+                drift = max(drift, np.abs(nxt[i:] - s[i, i:]).max())
+            prev, cur = cur, nxt
+        if drift > _DRIFT * scale:
+            redo += inner
+    if redo:
+        for i, row in zip(redo, _direct_rows(diag, e, zs, coeffs, redo,
+                                             block)):
+            s[i, i:] = row[i:]
+    COUNTS["funcalc.rows_direct"] += len(anchors) + len(redo)
+    COUNTS["funcalc.rows_marched"] += m - len(anchors) - len(redo)
+    for i in range(m - 1):
+        s[i + 1:, i] = s[i, i + 1:]
+    return s
 
 
 def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
@@ -370,11 +451,13 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     and h.
 
     block caps how many quadrature nodes are in flight at once.  With b
-    the smaller of block and the node count, a call allocates once, and
-    every block reuses, two (M, 2 b) complex arrays, the sweep
-    coefficients (z - d) / e, reused for u and v, and the boundary
-    solutions [phi | psi], and the real (M, 2 b) |phi| and |psi| of the
-    range check, besides the M x M sum."""
+    the smaller of block and the node count and D the rows of the sum
+    computed directly (about M / 6), a pass over the nodes allocates
+    once, and every block reuses, two (M, 2 b) complex arrays, the sweep
+    coefficients (z - d) / e and the boundary solutions [phi | psi], and
+    the real (M, 2 b) |phi| and |psi| of the range check; per block it
+    forms a (D, b) complex u and a (D, M) GEMM product.  A call also
+    holds the M x M sum, scaled in place."""
     aa = AlmostAnalytic(profile, order)
     zs, ws = _hs_mesh(aa, tol)
     diag, off = h ** 2 * op.diag, h ** 2 * op.offdiag
@@ -384,7 +467,8 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     COUNTS["funcalc.nodes_summed"] += int(keep.sum())
     COUNTS["funcalc.nodes_dropped"] += keep.size - int(keep.sum())
     acc = _resolvent_sum(diag, off, zs[keep], vals[keep], block=block)
-    return (2.0 / np.pi) * acc
+    acc *= 2.0 / np.pi
+    return acc
 
 
 def phi_of_hsqrt(op, profile, h):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavedecay import funcalc
-from wavedecay.funcalc import (AlmostAnalytic, _certified_keep,
+from wavedecay.funcalc import (_SPAN, AlmostAnalytic, _certified_keep,
                                _chebyshev_count, _chi_c, _chi_c_prime,
-                               _compress, _hs_mesh, _lemma23_rows,
-                               _onto_chebyshev, _resolvent_sum,
+                               _compress, _direct_rows, _hs_mesh,
+                               _lemma23_rows, _onto_chebyshev, _resolvent_sum,
                                hs_multiplier, phi_of_hsqrt, verify_lemma23)
 from wavedecay.norms import op_norm_2
 from wavedecay.propagator import wave_multiplier
@@ -217,12 +217,85 @@ def test_chebyshev_compression_moves_the_sum_within_its_share(op, profile,
 
 def test_counts_of_the_criterion_6_sum(op, profile):
     """COUNTS after one criterion-6 call: the nodes summed and dropped,
-    14,450 between them, and the lines moved onto Chebyshev points."""
+    14,450 between them, the lines moved onto Chebyshev points, and the
+    rows of the sum computed directly and marched.  The 38 direct rows are
+    the anchors alone, row 0, the pairs (a - 1, a) for a = 12, ..., 144
+    and 147, and rows 147 to 158: no segment falls back."""
     before = dict(funcalc.COUNTS)
     hs_multiplier(op, profile, 1.0, order=8, tol=1e-7)
     assert {key: funcalc.COUNTS[key] - before[key] for key in before} == {
         "funcalc.nodes_summed": 11117, "funcalc.nodes_dropped": 3333,
-        "funcalc.lines_compressed": 32}
+        "funcalc.lines_compressed": 32, "funcalc.rows_direct": 38,
+        "funcalc.rows_marched": 121}
+
+
+def _anchors(m):
+    """The rows _resolvent_sum computes directly when no segment falls
+    back: row 0, the pairs (a - 1, a) for a a positive multiple of _SPAN
+    below m - _SPAN and for a = m - _SPAN, and the last _SPAN rows."""
+    bottom = max(m - _SPAN, 0)
+    pairs = [*range(_SPAN, bottom, _SPAN), bottom]
+    return sorted({0, *pairs, *(a - 1 for a in pairs if a),
+                   *range(bottom, m)})
+
+
+def _every_row_direct(diag, off, zs, cs, block=1500):
+    """The sum with every row computed directly, mirrored below the
+    diagonal: the slow path the march replaces."""
+    rows = np.triu(_direct_rows(diag, off[0], zs, cs, np.arange(diag.size),
+                                block))
+    return rows + np.triu(rows, 1).T
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_marched_sum_matches_every_row_direct(op, profile, h):
+    """On criterion 6's kept nodes: the marched sum against the sum with
+    every row computed directly, within 1e-12 of the largest entry, and
+    its anchor rows, on and right of the diagonal, bit for bit the rows
+    the direct routine gives.  (Against the every-row GEMM they may differ
+    in the last bit: a threaded BLAS splits GEMMs of other shapes
+    otherwise.)"""
+    tol = 1e-7
+    zs, vals = _mesh_nodes(profile, tol)
+    cz, cvals, moved = _compress(zs, vals, (1.0, 4.0), 1e-6 * tol)
+    keep = _certified_keep(cz, cvals, 1e-6 * tol - moved)
+    cz, cvals = cz[keep], cvals[keep]
+    diag, off = h ** 2 * op.diag, h ** 2 * op.offdiag
+    got = _resolvent_sum(diag, off, cz, cvals)
+    want = _every_row_direct(diag, off, cz, cvals)
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    anchors = _anchors(diag.size)
+    direct = _direct_rows(diag, off[0], cz, cvals, anchors, 1500)
+    for i, row in zip(anchors, direct):
+        assert np.array_equal(got[i, i:], row[i:])
+
+
+@pytest.mark.parametrize("kind", ["steep top", "ramp"])
+def test_steep_diagonal_falls_back_to_direct_rows(rng, kind):
+    """Two diagonals on which marching would lose digits, with e = 0.1 and
+    m = 80: 2e + 1e3 / j^2, far steeper than the centrifugal term, varies
+    by more than 2e along the top segments, which are not marched; the
+    ramp 2e + 0.05 e j varies by less, but grows the march's round-off
+    on far columns past the check.  Either way some segments have their
+    rows computed directly, and the sum matches sums of dense inverses to
+    1e-12 of the largest entry."""
+    m, e = 80, 0.1
+    j = np.arange(1, m + 1)
+    diag = 2.0 * e + (1e3 / j ** 2 if kind == "steep top" else 0.05 * e * j)
+    off = np.full(m - 1, e)
+    zs = rng.uniform(0.0, 1.4, 12) + 1j * 10.0 ** rng.uniform(-3.0, 0.0, 12)
+    cs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    want = sum(c * np.linalg.inv(t - z * np.eye(m)) for z, c in zip(zs, cs))
+    before = dict(funcalc.COUNTS)
+    got = _resolvent_sum(diag, off, zs, cs, block=5)
+    direct = funcalc.COUNTS["funcalc.rows_direct"] - before[
+        "funcalc.rows_direct"]
+    marched = funcalc.COUNTS["funcalc.rows_marched"] - before[
+        "funcalc.rows_marched"]
+    assert np.max(np.abs(got - want.real)) <= 1e-12 * np.max(np.abs(want))
+    assert direct > len(_anchors(m)) and direct + marched == m
 
 
 @pytest.mark.parametrize("block", [1, 7, 40])
@@ -242,17 +315,20 @@ def test_resolvent_sum_matches_dense_inverse(op, rng, block):
 
 def test_resolvent_sum_short_last_block(op, rng):
     """Blocks of 5 over 11 nodes: the last block works on the leading
-    columns of the arrays the full blocks used, and the sum is bit for bit
-    the sum of one call per block, each on arrays of its own; one block of
-    all 11 nodes agrees to round-off (its GEMM sums in another order)."""
+    columns of the arrays the full blocks used, and the directly computed
+    rows are bit for bit the sum of one call per block, each on arrays of
+    its own; the sum in one block of all 11 nodes agrees to round-off (its
+    GEMM sums in another order)."""
     zs = rng.uniform(0.0, 8.0, 11) + 1j * rng.uniform(1e-3, 1.0, 11)
     cs = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    got = _resolvent_sum(op.diag, op.offdiag, zs, cs, block=5)
+    e, rows = op.offdiag[0], np.arange(3, op.diag.size, 7)
+    got = _direct_rows(op.diag, e, zs, cs, rows, 5)
     per_block = 0.0
     for part in (slice(0, 5), slice(5, 10), slice(10, 11)):
-        per_block = per_block + _resolvent_sum(op.diag, op.offdiag, zs[part],
-                                               cs[part], block=5)
+        per_block = per_block + _direct_rows(op.diag, e, zs[part], cs[part],
+                                             rows, 5)
     assert np.array_equal(got, per_block)
+    got = _resolvent_sum(op.diag, op.offdiag, zs, cs, block=5)
     one = _resolvent_sum(op.diag, op.offdiag, zs, cs, block=11)
     assert np.max(np.abs(got - one)) <= 1e-14 * np.max(np.abs(one))
 

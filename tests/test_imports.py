@@ -165,13 +165,16 @@ def test_dense_kernels_have_one_home(path):
 # the two stay independent only if the first reads nothing of the second
 QUADRATURE_ROUTE = ("AlmostAnalytic", "_hs_mesh", "_chebyshev_count",
                     "_onto_chebyshev", "_compress", "_certified_keep",
-                    "_boundary_sweep", "_resolvent_sum", "hs_multiplier")
+                    "_boundary_sweep", "_direct_rows", "_march_step",
+                    "_resolvent_sum", "hs_multiplier")
 
 
 def eigen_reads(source, roots):
     """The eigen-route names (band, eigensystem, eigh*, np.linalg) read by
     the module-level definitions named in roots or by any module-level
-    definition they reach."""
+    definition they reach.  ``band`` counts as an attribute (``x.band``)
+    or a called name (``band(...)``); a local variable of that name reads
+    nothing of the eigen route."""
     defs = dict(_module_defs(ast.parse(source)))
     if missing := set(roots) - set(defs):
         raise KeyError(f"not defined at module level: {sorted(missing)}")
@@ -181,10 +184,14 @@ def eigen_reads(source, roots):
         if name in seen or name not in defs:
             continue
         seen.add(name)
+        called = {id(node.func) for node in ast.walk(defs[name])
+                  if isinstance(node, ast.Call)}
         for node in ast.walk(defs[name]):
             if isinstance(node, ast.Name):
                 todo.append(node.id)
                 word = node.id
+                if word == "band" and id(node) not in called:
+                    continue
             elif isinstance(node, ast.Attribute):
                 word = node.attr
             else:
@@ -205,6 +212,19 @@ def test_detector_flags_eigen_reads_through_helpers():
     assert eigen_reads(src, ("oracle",)) == {"eigensystem"}
     with pytest.raises(KeyError, match="gone"):
         eigen_reads(src, ("route", "gone"))
+
+
+def test_detector_flags_band_only_as_attribute_or_call():
+    """A local variable named band reads nothing of the eigen route;
+    op.band(...) and a called band(...) do."""
+    src = ("from .radialop import band\n"
+           "def local(zs):\n    band = zs.imag > 0.5\n"
+           "    return zs[band]\n"
+           "def attribute(op):\n    return op.band(1)\n"
+           "def called(op):\n    return band(op, 1)\n")
+    assert eigen_reads(src, ("local",)) == set()
+    assert eigen_reads(src, ("attribute",)) == {"band"}
+    assert eigen_reads(src, ("called",)) == {"band"}
 
 
 def test_quadrature_route_reads_no_eigen_route():
