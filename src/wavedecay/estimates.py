@@ -29,7 +29,7 @@ from .profiles import (bump, mollifier, plateau, step_cutoff,
                        step_cutoff_derivative)
 from .radialop import build_G, build_G0, weight_matrix
 from .resolvent import EPS, ls_sweep, resolvent_difference_vector
-from .specfun import gauss_panels, simpson_weights
+from .specfun import gauss_panels
 
 __all__ = [
     "EPS",
@@ -482,16 +482,16 @@ def _row_norms(rows, mats):
                           axis=(1, 2)).reshape(rows.shape[:-1])
 
 
-# the mollifier suite's theta-scan times, fit times and sampled lambdas
+# the mollifier suite's smoothing scales, theta-scan times, fit times and
+# sampled lambdas
+_THETAS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
 _T_SCAN = (8.0, 32.0)
 _T_FIT = (4.0, 8.0, 16.0, 32.0, 64.0)
 _LAM_SAMPLE = (1.2, 1.5, 1.8)
 
 
-def mollified_multiplier_suite(grid, n, potential,
-                               theta_set=(0.5, 0.25, 0.125, 0.0625,
-                                          0.03125),
-                               r_cut=96.0, lattice_step=1.0 / 256.0):
+def mollified_multiplier_suite(grid, n, potential, r_cut=96.0,
+                               lattice_step=1.0 / 256.0):
     """Regularity-vs-blowup tradeoff of the mollified multiplier family
     of the canonical bump and the stationary reconstruction it controls.
 
@@ -509,7 +509,7 @@ def mollified_multiplier_suite(grid, n, potential,
     scan_thetas = [2.0 ** -k for k in range(1, 7)]
     # the mollifier reaches theta/2 past lambda; size the lattice for the
     # largest theta any part of the suite evaluates
-    theta_max = max(*theta_set, *scan_thetas, *(1.0 / t for t in _T_SCAN))
+    theta_max = max(*_THETAS, *scan_thetas, *(1.0 / t for t in _T_SCAN))
     pad = 2 * lattice_step
     fam = _LatticeFamily(grid, n, potential, s, lo - 4 * pad,
                          hi + theta_max / 2.0 + 4 * pad,
@@ -540,38 +540,37 @@ def mollified_multiplier_suite(grid, n, potential,
         d = [mollified(j, th, lam_s) for j in range(m_order + 2)]
         return np.stack([*d, d[m_order] - raw_m])
 
-    plus = _row_norms(np.stack([theta_rows(th) for th in theta_set]),
+    plus = _row_norms(np.stack([theta_rows(th) for th in _THETAS]),
                       fam.mats) / np.pi
     reports = {}
 
     # (3.40): boundedness of the first m derivatives, all theta
     sups = {f"{th:g}": float(np.max(p[:m_order + 1]))
-            for th, p in zip(theta_set, plus)}
+            for th, p in zip(_THETAS, plus)}
     reports["3.40"] = _ratio_report(sups.values(), 3.0)
     reports["3.40"]["sups"] = sups
     reports["3.40"]["mass_defects"] = {
         f"{th:g}": abs(float(np.sum(gauss(th)[1])) - 1.0)
-        for th in theta_set}
+        for th in _THETAS}
 
     # (3.41): ||d^m T_theta - d^m T|| ~ theta^mu
-    rows = [(th, float(np.max(p[-1]))) for th, p in zip(theta_set, plus)]
+    rows = [(th, float(np.max(p[-1]))) for th, p in zip(_THETAS, plus)]
     reports["3.41"] = fit_power_law(rows, "3.41", "theta", target=mu,
                                     tolerance=0.15).as_dict()
 
     # (3.43): ||d^{m+1} T_theta|| ~ theta^{mu-1}
     rows = [(th, float(np.max(p[m_order + 1])))
-            for th, p in zip(theta_set, plus)]
+            for th, p in zip(_THETAS, plus)]
     reports["3.43"] = fit_power_law(rows, "3.43", "theta",
                                     target=mu - 1.0,
                                     tolerance=0.15).as_dict()
 
     # reconstruction: int e^{it lam} phi(lam) X(lam) dlam on the lattice,
-    # X the jump T = T^+ - T^-.  The incoming branch is the conjugate at
-    # real lambda, so T = (2/pi) Im(mats); Im commutes with real weights
+    # X the jump T = T^+ - T^-, by the trapezoid rule (the profile vanishes
+    # at the ends of its support).  The incoming branch is the conjugate
+    # at real lambda, so T = (2/pi) Im(mats); Im commutes with real weights
     base = fam.lams[(fam.lams >= lo) & (fam.lams <= hi)]
-    if base.size % 2 == 0:
-        base = base[:-1]
-    quad = simpson_weights(base.size, base[1] - base[0]) * profile(base)
+    quad = lattice_step * profile(base)
     jump = (2.0 / np.pi) * np.imag(fam.mats)
     raw = fam.weights(0, base)
 

@@ -75,9 +75,9 @@ def check_fit_window(xs):
 
 
 def fit_power_law(samples, estimate_id="", variable="x", target=None,
-                  tolerance=0.0, residual_cap=np.inf, one_sided=False):
+                  tolerance=0.0, one_sided=False):
     """Fit y = C x^e to positive samples [(x, y), ...] by log-log least
-    squares."""
+    squares; the report's residual_cap is left at inf."""
     pts = [(float(x), float(y)) for x, y in samples]
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
@@ -90,7 +90,7 @@ def fit_power_law(samples, estimate_id="", variable="x", target=None,
     return DecayFitReport(estimate_id, variable, float(slope),
                           float(np.exp(intercept)), residual,
                           (float(np.min(xs)), float(np.max(xs))),
-                          target, tolerance, residual_cap, one_sided)
+                          target, tolerance, one_sided=one_sided)
 
 
 def _stability(values):

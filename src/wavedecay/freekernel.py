@@ -42,6 +42,9 @@ class QuadratureError(RuntimeError):
 
 
 _MAX_REFINE = 6
+# relative agreement of two successive refinements that ends eval_Kh's
+# step halving
+_REL_TOL = 1e-8
 # radii of one (radii x lambda) Bessel block in eval_Kh_sigma_batch, so
 # its working set is one block whatever the batch size
 _BLOCK = 64
@@ -96,27 +99,26 @@ def _check_args(h, sigma):
         raise ValueError("h must lie in (0, 1]")
 
 
-def _refine(piece, rel_tol=1e-8):
+def _refine(piece):
     """piece(refine) for refine = 0, 1, ... until two in a row agree to
-    rel_tol (or to 1e-16 absolute); QuadratureError after _MAX_REFINE
+    _REL_TOL (or to 1e-16 absolute); QuadratureError after _MAX_REFINE
     refinements."""
     prev = piece(0)
     for refine in range(1, _MAX_REFINE + 1):
         cur = piece(refine)
         scale = max(abs(cur), 1e-300)
-        if abs(cur - prev) / scale <= rel_tol or abs(cur - prev) <= 1e-16:
+        if abs(cur - prev) / scale <= _REL_TOL or abs(cur - prev) <= 1e-16:
             return cur
         prev = cur
     raise QuadratureError(
         f"refinement stalled at rel err {abs(cur - prev) / scale:.2e}")
 
 
-def eval_Kh(n, profile, h, sigma, t, rel_tol=1e-8):
+def eval_Kh(n, profile, h, sigma, t):
     """K_h(sigma, t), halving the step until two refinements agree."""
     _check_dim(n)
     _check_args(h, sigma)
-    return _refine(lambda refine: _quad_once(n, profile, h, sigma, t, refine),
-                   rel_tol)
+    return _refine(lambda refine: _quad_once(n, profile, h, sigma, t, refine))
 
 
 def eval_Kh_pm(n, profile, h, sigma, t, sign):

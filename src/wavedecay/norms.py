@@ -55,8 +55,8 @@ __all__ = [
     "operator_two_norm",
 ]
 
-# rows of a 2 -> inf block, and the default rows and columns of a 1 -> inf
-# tile, formed at a time
+# rows of a 2 -> inf block, and rows and columns of a 1 -> inf tile, formed
+# at a time
 _BLOCK = 64
 # a bound times _MARGIN is above any value a rounded length-k dot product
 # under it can read: that rounding is about k u relative (u = 2^-53),
@@ -163,13 +163,13 @@ def band_norm_2_to_inf(left, right, coeffs, grid, n):
     return out / np.sqrt(grid.dr)
 
 
-def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=_BLOCK):
+def band_norm_1_to_inf(left, right, coeffs, grid, n):
     """Sector L^1 -> L^inf norm, max |A_rr'| / (rho_r rho_r' dr), of
     A = left diag(c) right^T for each row c of coeffs (T, k), with the
     sector weights folded into the factors once (lw, rw).  Entries are
     pruned exactly: |A_rr'| <= ||lw_r o c|| ||rw_r'||.  The product is
-    formed in tiles of ``chunk`` consecutive rows by ``chunk``
-    consecutive columns, the real and imaginary parts of a tile in one
+    formed in tiles of _BLOCK consecutive rows by _BLOCK consecutive
+    columns, the real and imaginary parts of a tile in one
     real GEMM against its columns of rw stacked [Re; Im].  Each t takes
     its row runs in decreasing top ||lw_r o c|| and, within one, the
     column runs in decreasing top ||rw_r'||; a row run stops at the
@@ -180,10 +180,10 @@ def band_norm_1_to_inf(left, right, coeffs, grid, n, chunk=_BLOCK):
     rw = lw if right is left else right / rho[:, None]
     lnorm = _row_norms(lw, coeffs)
     col_runs = _blocks_by_bound(np.sqrt(np.einsum("ij,ij->i", rw, rw)),
-                                chunk)
+                                _BLOCK)
     out = np.zeros(len(coeffs))
     for i, c in enumerate(coeffs):
-        for ltop, rows in _blocks_by_bound(lnorm[:, i], chunk):
+        for ltop, rows in _blocks_by_bound(lnorm[:, i], _BLOCK):
             ltop *= _MARGIN
             if ltop * col_runs[0][0] <= out[i]:
                 break

@@ -19,7 +19,8 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .specfun import _legendre
 
 __all__ = [
     "BumpProfile",
@@ -81,20 +82,18 @@ def _raw_bump_deriv(a, b, k, s):
     return out
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(96)
-
-
 def _bump_cdf(a, b, s):
     """Integral of the canonical bump from a to min(s, b), vectorized."""
     s = np.asarray(s, dtype=float)
     hi = np.clip(s, a, b)
-    # map Gauss-Legendre nodes onto [a, hi] for each element
+    # map 96 Gauss-Legendre nodes onto [a, hi] for each element
+    nodes, weights = _legendre(96)
     half = (hi - a) / 2.0
     mid = (hi + a) / 2.0
-    pts = mid[..., None] + half[..., None] * _GL_NODES
+    pts = mid[..., None] + half[..., None] * nodes
     vals = _raw_bump(a, b, pts)
     # a per-row sum: a BLAS product would round by the batch size
-    return half * np.einsum("...k,k->...", vals, _GL_WEIGHTS)
+    return half * np.einsum("...k,k->...", vals, weights)
 
 
 @lru_cache(maxsize=None)

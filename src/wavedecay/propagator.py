@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .freekernel import _trapezoid_nodes
 from .norms import op_norm_2
 from .resolvent import resolvent_difference_vector
-from .specfun import gauss_panels, simpson_weights
+from .specfun import simpson_weights
 
 __all__ = [
     "PropagatorRecord",
@@ -35,6 +36,10 @@ __all__ = [
     "boundary_safe_gap",
     "write_propagator_norms",
 ]
+
+# width of the strip next to the wall that boundary_safe_gap leaves out,
+# past the light cone
+_PAD = 8.0
 
 
 @dataclass(frozen=True)
@@ -75,20 +80,16 @@ def wave_via_resolvent(grid, n, potential, profile, h, t):
 
     The jump is rank one, i pi dr x(lam) conj(x(lam))^T with x the
     outgoing-normalized regular solution, so the quadrature collapses to
-    one GEMM over the lambda nodes.  Node density follows the worst phase
-    rate |t| + 2R carried by the far corner of the outer product: 1.5
-    six-point panels per period.
+    one GEMM over the lambda nodes.  The nodes are the free kernel's
+    trapezoid rule (``freekernel._trapezoid_nodes``) at the worst phase
+    rate |t| + 2R, carried by the far corner of the outer product.
     """
-    lo, hi = profile.support
-    lam_lo, lam_hi = lo / h, hi / h
-    rate = abs(t) + 2.0 * grid.R
-    periods = rate * (lam_hi - lam_lo) / (2.0 * np.pi)
-    n_panels = max(4, int(np.ceil(1.5 * periods)))
-    lams, wts = gauss_panels(np.linspace(lam_lo, lam_hi, n_panels + 1), 6)
+    k, dlam = _trapezoid_nodes(profile, h, abs(t) + 2.0 * grid.R)
+    lams = k * dlam
 
     pf = profile(h * lams)
     pf = pf * pf
-    coeffs = wts * np.exp(1j * t * lams) * pf * lams * grid.dr
+    coeffs = dlam * np.exp(1j * t * lams) * pf * lams * grid.dr
     cols = resolvent_difference_vector(grid, n, potential, lams)
     mat = (cols * coeffs[None, :]) @ np.conj(cols).T
     return PropagatorRecord(float(t), float(h), mat, "resolvent_formula")
@@ -219,9 +220,9 @@ def time_domain_evolve(op, f, t_end, dt, profile, h):
     return TrajectoryRecord(u, max(drift_c, drift_f))
 
 
-def boundary_safe_gap(rec_a, rec_b, grid, pad=8.0):
+def boundary_safe_gap(rec_a, rec_b, grid):
     """Relative operator-norm gap between two propagator records on the
-    window r, r' <= R - |t| - pad.
+    window r, r' <= R - |t| - _PAD.
 
     The continuum resolvent route lives on the half line while the eigen
     and time-domain routes carry the Dirichlet wall at R; by finite
@@ -230,7 +231,7 @@ def boundary_safe_gap(rec_a, rec_b, grid, pad=8.0):
     """
     if rec_a.t != rec_b.t:
         raise ValueError("records must share the time")
-    keep = grid.nodes <= grid.R - abs(rec_a.t) - pad
+    keep = grid.nodes <= grid.R - abs(rec_a.t) - _PAD
     if not np.any(keep):
         raise ValueError("empty comparison window")
     sub = np.ix_(keep, keep)

@@ -105,9 +105,9 @@ class SpectralBand:
 class DiscreteOperator:
     """Symmetric realization of the transformed radial operator.
 
-    Stored as tridiagonal bands; ``matrix`` materializes the dense form on
-    demand.  The eigendecomposition is computed once per instance because
-    every multiplier route reuses it.
+    Stored as tridiagonal bands, never as a dense matrix.  The
+    eigendecomposition is computed once per instance because every
+    multiplier route reuses it.
     """
 
     diag: np.ndarray
@@ -115,14 +115,6 @@ class DiscreteOperator:
     n: int
     grid: RadialGrid
     potential: PotentialSpec | None = None
-
-    @property
-    def matrix(self):
-        m = np.diag(self.diag)
-        idx = np.arange(self.grid.M - 1)
-        m[idx, idx + 1] = self.offdiag
-        m[idx + 1, idx] = self.offdiag
-        return m
 
     def apply(self, v):
         """The operator times a vector v of shape (M,)."""

@@ -217,21 +217,17 @@ def _weighted_norm(apply, w):
     return operator_two_norm(op, op, w.size)
 
 
-def ls_sweep(grid, n, potential, lams, b, sign, left=None):
-    """R^{sign}(lam) b for an array of lam: shape (L, M, K) for b of shape
-    (M, K), or left @ R b, shape (L, J, K), when left (J, M) is given.
-    One zgttrf per lam, the bands built a chunk of lams at a time, each
-    lam's result written into the one output array; for sign = +1, lams
-    may be complex with Im lam >= 0.  Raises as ``_solvers``."""
+def ls_sweep(grid, n, potential, lams, b, sign, left):
+    """left @ R^{sign}(lam) b for an array of lam: shape (L, J, K) for b of
+    shape (M, K) and left of shape (J, M).  One zgttrf per lam, the bands
+    built a chunk of lams at a time, each lam's result written into the
+    one output array; for sign = +1, lams may be complex with
+    Im lam >= 0.  Raises as ``_solvers``."""
     b = np.asfortranarray(np.asarray(b).reshape(grid.M, -1))
     lams = np.atleast_1d(lams)
-    out = np.empty((lams.size, grid.M if left is None else len(left),
-                    b.shape[1]), complex)
+    out = np.empty((lams.size, len(left), b.shape[1]), complex)
     for x, (solve, _) in zip(out, _solvers(grid, n, potential, lams, sign)):
-        if left is None:
-            x[...] = solve(b)
-        else:
-            np.matmul(left, solve(b), out=x)
+        np.matmul(left, solve(b), out=x)
     return out
 
 

@@ -68,3 +68,15 @@ def _panel_Kh_batch(n, profile, h, sigma, t_array):
 @pytest.fixture(scope="session")
 def panel_Kh_batch():
     return _panel_Kh_batch
+
+
+def _dense_operator(op):
+    """The M x M matrix of a DiscreteOperator's tridiagonal bands: the
+    dense form the tests' oracles take."""
+    return (np.diag(op.diag) + np.diag(op.offdiag, 1)
+            + np.diag(op.offdiag, -1))
+
+
+@pytest.fixture(scope="session")
+def dense_operator():
+    return _dense_operator

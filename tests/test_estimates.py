@@ -7,7 +7,7 @@ from wavedecay.norms import band_norm_2
 from wavedecay.profiles import bump, mollifier, plateau, step_cutoff
 from wavedecay.radialop import (PotentialSpec, RadialGrid, build_G, build_G0,
                                weight_matrix)
-from wavedecay.specfun import gauss_panels, simpson_weights
+from wavedecay.specfun import gauss_panels
 
 
 def test_stability_and_ratio_report():
@@ -309,7 +309,7 @@ def _loop_mollified(fam, order, theta, lam):
 
 def _loop_suite(fam, theta_set, t_scan, t_fit, lam_sample, profile):
     """Loop-form oracle of every figure the suite reports: per-lambda Gauss
-    sums for the mollified family, per-lambda Simpson/phase sums for the
+    sums for the mollified family, per-lambda trapezoid/phase sums for the
     reconstruction."""
     def tplus_norm(mat):
         return np.linalg.norm(mat / (np.pi * 1j), 2)
@@ -330,9 +330,7 @@ def _loop_suite(fam, theta_set, t_scan, t_fit, lam_sample, profile):
             for lam in lam_sample))
     lo, hi = profile.support
     base = fam.lams[(fam.lams >= lo) & (fam.lams <= hi)]
-    if base.size % 2 == 0:
-        base = base[:-1]
-    quad = simpson_weights(base.size, base[1] - base[0]) * profile(base)
+    quad = fam.step * profile(base)
 
     def recon(t, theta=None):
         a = b = 0.0
@@ -354,7 +352,7 @@ def test_mollifier_lattice_covers_theta_scan(small_grid, potential, profile,
                                             monkeypatch):
     """Every figure of the one-contraction suite holds to the per-lambda
     loop form at 1e-10.  The theta-scan and theta = 1/t reach past
-    max(theta_set)/2; the lattice must cover them rather than clamp."""
+    max(_THETAS)/2; the lattice must cover them rather than clamp."""
     built = []
 
     class Recorded(est._LatticeFamily):
@@ -364,8 +362,8 @@ def test_mollifier_lattice_covers_theta_scan(small_grid, potential, profile,
 
     monkeypatch.setattr(est, "_LatticeFamily", Recorded)
     thetas = (0.125, 0.0625, 0.03125, 0.015625)
-    rep = est.mollified_multiplier_suite(small_grid, 4, potential,
-                                         theta_set=thetas)
+    monkeypatch.setattr(est, "_THETAS", thetas)
+    rep = est.mollified_multiplier_suite(small_grid, 4, potential)
     want = _loop_suite(built[0], thetas, est._T_SCAN, est._T_FIT,
                        est._LAM_SAMPLE, profile)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,11 +55,14 @@ def test_one_sided_positive_target():
 
 
 def test_residual_cap():
+    """fit_power_law leaves the cap at inf; a report with a finite cap
+    fails once the residual exceeds it."""
     xs = np.geomspace(1.0, 16.0, 8)
     ys = xs ** -1.0 * np.exp(0.5 * np.sin(3.0 * np.log(xs)))
-    rep = fit_power_law(list(zip(xs, ys)), target=-1.0, tolerance=1.0,
-                        residual_cap=0.1)
-    assert rep.residual > 0.1 and not rep.passed
+    rep = fit_power_law(list(zip(xs, ys)), target=-1.0, tolerance=1.0)
+    assert rep.residual_cap == np.inf and rep.passed
+    capped = replace(rep, residual_cap=0.1)
+    assert capped.residual > 0.1 and not capped.passed
 
 
 def test_rejects_degenerate_input():

@@ -345,7 +345,7 @@ def test_resolvent_sum_raises_outside_float_range():
                        np.array([1.0, 1.0 + 0j]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(m=st.integers(2, 80), nodes=st.integers(1, 12),
        block=st.integers(1, 12), e=st.floats(0.1, 4.0),
        negative_e=st.booleans(), top=st.floats(0.0, 1e3),

@@ -138,7 +138,8 @@ def _weighted_cutoff(small_grid, potential):
 
 
 def _weighted_resolvent(small_grid, potential):
-    r = ls_sweep(small_grid, 4, potential, [2.0], np.eye(small_grid.M), +1)
+    eye = np.eye(small_grid.M)
+    r = ls_sweep(small_grid, 4, potential, [2.0], eye, +1, eye)
     w = weight_matrix(small_grid, 0.55)
     return w[:, None] * r[0] * w[None, :]
 
@@ -263,7 +264,9 @@ def test_band_norm2_matches_dense(rng):
 def test_band_mixed_norms_match_dense(small_grid, rng):
     left, right, coeffs = _factors(rng, small_grid.M, 10)
     got_2 = band_norm_2_to_inf(left, right, coeffs, small_grid, 4)
-    got_1 = band_norm_1_to_inf(left, right, coeffs, small_grid, 4, chunk=37)
+    with pytest.MonkeyPatch.context() as mp:     # tiles of 37: ragged ends
+        mp.setattr(norms, "_BLOCK", 37)
+        got_1 = band_norm_1_to_inf(left, right, coeffs, small_grid, 4)
     got_inf = band_norm_inf(left, right, coeffs, small_grid, 4)
     assert got_2.shape == got_1.shape == got_inf.shape == (3,)
     for g2, g1, ginf, dense in zip(got_2, got_1, got_inf,
@@ -288,7 +291,9 @@ def test_band_norms_match_dense_property(grid, k, t, chunk, same, seed):
         right = left
     got_2 = band_norm_2(left, right, coeffs)
     got_2inf = band_norm_2_to_inf(left, right, coeffs, grid, 4)
-    got_1inf = band_norm_1_to_inf(left, right, coeffs, grid, 4, chunk=chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_BLOCK", chunk)
+        got_1inf = band_norm_1_to_inf(left, right, coeffs, grid, 4)
     got_inf = band_norm_inf(left, right, coeffs, grid, 4)
     for i, dense in enumerate(_dense(left, right, coeffs)):
         assert got_2[i] == pytest.approx(np.linalg.norm(dense, 2), rel=1e-9)
@@ -358,9 +363,11 @@ def test_streamed_band_norms_match_one_shot(rng, k, same, order):
             band_norm_2_to_inf(left, right, coeffs, grid, 4),
             _one_shot_2_to_inf(left, right, coeffs, grid, 4))
         for chunk in (37, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(norms, "_BLOCK", chunk)
+                got = band_norm_1_to_inf(left, right, coeffs, grid, 4)
             assert np.array_equal(
-                band_norm_1_to_inf(left, right, coeffs, grid, 4, chunk),
-                _one_shot_1_to_inf(left, right, coeffs, grid, 4, chunk))
+                got, _one_shot_1_to_inf(left, right, coeffs, grid, 4, chunk))
 
 
 def test_band_norm_2_working_set_is_one_core(rng, traced_peak):

@@ -26,7 +26,8 @@ def dense_resolvent(grid, potential, lam, sign, b):
 
 def resolvent_matrix(grid, potential, lam, sign, s=0.0):
     """Dense <x>^{-s} R <x>^{-s}: the banded solve on the identity."""
-    r = ls_sweep(grid, N, potential, [lam], np.eye(grid.M), sign)[0]
+    eye = np.eye(grid.M)
+    r = ls_sweep(grid, N, potential, [lam], eye, sign, eye)[0]
     ws = weight_matrix(grid, s)
     return ws[:, None] * r * ws[None, :]
 
@@ -132,11 +133,12 @@ def test_sweep_matches_dense_lu(small_grid, lam, im, complex_lam, sign, c,
     b = rng.standard_normal((small_grid.M, k))
     b = b + 1j * rng.standard_normal(b.shape)
     want = dense_resolvent(small_grid, pot, lam, sign, b)
-    got = ls_sweep(small_grid, N, pot, [lam], b, sign)[0]
+    eye = np.eye(small_grid.M)
+    got = ls_sweep(small_grid, N, pot, [lam], b, sign, eye)[0]
     err = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert err <= 1e-12
     left = rng.standard_normal((2, small_grid.M))
-    projected = ls_sweep(small_grid, N, pot, [lam], b, sign, left=left)[0]
+    projected = ls_sweep(small_grid, N, pot, [lam], b, sign, left)[0]
     assert np.allclose(projected, left @ got, rtol=1e-13, atol=0.0)
 
 
@@ -180,7 +182,7 @@ def test_generator_apply_matches_dense_lu(small_grid, potential, lam):
     eye = np.eye(small_grid.M)
     for sign in ((+1, -1) if np.isrealobj(lam) else (+1,)):
         want = dense_resolvent(small_grid, potential, lam, sign, eye)
-        got = ls_sweep(small_grid, N, potential, [lam], eye, sign)[0]
+        got = ls_sweep(small_grid, N, potential, [lam], eye, sign, eye)[0]
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err <= 1e-14, (sign, err)
 
@@ -188,7 +190,7 @@ def test_generator_apply_matches_dense_lu(small_grid, potential, lam):
 @pytest.mark.parametrize("lam, sign", [(0.4, -1), (2.5, +1), (3.0 + 2.0j, +1)])
 def test_projected_sweep_matches_refined_solves(small_grid, potential, lam,
                                                 sign):
-    """ls_sweep(..., left=...) against left @ the refined solve run on each
+    """ls_sweep(..., left) against left @ the refined solve run on each
     column of b by itself: 1e-14 of the largest entry."""
     rng = np.random.default_rng(7)
     b = rng.standard_normal((small_grid.M, 6)) + 1j * rng.standard_normal(
@@ -201,7 +203,7 @@ def test_projected_sweep_matches_refined_solves(small_grid, potential, lam,
         lam, lu, v, u1, u2, c, np.asfortranarray(b[:, [k]]))[:, 0]
         for k in range(b.shape[1])], axis=1)
     want = left @ cols
-    got = ls_sweep(small_grid, N, potential, [lam], b, sign, left=left)[0]
+    got = ls_sweep(small_grid, N, potential, [lam], b, sign, left)[0]
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -228,7 +230,7 @@ def test_one_factorization_per_lambda(monkeypatch, small_grid, potential):
         calls.clear()
         before = dict(resolvent.COUNTS)
         ls_sweep(small_grid, N, potential, lams,
-                 np.eye(small_grid.M)[:, :k], -1)
+                 np.eye(small_grid.M)[:, :k], -1, np.eye(small_grid.M))
         assert calls == {"gttrf": lams.size, "gttrs": 2 * lams.size}
         assert {key: resolvent.COUNTS[key] - before[key]
                 for key in before} == want
@@ -258,7 +260,8 @@ def test_generators_out_of_range_raise(monkeypatch, potential):
         resolvent._inverse_green(grid, N, lam, +1)[:4])).all()
     with pytest.raises(ValueError, match=r"lambda \(2\+43\.34j\): "
                        r"generators out of range"):
-        ls_sweep(grid, N, potential, [2.0, lam], np.ones(grid.M), +1)
+        ls_sweep(grid, N, potential, [2.0, lam], np.ones(grid.M), +1,
+                 np.ones((1, grid.M)))
     solve = resolvent._refined_solve
     monkeypatch.setattr(resolvent, "_refined_solve",
                         lambda *args: solve(*args) * 1e-310)
@@ -275,7 +278,7 @@ def test_singular_system_raises(potential):
     with pytest.raises(ValueError, match=r"lambda \(2\+60j\): A0\^-1 \+ V "
                        r"is not finite"):
         ls_sweep(UNIT_GRID, N, potential, [2.0, 2.0 + 60j],
-                 np.eye(UNIT_GRID.M), +1)
+                 np.eye(UNIT_GRID.M), +1, np.eye(UNIT_GRID.M))
     with pytest.raises(ValueError, match=r"lambda \(2\+60j\)"):
         resolvent_difference_vector(UNIT_GRID, N, potential, [2.0 + 60j])
 
@@ -288,7 +291,8 @@ def test_sweep_names_the_first_bad_lambda_past_the_first_chunk(potential):
     lams[chunk + 3], lams[chunk + 4] = 2.0 + 60j, 2.0 + 70j
     with pytest.raises(ValueError, match=r"lambda \(2\+60j\): A0\^-1 \+ V "
                        r"is not finite"):
-        ls_sweep(UNIT_GRID, N, potential, lams, np.ones(UNIT_GRID.M), +1)
+        ls_sweep(UNIT_GRID, N, potential, lams, np.ones(UNIT_GRID.M), +1,
+                 np.eye(UNIT_GRID.M))
 
 
 def test_singular_pivot_raises_naming_lambda(monkeypatch, potential):
@@ -300,7 +304,8 @@ def test_singular_pivot_raises_naming_lambda(monkeypatch, potential):
         return (*kernel(*args, **kwargs)[:-1], 3)
     monkeypatch.setattr(resolvent, "_GTTRF", singular)
     with pytest.raises(np.linalg.LinAlgError, match=r"lambda 2\.5"):
-        ls_sweep(UNIT_GRID, N, potential, [2.5], np.ones(UNIT_GRID.M), +1)
+        ls_sweep(UNIT_GRID, N, potential, [2.5], np.ones(UNIT_GRID.M), +1,
+                 np.eye(UNIT_GRID.M))
     rows, gaps = la_norm_scan(UNIT_GRID, N, potential, [2.5])
     assert rows == [] and gaps[0][0] == 2.5 and "LinAlgError" in gaps[0][1]
 
@@ -377,13 +382,14 @@ def test_complex_shift_routes_agree(small_grid, potential):
         complex_shift_compare(small_grid, N, potential, 2.0, eta=0.0)
 
 
-def test_complex_shift_matches_dense_form(small_grid, potential):
+def test_complex_shift_matches_dense_form(small_grid, potential,
+                                          dense_operator):
     """The implicit norms against the dense matrices they replace."""
     w = weight_matrix(small_grid, SCAN_S)
     for lam, eta in ((2.0, 0.5), (1.0, 2.0)):
         z = lam ** 2 + 1j * eta
         a_ls = resolvent_matrix(small_grid, potential, np.sqrt(z), +1, SCAN_S)
-        g = build_G(small_grid, N, potential).matrix
+        g = dense_operator(build_G(small_grid, N, potential))
         r_fd = np.linalg.solve(g - z * np.eye(small_grid.M),
                                np.eye(small_grid.M))
         a_fd = w[:, None] * r_fd * w[None, :]
