@@ -264,10 +264,9 @@ def cmd_resolvent(cfg):
 
 
 def cmd_propagator(cfg):
-    from .norms import op_norm_2
-    from .propagator import (boundary_safe_gap, duhamel_split,
-                             phi_difference, wave_multiplier,
-                             wave_via_resolvent, write_propagator_norms)
+    from .propagator import (boundary_safe_gap, duhamel_residual,
+                             wave_multiplier, wave_via_resolvent,
+                             write_propagator_norms)
 
     grid, n = cfg.grid(), cfg.n
     op0 = build_G0(grid, n)
@@ -277,10 +276,7 @@ def cmd_propagator(cfg):
     eig = wave_multiplier(op, prof, h, t, square_profile=True)
     res = wave_via_resolvent(grid, n, cfg.potential(), prof, h, t)
     gap = boundary_safe_gap(res, eig, grid)
-    split = duhamel_split(op0, op, prof, 0.5, t)
-    phi = phi_difference(op0, op, prof, 0.5, t)
-    resid = (op_norm_2(split.phi1_part + 0.5 * split.phi2_part - phi)
-             / op_norm_2(phi))
+    resid = duhamel_residual(op0, op, prof, 0.5, t)
     os.makedirs(cfg.out, exist_ok=True)
     write_propagator_norms(os.path.join(cfg.out, "propagator_norms.csv"),
                            [eig, res])

@@ -439,13 +439,22 @@ class _LatticeFamily:
         avoids the 1/step^2 amplification a finite difference across
         interpolated values would suffer.  Raises ValueError for lam
         outside the lattice."""
+        return self.shifted_weights(order, lams, [0.0], [1.0])
+
+    def shifted_weights(self, order, lams, shifts, coefs):
+        """sum_k coefs[k] weights(order, lams + shifts[k]), summed in k
+        order: the 4 nonzeros of every row of every shift are formed at
+        once and scattered by one bincount, so no (len(lams), L) array
+        forms per shift.  Each entry gets the sum a loop over the shifts
+        would give, bit for bit."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        at = lams[:, None] + np.asarray(shifts)
         size = len(self.lams)
-        x = (lams - self.lo) / self.step
+        x = (at - self.lo) / self.step
         inside = (x >= 0.0) & (x <= size - 1)
         if not np.all(inside):
             raise ValueError(
-                f"lambda {lams[~inside][0]:g} outside the lattice "
+                f"lambda {at[~inside][0]:g} outside the lattice "
                 f"[{self.lams[0]:g}, {self.lams[-1]:g}]")
         j = np.clip(np.floor(x).astype(int), 1, size - 3)
         u = x - j
@@ -463,10 +472,14 @@ class _LatticeFamily:
             w = (1.0 - u, 3.0 * u - 2.0, 1.0 - 3.0 * u, u)
         else:
             raise ValueError("derivatives cached for order <= 2")
-        rows = np.zeros((lams.size, size))
-        for k in range(4):
-            rows[np.arange(lams.size), j - 1 + k] = w[k]
-        return rows / self.step ** order
+        # entry (lam, shift, k) lands in row lam, column j - 1 + k; the
+        # bincount takes a row's entries in shift order
+        flat = (j[..., None] + np.arange(-1, 3)
+                + size * np.arange(lams.size)[:, None, None])
+        vals = np.asarray(coefs)[:, None] * (np.stack(w, axis=-1)
+                                             / self.step ** order)
+        return np.bincount(flat.ravel(), vals.ravel(),
+                           lams.size * size).reshape(lams.size, size)
 
 
 def _row_norms(rows, mats):
@@ -524,12 +537,9 @@ def mollified_multiplier_suite(grid, n, potential, r_cut=96.0,
         """Rows of d^order T_theta^+ at lams, where T_theta^+ = theta^{-1}
         int T^+(lam + sigma) m(sigma/theta) dsigma with the unit-mass bump
         m on [1/3, 1/2]: the Gauss sum of shifted rows, normalised to exact
-        unit mass.  Summed shift by shift, so no (len(lams), 16, L) array
-        forms."""
+        unit mass."""
         sig, wts = gauss(theta)
-        acc = sum(w_ * fam.weights(order, lams + s_)
-                  for s_, w_ in zip(sig, wts))
-        return acc / np.sum(wts)
+        return fam.shifted_weights(order, lams, sig, wts) / np.sum(wts)
 
     # T^+ = mats / (pi i).  Per theta the rows are d^j T_theta^+ for
     # j = 0..m+1, then d^m T_theta^+ - d^m T^+, each at every sampled lambda

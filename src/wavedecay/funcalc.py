@@ -287,15 +287,46 @@ _TINY = np.finfo(float).tiny
 # past which a segment's rows are computed directly
 _SPAN = 12
 _DRIFT = 5e-13
+# rows of |f| the range check forms at a time
+_CHECK_ROWS = 64
 
 
-def _boundary_sweep(a, f):
-    """f_0 = 1, f_1 = a_0, f_{j+1} = a_j f_j - f_{j-1} down the rows of a,
-    written into f (a's shape)."""
-    f[0], f[1] = 1.0, a[0]
-    for j in range(1, a.shape[0] - 1):
-        np.multiply(a[j], f[j], out=f[j + 1])
+def _coeff_rows(diag, e, z):
+    """Row j = 0, 1, ... of the sweep coefficients (z - d) / e for the
+    stacked columns [top | bottom], [(z - d_j) / e | (z - d_{M-1-j}) / e]
+    (the bottom half on reversed rows), each written over the one row the
+    previous yield returned.  The division is the product with 1 / e,
+    which is what numpy's complex by real division computes."""
+    nz, inv = z.shape[0], 1.0 / e
+    ends = np.stack([diag, diag[::-1]], axis=1)[:, :, None]
+    zz = np.stack([z, z])
+    row = np.empty(2 * nz, dtype=complex)
+    for end in ends:
+        np.subtract(zz, end, out=row.reshape(2, nz))
+        np.multiply(row, inv, out=row)
+        yield row
+
+
+def _boundary_sweep(diag, e, z, f):
+    """f_0 = 1, f_1 = a_0, f_{j+1} = a_j f_j - f_{j-1} down the rows of f
+    (M, 2 len(z)), a_j row j of the sweep coefficients, formed a row at a
+    time (``_coeff_rows``)."""
+    rows = _coeff_rows(diag, e, z)
+    f[0], f[1] = 1.0, next(rows)
+    for j, a in zip(range(1, f.shape[0] - 1), rows):
+        np.multiply(a, f[j], out=f[j + 1])
         np.subtract(f[j + 1], f[j - 1], out=f[j + 1])
+
+
+def _in_float_range(f, buf):
+    """Whether every |f| is a normal float below 1 / _TINY, taken len(buf)
+    rows of f at a time through buf (real, at least f's width)."""
+    for start in range(0, f.shape[0], len(buf)):
+        part = f[start:start + len(buf)]
+        mod = np.abs(part, out=buf[:len(part), :part.shape[1]])
+        if not (mod.min() >= _TINY and mod.max() <= 1.0 / _TINY):
+            return False
+    return True
 
 
 def _direct_rows(diag, e, zs, coeffs, rows, block):
@@ -311,13 +342,15 @@ def _direct_rows(diag, e, zs, coeffs, rows, block):
     psi_0 + e psi_1.  Per block of nodes, laid out (M, 2 block), one
     division-free sweep f_{j+1} = ((z - d_j) / e) f_j - f_{j-1} over the
     stacked columns [top | bottom] (the bottom half on reversed rows)
-    gives both.  The rows are then u psi^T with u = coeff phi / w on the
-    given rows, and the real part of a block's sum is one real GEMM of
-    the interleaved (Re, Im) views of conj(u) and conj(psi), inner
-    dimension 2 * block, on the columns from rows[0] on.  f_j is the
-    transfer product P_j = prod_{k<j} f_{k+1} / f_k: a node whose phi,
-    psi or w leaves the normal floats (|log P| > 708.4) raises
-    FloatingPointError naming the node and its largest |log P|.
+    gives both, its coefficients formed a row at a time.  The rows are
+    then u psi^T with u = coeff phi / w on the given rows, and the real
+    part of a block's sum is one real GEMM of the interleaved (Re, Im)
+    views of conj(u) and conj(psi), inner dimension 2 * block, on the
+    columns from rows[0] on.  f_j is the transfer product P_j =
+    prod_{k<j} f_{k+1} / f_k: a node whose phi, psi or w leaves the
+    normal floats (|log P| > 708.4) raises FloatingPointError naming the
+    node and its largest |log P|; the range check takes |f| _CHECK_ROWS
+    rows at a time.
     """
     rows = np.asarray(rows)
     m, lo = diag.shape[0], rows[0]
@@ -325,26 +358,22 @@ def _direct_rows(diag, e, zs, coeffs, rows, block):
     # one set of work arrays for every block; a block of nz nodes works on
     # their leading columns
     width = 2 * min(block, zs.shape[0])
-    a_buf = np.empty((m, width), dtype=complex)
-    f_buf = np.empty_like(a_buf)
-    mod_buf = np.empty((m, width))
+    f_buf = np.empty((m, width), dtype=complex)
+    mod_buf = np.empty((min(_CHECK_ROWS, m), width))
     for start in range(0, zs.shape[0], block):
         z = zs[start:start + block]
         nz = z.shape[0]
-        a, f, mod = a_buf[:, :2 * nz], f_buf[:, :2 * nz], mod_buf[:, :2 * nz]
-        np.subtract(z, diag[:, None], out=a[:, :nz])
-        np.divide(a[:, :nz], e, out=a[:, :nz])
-        a[:, nz:] = a[::-1, :nz]
+        f = f_buf[:, :2 * nz]
         with np.errstate(over="ignore", invalid="ignore"):
-            _boundary_sweep(a, f)
+            _boundary_sweep(diag, e, z, f)
             phi, psi = f[:, :nz], f[::-1, nz:]
             w = (diag[0] - z) * psi[0] + e * psi[1]
-        if not all(x.min() >= _TINY and x.max() <= 1.0 / _TINY
-                   for x in (np.abs(f, out=mod), np.abs(w))):
+        if not (_in_float_range(f, mod_buf)
+                and _in_float_range(w[None], mod_buf)):
             # log |P| from the ratios f_{j+1} / f_j, in range where f is not
-            r = [a[0]]
-            for row in a[1:-1]:
-                r.append(row - 1.0 / r[-1])
+            r = []
+            for _, a in zip(range(m - 1), _coeff_rows(diag, e, z)):
+                r.append(a - 1.0 / r[-1] if r else a.copy())
             lg = np.abs(np.cumsum(np.log(np.abs(r)), axis=0)).max(axis=0)
             lg = np.maximum(lg[:nz], lg[nz:])
             k = np.argmax(lg)
@@ -453,11 +482,12 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
     block caps how many quadrature nodes are in flight at once.  With b
     the smaller of block and the node count and D the rows of the sum
     computed directly (about M / 6), a pass over the nodes allocates
-    once, and every block reuses, two (M, 2 b) complex arrays, the sweep
-    coefficients (z - d) / e and the boundary solutions [phi | psi], and
-    the real (M, 2 b) |phi| and |psi| of the range check; per block it
-    forms a (D, b) complex u and a (D, M) GEMM product.  A call also
-    holds the M x M sum, scaled in place."""
+    once, and every block reuses, one (M, 2 b) complex array, the
+    boundary solutions [phi | psi]; the sweep forms its coefficients
+    (z - d) / e a row at a time, and the range check takes |phi| and
+    |psi| 64 rows at a time.  Per block it forms a (D, b) complex u and a
+    (D, M) GEMM product.  A call also holds the M x M sum, scaled in
+    place."""
     aa = AlmostAnalytic(profile, order)
     zs, ws = _hs_mesh(aa, tol)
     diag, off = h ** 2 * op.diag, h ** 2 * op.offdiag

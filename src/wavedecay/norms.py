@@ -15,7 +15,8 @@ per time t, and returns the T norms: the work on the factors is done
 once per band, the work per t in blocks that no T makes larger.
 ``_reduced`` takes a factor to its thin-QR R when k < M.
 
-- band_norm_2 runs Lanczos on the reduced factors, as real GEMMs.
+- band_norm_2 runs Lanczos on the reduced factors, as real GEMMs; it
+  also takes complex factors (a propagator record's), as plain products.
 - band_norm_2_to_inf forms each row as (left_r o c) R^T, R the reduced
   right: the Gram form would square the cancellation in the rows of a
   difference band or under a growing weight (1e-11 relative on lemma
@@ -83,9 +84,10 @@ def op_norm_2(matrix):
 
 
 def _real_apply(a, x):
-    """a @ x for a real matrix a; a complex x goes in as its (re, im)
-    pairs, one real GEMM, since a @ x would cast a to complex."""
-    if not np.iscomplexobj(x):
+    """a @ x.  For a real matrix a, a complex x goes in as its (re, im)
+    pairs, one real GEMM, since a @ x would cast a to complex; a complex a
+    takes the plain product."""
+    if np.iscomplexobj(a) or not np.iscomplexobj(x):
         return a @ x
     pairs = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
     return (a @ pairs).view(complex).ravel()
@@ -104,7 +106,8 @@ def band_norm_2(left, right, coeffs):
     """|| left diag(c) right^T ||_2 for each row c of coeffs (T, k), by
     operator_two_norm on x -> L diag(c) R^T x and its transpose, so no
     core is ever formed.  L and R are the ``_reduced`` left and right (one
-    QR when right is left)."""
+    QR when right is left); the factors may be complex, as a propagator
+    record's are on the resolvent route."""
     lf = _reduced(left)
     rf = lf if right is left else _reduced(right)
     out = np.empty(len(coeffs))

@@ -10,6 +10,10 @@ compare against.
 
 The Duhamel split separates the perturbed-minus-free difference into a
 stationary four-term part and an O(h) time-integral remainder.
+
+Records and split parts hold low-rank factors; the ``propagator``
+command takes their norms as band norms, and the dense ``matrix``,
+``phi1_part`` and ``phi2_part`` are assembled on read, for the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freekernel import _trapezoid_nodes
-from .norms import op_norm_2
+from .norms import band_norm_2, op_norm_2
 from .resolvent import resolvent_difference_vector
 from .specfun import simpson_weights
 
@@ -32,6 +36,7 @@ __all__ = [
     "wave_via_resolvent",
     "phi_difference",
     "duhamel_split",
+    "duhamel_residual",
     "time_domain_evolve",
     "boundary_safe_gap",
     "write_propagator_norms",
@@ -44,16 +49,39 @@ _PAD = 8.0
 
 @dataclass(frozen=True)
 class PropagatorRecord:
+    """A propagator at (t, h) as left diag(coeffs) right^T: (M, k) factors
+    and k coefficients."""
+
     t: float
     h: float
-    matrix: np.ndarray
+    left: np.ndarray
+    coeffs: np.ndarray
+    right: np.ndarray
     method: str
+
+    @property
+    def matrix(self):
+        return (self.left * self.coeffs[None, :]) @ self.right.T
 
 
 @dataclass(frozen=True)
 class DuhamelSplit:
-    phi1_part: np.ndarray
-    phi2_part: np.ndarray
+    """phi1_part = (L C)_1 R_1^T and phi2_part = (L C)_2 R_2^T, with
+    (L C)_1^T (k1, M) and (L C)_2 (M, k2) complex, R_1 and R_2 real."""
+
+    lc1_t: np.ndarray
+    right1: np.ndarray
+    lc2: np.ndarray
+    right2: np.ndarray
+
+    @property
+    def phi1_part(self):
+        # one real GEMM of R_1 against the (Re, Im) pairs of (L C)_1^T
+        return (self.right1 @ self.lc1_t.view(float)).view(complex).T
+
+    @property
+    def phi2_part(self):
+        return self.lc2 @ self.right2.T
 
 
 @dataclass(frozen=True)
@@ -69,7 +97,8 @@ def wave_multiplier(op, profile, h, t, square_profile=False):
     c = band.coeff(t)
     if square_profile:
         c = c * band.amps
-    return PropagatorRecord(float(t), float(h), band.dense(c), "eigen")
+    return PropagatorRecord(float(t), float(h), band.vecs, c, band.vecs,
+                            "eigen")
 
 
 def wave_via_resolvent(grid, n, potential, profile, h, t):
@@ -79,10 +108,11 @@ def wave_via_resolvent(grid, n, potential, profile, h, t):
             = (pi i)^{-1} int e^{it lam} phi^2(h lam) (R^+ - R^-) lam dlam.
 
     The jump is rank one, i pi dr x(lam) conj(x(lam))^T with x the
-    outgoing-normalized regular solution, so the quadrature collapses to
-    one GEMM over the lambda nodes.  The nodes are the free kernel's
-    trapezoid rule (``freekernel._trapezoid_nodes``) at the worst phase
-    rate |t| + 2R, carried by the far corner of the outer product.
+    outgoing-normalized regular solution, so the quadrature is a
+    record of rank at most the lambda node count: x diag(w) conj(x)^T,
+    one column of x and one weight w per node.  The nodes are the free
+    kernel's trapezoid rule (``freekernel._trapezoid_nodes``) at the worst
+    phase rate |t| + 2R, carried by the far corner of the outer product.
     """
     k, dlam = _trapezoid_nodes(profile, h, abs(t) + 2.0 * grid.R)
     lams = k * dlam
@@ -91,8 +121,8 @@ def wave_via_resolvent(grid, n, potential, profile, h, t):
     pf = pf * pf
     coeffs = dlam * np.exp(1j * t * lams) * pf * lams * grid.dr
     cols = resolvent_difference_vector(grid, n, potential, lams)
-    mat = (cols * coeffs[None, :]) @ np.conj(cols).T
-    return PropagatorRecord(float(t), float(h), mat, "resolvent_formula")
+    return PropagatorRecord(float(t), float(h), cols, coeffs, np.conj(cols),
+                            "resolvent_formula")
 
 
 def phi_difference(op0, op, profile, h, t):
@@ -107,15 +137,18 @@ def phi_difference(op0, op, profile, h, t):
 def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
     """int_0^t plateau_tilt(h sqrt(G0)) sin((t-tau) sqrt(G0)) V
     e^{i tau sqrt(G)} phi(h sqrt(G)) dtau by composite Simpson, with 8
-    tau nodes per period of the top frequency.
+    tau nodes per period of the top frequency, as factors (L C, R): the
+    integral is (L C) R^T, (M, k) complex and (M, k) real, k the band of G.
 
     Everything is expressed in the mixed eigenbasis (the band of G0 on the
     left, the band of G on the right), where each tau node is an
     elementwise phase pattern on the fixed coupling matrix Q0^T V Q
-    between the two bands; the two basis transforms happen once.
+    between the two bands; the left basis transform happens once, the
+    right one is the factor R.  Without a potential k = 0.
     """
     if op.potential is None or op.potential.c == 0.0:
-        return np.zeros((op.grid.M, op.grid.M), dtype=complex)
+        m = op.grid.M
+        return np.zeros((m, 0), dtype=complex), np.zeros((m, 0))
     left = op0.band(plateau_tilt, h)
     right = op.band(profile, h)
     v = op.potential(op.grid.nodes)
@@ -132,19 +165,19 @@ def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
         phase = np.sin((t - tau) * left.roots)[:, None] * coupling \
             * np.exp(1j * tau * right.roots)[None, :]
         acc += w * phase
-    return (left.vecs * left.amps[None, :]) @ acc \
-        @ (right.vecs * right.amps[None, :]).T
+    return ((left.vecs * left.amps[None, :]) @ acc,
+            right.vecs * right.amps[None, :])
 
 
 def duhamel_split(op0, op, profile, h, t):
     """Stationary four-term part and O(h) time-integral remainder of the
-    propagator difference; phi1_part + h * phi2_part reproduces it.
+    propagator difference, as factors; phi1_part + h * phi2_part
+    reproduces it.
 
     Each of the stationary part's three terms is a product of two bands,
     (L diag(a) L^T)(R diag(b) R^T) = (L C) R^T with the thin core
-    C = diag(a) L^T R diag(b), so no M x M factor is formed: the three
-    (L C)^T are stacked and go through one real GEMM against
-    [R_1 | R_2 | R_3] as their (Re, Im) pairs."""
+    C = diag(a) L^T R diag(b), so no M x M factor is formed: the part
+    holds the three (L C)^T stacked and [R_1 | R_2 | R_3]."""
     if op0.grid != op.grid:
         raise ValueError("operators must share one grid")
     phi1 = profile.companion_plateau()
@@ -167,10 +200,25 @@ def duhamel_split(op0, op, profile, h, t):
     lc_t = np.concatenate([(b[:, None] * (right.T @ left) * a) @ left.T
                            for left, a, right, b in terms])
     rights = np.concatenate([right for _, _, right, _ in terms], axis=1)
-    # rights @ lc_t is the transpose of the sum
-    part1 = (rights @ lc_t.view(float)).view(complex).T
-    return DuhamelSplit(part1,
-                        -_mixed_sin_integral(op0, op, profile, phi1_t, h, t))
+    lc2, right2 = _mixed_sin_integral(op0, op, profile, phi1_t, h, t)
+    return DuhamelSplit(lc_t, rights, -lc2, right2)
+
+
+def duhamel_residual(op0, op, profile, h, t):
+    """||phi1_part + h phi2_part - D||_2 / ||D||_2 for the propagator
+    difference D = e^{it sqrt(G)} phi(h sqrt(G)) - e^{it sqrt(G0)}
+    phi(h sqrt(G0)), with one M x M array: the numerator's, one real GEMM
+    of the stacked right factors against the (Re, Im) pairs of the stacked
+    (L C)^T of [phi1_part | h phi2_part | -D].  D is the band difference
+    op.band - op0.band, and its 2-norm a band norm."""
+    split = duhamel_split(op0, op, profile, h, t)
+    d = op.band(profile, h) - op0.band(profile, h)
+    c = d.coeff(t)
+    lc_t = np.concatenate([split.lc1_t, h * split.lc2.T, -(d.vecs * c).T])
+    rights = np.concatenate([split.right1, split.right2, d.vecs], axis=1)
+    # rights @ lc_t is the transpose of the numerator, of the same 2-norm
+    num = (rights @ lc_t.view(float)).view(complex)
+    return op_norm_2(num) / band_norm_2(d.vecs, d.vecs, c[None])[0]
 
 
 def time_domain_evolve(op, f, t_end, dt, profile, h):
@@ -234,17 +282,23 @@ def boundary_safe_gap(rec_a, rec_b, grid):
     keep = grid.nodes <= grid.R - abs(rec_a.t) - _PAD
     if not np.any(keep):
         raise ValueError("empty comparison window")
-    sub = np.ix_(keep, keep)
-    return (op_norm_2(rec_a.matrix[sub] - rec_b.matrix[sub])
-            / op_norm_2(rec_b.matrix[sub]))
+    # the difference on the window is one band: the two records' window
+    # rows side by side, the second one's coefficients negated
+    left_b, right_b = rec_b.left[keep], rec_b.right[keep]
+    left = np.concatenate([rec_a.left[keep], left_b], axis=1)
+    right = np.concatenate([rec_a.right[keep], right_b], axis=1)
+    coeffs = np.concatenate([rec_a.coeffs, -rec_b.coeffs])
+    return (band_norm_2(left, right, coeffs[None])[0]
+            / band_norm_2(left_b, right_b, rec_b.coeffs[None])[0])
 
 
 def write_propagator_norms(path, records):
-    """CSV rows (t, h, norm_kind, value, method) of operator two-norms."""
+    """CSV rows (t, h, norm_kind, value, method) of operator two-norms,
+    band norms of the records' factors."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "h", "norm_kind", "value", "method"])
         for rec in records:
-            w.writerow([rec.t, rec.h, "l2", repr(op_norm_2(rec.matrix)),
-                        rec.method])
+            value = band_norm_2(rec.left, rec.right, rec.coeffs[None])[0]
+            w.writerow([rec.t, rec.h, "l2", repr(float(value)), rec.method])
     return path

@@ -198,11 +198,17 @@ def _refined_solve(lam, lu, v, u1, u2, c, b):
 def _generator_apply(p, q, b):
     """S b = q cumsum(p b) + p (the reverse cumsum of q b from i + 1 on),
     with S = tril(q p^T) + triu(p q^T, 1): R for the generators p = P and
-    q = Q / P_1 of _solvers, A0 / c for p = u1 and q = u2."""
-    rows = b.reshape(p.size, -1).T
-    out = q * np.cumsum(p * rows, axis=1)
-    out[:, :-1] += p[:-1] * np.cumsum((q * rows)[:, :0:-1], 1)[:, ::-1]
-    return out.T.reshape(b.shape)
+    q = Q / P_1 of _solvers, A0 / c for p = u1 and q = u2.  b is taken as
+    (M, K) columns and both sums run down axis 0; the reverse one is
+    written through a reversed view of q b's own rows, so the suffix sums
+    read in forward order.  The generator is the first operand of every
+    product, as the rounding of a fused complex multiply depends on it."""
+    cols = b.reshape(p.size, -1)
+    out = q[:, None] * np.cumsum(p[:, None] * cols, axis=0)
+    qb = q[:, None] * cols
+    np.cumsum(qb[:0:-1], axis=0, out=qb[:0:-1])
+    out[:-1] += p[:-1, None] * qb[1:]
+    return out.reshape(b.shape)
 
 
 def _solver(grid, n, potential, lam, sign):

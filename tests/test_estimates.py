@@ -269,6 +269,20 @@ def test_lattice_rejects_lambda_outside(lattice):
         fam.weights(3, [1.05])
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_shifted_weights_are_the_per_shift_sum(lattice, order):
+    """The one-bincount rows of a Gauss shift sum against the shift by
+    shift sum of weight rows they replace, bit for bit; a shift that leaves
+    the lattice raises."""
+    fam = lattice
+    lams = np.array([1.02, 1.03125, 1.05, 1.07])
+    sig, wts = gauss_panels([0.01, 0.015], 16)
+    want = sum(w * fam.weights(order, lams + s) for s, w in zip(sig, wts))
+    assert np.array_equal(fam.shifted_weights(order, lams, sig, wts), want)
+    with pytest.raises(ValueError, match="outside the lattice"):
+        fam.shifted_weights(order, lams, sig + 0.03, wts)
+
+
 def test_lattice_weights_reproduce_a_cubic(lattice):
     """Cubic Lagrange rows are exact on cubics: value, first and second
     derivative at off-node lambda, the clamped end intervals included."""

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from wavedecay import funcalc
 from wavedecay.funcalc import (_SPAN, AlmostAnalytic, _certified_keep,
                                _chebyshev_count, _chi_c, _chi_c_prime,
-                               _compress, _direct_rows, _hs_mesh,
-                               _lemma23_rows, _onto_chebyshev, _resolvent_sum,
-                               hs_multiplier, phi_of_hsqrt, verify_lemma23)
+                               _coeff_rows, _compress, _direct_rows, _hs_mesh,
+                               _in_float_range, _lemma23_rows,
+                               _onto_chebyshev, _resolvent_sum, hs_multiplier,
+                               phi_of_hsqrt, verify_lemma23)
 from wavedecay.norms import op_norm_2
 from wavedecay.propagator import wave_multiplier
 from wavedecay.radialop import build_G, build_G0
@@ -368,6 +369,29 @@ def test_resolvent_sum_matches_dense_inverse_property(m, nodes, block, e,
     want = sum(c * np.linalg.inv(t - z * np.eye(m)) for z, c in zip(zs, cs))
     got = _resolvent_sum(diag, off, zs, cs, block=block)
     assert np.max(np.abs(got - want.real)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_coeff_rows_are_the_divided_coefficients(op, rng):
+    """The sweep's coefficient rows, formed one at a time as a product
+    with 1 / e, against (z - d) / e over the whole block, top half on the
+    rows and bottom half on reversed rows, bit for bit."""
+    z = rng.uniform(0.0, 8.0, 9) + 1j * rng.uniform(1e-3, 1.0, 9)
+    e = op.offdiag[0]
+    top = (z - op.diag[:, None]) / e
+    got = np.array([row.copy() for row in _coeff_rows(op.diag, e, z)])
+    assert np.array_equal(got, np.concatenate([top, top[::-1]], axis=1))
+
+
+@pytest.mark.parametrize("row", [0, 63, 64, 149])
+@pytest.mark.parametrize("bad", [0.0, 1e-310, np.inf, np.nan])
+def test_range_check_sees_every_row(row, bad):
+    """The chunked range check finds one value out of the normal floats
+    wherever it is, the short last chunk included."""
+    f = np.full((150, 6), 1.0 + 1j)
+    buf = np.empty((64, 8))
+    assert _in_float_range(f, buf)
+    f[row, 5] = bad
+    assert not _in_float_range(f, buf)
 
 
 def test_resolvent_sum_raises_on_huge_bottom_rows():

@@ -6,8 +6,8 @@ Lippmann-Schwinger solves are one tridiagonal solve per lambda there), no
 module reaches the dense LU (the tests' oracle), and the order-specific
 Bessel kernels are bound in ``specfun`` only, behind ``caljnu``.  The
 resolvent quadrature of ``funcalc`` reads nothing of the eigen route it is
-checked against, and only the dense oracles and records read a band's
-M x M matrix.
+checked against, and only the dense oracles read a band's M x M matrix;
+the ``propagator`` command reads no dense propagator at all.
 
 The benchmark under ``perfbench/`` imports the package by name, so every
 ``from wavedecay... import name`` there, and every layer its tracer
@@ -166,8 +166,9 @@ def test_dense_kernels_have_one_home(path):
 # the two stay independent only if the first reads nothing of the second
 QUADRATURE_ROUTE = ("AlmostAnalytic", "_hs_mesh", "_chebyshev_count",
                     "_onto_chebyshev", "_compress", "_certified_keep",
-                    "_boundary_sweep", "_direct_rows", "_march_step",
-                    "_resolvent_sum", "hs_multiplier")
+                    "_coeff_rows", "_boundary_sweep", "_in_float_range",
+                    "_direct_rows", "_march_step", "_resolvent_sum",
+                    "hs_multiplier")
 
 
 def eigen_reads(source, roots):
@@ -240,7 +241,7 @@ def test_quadrature_route_reads_no_eigen_route():
 # and check_thm31, whose zero-potential branch records that the two dense
 # sides cancel bit for bit.  Every estimate reads its norms from the band
 # factors.
-DENSE_READERS = {"phi_of_hsqrt", "wave_multiplier", "check_thm31"}
+DENSE_READERS = {"phi_of_hsqrt", "check_thm31"}
 
 
 def dense_readers(source):
@@ -268,6 +269,32 @@ def test_only_oracles_read_dense_bands():
     defs = dict(_module_defs(ast.parse((SRC / "funcalc.py").read_text())))
     assert read_names(defs["_lemma23_rows"]) & (DENSE_READERS
                                                 | {"dense"}) == set()
+
+
+# what assembles a propagator or a Duhamel part as an M x M matrix
+DENSE_PROPAGATORS = {"matrix", "phi1_part", "phi2_part", "phi_difference"}
+
+
+def test_detector_flags_dense_propagator_reads():
+    src = ("def cmd(rec, split):\n    return rec.matrix, split.phi2_part\n"
+           "def other(op):\n    return phi_difference(op)\n"
+           "def clean(rec):\n    return rec.left, rec.coeffs\n")
+    defs = dict(_module_defs(ast.parse(src)))
+    assert [read_names(defs[name]) & DENSE_PROPAGATORS
+            for name in ("cmd", "other", "clean")] == [
+        {"matrix", "phi2_part"}, {"phi_difference"}, set()]
+
+
+def test_propagator_command_reads_no_dense_propagator():
+    """cmd_propagator and the residual it delegates to read no record's
+    .matrix, no split's .phi1_part or .phi2_part and call no
+    phi_difference: the command forms one M x M array, the residual's
+    numerator."""
+    for module, name in (("cli", "cmd_propagator"),
+                         ("propagator", "duhamel_residual")):
+        defs = dict(_module_defs(ast.parse(
+            (SRC / f"{module}.py").read_text())))
+        assert read_names(defs[name]) & DENSE_PROPAGATORS == set(), name
 
 
 def benchmark_imports(source):

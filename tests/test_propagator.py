@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from wavedecay import propagator
+from wavedecay.cli import main
 from wavedecay.freekernel import eval_Kh_sigma_batch
-from wavedecay.propagator import (boundary_safe_gap, duhamel_split,
-                                  phi_difference, time_domain_evolve,
-                                  wave_multiplier, wave_via_resolvent,
-                                  write_propagator_norms)
+from wavedecay.norms import op_norm_2
+from wavedecay.propagator import (DuhamelSplit, PropagatorRecord,
+                                  boundary_safe_gap, duhamel_residual,
+                                  duhamel_split, phi_difference,
+                                  time_domain_evolve, wave_multiplier,
+                                  wave_via_resolvent, write_propagator_norms)
 from wavedecay.radialop import PotentialSpec, build_G, build_G0
 from wavedecay.resolvent import resolvent_difference_vector
 from wavedecay.specfun import gauss_panels
@@ -223,3 +226,92 @@ def test_write_propagator_norms(tmp_path, ops, profile):
     assert lines[0] == "t,h,norm_kind,value,method"
     assert len(lines) == 3
     assert all("eigen" in ln for ln in lines[1:])
+
+
+def _records(op, potential, profile, grid, h, t):
+    """The two kinds of record at (t, h): the eigen route's real band and
+    the resolvent route's complex jump vectors."""
+    return (wave_multiplier(op, profile, h, t, square_profile=True),
+            wave_via_resolvent(grid, N, potential, profile, h, t))
+
+
+def test_record_matrix_is_the_dense_band(ops, profile):
+    """The eigen record assembles the band's dense form bit for bit, the
+    array the benchmark's leapfrog oracle reads."""
+    _, op = ops
+    band = op.band(profile, 1.0)
+    rec = wave_multiplier(op, profile, 1.0, 2.5)
+    assert np.array_equal(rec.matrix, band.dense(band.coeff(2.5)))
+
+
+@pytest.mark.parametrize("h, t", [(1.0, 3.0), (1.0, 0.0), (0.5, -2.0)])
+def test_factor_gap_matches_dense_window(ops, profile, small_grid,
+                                         potential, h, t):
+    """boundary_safe_gap from the stacked window rows of the factors
+    against op_norm_2 of the dense window, with either kind of record in
+    the denominator, to 1e-12 relative (measured 1.3e-15)."""
+    _, op = ops
+    eig, res = _records(op, potential, profile, small_grid, h, t)
+    keep = small_grid.nodes <= small_grid.R - abs(t) - propagator._PAD
+    sub = np.ix_(keep, keep)
+    for a, b in ((res, eig), (eig, res)):
+        want = (op_norm_2(a.matrix[sub] - b.matrix[sub])
+                / op_norm_2(b.matrix[sub]))
+        assert boundary_safe_gap(a, b, small_grid) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+
+def test_factor_norms_match_dense(tmp_path, ops, profile, small_grid,
+                                  potential):
+    """write_propagator_norms' band norms of the factors against
+    op_norm_2 of each record's matrix, both kinds, to 1e-12 relative."""
+    _, op = ops
+    recs = [*_records(op, potential, profile, small_grid, 1.0, 3.0),
+            wave_multiplier(op, profile, 0.5, -2.0)]
+    path = write_propagator_norms(tmp_path / "norms.csv", recs)
+    rows = open(path).read().strip().splitlines()[1:]
+    for row, rec in zip(rows, recs):
+        assert float(row.split(",")[3]) == pytest.approx(
+            op_norm_2(rec.matrix), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("h, t", [(0.5, 2.0), (0.5, 4.0), (1.0, 3.0),
+                                  (0.25, 1.0)])
+def test_duhamel_residual_matches_dense(ops, profile, h, t):
+    """The residual from one GEMM of the stacked factors against the dense
+    phi1_part + h phi2_part - phi_difference, to 1e-11 relative: the
+    numerator cancels to 4e-4 to 2e-3 of the terms (measured up to
+    1.6e-13 at h = 1/4)."""
+    op0, op = ops
+    split = duhamel_split(op0, op, profile, h, t)
+    diff = phi_difference(op0, op, profile, h, t)
+    want = (op_norm_2(split.phi1_part + h * split.phi2_part - diff)
+            / op_norm_2(diff))
+    assert duhamel_residual(op0, op, profile, h, t) == pytest.approx(
+        want, rel=1e-11, abs=0.0)
+
+
+def test_propagator_command_reads_only_factors(tmp_path, monkeypatch,
+                                               capsys):
+    """The propagator command on the tests' grid with every dense route
+    disabled: phi_difference and the records' and the split's dense
+    properties raise."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense propagator read")
+
+    monkeypatch.setattr(propagator, "phi_difference", dense)
+    for cls, name in ((PropagatorRecord, "matrix"),
+                      (DuhamelSplit, "phi1_part"),
+                      (DuhamelSplit, "phi2_part")):
+        monkeypatch.setattr(cls, name, property(dense))
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[grid]\nR = 16\nM = 159\n")
+    out = tmp_path / "out"
+    assert main(["propagator", "--config", str(ini), "--out",
+                 str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("eigen vs resolvent windowed gap")
+    assert lines[1].startswith("duhamel residual")
+    rows = (out / "propagator_norms.csv").read_text().splitlines()
+    assert [row.split(",")[-1] for row in rows[1:]] == [
+        "eigen", "resolvent_formula"]
