@@ -24,7 +24,8 @@ import numpy as np
 
 from .fitting import _stability, fit_power_law
 from .freekernel import eval_Kh_batch, eval_Kh_sigma_batch
-from .norms import band_norm_1_to_inf, band_norm_2, band_norm_2_to_inf
+from .norms import (LowRank, band_norm_1_to_inf, band_norm_2,
+                    band_norm_2_to_inf)
 from .profiles import (bump, mollifier, plateau, step_cutoff,
                        step_cutoff_derivative)
 from .radialop import build_G, build_G0, weight_matrix
@@ -271,7 +272,7 @@ def check_thm31(grid, n, potential, profile, h_set, t_set=(1.0, 4.0, 16.0)):
         worst = 0.0
         for h in h_set:
             for t in t_set:
-                mats = [band.dense(band.coeff(t))
+                mats = [LowRank(band.vecs, band.coeff(t), band.vecs).matrix
                         for band in (op.band(profile, h),
                                      op0.band(profile, h))]
                 worst = max(worst, float(np.abs(mats[0] - mats[1]).max()))

@@ -22,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from .fitting import _stability, fit_power_law
-from .norms import (band_norm_2, band_norm_2_to_inf, band_norm_inf,
+from .norms import (LowRank, band_norm_2_to_inf, band_norm_inf,
                     sector_weights)
 from .profiles import step_cutoff, step_cutoff_derivative, sqrt_compose_derivs
 from .radialop import weight_matrix
@@ -504,7 +504,8 @@ def hs_multiplier(op, profile, h, order=8, tol=1e-7, block=1500):
 def phi_of_hsqrt(op, profile, h):
     """profile(h sqrt(op)) on the positive spectrum (zero elsewhere),
     through the eigendecomposition (the oracle route)."""
-    return op.band(profile, h).dense()
+    band = op.band(profile, h)
+    return LowRank(band.vecs, band.amps, band.vecs).matrix
 
 
 def _lemma23_rows(grid, n, op0, op, profile, h_set):
@@ -526,10 +527,9 @@ def _lemma23_rows(grid, n, op0, op, profile, h_set):
         for eid, left, band in (("2.26", ws[:, None] * b0.vecs, b0),
                                 ("2.27", ws[:, None] * bg.vecs, bg),
                                 ("2.28", d.vecs, d)):
-            rows[eid].append((h, band_norm_2(left, band.vecs / ws[:, None],
-                                             band.amps[None])[0]))
-        rows["2.31"][2].append((h, band_norm_2(d.vecs, d.vecs,
-                                               d.amps[None])[0]))
+            rows[eid].append((h, LowRank(left, band.amps,
+                                         band.vecs / ws[:, None]).norm_2()))
+        rows["2.31"][2].append((h, LowRank(d.vecs, d.amps, d.vecs).norm_2()))
         for l2, to_inf, band in (("2.29", "2.32", b0), ("2.30", "2.33", bg)):
             row = np.sqrt((band.vecs ** 2) @ band.amps ** 2)
             rows[l2][2].append(

@@ -36,11 +36,17 @@ eigenvectors has 2-norm max |a| and row norms ||V_r o a||, which group
 1.2's p = 2 row and lemma 2.3's 2.29, 2.30 (p = 2), 2.32 and 2.33 read
 off the factors.
 
+``LowRank`` is one such operator as its factors (a propagator record, a
+Duhamel part, a band difference); ``LowRank.matrix`` is the one dense
+assembly of a factored operator, for the oracles.
+
 ``COUNTS`` holds the kernel's Lanczos steps and Ritz solves, and the rows
 and entries the pruned norms formed, against their totals.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +54,7 @@ from .radialop import top_eigenpair
 
 __all__ = [
     "sector_weights",
-    "op_norm_2",
+    "LowRank",
     "band_norm_2",
     "band_norm_2_to_inf",
     "band_norm_1_to_inf",
@@ -74,13 +80,6 @@ COUNTS = dict.fromkeys(
 
 def sector_weights(grid, n):
     return grid.nodes ** ((n - 1) / 2.0)
-
-
-def op_norm_2(matrix):
-    """Spectral norm (largest singular value) by operator_two_norm, on the
-    transpose of a wide matrix so that m is the smaller side."""
-    a = matrix if matrix.shape[0] >= matrix.shape[1] else matrix.T
-    return operator_two_norm(a.__matmul__, a.T.__matmul__, a.shape[1])
 
 
 def _real_apply(a, x):
@@ -117,6 +116,42 @@ def band_norm_2(left, right, coeffs):
             lambda y, c=c: _real_apply(rf, c * _real_apply(lf.T, y)),
             len(rf))
     return out
+
+
+@dataclass(frozen=True)
+class LowRank:
+    """left diag(coeffs) right^T: (M, k) factors, real or complex, and k
+    coefficients.  ``+``, scalar ``*`` and ``-`` stack the factors.  A
+    band V diag(c) V^T passes V as both factors, so its norm takes one
+    QR."""
+
+    left: np.ndarray
+    coeffs: np.ndarray
+    right: np.ndarray
+
+    def __add__(self, other):
+        return LowRank(np.concatenate([self.left, other.left], axis=1),
+                       np.concatenate([self.coeffs, other.coeffs]),
+                       np.concatenate([self.right, other.right], axis=1))
+
+    def __mul__(self, scalar):
+        return LowRank(self.left, scalar * self.coeffs, self.right)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def rows(self, keep):
+        """The keep x keep window, keep a mask or index of the M rows."""
+        return LowRank(self.left[keep], self.coeffs, self.right[keep])
+
+    def norm_2(self):
+        return band_norm_2(self.left, self.right, self.coeffs[None])[0]
+
+    @property
+    def matrix(self):
+        return (self.left * self.coeffs[None, :]) @ self.right.T
 
 
 def _blocks_by_bound(bound, size):

@@ -11,9 +11,10 @@ compare against.
 The Duhamel split separates the perturbed-minus-free difference into a
 stationary four-term part and an O(h) time-integral remainder.
 
-Records and split parts hold low-rank factors; the ``propagator``
-command takes their norms as band norms, and the dense ``matrix``,
-``phi1_part`` and ``phi2_part`` are assembled on read, for the tests.
+Records and both Duhamel parts are ``norms.LowRank`` factors; the
+``propagator`` command takes every norm from the factors (the windowed
+gap and the residual of stacked differences), so it forms no M x M
+array.
 """
 
 from __future__ import annotations
@@ -24,17 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freekernel import _trapezoid_nodes
-from .norms import band_norm_2, op_norm_2
+from .norms import LowRank
 from .resolvent import resolvent_difference_vector
 from .specfun import simpson_weights
 
 __all__ = [
     "PropagatorRecord",
-    "DuhamelSplit",
     "TrajectoryRecord",
     "wave_multiplier",
     "wave_via_resolvent",
-    "phi_difference",
     "duhamel_split",
     "duhamel_residual",
     "time_domain_evolve",
@@ -48,40 +47,13 @@ _PAD = 8.0
 
 
 @dataclass(frozen=True)
-class PropagatorRecord:
-    """A propagator at (t, h) as left diag(coeffs) right^T: (M, k) factors
-    and k coefficients."""
+class PropagatorRecord(LowRank):
+    """A propagator at (t, h) as left diag(coeffs) right^T, with the route
+    that built it."""
 
     t: float
     h: float
-    left: np.ndarray
-    coeffs: np.ndarray
-    right: np.ndarray
     method: str
-
-    @property
-    def matrix(self):
-        return (self.left * self.coeffs[None, :]) @ self.right.T
-
-
-@dataclass(frozen=True)
-class DuhamelSplit:
-    """phi1_part = (L C)_1 R_1^T and phi2_part = (L C)_2 R_2^T, with
-    (L C)_1^T (k1, M) and (L C)_2 (M, k2) complex, R_1 and R_2 real."""
-
-    lc1_t: np.ndarray
-    right1: np.ndarray
-    lc2: np.ndarray
-    right2: np.ndarray
-
-    @property
-    def phi1_part(self):
-        # one real GEMM of R_1 against the (Re, Im) pairs of (L C)_1^T
-        return (self.right1 @ self.lc1_t.view(float)).view(complex).T
-
-    @property
-    def phi2_part(self):
-        return self.lc2 @ self.right2.T
 
 
 @dataclass(frozen=True)
@@ -97,7 +69,7 @@ def wave_multiplier(op, profile, h, t, square_profile=False):
     c = band.coeff(t)
     if square_profile:
         c = c * band.amps
-    return PropagatorRecord(float(t), float(h), band.vecs, c, band.vecs,
+    return PropagatorRecord(band.vecs, c, band.vecs, float(t), float(h),
                             "eigen")
 
 
@@ -121,17 +93,8 @@ def wave_via_resolvent(grid, n, potential, profile, h, t):
     pf = pf * pf
     coeffs = dlam * np.exp(1j * t * lams) * pf * lams * grid.dr
     cols = resolvent_difference_vector(grid, n, potential, lams)
-    return PropagatorRecord(float(t), float(h), cols, coeffs, np.conj(cols),
+    return PropagatorRecord(cols, coeffs, np.conj(cols), float(t), float(h),
                             "resolvent_formula")
-
-
-def phi_difference(op0, op, profile, h, t):
-    """e^{it sqrt(G)} phi(h sqrt(G)) - e^{it sqrt(G0)} phi(h sqrt(G0))."""
-    if op0.grid != op.grid:
-        raise ValueError("operators must share one grid")
-    a = wave_multiplier(op, profile, h, t)
-    b = wave_multiplier(op0, profile, h, t)
-    return a.matrix - b.matrix
 
 
 def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
@@ -170,14 +133,14 @@ def _mixed_sin_integral(op0, op, profile, plateau_tilt, h, t):
 
 
 def duhamel_split(op0, op, profile, h, t):
-    """Stationary four-term part and O(h) time-integral remainder of the
-    propagator difference, as factors; phi1_part + h * phi2_part
-    reproduces it.
+    """(phi1, phi2): the stationary four-term part and the O(h)
+    time-integral remainder of the propagator difference, as LowRanks;
+    phi1 + h * phi2 reproduces it.
 
     Each of the stationary part's three terms is a product of two bands,
     (L diag(a) L^T)(R diag(b) R^T) = (L C) R^T with the thin core
-    C = diag(a) L^T R diag(b), so no M x M factor is formed: the part
-    holds the three (L C)^T stacked and [R_1 | R_2 | R_3]."""
+    C = diag(a) L^T R diag(b), so no M x M factor is formed: phi1 is
+    [(L C)_1 | (L C)_2 | (L C)_3] diag(1) [R_1 | R_2 | R_3]^T."""
     if op0.grid != op.grid:
         raise ValueError("operators must share one grid")
     phi1 = profile.companion_plateau()
@@ -201,24 +164,19 @@ def duhamel_split(op0, op, profile, h, t):
                            for left, a, right, b in terms])
     rights = np.concatenate([right for _, _, right, _ in terms], axis=1)
     lc2, right2 = _mixed_sin_integral(op0, op, profile, phi1_t, h, t)
-    return DuhamelSplit(lc_t, rights, -lc2, right2)
+    return (LowRank(lc_t.T, np.ones(len(lc_t)), rights),
+            LowRank(-lc2, np.ones(lc2.shape[1]), right2))
 
 
 def duhamel_residual(op0, op, profile, h, t):
-    """||phi1_part + h phi2_part - D||_2 / ||D||_2 for the propagator
-    difference D = e^{it sqrt(G)} phi(h sqrt(G)) - e^{it sqrt(G0)}
-    phi(h sqrt(G0)), with one M x M array: the numerator's, one real GEMM
-    of the stacked right factors against the (Re, Im) pairs of the stacked
-    (L C)^T of [phi1_part | h phi2_part | -D].  D is the band difference
-    op.band - op0.band, and its 2-norm a band norm."""
-    split = duhamel_split(op0, op, profile, h, t)
-    d = op.band(profile, h) - op0.band(profile, h)
-    c = d.coeff(t)
-    lc_t = np.concatenate([split.lc1_t, h * split.lc2.T, -(d.vecs * c).T])
-    rights = np.concatenate([split.right1, split.right2, d.vecs], axis=1)
-    # rights @ lc_t is the transpose of the numerator, of the same 2-norm
-    num = (rights @ lc_t.view(float)).view(complex)
-    return op_norm_2(num) / band_norm_2(d.vecs, d.vecs, c[None])[0]
+    """||phi1 + h phi2 - D||_2 / ||D||_2 for the propagator difference
+    D = e^{it sqrt(G)} phi(h sqrt(G)) - e^{it sqrt(G0)} phi(h sqrt(G0)),
+    the band difference op.band - op0.band: both norms are band norms of
+    stacked factors, so no M x M array is formed."""
+    phi1, phi2 = duhamel_split(op0, op, profile, h, t)
+    diff = op.band(profile, h) - op0.band(profile, h)
+    d = LowRank(diff.vecs, diff.coeff(t), diff.vecs)
+    return (phi1 + h * phi2 - d).norm_2() / d.norm_2()
 
 
 def time_domain_evolve(op, f, t_end, dt, profile, h):
@@ -232,6 +190,8 @@ def time_domain_evolve(op, f, t_end, dt, profile, h):
     """
     if dt > 0.5 * op.grid.dr:
         raise ValueError("time step violates dt <= dr/2")
+    if t_end < 0.0:
+        raise ValueError("leapfrog runs forward only: t_end >= 0")
     band = op.band(profile, h)
     coeff = band.amps * (band.vecs.T @ np.asarray(f, dtype=complex))
     u0 = band.vecs @ coeff
@@ -282,14 +242,7 @@ def boundary_safe_gap(rec_a, rec_b, grid):
     keep = grid.nodes <= grid.R - abs(rec_a.t) - _PAD
     if not np.any(keep):
         raise ValueError("empty comparison window")
-    # the difference on the window is one band: the two records' window
-    # rows side by side, the second one's coefficients negated
-    left_b, right_b = rec_b.left[keep], rec_b.right[keep]
-    left = np.concatenate([rec_a.left[keep], left_b], axis=1)
-    right = np.concatenate([rec_a.right[keep], right_b], axis=1)
-    coeffs = np.concatenate([rec_a.coeffs, -rec_b.coeffs])
-    return (band_norm_2(left, right, coeffs[None])[0]
-            / band_norm_2(left_b, right_b, rec_b.coeffs[None])[0])
+    return (rec_a - rec_b).rows(keep).norm_2() / rec_b.rows(keep).norm_2()
 
 
 def write_propagator_norms(path, records):
@@ -299,6 +252,6 @@ def write_propagator_norms(path, records):
         w = csv.writer(fh)
         w.writerow(["t", "h", "norm_kind", "value", "method"])
         for rec in records:
-            value = band_norm_2(rec.left, rec.right, rec.coeffs[None])[0]
-            w.writerow([rec.t, rec.h, "l2", repr(float(value)), rec.method])
+            w.writerow([rec.t, rec.h, "l2", repr(float(rec.norm_2())),
+                        rec.method])
     return path

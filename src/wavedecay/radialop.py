@@ -77,7 +77,8 @@ class SpectralBand:
     nonzero: roots sqrt(mu), profile amplitudes and eigenvector columns.
 
     The frequency-localized propagator e^{it sqrt(G)} phi(h sqrt(G)) is
-    vecs diag(coeff(t)) vecs^T, so norms of it need only these factors.
+    vecs diag(coeff(t)) vecs^T, the ``norms.LowRank`` with vecs as both
+    factors, so norms of it need only these factors.
     """
 
     roots: np.ndarray
@@ -88,11 +89,6 @@ class SpectralBand:
         """Diagonal of the band's propagator at time t: shape (k,) for a
         scalar t, one row per time, (T, k), for an array of T times."""
         return self.amps * np.exp(1j * np.asarray(t)[..., None] * self.roots)
-
-    def dense(self, coeff=None):
-        """vecs diag(coeff) vecs^T; coeff defaults to the amplitudes."""
-        c = self.amps if coeff is None else coeff
-        return (self.vecs * c[None, :]) @ self.vecs.T
 
     def __sub__(self, other):
         # the two operators' bands side by side, the second one negated

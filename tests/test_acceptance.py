@@ -2,9 +2,9 @@
 experiment scale (n=4, R=64, M=1280, c=2, delta=3, bump profile on [1,2]).
 
 Each test is one criterion and prints one pass/fail line under pytest -v;
-one unit test on the small grid holds criterion 12's k x k core route to
-the dense SVD it replaces.  Shared group reports are computed once per
-session.
+two unit tests on the small grid hold the k x k core routes of criteria
+10 and 12 to the dense SVDs they replace.  Shared group reports are
+computed once per session.
 
 The estimates are upper bounds with existential constants, so a test
 asserts what its bound states and no more: an exponent on the bounded
@@ -31,10 +31,11 @@ from wavedecay import estimates as est
 from wavedecay.fitting import fit_power_law
 from wavedecay.freekernel import plancherel_lambda_side
 from wavedecay.funcalc import hs_multiplier, phi_of_hsqrt, verify_lemma23
+from wavedecay.norms import LowRank
 from wavedecay.profiles import bump
 from wavedecay.propagator import (boundary_safe_gap, duhamel_split,
-                                  phi_difference, time_domain_evolve,
-                                  wave_multiplier, wave_via_resolvent)
+                                  time_domain_evolve, wave_multiplier,
+                                  wave_via_resolvent)
 from wavedecay.radialop import (PotentialSpec, RadialGrid, build_G,
                                 build_G0, weight_matrix)
 from wavedecay.resolvent import complex_shift_compare, la_norm_scan
@@ -175,13 +176,37 @@ def test_criterion_09_propagator_triangulation(grid, pot, ops):
     assert gap <= 0.02, f"eigen vs resolvent-formula gap {gap:.2%}"
 
 
+def _core_norm_2(a):
+    """||a||_2 of a LowRank by LAPACK's SVD of its core: with the thin QRs
+    Q_l R_l = left diag(coeffs) and Q_r R_r = right, a = Q_l R_l R_r^T
+    Q_r^T, so ||a||_2 = ||R_l R_r^T||_2, a k x k matrix, not M x M."""
+    return np.linalg.norm(np.linalg.qr(a.left * a.coeffs, mode="r")
+                          @ np.linalg.qr(a.right, mode="r").T, 2)
+
+
+def _duhamel_parts(op0, op, h, t):
+    """(phi1 + h phi2 - D, D) for the propagator difference D, the band
+    difference op.band - op0.band at t."""
+    phi1, phi2 = duhamel_split(op0, op, PROF, h, t)
+    diff = op.band(PROF, h) - op0.band(PROF, h)
+    d = LowRank(diff.vecs, diff.coeff(t), diff.vecs)
+    return phi1 + h * phi2 - d, d
+
+
 def test_criterion_10_duhamel_reconstruction(ops):
-    op0, op = ops
-    split = duhamel_split(op0, op, PROF, 0.5, 4.0)
-    diff = phi_difference(op0, op, PROF, 0.5, 4.0)
-    resid = (np.linalg.norm(split.phi1_part + 0.5 * split.phi2_part
-                            - diff, 2) / np.linalg.norm(diff, 2))
+    num, d = _duhamel_parts(*ops, 0.5, 4.0)
+    resid = _core_norm_2(num) / _core_norm_2(d)
     assert resid <= 0.01, f"duhamel residual {resid:.2%} of the difference"
+
+
+@pytest.mark.parametrize("h, t", [(0.5, 4.0), (1.0, 3.0), (0.25, 1.0)])
+def test_duhamel_core_matches_dense(small_grid, potential, h, t):
+    """Criterion 10's core route holds to LAPACK's SVD of the dense
+    numerator and difference on the tests' grid."""
+    ops = build_G0(small_grid, N), build_G(small_grid, N, potential)
+    for part in _duhamel_parts(*ops, h, t):
+        assert _core_norm_2(part) == pytest.approx(
+            np.linalg.norm(part.matrix, 2), rel=1e-12)
 
 
 def test_criterion_11_difference_growth_rate(grid, pot):

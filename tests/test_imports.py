@@ -6,8 +6,8 @@ Lippmann-Schwinger solves are one tridiagonal solve per lambda there), no
 module reaches the dense LU (the tests' oracle), and the order-specific
 Bessel kernels are bound in ``specfun`` only, behind ``caljnu``.  The
 resolvent quadrature of ``funcalc`` reads nothing of the eigen route it is
-checked against, and only the dense oracles read a band's M x M matrix;
-the ``propagator`` command reads no dense propagator at all.
+checked against, and only two definitions assemble the M x M matrix of
+a factored operator (``LowRank.matrix``): no estimate and no command.
 
 The benchmark under ``perfbench/`` imports the package by name, so every
 ``from wavedecay... import name`` there, and every layer its tracer
@@ -236,65 +236,45 @@ def test_quadrature_route_reads_no_eigen_route():
     assert eigen_reads(source, ("phi_of_hsqrt",)) == {"band"}
 
 
-# the module-level definitions that may read a band's M x M matrix
-# (SpectralBand.dense): the dense oracles phi_of_hsqrt and wave_multiplier,
-# and check_thm31, whose zero-potential branch records that the two dense
-# sides cancel bit for bit.  Every estimate reads its norms from the band
-# factors.
+# the module-level definitions that may assemble the M x M matrix of a
+# factored operator (LowRank.matrix): the dense oracle phi_of_hsqrt, and
+# check_thm31, whose zero-potential branch records that the two dense
+# sides cancel bit for bit.  Every estimate, and every norm the
+# propagator command takes, reads the factors.
 DENSE_READERS = {"phi_of_hsqrt", "check_thm31"}
 
 
 def dense_readers(source):
-    """The module-level definitions of source that read ``.dense``."""
+    """The module-level definitions of source that read ``.matrix``."""
     return {name for name, node in _module_defs(ast.parse(source))
-            if any(isinstance(n, ast.Attribute) and n.attr == "dense"
+            if any(isinstance(n, ast.Attribute) and n.attr == "matrix"
                    for n in ast.walk(node))}
 
 
 def test_detector_flags_dense_readers():
-    src = ("def oracle(op):\n    return op.band(1).dense()\n"
-           "def rows(b0, bg):\n    return bg.dense() - b0.dense()\n"
-           "def norm(band):\n    return abs(band.amps).max()\n"
-           "class Record:\n    def matrix(self):\n"
-           "        return self.band.dense(self.c)\n")
-    assert dense_readers(src) == {"oracle", "rows", "Record"}
+    """A read of .matrix flags its definition, a class included; defining
+    the property does not."""
+    src = ("def oracle(b):\n"
+           "    return LowRank(b.vecs, b.amps, b.vecs).matrix\n"
+           "def gap(a, b):\n    return a.matrix - b.matrix\n"
+           "def norm(rec):\n    return rec.norm_2()\n"
+           "class Factored:\n    @property\n    def matrix(self):\n"
+           "        return self.left @ self.right.T\n"
+           "class Record(Factored):\n    def dense(self):\n"
+           "        return self.matrix\n")
+    assert dense_readers(src) == {"oracle", "gap", "Record"}
 
 
 def test_only_oracles_read_dense_bands():
-    """No estimate forms a band's M x M matrix: the dense readers in src/
-    are DENSE_READERS, and lemma 2.3's rows neither read a dense band nor
-    call one of them."""
+    """No estimate and no command forms the M x M matrix of a factored
+    operator: the .matrix readers in src/ are DENSE_READERS (the records,
+    the Duhamel parts and the residual read none), and lemma 2.3's rows
+    neither read .matrix nor call one of them."""
     assert set().union(*(dense_readers(path.read_text())
                          for path in SRC.glob("*.py"))) == DENSE_READERS
     defs = dict(_module_defs(ast.parse((SRC / "funcalc.py").read_text())))
     assert read_names(defs["_lemma23_rows"]) & (DENSE_READERS
-                                                | {"dense"}) == set()
-
-
-# what assembles a propagator or a Duhamel part as an M x M matrix
-DENSE_PROPAGATORS = {"matrix", "phi1_part", "phi2_part", "phi_difference"}
-
-
-def test_detector_flags_dense_propagator_reads():
-    src = ("def cmd(rec, split):\n    return rec.matrix, split.phi2_part\n"
-           "def other(op):\n    return phi_difference(op)\n"
-           "def clean(rec):\n    return rec.left, rec.coeffs\n")
-    defs = dict(_module_defs(ast.parse(src)))
-    assert [read_names(defs[name]) & DENSE_PROPAGATORS
-            for name in ("cmd", "other", "clean")] == [
-        {"matrix", "phi2_part"}, {"phi_difference"}, set()]
-
-
-def test_propagator_command_reads_no_dense_propagator():
-    """cmd_propagator and the residual it delegates to read no record's
-    .matrix, no split's .phi1_part or .phi2_part and call no
-    phi_difference: the command forms one M x M array, the residual's
-    numerator."""
-    for module, name in (("cli", "cmd_propagator"),
-                         ("propagator", "duhamel_residual")):
-        defs = dict(_module_defs(ast.parse(
-            (SRC / f"{module}.py").read_text())))
-        assert read_names(defs[name]) & DENSE_PROPAGATORS == set(), name
+                                                | {"matrix"}) == set()
 
 
 def benchmark_imports(source):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from wavedecay import norms
 from wavedecay.funcalc import _lemma23_rows, phi_of_hsqrt
-from wavedecay.norms import (band_norm_1_to_inf, band_norm_2,
-                             band_norm_2_to_inf, band_norm_inf, op_norm_2,
+from wavedecay.norms import (LowRank, band_norm_1_to_inf, band_norm_2,
+                             band_norm_2_to_inf, band_norm_inf,
                              operator_two_norm, sector_weights)
 from wavedecay.profiles import bump, plateau
 from wavedecay.radialop import RadialGrid, build_G, build_G0, weight_matrix
@@ -20,6 +20,13 @@ def grid():
 
 # The dense sector norms: the oracles of the band norms, which are the
 # only sector norms in src/.
+
+
+def op_norm_2(matrix):
+    """Spectral norm (largest singular value) by operator_two_norm, on the
+    transpose of a wide matrix so that m is the smaller side."""
+    a = matrix if matrix.shape[0] >= matrix.shape[1] else matrix.T
+    return operator_two_norm(a.__matmul__, a.T.__matmul__, a.shape[1])
 
 
 def op_norm_p(matrix, grid, n, p):
@@ -126,7 +133,7 @@ def test_op_norm_2_matches_lapack_property(rows, cols, rank, repeat, cplx,
 def _unitary_band(small_grid, potential):
     op = build_G(small_grid, 4, potential)
     band = op.band(plateau(1.0, 8.0), 1.0)
-    return band.dense(band.coeff(16.0))
+    return LowRank(band.vecs, band.coeff(16.0), band.vecs).matrix
 
 
 def _weighted_cutoff(small_grid, potential):
@@ -306,6 +313,47 @@ def test_band_norms_match_dense_property(grid, k, t, chunk, same, seed):
         if same:
             assert got_inf[i] == pytest.approx(
                 op_norm_p(dense, grid, 4, 1), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 40), ka=st.integers(0, 12), kb=st.integers(1, 12),
+       cplx=st.booleans(), same_a=st.booleans(), same_b=st.booleans(),
+       scale=st.sampled_from([-2.5, -1.0, 0.5, 3.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(m=30, ka=5, kb=7, cplx=False, same_a=True, same_b=True, scale=0.5,
+         seed=0)
+@example(m=30, ka=5, kb=7, cplx=True, same_a=True, same_b=True, scale=-1.0,
+         seed=1)
+@example(m=30, ka=5, kb=7, cplx=True, same_a=True, same_b=False, scale=3.0,
+         seed=2)
+@example(m=30, ka=0, kb=7, cplx=True, same_a=False, same_b=True, scale=0.5,
+         seed=4)
+@example(m=6, ka=12, kb=12, cplx=True, same_a=False, same_b=False,
+         scale=-2.5, seed=3)
+def test_low_rank_algebra_matches_dense_property(m, ka, kb, cplx, same_a,
+                                                 same_b, scale, seed):
+    """(a - s b).rows(keep) is the window of the dense a - s b, and its
+    norm_2 LAPACK's 2-norm of that window, to 1e-12: real and complex
+    factors, more columns than rows, and factors with right is left (one
+    QR in norm_2)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(k, same):
+        left = rng.standard_normal((m, k))
+        if cplx:
+            left = left + 1j * rng.standard_normal((m, k))
+        right = left if same else rng.standard_normal((m, k))
+        coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        return LowRank(left, coeffs, right)
+
+    a, b = draw(ka, same_a), draw(kb, same_b)
+    keep = rng.random(m) < 0.7
+    keep[0] = True
+    got = (a - scale * b).rows(keep)
+    want = (a.matrix - scale * b.matrix)[np.ix_(keep, keep)]
+    assert np.allclose(got.matrix, want, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(want)))
+    assert got.norm_2() == pytest.approx(np.linalg.norm(want, 2), rel=1e-12)
 
 
 def _one_shot_2(left, right, coeffs):

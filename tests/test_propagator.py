@@ -6,12 +6,11 @@ import pytest
 from wavedecay import propagator
 from wavedecay.cli import main
 from wavedecay.freekernel import eval_Kh_sigma_batch
-from wavedecay.norms import op_norm_2
-from wavedecay.propagator import (DuhamelSplit, PropagatorRecord,
-                                  boundary_safe_gap, duhamel_residual,
-                                  duhamel_split, phi_difference,
-                                  time_domain_evolve, wave_multiplier,
-                                  wave_via_resolvent, write_propagator_norms)
+from wavedecay.norms import LowRank
+from wavedecay.propagator import (boundary_safe_gap, duhamel_residual,
+                                  duhamel_split, time_domain_evolve,
+                                  wave_multiplier, wave_via_resolvent,
+                                  write_propagator_norms)
 from wavedecay.radialop import PotentialSpec, build_G, build_G0
 from wavedecay.resolvent import resolvent_difference_vector
 from wavedecay.specfun import gauss_panels
@@ -26,6 +25,13 @@ def ops(small_grid, potential):
 
 def _gaussian(grid, center=5.0, width=1.0):
     return np.exp(-((grid.nodes - center) / width) ** 2)
+
+
+def phi_difference(op0, op, profile, h, t):
+    """e^{it sqrt(G)} phi(h sqrt(G)) - e^{it sqrt(G0)} phi(h sqrt(G0)),
+    dense: the oracle of the Duhamel split."""
+    return (wave_multiplier(op, profile, h, t).matrix
+            - wave_multiplier(op0, profile, h, t).matrix)
 
 
 def test_group_law(ops, profile):
@@ -64,6 +70,16 @@ def test_time_domain_rejects_bad_step(ops, profile, small_grid):
     with pytest.raises(ValueError, match="dt <= dr/2"):
         time_domain_evolve(op, _gaussian(small_grid), 1.0, small_grid.dr,
                            profile, 1.0)
+
+
+def test_time_domain_rejects_negative_time(ops, profile, small_grid):
+    """The leapfrog steps forward only: a negative t_end would give a
+    negative step count, skip the loop and return one forward step, for
+    this packet 1.97 relative off the eigen route at t_end = -2."""
+    _, op = ops
+    with pytest.raises(ValueError, match="t_end >= 0"):
+        time_domain_evolve(op, _gaussian(small_grid), -2.0,
+                           0.5 * small_grid.dr, profile, 1.0)
 
 
 def test_resolvent_route_matches_eigen(ops, profile, small_grid, potential):
@@ -123,12 +139,12 @@ def test_boundary_safe_gap_guards(ops, profile, small_grid, monkeypatch):
 
 
 def test_duhamel_split_reconstructs(ops, profile):
-    """phi1_part + h phi2_part must reproduce the propagator difference."""
+    """phi1 + h phi2 must reproduce the propagator difference."""
     op0, op = ops
     h, t = 0.5, 2.0
-    split = duhamel_split(op0, op, profile, h, t)
+    phi1, phi2 = duhamel_split(op0, op, profile, h, t)
     diff = phi_difference(op0, op, profile, h, t)
-    got = split.phi1_part + h * split.phi2_part
+    got = (phi1 + h * phi2).matrix
     rel = np.linalg.norm(got - diff, 2) / np.linalg.norm(diff, 2)
     assert rel < 1e-3
 
@@ -144,7 +160,7 @@ def _spectral(oper, fn):
 
 @pytest.mark.parametrize("c", [2.0, 0.0], ids=["potential", "free"])
 def test_duhamel_stationary_part_matches_dense(small_grid, profile, c):
-    """phi1_part, assembled from band factors, against its three terms as
+    """phi1, assembled from band factors, against its three terms as
     dense products of dense spectral functions, to 1e-13 of the largest
     entry of the stationary part or of the propagator (the part vanishes
     without a potential)."""
@@ -163,7 +179,7 @@ def test_duhamel_stationary_part_matches_dense(small_grid, profile, c):
     sin_t = _spectral(op0, lambda r: phi1_t(h * r) * np.sin(t * r))
     want = (diff(phi1) @ u + cos_t @ diff(profile)
             + 1j * sin_t @ diff(phi_t))
-    got = duhamel_split(op0, op, profile, h, t).phi1_part
+    got = duhamel_split(op0, op, profile, h, t)[0].matrix
     scale = max(np.max(np.abs(want)), np.max(np.abs(u)))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
@@ -171,17 +187,17 @@ def test_duhamel_stationary_part_matches_dense(small_grid, profile, c):
 def test_duhamel_free_remainder_vanishes(small_grid, profile):
     op0 = build_G0(small_grid, N)
     free_op = build_G(small_grid, N, PotentialSpec(0.0, 3.0))
-    split = duhamel_split(op0, free_op, profile, 1.0, 2.0)
-    assert np.linalg.norm(split.phi2_part, 2) == 0.0
+    phi2 = duhamel_split(op0, free_op, profile, 1.0, 2.0)[1]
+    assert np.linalg.norm(phi2.matrix, 2) == 0.0
 
 
-def test_phi_difference_grid_guard(small_grid, potential, profile):
+def test_duhamel_split_grid_guard(small_grid, potential, profile):
     from wavedecay.radialop import RadialGrid
 
     op = build_G(small_grid, N, potential)
     other = build_G0(RadialGrid(8.0, 79), N)
-    with pytest.raises(ValueError):
-        phi_difference(other, op, profile, 1.0, 1.0)
+    with pytest.raises(ValueError, match="share one grid"):
+        duhamel_split(other, op, profile, 1.0, 1.0)
 
 
 def free_sector_kernel_column(grid, n, profile, h, t, col):
@@ -241,30 +257,31 @@ def test_record_matrix_is_the_dense_band(ops, profile):
     _, op = ops
     band = op.band(profile, 1.0)
     rec = wave_multiplier(op, profile, 1.0, 2.5)
-    assert np.array_equal(rec.matrix, band.dense(band.coeff(2.5)))
+    want = (band.vecs * band.coeff(2.5)[None, :]) @ band.vecs.T
+    assert np.array_equal(rec.matrix, want)
 
 
 @pytest.mark.parametrize("h, t", [(1.0, 3.0), (1.0, 0.0), (0.5, -2.0)])
 def test_factor_gap_matches_dense_window(ops, profile, small_grid,
                                          potential, h, t):
     """boundary_safe_gap from the stacked window rows of the factors
-    against op_norm_2 of the dense window, with either kind of record in
-    the denominator, to 1e-12 relative (measured 1.3e-15)."""
+    against LAPACK's 2-norm of the dense window, with either kind of
+    record in the denominator, to 1e-12 relative."""
     _, op = ops
     eig, res = _records(op, potential, profile, small_grid, h, t)
     keep = small_grid.nodes <= small_grid.R - abs(t) - propagator._PAD
     sub = np.ix_(keep, keep)
     for a, b in ((res, eig), (eig, res)):
-        want = (op_norm_2(a.matrix[sub] - b.matrix[sub])
-                / op_norm_2(b.matrix[sub]))
+        want = (np.linalg.norm(a.matrix[sub] - b.matrix[sub], 2)
+                / np.linalg.norm(b.matrix[sub], 2))
         assert boundary_safe_gap(a, b, small_grid) == pytest.approx(
             want, rel=1e-12, abs=0.0)
 
 
 def test_factor_norms_match_dense(tmp_path, ops, profile, small_grid,
                                   potential):
-    """write_propagator_norms' band norms of the factors against
-    op_norm_2 of each record's matrix, both kinds, to 1e-12 relative."""
+    """write_propagator_norms' band norms of the factors against LAPACK's
+    2-norm of each record's matrix, both kinds, to 1e-12 relative."""
     _, op = ops
     recs = [*_records(op, potential, profile, small_grid, 1.0, 3.0),
             wave_multiplier(op, profile, 0.5, -2.0)]
@@ -272,38 +289,32 @@ def test_factor_norms_match_dense(tmp_path, ops, profile, small_grid,
     rows = open(path).read().strip().splitlines()[1:]
     for row, rec in zip(rows, recs):
         assert float(row.split(",")[3]) == pytest.approx(
-            op_norm_2(rec.matrix), rel=1e-12, abs=0.0)
+            np.linalg.norm(rec.matrix, 2), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("h, t", [(0.5, 2.0), (0.5, 4.0), (1.0, 3.0),
                                   (0.25, 1.0)])
 def test_duhamel_residual_matches_dense(ops, profile, h, t):
-    """The residual from one GEMM of the stacked factors against the dense
-    phi1_part + h phi2_part - phi_difference, to 1e-11 relative: the
-    numerator cancels to 4e-4 to 2e-3 of the terms (measured up to
-    1.6e-13 at h = 1/4)."""
+    """The residual from band norms of the stacked factors against LAPACK's
+    2-norm of the dense phi1 + h phi2 - phi_difference, to 1e-11
+    relative: the numerator cancels to 4e-4 to 2e-3 of the terms."""
     op0, op = ops
-    split = duhamel_split(op0, op, profile, h, t)
+    phi1, phi2 = duhamel_split(op0, op, profile, h, t)
     diff = phi_difference(op0, op, profile, h, t)
-    want = (op_norm_2(split.phi1_part + h * split.phi2_part - diff)
-            / op_norm_2(diff))
+    want = (np.linalg.norm((phi1 + h * phi2).matrix - diff, 2)
+            / np.linalg.norm(diff, 2))
     assert duhamel_residual(op0, op, profile, h, t) == pytest.approx(
         want, rel=1e-11, abs=0.0)
 
 
 def test_propagator_command_reads_only_factors(tmp_path, monkeypatch,
                                                capsys):
-    """The propagator command on the tests' grid with every dense route
-    disabled: phi_difference and the records' and the split's dense
-    properties raise."""
+    """The propagator command on the tests' grid with the one dense
+    assembly of a factored operator, LowRank.matrix, raising."""
     def dense(*args, **kwargs):
         raise AssertionError("dense propagator read")
 
-    monkeypatch.setattr(propagator, "phi_difference", dense)
-    for cls, name in ((PropagatorRecord, "matrix"),
-                      (DuhamelSplit, "phi1_part"),
-                      (DuhamelSplit, "phi2_part")):
-        monkeypatch.setattr(cls, name, property(dense))
+    monkeypatch.setattr(LowRank, "matrix", property(dense))
     ini = tmp_path / "exp.ini"
     ini.write_text("[grid]\nR = 16\nM = 159\n")
     out = tmp_path / "out"
