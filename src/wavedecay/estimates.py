@@ -22,7 +22,7 @@ from math import floor
 
 import numpy as np
 
-from .fitting import _stability, fit_power_law
+from .fitting import STABILITY_CAP, _stability, fit_power_law
 from .freekernel import eval_Kh_batch, eval_Kh_sigma_batch
 from .norms import (LowRank, band_norm_1_to_inf, band_norm_2,
                     band_norm_2_to_inf)
@@ -52,10 +52,11 @@ __all__ = [
 SECTOR_NOTE = "radial-sector norm, faithful for radial data only"
 
 
-def _ratio_report(values, cap):
+def _ratio_report(values):
+    ratio = _stability(values)
     return {"kind": "stability", "sup": float(max(values)),
-            "ratio": _stability(values), "cap": cap,
-            "passed": bool(_stability(values) <= cap)}
+            "ratio": ratio, "cap": STABILITY_CAP,
+            "passed": bool(ratio <= STABILITY_CAP)}
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def check_kernel_bounds(n, profile, h_set):
             eval_Kh_sigma_batch(n, profile, 1.0, sig, t))
         values[f"{t:g}"] = float(
             t ** top * np.trapezoid(vals, sig))
-    reports["2.9"] = _ratio_report(values.values(), 3.0)
+    reports["2.9"] = _ratio_report(values.values())
     reports["2.9"]["values"] = values
     return reports
 
@@ -309,7 +310,7 @@ def check_smoothing(grid, n, potential, profile, h_set):
         totals[f"{h:g}"] = total / mass
         raw[f"{h:g}"] = total
         tails[f"{h:g}"] = tail
-    time_rep = _ratio_report(totals.values(), 3.0)
+    time_rep = _ratio_report(totals.values())
     time_rep.update({"totals_per_band_mass": totals, "raw_totals": raw,
                      "dyadic_tail_ratios": tails,
                      "tails_passed": bool(max(tails.values()) <= 0.5)})
@@ -322,7 +323,7 @@ def check_smoothing(grid, n, potential, profile, h_set):
     vals = (lams * profile(np.repeat(h_set, 17) * lams) ** 2 * grid.dr
             * np.linalg.norm(w[:, None] * x, axis=0) ** 2).reshape(-1, 17)
     sups = {f"{h:g}": float(np.max(v)) for h, v in zip(h_set, vals)}
-    freq_rep = _ratio_report(sups.values(), 3.0)
+    freq_rep = _ratio_report(sups.values())
     freq_rep["sups"] = sups
     return {"3.2_time": time_rep, "3.15_freq": freq_rep}
 
@@ -377,7 +378,7 @@ def check_weighted_time_integral(grid, n, potential, profile, h_set):
               for h, s_ in blocks.items()}
     # geometric decay beyond t = 16: the last block ratios
     worst = max(max(r[-2:]) for r in ratios.values())
-    rep = _ratio_report(totals.values(), 3.0)
+    rep = _ratio_report(totals.values())
     rep.update({"block_sums": blocks, "block_ratios": ratios,
                 "block_cap": 0.8, "worst_late_ratio": float(worst)})
     rep["passed"] = bool(rep["passed"] and worst <= 0.8)
@@ -431,7 +432,7 @@ class _LatticeFamily:
         self.lams = lam_lo + step * np.arange(count)
         wf = w[:, None] * self.frame
         self.mats = self.lams[:, None, None] * ls_sweep(
-            grid, n, potential, self.lams, wf, +1, left=np.conj(wf).T)
+            grid, n, potential, self.lams, wf, left=np.conj(wf).T)
 
     def weights(self, order, lams):
         """Real (len(lams), L) rows of the order-th lambda-derivative of the
@@ -558,7 +559,7 @@ def mollified_multiplier_suite(grid, n, potential, r_cut=96.0,
     # (3.40): boundedness of the first m derivatives, all theta
     sups = {f"{th:g}": float(np.max(p[:m_order + 1]))
             for th, p in zip(_THETAS, plus)}
-    reports["3.40"] = _ratio_report(sups.values(), 3.0)
+    reports["3.40"] = _ratio_report(sups.values())
     reports["3.40"]["sups"] = sups
     reports["3.40"]["mass_defects"] = {
         f"{th:g}": abs(float(np.sum(gauss(th)[1])) - 1.0)

@@ -93,9 +93,13 @@ def fit_power_law(samples, estimate_id="", variable="x", target=None,
                           target, tolerance, one_sided=one_sided)
 
 
+# the largest max/min ratio a bounded-in-h or bounded-in-t surrogate passes at
+STABILITY_CAP = 3.0
+
+
 def _stability(values):
     """max/min of the positive values (0.0 when there are none): the
-    bounded-surrogate ratio the stability reports cap."""
+    bounded-surrogate ratio the stability reports cap at STABILITY_CAP."""
     vals = [float(v) for v in values if v > 0]
     if not vals:
         return 0.0

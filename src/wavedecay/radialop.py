@@ -70,6 +70,12 @@ class PotentialSpec:
         r = np.asarray(r, dtype=float)
         return self.c * (1.0 + r ** 2) ** (-self.delta / 2.0)
 
+    def check_dimension(self, n):
+        """ValueError naming both dimensions unless the spec is for n."""
+        if self.n != n:
+            raise ValueError(f"potential specified for n = {self.n} "
+                             f"used at n = {n}")
+
 
 @dataclass(frozen=True)
 class SpectralBand:
@@ -166,6 +172,7 @@ def _operator(grid, n, potential):
         diag = 2.0 / dr2 + _centrifugal(n, r)
         offdiag = np.full(grid.M - 1, -1.0 / dr2)
         return DiscreteOperator(diag, offdiag, n, grid)
+    potential.check_dimension(n)
     free = _operator(grid, n, None)
     diag = free.diag
     if potential.c != 0.0:

@@ -1,11 +1,11 @@
-"""Outgoing/incoming resolvents on the radial sector.
+"""The outgoing resolvent on the radial sector.
 
 The boundary values R^{+/-}(lambda) of a finite grid's resolvent do not
 exist (the discrete spectrum is real), so the primary route goes through
 the continuum free Green kernel on the Liouville half line,
 
-    G0^{+/-}(r, r'; lambda) = +/- (i pi / 2) sqrt(r r')
-                              J_nu(lambda r_<) H_nu^{+/-}(lambda r_>),
+    G0^+(r, r'; lambda) = (i pi / 2) sqrt(r r')
+                          J_nu(lambda r_<) H_nu^(1)(lambda r_>),
 
 and the Lippmann-Schwinger solve R = (I + R0 V)^{-1} R0 = (A0^{-1} + V)^{-1}:
 the free Green matrix A0 (dr weight folded in) is semiseparable, so A0^{-1}
@@ -15,7 +15,8 @@ P and Q the perturbed regular and outgoing solutions: one zgttrf and one
 refined solve on two columns per lambda, then every apply is two running
 sums.  ``COUNTS`` holds the zgttrf calls and the right-hand-side columns
 through zgttrs.  Only the dense oracle ``free_green_matrix`` is M x M; the
-discrete matrix enters only in the complex-shift cross-check.
+discrete matrix enters only in the complex-shift cross-check.  R^- is
+never formed: V is real, so at real lambda it is conj(R^+).
 """
 
 from __future__ import annotations
@@ -48,52 +49,49 @@ _GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
 COUNTS = {"resolvent.lu_factors": 0, "resolvent.lu_solves": 0}
 
 
-def _bessel_pair(grid, n, lam, sign):
-    """u1 = sqrt(r) J_nu(lam r), u2 = sqrt(r) H_nu^{sign}(lam r), of shape
+def _bessel_pair(grid, n, lam):
+    """u1 = sqrt(r) J_nu(lam r), u2 = sqrt(r) H_nu^(1)(lam r), of shape
     lam.shape + (M,) for a scalar or an array lam.  Complex lam only with
-    Im lam >= 0 and sign=+1 (the analytic continuation)."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+    Im lam >= 0 (the analytic continuation)."""
     lam = np.asarray(lam)
-    if np.iscomplexobj(lam):
-        if sign != +1 or np.any(lam.imag < 0):
-            raise ValueError("complex frequency only for the outgoing branch")
-    elif np.any(lam <= 0):
+    if np.iscomplexobj(lam) and np.any(lam.imag < 0):
+        raise ValueError("complex frequency must have Im >= 0")
+    if np.isrealobj(lam) and np.any(lam <= 0):
         raise ValueError("frequency must be > 0")
-    j, h = bessel_jh((n - 2) / 2.0, lam[..., None] * grid.nodes, sign)
+    j, h = bessel_jh((n - 2) / 2.0, lam[..., None] * grid.nodes)
     root = np.sqrt(grid.nodes)
     return root * j, root * h
 
 
-def free_green_matrix(grid, n, lam, sign):
-    """Dense free resolvent matrix A0 (dr weight included): the test
-    oracle of the banded solve."""
-    u1, u2 = _bessel_pair(grid, n, lam, sign)
+def free_green_matrix(grid, n, lam):
+    """Dense outgoing free resolvent matrix A0 (dr weight included): the
+    test oracle of the banded solve."""
+    u1, u2 = _bessel_pair(grid, n, lam)
     low = np.tril(np.outer(u2, u1))          # i >= j: r_i = r_>
     up = np.triu(np.outer(u1, u2), k=1)      # i <  j: r_i = r_<
-    return sign * 0.5j * np.pi * grid.dr * (low + up)
+    return 0.5j * np.pi * grid.dr * (low + up)
 
 
-def _inverse_green(grid, n, lam, sign):
+def _inverse_green(grid, n, lam):
     """(off, diag, u1, u2, c) for a scalar or an array lam, each array of
     shape lam.shape + (M - 1,) or (M,): A0^{-1} is the symmetric tridiagonal
     with off-diagonal off and diagonal diag, for A0 = c (tril(u2 u1^T) +
-    triu(u1 u2^T, 1)), c = sign (i pi / 2) dr.  With D_i, E_i the cross
+    triu(u1 u2^T, 1)), c = (i pi / 2) dr.  With D_i, E_i the cross
     products u1_i u2_j - u1_j u2_i, j = i + 1, i + 2, A0^{-1} has
     off-diagonal 1 / (c D_i), diagonal -E_{i-1} / (c D_{i-1} D_i) and ends
     -u1_2 / (c u1_1 D_1), -u2_{M-1} / (c u2_M D_{M-1}).  Cross products
     come from J and H directly, except where d = lam (r_j - r_i) is small
     against a = lam r_i, |d| <= min(1, |a| / 8): there they cancel and are
-    sign i sqrt(r_i r_j) (2 / (pi a)) phi(a + d), phi the Bessel solution
+    i sqrt(r_i r_j) (2 / (pi a)) phi(a + d), phi the Bessel solution
     with phi(a) = 0, phi'(a) = 1 (the J, Y Wronskian is 2 / (pi a)), by 18
     Taylor terms in d: phi(a + d) / a = sum_k b_k (d / a)^k, b_0 = 0, b_1 = 1,
     (k + 2)(k + 1) b_{k+2} = -[(2k + 1)(k + 1) b_{k+1} + (k^2 - nu^2 + a^2) b_k
     + a^2 (2 b_{k-1} + b_{k-2})]; b_k a^(1 - k) are the Taylor coefficients.
     Every lam of an array takes the same operations as a scalar lam, so the
     two agree bit for bit."""
-    u1, u2 = _bessel_pair(grid, n, lam, sign)
+    u1, u2 = _bessel_pair(grid, n, lam)
     lam = np.asarray(lam)[..., None]
-    r, m, c = grid.nodes, grid.M, sign * 0.5j * np.pi * grid.dr
+    r, m, c = grid.nodes, grid.M, 0.5j * np.pi * grid.dr
     a2 = (lam * r[:-1]) ** 2
     b = [0.0 * a2] * 3 + [1.0 + 0.0 * a2]     # b_-2, b_-1, b_0, b_1
     for k in range(TAYLOR_TERMS - 2):
@@ -106,7 +104,7 @@ def _inverse_green(grid, n, lam, sign):
         psi = bk[..., None, :] + psi * x
     d1, d2 = (np.where((s * np.abs(lam) * grid.dr <= 1.0)
                        & (x[s - 1, :m - s] <= 0.125),
-                       2j * sign / np.pi * np.sqrt(r[:-s] * r[s:])
+                       2j / np.pi * np.sqrt(r[:-s] * r[s:])
                        * psi[..., s - 1, :m - s],
                        u1[..., :-s] * u2[..., s:] - u1[..., s:] * u2[..., :-s])
               for s in (1, 2))
@@ -134,8 +132,8 @@ def _lu_solve(lu, b, overwrite_b=False):
     return _GTTRS(*lu, b, overwrite_b=overwrite_b)[0]
 
 
-def _solvers(grid, n, potential, lams, sign):
-    """(b -> R^{sign}(lam) b, u1) for each lam in turn, for b of shape (M,)
+def _solvers(grid, n, potential, lams):
+    """(b -> R^+(lam) b, u1) for each lam in turn, for b of shape (M,)
     or (M, K), with the bands of up to CHUNK // M lams built at once.
     R = (A0^{-1} + V)^{-1} inverts an irreducible complex-symmetric
     tridiagonal, so it is semiseparable: R_ij = P_i Q_j / P_1 for i <= j,
@@ -149,7 +147,9 @@ def _solvers(grid, n, potential, lams, sign):
     e^{-Im lam R}, so the form has a range: a zero or subnormal P_1, or a
     non-finite P or Q / P_1, raises ValueError.  A singular system raises
     numpy.linalg.LinAlgError, a non-finite one (Bessel values or V outside
-    the float range) ValueError, all naming lam."""
+    the float range) ValueError, all naming lam; so does a potential
+    specified for another dimension than n."""
+    potential.check_dimension(n)
     v = potential(grid.nodes)
     lams = np.atleast_1d(lams)
     step = max(1, CHUNK // grid.M)
@@ -157,7 +157,7 @@ def _solvers(grid, n, potential, lams, sign):
     ends[-1, 0] = ends[0, 1] = 1.0
     for start in range(0, lams.size, step):
         chunk = lams[start:start + step]
-        offs, diags, u1s, u2s, c = _inverse_green(grid, n, chunk, sign)
+        offs, diags, u1s, u2s, c = _inverse_green(grid, n, chunk)
         diags += v
         finite = np.isfinite(offs).all(1) & np.isfinite(diags).all(1)
         for lam, off, diag, u1, u2, ok in zip(chunk, offs, diags, u1s, u2s,
@@ -211,9 +211,9 @@ def _generator_apply(p, q, b):
     return out.reshape(b.shape)
 
 
-def _solver(grid, n, potential, lam, sign):
+def _solver(grid, n, potential, lam):
     """_solvers for the one lam."""
-    return next(_solvers(grid, n, potential, [lam], sign))
+    return next(_solvers(grid, n, potential, [lam]))
 
 
 def _weighted_norm(apply, w):
@@ -223,16 +223,15 @@ def _weighted_norm(apply, w):
     return operator_two_norm(op, op, w.size)
 
 
-def ls_sweep(grid, n, potential, lams, b, sign, left):
-    """left @ R^{sign}(lam) b for an array of lam: shape (L, J, K) for b of
+def ls_sweep(grid, n, potential, lams, b, left):
+    """left @ R^+(lam) b for an array of lam: shape (L, J, K) for b of
     shape (M, K) and left of shape (J, M).  One zgttrf per lam, the bands
     built a chunk of lams at a time, each lam's result written into the
-    one output array; for sign = +1, lams may be complex with
-    Im lam >= 0.  Raises as ``_solvers``."""
+    one output array; lams may be complex (Im >= 0); raises as _solvers."""
     b = np.asfortranarray(np.asarray(b).reshape(grid.M, -1))
     lams = np.atleast_1d(lams)
     out = np.empty((lams.size, len(left), b.shape[1]), complex)
-    for x, (solve, _) in zip(out, _solvers(grid, n, potential, lams, sign)):
+    for x, (solve, _) in zip(out, _solvers(grid, n, potential, lams)):
         np.matmul(left, solve(b), out=x)
     return out
 
@@ -243,7 +242,7 @@ def resolvent_difference_vector(grid, n, potential, lams):
     v = potential(grid.nodes)
     lams = np.atleast_1d(lams)
     out = np.empty((grid.M, lams.size), complex)
-    for k, (solve, u) in enumerate(_solvers(grid, n, potential, lams, +1)):
+    for k, (solve, u) in enumerate(_solvers(grid, n, potential, lams)):
         out[:, k] = u - solve(v * u)
     return out
 
@@ -253,12 +252,14 @@ def la_norm_scan(grid, n, potential, lambda_grid):
     (rows, gaps), rows (lambda, norm, lambda * norm) and gaps (lambda,
     error).  The Lanczos kernel applies R by its generators for B^T too:
     R^T = A0 (I + V A0)^{-1} = R by push-through.  A numerical failure
-    (ValueError, LinAlgError) is a gap; any other error propagates."""
+    (ValueError, LinAlgError) is a gap; any other error, and a potential
+    specified for another dimension than n, propagates."""
+    potential.check_dimension(n)
     w = weight_matrix(grid, SCAN_S)
     rows, gaps = [], []
     for lam in lambda_grid:
         try:
-            nrm = _weighted_norm(_solver(grid, n, potential, lam, +1)[0], w)
+            nrm = _weighted_norm(_solver(grid, n, potential, lam)[0], w)
             rows.append((float(lam), nrm, float(lam) * nrm))
         except (ValueError, np.linalg.LinAlgError) as exc:
             gaps.append((float(lam), repr(exc)))
@@ -275,7 +276,7 @@ def complex_shift_compare(grid, n, potential, lam, eta):
     if eta <= 0:
         raise ValueError("need eta > 0")
     z = lam ** 2 + 1j * eta
-    solve = _solver(grid, n, potential, np.sqrt(z), +1)[0]
+    solve = _solver(grid, n, potential, np.sqrt(z))[0]
     op = build_G(grid, n, potential)
     lu = _factor(op.offdiag, op.diag - z, lam)
     w = weight_matrix(grid, SCAN_S)

@@ -1,8 +1,9 @@
 """Bessel kernels and the quadrature rules the package shares.
 
-The weighted function z^nu J_nu(z) and its exact oscillatory symbol
-decomposition z^nu J_nu(z) = e^{iz} b^+ + e^{-iz} b^-, plus composite
-Gauss-Legendre panels and the composite Simpson weights.
+The weighted function z^nu J_nu(z), the pair (J_nu, H_nu^(1)) of the free
+Green kernel, and the exact oscillatory symbol decomposition z^nu J_nu(z)
+= e^{iz} b^+ + e^{-iz} b^-, b^- = conj(b^+) (H^(2) is never formed), plus
+composite Gauss-Legendre panels and the composite Simpson weights.
 """
 
 from __future__ import annotations
@@ -45,24 +46,22 @@ def caljnu(nu, z):
     return z ** nu * special.jv(nu, z)
 
 
-def bessel_jh(nu, z, sign):
-    """(J_nu(z), H_nu^{sign}(z)), H^{+1} = H^(1).  For nu = 1 and real z,
-    cephes' j1 and j1 +/- i y1, ten times faster than AMOS's jv and hankel;
-    complex z takes AMOS, where J +/- i Y would cancel like e^{2 |Im z|}."""
+def bessel_jh(nu, z):
+    """(J_nu(z), H_nu^(1)(z)).  For nu = 1 and real z, cephes' j1 and
+    j1 + i y1, ten times faster than AMOS's jv and hankel1; complex z
+    takes AMOS, where J + i Y would cancel like e^{2 |Im z|}."""
     if nu == 1 and not np.iscomplexobj(z):
         j = special.j1(z)
-        return j, j + sign * 1j * special.y1(z)
-    hfun = special.hankel1 if sign == +1 else special.hankel2
-    return special.jv(nu, z), hfun(nu, z)
+        return j, j + 1j * special.y1(z)
+    return special.jv(nu, z), special.hankel1(nu, z)
 
 
 def symbol_split(nu, z):
-    """Exact symbol decomposition b^{+/-}(z) = (1/2) z^nu H^{+/-}(z) e^{-/+ iz},
-    returned as the pair of arrays (b^+, b^-)."""
+    """Exact symbol decomposition b^+(z) = (1/2) z^nu H^(1)(z) e^{-iz},
+    b^- = conj(b^+) for real z: the pair of arrays (b^+, b^-)."""
     z = _check_positive(z)
     bp = 0.5 * z ** nu * special.hankel1(nu, z) * np.exp(-1j * z)
-    bm = 0.5 * z ** nu * special.hankel2(nu, z) * np.exp(+1j * z)
-    return bp, bm
+    return bp, np.conj(bp)
 
 
 @lru_cache(maxsize=None)

@@ -13,9 +13,9 @@ from wavedecay.specfun import gauss_panels
 def test_stability_and_ratio_report():
     assert _stability([1.0, 4.0, 2.0]) == 4.0
     assert _stability([0.0, 0.0]) == 0.0
-    rep = est._ratio_report([1.0, 2.5], cap=3.0)
-    assert rep["passed"] and rep["ratio"] == 2.5
-    assert not est._ratio_report([1.0, 4.0], cap=3.0)["passed"]
+    rep = est._ratio_report([1.0, 2.5])
+    assert rep["passed"] and rep["ratio"] == 2.5 and rep["cap"] == 3.0
+    assert not est._ratio_report([1.0, 4.0])["passed"]
 
 
 def test_cone_sup_tracks_stated_rate(profile):

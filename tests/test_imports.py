@@ -3,8 +3,11 @@ name a module lists in ``__all__`` is bound in it, and the dense scipy
 kernels stay where they belong: the tridiagonal eigensolve is reached from
 ``radialop`` only, the banded solve from ``resolvent`` only (the
 Lippmann-Schwinger solves are one tridiagonal solve per lambda there), no
-module reaches the dense LU (the tests' oracle), and the order-specific
-Bessel kernels are bound in ``specfun`` only, behind ``caljnu``.  The
+module reaches the dense LU (the tests' oracle), the order-specific Bessel
+kernels and H^(1) are bound in ``specfun`` only, behind ``caljnu`` and
+``bessel_jh``, and no module reaches H^(2): the incoming branch is the
+conjugate of the outgoing one, and scipy's ``hankel2`` is the tests' oracle
+of that identity.  The
 resolvent quadrature of ``funcalc`` reads nothing of the eigen route it is
 checked against, and only two definitions assemble the M x M matrix of
 a factored operator (``LowRank.matrix``): no estimate and no command.
@@ -131,7 +134,8 @@ KERNEL_HOMES = {"lu_factor": None, "lu_solve": None,
                 "solve_banded": None,
                 "get_lapack_funcs": "resolvent.py",
                 "dstebz": "radialop.py", "dstein": "radialop.py",
-                "j1": "specfun.py"}
+                "j1": "specfun.py", "y1": "specfun.py",
+                "hankel1": "specfun.py", "hankel2": None}
 
 
 def kernel_names(source):

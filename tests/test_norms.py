@@ -146,7 +146,7 @@ def _weighted_cutoff(small_grid, potential):
 
 def _weighted_resolvent(small_grid, potential):
     eye = np.eye(small_grid.M)
-    r = ls_sweep(small_grid, 4, potential, [2.0], eye, +1, eye)
+    r = ls_sweep(small_grid, 4, potential, [2.0], eye, eye)
     w = weight_matrix(small_grid, 0.55)
     return w[:, None] * r[0] * w[None, :]
 

@@ -33,6 +33,14 @@ def test_potential_decay_constraint():
         PotentialSpec(-1.0, 3.0)
 
 
+def test_potential_of_another_dimension_raises(small_grid):
+    """PotentialSpec(2.0, 3.0) is checked against n = 4 (delta > 5/2), so
+    it is no potential of n = 6 (delta > 7/2)."""
+    with pytest.raises(ValueError, match="n = 4 used at n = 6"):
+        build_G(small_grid, 6, PotentialSpec(2.0, 3.0))
+    build_G(small_grid, 6, PotentialSpec(2.0, 4.0, 6))
+
+
 def test_potential_values():
     pot = PotentialSpec(2.0, 3.0)
     r = np.array([0.0, 1.0, 3.0])

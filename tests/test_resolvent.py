@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, note, settings, target
 from hypothesis import strategies as st
+from scipy import special
 from scipy.linalg import lu_factor, lu_solve
 
 from wavedecay import resolvent
@@ -17,17 +18,43 @@ N = 4
 UNIT_GRID = RadialGrid(16.0, 15)
 
 
+def green_matrix(grid, n, lam, sign):
+    """A0^{sign}: the package's outgoing matrix for sign = +1; for -1 the
+    oracle -(i pi / 2) dr sqrt(r r') J_nu(lam r_<) H_nu^(2)(lam r_>) from
+    scipy's jv and hankel2, which the package takes as conj(A0^+) and
+    never forms."""
+    if sign == +1:
+        return free_green_matrix(grid, n, lam)
+    nu = (n - 2) / 2.0
+    root = np.sqrt(grid.nodes)
+    u1 = root * special.jv(nu, lam * grid.nodes)
+    u2 = root * special.hankel2(nu, lam * grid.nodes)
+    return -0.5j * np.pi * grid.dr * (np.tril(np.outer(u2, u1))
+                                      + np.triu(np.outer(u1, u2), k=1))
+
+
 def dense_resolvent(grid, potential, lam, sign, b):
-    """The oracle: R b = (I + A0 V)^{-1} A0 b by a dense LU."""
-    a0 = free_green_matrix(grid, N, lam, sign)
+    """The oracle: R b = (I + A0 V)^{-1} A0 b by a dense LU, at the
+    potential's dimension."""
+    a0 = green_matrix(grid, potential.n, lam, sign)
     v = potential(grid.nodes)
     return lu_solve(lu_factor(np.eye(grid.M) + a0 * v[None, :]), a0 @ b)
+
+
+def sweep(grid, potential, lam, b, sign, left):
+    """left R^{sign}(lam) b by ls_sweep at the potential's dimension.  The
+    package forms R^+ only; R^- b is conj(R^+ conj(b)), V and a real
+    lambda being real."""
+    if sign == +1:
+        return ls_sweep(grid, potential.n, potential, [lam], b, left)[0]
+    return np.conj(ls_sweep(grid, potential.n, potential, [lam], np.conj(b),
+                            np.conj(left))[0])
 
 
 def resolvent_matrix(grid, potential, lam, sign, s=0.0):
     """Dense <x>^{-s} R <x>^{-s}: the banded solve on the identity."""
     eye = np.eye(grid.M)
-    r = ls_sweep(grid, N, potential, [lam], eye, sign, eye)[0]
+    r = sweep(grid, potential, lam, eye, sign, eye)
     ws = weight_matrix(grid, s)
     return ws[:, None] * r * ws[None, :]
 
@@ -37,11 +64,14 @@ def resolvent_matrix(grid, potential, lam, sign, s=0.0):
     (0.86 + 0.48j, +1), (5.09 + 0.49j, +1)])
 def test_tridiagonal_inverts_free_green_matrix(lam, sign):
     """The band of _inverse_green is the inverse of the dense free Green
-    matrix.  At complex lambda the cross products cancel like
-    e^{2 Im lambda r} unless they are taken from J and H directly."""
-    off, diag = resolvent._inverse_green(UNIT_GRID, N, lam, sign)[:2]
+    matrix, and its conjugate that of the incoming one from hankel2.  At
+    complex lambda the cross products cancel like e^{2 Im lambda r} unless
+    they are taken from J and H directly."""
+    off, diag = resolvent._inverse_green(UNIT_GRID, N, lam)[:2]
     t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    a0 = free_green_matrix(UNIT_GRID, N, lam, sign)
+    if sign == -1:
+        t = np.conj(t)
+    a0 = green_matrix(UNIT_GRID, N, lam, sign)
     assert np.linalg.norm(a0 @ t - np.eye(UNIT_GRID.M), 2) <= 1e-12
 
 
@@ -49,7 +79,7 @@ def green_delta_residual(grid, n, lam, sign, col):
     """Apply the discretized (L - lambda^2) to one Green column; away from
     the diagonal the result should vanish relative to the delta spike.
     This is the sign/normalization oracle."""
-    g = free_green_matrix(grid, n, lam, sign)[:, col] / grid.dr
+    g = green_matrix(grid, n, lam, sign)[:, col] / grid.dr
     op = build_G0(grid, n)
     resid = op.apply(g.real) + 1j * op.apply(g.imag) - lam ** 2 * g
     spike = np.abs(resid[col])
@@ -72,12 +102,17 @@ def test_green_column_solves_equation(small_grid):
         assert resid < 2e-2
 
 
-def test_free_jump_is_rank_one(small_grid):
-    u = resolvent._bessel_pair(small_grid, N, 2.0, +1)[0]
-    jump = (free_green_matrix(small_grid, N, 2.0, +1)
-            - free_green_matrix(small_grid, N, 2.0, -1))
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_free_jump_is_rank_one(small_grid, n):
+    """A0^+ - A0^- = i pi dr u u^T with A0^- = conj(A0^+), held to the
+    incoming matrix built from scipy's hankel2.  n = 4 takes cephes' j1
+    and y1, the other orders AMOS."""
+    a0 = free_green_matrix(small_grid, n, 2.0)
+    assert np.allclose(np.conj(a0), green_matrix(small_grid, n, 2.0, -1),
+                       rtol=0.0, atol=1e-14)
+    u = resolvent._bessel_pair(small_grid, n, 2.0)[0]
     expect = 1j * np.pi * small_grid.dr * np.outer(u, u)
-    assert np.allclose(jump, expect, atol=1e-14)
+    assert np.allclose(a0 - np.conj(a0), expect, rtol=0.0, atol=1e-14)
 
 
 def test_difference_vector_free_case(small_grid):
@@ -86,15 +121,20 @@ def test_difference_vector_free_case(small_grid):
     assert x.shape == (small_grid.M, 2)
     for k, lam in enumerate((2.0, 3.0)):
         assert np.array_equal(
-            x[:, k], resolvent._bessel_pair(small_grid, N, lam, +1)[0])
+            x[:, k], resolvent._bessel_pair(small_grid, N, lam)[0])
 
 
-def test_difference_vector_perturbed(small_grid, potential):
-    """R^+ - R^- stays rank one with the potential on."""
-    lam = 2.0
-    x = resolvent_difference_vector(small_grid, N, potential, [lam])[:, 0]
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_difference_vector_perturbed(small_grid, n):
+    """R^+ - R^- stays rank one with the potential on, R^- = conj(R^+)
+    held to the dense solve on the hankel2 matrix (1e-12 relative)."""
+    lam, potential = 2.0, PotentialSpec(2.0, n / 2.0 + 1.0, n)
+    x = resolvent_difference_vector(small_grid, n, potential, [lam])[:, 0]
     rp = resolvent_matrix(small_grid, potential, lam, +1)
     rm = resolvent_matrix(small_grid, potential, lam, -1)
+    oracle = dense_resolvent(small_grid, potential, lam, -1,
+                             np.eye(small_grid.M))
+    assert np.linalg.norm(rm - oracle) <= 1e-12 * np.linalg.norm(oracle)
     expect = 1j * np.pi * small_grid.dr * np.outer(x, np.conj(x))
     scale = np.max(np.abs(expect))
     assert np.allclose(rp - rm, expect, atol=1e-8 * scale)
@@ -104,7 +144,7 @@ def test_ls_solve_residual_and_record(small_grid, potential):
     """The solve satisfies R = R0 - R0 V R, and R is complex-symmetric
     (what la_norm_scan's Lanczos norm relies on)."""
     r = resolvent_matrix(small_grid, potential, 2.0, +1)
-    r0 = free_green_matrix(small_grid, N, 2.0, +1)
+    r0 = free_green_matrix(small_grid, N, 2.0)
     v = potential(small_grid.nodes)
     back = r0 - r0 @ (v[:, None] * r)
     assert np.linalg.norm(back - r, 2) < 1e-10 * np.linalg.norm(r, 2)
@@ -120,9 +160,10 @@ def test_ls_solve_residual_and_record(small_grid, potential):
 def test_sweep_matches_dense_lu(small_grid, lam, im, complex_lam, sign, c,
                                 delta, k, seed):
     """The banded solve against the dense LU over random frequencies,
-    potentials and right-hand sides: 1e-12 relative, for real lambda and
-    for complex lambda (outgoing branch, Im lambda <= 3, where
-    e^{Im lambda R} reaches 7e20 on this grid)."""
+    potentials and right-hand sides: 1e-12 relative, for real lambda (R^-
+    as the conjugate, against the hankel2 matrix) and for complex lambda
+    (outgoing branch, Im lambda <= 3, where e^{Im lambda R} reaches 7e20 on
+    this grid)."""
     if complex_lam:
         lam, sign = complex(lam, im), +1
     growth = float(np.exp(np.imag(lam) * small_grid.R))
@@ -134,24 +175,24 @@ def test_sweep_matches_dense_lu(small_grid, lam, im, complex_lam, sign, c,
     b = b + 1j * rng.standard_normal(b.shape)
     want = dense_resolvent(small_grid, pot, lam, sign, b)
     eye = np.eye(small_grid.M)
-    got = ls_sweep(small_grid, N, pot, [lam], b, sign, eye)[0]
+    got = sweep(small_grid, pot, lam, b, sign, eye)
     err = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert err <= 1e-12
     left = rng.standard_normal((2, small_grid.M))
-    projected = ls_sweep(small_grid, N, pot, [lam], b, sign, left)[0]
+    projected = sweep(small_grid, pot, lam, b, sign, left)
     assert np.allclose(projected, left @ got, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("sign", [+1, -1, "complex"])
-def test_inverse_green_on_an_array_is_the_per_lambda_calls(small_grid, sign):
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_inverse_green_on_an_array_is_the_per_lambda_calls(small_grid, kind):
     """Bands built for a lambda array equal the per-lambda bands bit for
     bit, on both sides of the Taylor branch (lambda dr <= 1)."""
     lams = np.linspace(0.2, 12.0, 9)
-    if sign == "complex":
-        lams, sign = lams + 1j * np.linspace(0.0, 2.0, 9), +1
-    whole = resolvent._inverse_green(small_grid, N, lams, sign)
+    if kind == "complex":
+        lams = lams + 1j * np.linspace(0.0, 2.0, 9)
+    whole = resolvent._inverse_green(small_grid, N, lams)
     for k, lam in enumerate(lams):
-        one = resolvent._inverse_green(small_grid, N, lam, sign)
+        one = resolvent._inverse_green(small_grid, N, lam)
         for got, want in zip(whole[:4], one[:4]):
             assert np.array_equal(got[k], want)
         assert whole[4] == one[4]
@@ -176,13 +217,13 @@ def test_sweep_batches_match_one_lambda_at_a_time(small_grid, potential):
 def test_generator_apply_matches_dense_lu(small_grid, potential, lam):
     """The generator apply, R = P Q^T / P_1 above the diagonal, against the
     dense LU of I + A0 V on the whole identity: 1e-14 relative (Frobenius),
-    both branches at real lambda and the outgoing one at complex lambda up
-    to Im lambda = 3.  With the refinement step dropped from the generator
+    both branches at real lambda (R^- as the conjugate, against the hankel2
+    matrix) and the outgoing one at complex lambda up to Im lambda = 3.  With the refinement step dropped from the generator
     solve it reads up to 9e-14 (lambda = 0.2)."""
     eye = np.eye(small_grid.M)
     for sign in ((+1, -1) if np.isrealobj(lam) else (+1,)):
         want = dense_resolvent(small_grid, potential, lam, sign, eye)
-        got = ls_sweep(small_grid, N, potential, [lam], eye, sign, eye)[0]
+        got = sweep(small_grid, potential, lam, eye, sign, eye)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err <= 1e-14, (sign, err)
 
@@ -191,19 +232,21 @@ def test_generator_apply_matches_dense_lu(small_grid, potential, lam):
 def test_projected_sweep_matches_refined_solves(small_grid, potential, lam,
                                                 sign):
     """ls_sweep(..., left) against left @ the refined solve run on each
-    column of b by itself: 1e-14 of the largest entry."""
+    column of b by itself: 1e-14 of the largest entry.  R^- b is taken as
+    conj(R^+ conj(b)) on both sides."""
     rng = np.random.default_rng(7)
     b = rng.standard_normal((small_grid.M, 6)) + 1j * rng.standard_normal(
         (small_grid.M, 6))
     left = rng.standard_normal((4, small_grid.M))
-    off, diag, u1, u2, c = resolvent._inverse_green(small_grid, N, lam, sign)
+    off, diag, u1, u2, c = resolvent._inverse_green(small_grid, N, lam)
     v = potential(small_grid.nodes)
     lu = resolvent._factor(off, diag + v, lam)
+    data = b if sign == +1 else np.conj(b)
     cols = np.stack([resolvent._refined_solve(
-        lam, lu, v, u1, u2, c, np.asfortranarray(b[:, [k]]))[:, 0]
+        lam, lu, v, u1, u2, c, np.asfortranarray(data[:, [k]]))[:, 0]
         for k in range(b.shape[1])], axis=1)
-    want = left @ cols
-    got = ls_sweep(small_grid, N, potential, [lam], b, sign, left)[0]
+    want = left @ (cols if sign == +1 else np.conj(cols))
+    got = sweep(small_grid, potential, lam, b, sign, left)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -230,7 +273,7 @@ def test_one_factorization_per_lambda(monkeypatch, small_grid, potential):
         calls.clear()
         before = dict(resolvent.COUNTS)
         ls_sweep(small_grid, N, potential, lams,
-                 np.eye(small_grid.M)[:, :k], -1, np.eye(small_grid.M))
+                 np.eye(small_grid.M)[:, :k], np.eye(small_grid.M))
         assert calls == {"gttrf": lams.size, "gttrs": 2 * lams.size}
         assert {key: resolvent.COUNTS[key] - before[key]
                 for key in before} == want
@@ -257,10 +300,10 @@ def test_generators_out_of_range_raise(monkeypatch, potential):
     grid = RadialGrid(16.0, 15999)
     lam = 2.0 + 43.34j
     assert np.isfinite(np.concatenate(
-        resolvent._inverse_green(grid, N, lam, +1)[:4])).all()
+        resolvent._inverse_green(grid, N, lam)[:4])).all()
     with pytest.raises(ValueError, match=r"lambda \(2\+43\.34j\): "
                        r"generators out of range"):
-        ls_sweep(grid, N, potential, [2.0, lam], np.ones(grid.M), +1,
+        ls_sweep(grid, N, potential, [2.0, lam], np.ones(grid.M),
                  np.ones((1, grid.M)))
     solve = resolvent._refined_solve
     monkeypatch.setattr(resolvent, "_refined_solve",
@@ -278,7 +321,7 @@ def test_singular_system_raises(potential):
     with pytest.raises(ValueError, match=r"lambda \(2\+60j\): A0\^-1 \+ V "
                        r"is not finite"):
         ls_sweep(UNIT_GRID, N, potential, [2.0, 2.0 + 60j],
-                 np.eye(UNIT_GRID.M), +1, np.eye(UNIT_GRID.M))
+                 np.eye(UNIT_GRID.M), np.eye(UNIT_GRID.M))
     with pytest.raises(ValueError, match=r"lambda \(2\+60j\)"):
         resolvent_difference_vector(UNIT_GRID, N, potential, [2.0 + 60j])
 
@@ -291,7 +334,7 @@ def test_sweep_names_the_first_bad_lambda_past_the_first_chunk(potential):
     lams[chunk + 3], lams[chunk + 4] = 2.0 + 60j, 2.0 + 70j
     with pytest.raises(ValueError, match=r"lambda \(2\+60j\): A0\^-1 \+ V "
                        r"is not finite"):
-        ls_sweep(UNIT_GRID, N, potential, lams, np.ones(UNIT_GRID.M), +1,
+        ls_sweep(UNIT_GRID, N, potential, lams, np.ones(UNIT_GRID.M),
                  np.eye(UNIT_GRID.M))
 
 
@@ -304,7 +347,7 @@ def test_singular_pivot_raises_naming_lambda(monkeypatch, potential):
         return (*kernel(*args, **kwargs)[:-1], 3)
     monkeypatch.setattr(resolvent, "_GTTRF", singular)
     with pytest.raises(np.linalg.LinAlgError, match=r"lambda 2\.5"):
-        ls_sweep(UNIT_GRID, N, potential, [2.5], np.ones(UNIT_GRID.M), +1,
+        ls_sweep(UNIT_GRID, N, potential, [2.5], np.ones(UNIT_GRID.M),
                  np.eye(UNIT_GRID.M))
     rows, gaps = la_norm_scan(UNIT_GRID, N, potential, [2.5])
     assert rows == [] and gaps[0][0] == 2.5 and "LinAlgError" in gaps[0][1]
@@ -313,7 +356,7 @@ def test_singular_pivot_raises_naming_lambda(monkeypatch, potential):
 def test_ls_reduces_to_free(small_grid):
     free = PotentialSpec(0.0, 3.0)
     r = resolvent_matrix(small_grid, free, 2.0, +1)
-    assert np.allclose(r, free_green_matrix(small_grid, N, 2.0, +1))
+    assert np.allclose(r, free_green_matrix(small_grid, N, 2.0))
 
 
 def test_la_norm_scan_free_decay(small_grid):
@@ -399,14 +442,21 @@ def test_complex_shift_matches_dense_form(small_grid, potential,
 
 
 def test_free_green_validation(small_grid):
-    with pytest.raises(ValueError):
-        free_green_matrix(small_grid, N, 2.0, 0)
-    with pytest.raises(ValueError):
-        free_green_matrix(small_grid, N, -2.0, +1)
-    with pytest.raises(ValueError):
-        free_green_matrix(small_grid, N, 2.0 + 1j, -1)
-    with pytest.raises(ValueError):
-        free_green_matrix(small_grid, N, 2.0 - 1j, +1)
+    with pytest.raises(ValueError, match="> 0"):
+        free_green_matrix(small_grid, N, -2.0)
+    with pytest.raises(ValueError, match="Im >= 0"):
+        free_green_matrix(small_grid, N, 2.0 - 1j)
+
+
+def test_potential_of_another_dimension_raises(small_grid, potential):
+    """A potential specified for n = 4 (delta = 3 > 5/2) is not one of
+    n = 6 (delta would have to exceed 7/2): the sweep, and the scan that
+    turns numerical failures into gaps, raise naming both dimensions."""
+    with pytest.raises(ValueError, match="n = 4 used at n = 6"):
+        ls_sweep(small_grid, 6, potential, [2.0], np.ones(small_grid.M),
+                 np.eye(small_grid.M))
+    with pytest.raises(ValueError, match="n = 4 used at n = 6"):
+        la_norm_scan(small_grid, 6, potential, [2.0])
 
 
 def test_weight_matrix_convention(small_grid):

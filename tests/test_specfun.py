@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from wavedecay.specfun import (caljnu, gauss_panels, simpson_weights,
-                               symbol_split)
+from wavedecay.specfun import (bessel_jh, caljnu, gauss_panels,
+                               simpson_weights, symbol_split)
 
 
 def test_half_order_closed_form():
@@ -33,10 +33,21 @@ def test_caljnu_matches_jv(nu, z):
 
 
 def test_hankel_conjugation():
-    # H^- = conj(H^+) on the real axis, so b^- = conj(b^+)
-    z = np.linspace(0.5, 9.0, 20)
-    bp, bm = symbol_split(1.0, z)
-    assert np.allclose(bm, np.conj(bp))
+    """H^(2) = conj(H^(1)) on the real axis, which is how the package forms
+    it: bessel_jh's conj(H^(1)) and symbol_split's b^- against scipy's
+    hankel2, 1e-13 of |H| (nu = 1 takes cephes' j1 and y1 in bessel_jh,
+    whose phase reduction moves the value by about eps z |H|)."""
+    z = np.geomspace(0.05, 40.0, 2001)
+    for nu in (0.5, 1.0, 1.5, 2.0, 2.5):
+        h2 = special.hankel2(nu, z)
+        j, h = bessel_jh(nu, z)
+        assert np.array_equal(j, special.j1(z) if nu == 1.0
+                              else special.jv(nu, z))
+        assert np.all(np.abs(np.conj(h) - h2) <= 1e-13 * np.abs(h2))
+        bm_want = 0.5 * z ** nu * h2 * np.exp(1j * z)
+        bp, bm = symbol_split(nu, z)
+        assert np.all(np.abs(bm - bm_want) <= 1e-13 * np.abs(bm_want))
+        assert np.array_equal(bm, np.conj(bp))
 
 
 def test_positivity_enforced():
