@@ -20,8 +20,8 @@ for t in [8.0 * 2.0 ** (k / 2.0) for k in range(9)]:
     rows.append((t, v))
     print(f"{t:7.2f}  {v:12.4e}  {t ** 1.5 * v:12.4e}")
 rep = fit_power_law(rows, target=-1.5, tolerance=0.2)
-print(f"\nfitted t-exponent {rep.fitted_exponent:+.3f} "
-      f"(target -1.5 +/- 0.2, {'ok' if rep.passed else 'out'})")
+print(f"\nfitted t-exponent {rep['fitted_exponent']:+.3f} "
+      f"(target -1.5 +/- 0.2, {'ok' if rep['passed'] else 'out'})")
 
 print("\n  h        sup|K| at t=16")
 rows = []
@@ -30,5 +30,5 @@ for h in (1.0, 0.5, 0.25, 0.125):
     rows.append((h, v))
     print(f"{h:7.3f}  {v:12.4e}")
 rep = fit_power_law(rows, target=-2.5, tolerance=0.3)
-print(f"\nfitted h-exponent {rep.fitted_exponent:+.3f} "
-      f"(target -2.5 +/- 0.3, {'ok' if rep.passed else 'out'})")
+print(f"\nfitted h-exponent {rep['fitted_exponent']:+.3f} "
+      f"(target -2.5 +/- 0.3, {'ok' if rep['passed'] else 'out'})")

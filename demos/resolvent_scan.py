@@ -25,7 +25,7 @@ for label, pot in (("free", free), ("perturbed", pert)):
     for lam, nrm, ln in rows:
         print(f"  lambda {lam:6.3f}   norm {nrm:9.5f}   "
               f"lambda*norm {ln:9.5f}")
-    print(f"  fitted lambda-exponent {rep.fitted_exponent:+.3f}\n")
+    print(f"  fitted lambda-exponent {rep['fitted_exponent']:+.3f}\n")
 
 for eta in (1.0, 0.5):
     gap = complex_shift_compare(grid, 4, pert, 2.0, eta=eta)

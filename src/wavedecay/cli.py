@@ -97,6 +97,12 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        # nan and inf pass the range checks below; the commands would
+        # then fail late or run on a degenerate grid or potential
+        finite = {"R": self.R, "c": self.c, "delta": self.delta,
+                  "moll_R": self.moll_R, "t_set": self.t_set}
+        if bad := [k for k, v in finite.items() if not np.all(np.isfinite(v))]:
+            raise ConfigError(f"non-finite values: {', '.join(bad)}")
         try:
             self.grid()
             self.potential()

@@ -551,7 +551,7 @@ def verify_lemma23(grid, n, op0, op, profile, h_set):
     with the weight <r>^{-1} and p in {1, 2, inf}.
 
     Returns a dict keyed by estimate id.  Entries are either stability
-    ratios (bounded-in-h surrogates) or DecayFitReports for the h-slopes.
+    ratios (bounded-in-h surrogates) or fit_power_law nodes for the h-slopes.
     The L^p entries are sector norms for radial data; p=1 columns of the
     L2->Lp items are recorded as not computed (no tractable exact norm).
     """
@@ -563,7 +563,7 @@ def verify_lemma23(grid, n, op0, op, profile, h_set):
         report[eid] = {"sup": max(vals), "h_stability": ratio,
                        "passed": ratio <= STABILITY_CAP}
     report["2.28"] = fit_power_law(rows["2.28"], "2.28", "h", target=2.0,
-                                   tolerance=0.3).as_dict()
+                                   tolerance=0.3)
     for eid in ("2.29", "2.30"):
         report[eid] = {}
         for p, samples in rows[eid].items():
@@ -574,11 +574,11 @@ def verify_lemma23(grid, n, op0, op, profile, h_set):
     report["2.31"] = {}
     for p, samples in rows["2.31"].items():
         report["2.31"][str(p)] = fit_power_law(
-            samples, "2.31", "h", target=2.0, tolerance=0.3).as_dict()
+            samples, "2.31", "h", target=2.0, tolerance=0.3)
     for eid, target in (("2.32", -n / 2.0), ("2.33", -n / 2.0),
                         ("2.34", 2.0 - n / 2.0)):
         report[eid] = fit_power_law(rows[eid], eid, "h", target=target,
-                                    tolerance=0.3).as_dict()
+                                    tolerance=0.3)
         report[eid]["note"] = ("sector L2->Linf norm; p=1 column not "
                                "computed (no tractable exact norm)")
     report["_caveat"] = ("all L^p entries are radial-sector norms, faithful "

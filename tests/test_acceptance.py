@@ -103,8 +103,8 @@ def test_criterion_03_light_cone_integral(kernel_reports):
     fit = fit_power_law([(t, values[f"{t:g}"]) for t in est.KERNEL_T],
                         "2.9", "t", target=0.0, tolerance=0.2,
                         one_sided=True)
-    assert fit.passed, (
-        f"t^1.5 int sigma^3 |K| grows like t^{fit.fitted_exponent:.3f} "
+    assert fit["passed"], (
+        f"t^1.5 int sigma^3 |K| grows like t^{fit['fitted_exponent']:.3f} "
         f"over t in [8,128], faster than t^0.2")
 
 
@@ -126,8 +126,8 @@ def test_criterion_05_limiting_absorption(grid, pot):
     rows, gaps = la_norm_scan(grid, N, PotentialSpec(0.0, 3.0), lams)
     rep = fit_power_law([(lam, nrm) for lam, nrm, _ in rows], "la",
                         "lambda", target=-1.0, tolerance=0.1)
-    assert not gaps and rep.passed, (
-        f"free lambda-slope {rep.fitted_exponent:.3f} not in -1 +/- 0.1")
+    assert not gaps and rep["passed"], (
+        f"free lambda-slope {rep['fitted_exponent']:.3f} not in -1 +/- 0.1")
     rows, gaps = la_norm_scan(grid, N, pot, lams)
     ln = [r[2] for r in rows]
     assert not gaps and max(ln) / min(ln) <= 10.0, (

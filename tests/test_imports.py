@@ -241,11 +241,10 @@ def test_quadrature_route_reads_no_eigen_route():
 
 
 # the module-level definitions that may assemble the M x M matrix of a
-# factored operator (LowRank.matrix): the dense oracle phi_of_hsqrt, and
-# check_thm31, whose zero-potential branch records that the two dense
-# sides cancel bit for bit.  Every estimate, and every norm the
-# propagator command takes, reads the factors.
-DENSE_READERS = {"phi_of_hsqrt", "check_thm31"}
+# factored operator (LowRank.matrix): the dense oracle phi_of_hsqrt.
+# Every estimate, and every norm the propagator command takes, reads the
+# factors.
+DENSE_READERS = {"phi_of_hsqrt"}
 
 
 def dense_readers(source):

@@ -368,8 +368,8 @@ def test_la_norm_scan_free_decay(small_grid):
     assert len(rows) == 7
     report = fit_power_law([(lam, nrm) for lam, nrm, _ in rows], "la",
                            "lambda", target=-1.0, tolerance=0.1)
-    assert report.passed
-    assert abs(report.fitted_exponent + 1.0) < 0.1
+    assert report["passed"]
+    assert abs(report["fitted_exponent"] + 1.0) < 0.1
 
 
 def test_la_norm_scan_records_gaps(small_grid, potential):
