@@ -113,7 +113,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimate ids: {', '.join(unknown)}")
         # t_set is also the kernel subcommand's plain scan grid, so it must
         # carry a fit only when a group that fits over it is selected
-        if any(fn in _FITS_T_SET for fn in _selected(self.estimate_ids)):
+        if set(_selected(self.estimate_ids)) & set(_selected(_FITS_T_SET)):
             try:
                 check_fit_window(self.t_set)
             except ValueError as exc:
@@ -132,65 +132,37 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # estimate groups
 
-def _run_kernel(cfg):
-    # free-kernel fits use their own t-window (no grid horizon applies)
-    return est.check_kernel_bounds(cfg.n, cfg.profile(), cfg.h_set)
-
-
-def _run_prop21(cfg):
-    return est.check_prop21(cfg.grid(), cfg.n, cfg.profile(), cfg.h_set,
-                            cfg.t_set)
-
-
-def _run_thm31(cfg):
-    return est.check_thm31(cfg.grid(), cfg.n, cfg.potential(),
-                           cfg.profile(), cfg.h_set)
-
-
-def _run_smoothing(cfg):
-    return est.check_smoothing(cfg.grid(), cfg.n, cfg.potential(),
-                               cfg.profile(), cfg.h_set[:3])
-
-
-def _run_thm34(cfg):
-    return est.check_thm34(cfg.grid(), cfg.n, cfg.potential(),
-                           cfg.profile(), cfg.h_set[:3], cfg.t_set)
-
-
-def _run_time_integral(cfg):
-    return est.check_weighted_time_integral(cfg.grid(), cfg.n,
-                                            cfg.potential(), cfg.profile(),
-                                            cfg.h_set[:3])
-
-
-def _run_mollifier(cfg):
-    grid = RadialGrid(cfg.moll_R, cfg.moll_M)
-    return est.mollified_multiplier_suite(grid, cfg.n, cfg.potential())
-
-
-def _run_thm41(cfg):
-    return est.check_thm41(cfg.grid(), cfg.n, cfg.potential(),
-                           cfg.profile(), cfg.h_set, cfg.t_set)
-
-
-def _run_thm11(cfg):
-    return est.assemble_thm11(cfg.grid(), cfg.n, cfg.potential(),
-                              t_set=cfg.t_set)
-
-
 GROUPS = (
-    (("2.7", "2.8", "2.9"), _run_kernel),
-    (("2.1", "2.2", "2.3", "2.4"), _run_prop21),
-    (("3.1",), _run_thm31),
-    (("3.2", "3.15"), _run_smoothing),
-    (("3.18", "3.19"), _run_thm34),
-    (("3.20",), _run_time_integral),
-    (("3.40", "3.41", "3.43", "3.46"), _run_mollifier),
-    (("4.1", "4.2", "4.6", "4.10"), _run_thm41),
-    (("1.2", "1.3", "1.4", "4.3"), _run_thm11),
+    # free-kernel fits use their own t-window (no grid horizon applies)
+    (("2.7", "2.8", "2.9"),
+     lambda c: est.check_kernel_bounds(c.n, c.profile(), c.h_set)),
+    (("2.1", "2.2", "2.3", "2.4"),
+     lambda c: est.check_prop21(c.grid(), c.n, c.profile(), c.h_set,
+                                c.t_set)),
+    (("3.1",),
+     lambda c: est.check_thm31(c.grid(), c.n, c.potential(), c.profile(),
+                               c.h_set)),
+    (("3.2", "3.15"),
+     lambda c: est.check_smoothing(c.grid(), c.n, c.potential(),
+                                   c.profile(), c.h_set[:3])),
+    (("3.18", "3.19"),
+     lambda c: est.check_thm34(c.grid(), c.n, c.potential(), c.profile(),
+                               c.h_set[:3], c.t_set)),
+    (("3.20",),
+     lambda c: est.check_weighted_time_integral(
+         c.grid(), c.n, c.potential(), c.profile(), c.h_set[:3])),
+    (("3.40", "3.41", "3.43", "3.46"),
+     lambda c: est.mollified_multiplier_suite(
+         RadialGrid(c.moll_R, c.moll_M), c.n, c.potential())),
+    (("4.1", "4.2", "4.6", "4.10"),
+     lambda c: est.check_thm41(c.grid(), c.n, c.potential(), c.profile(),
+                               c.h_set, c.t_set)),
+    (("1.2", "1.3", "1.4", "4.3"),
+     lambda c: est.assemble_thm11(c.grid(), c.n, c.potential(),
+                                  t_set=c.t_set)),
 )
-# the groups that fit over the whole t_set
-_FITS_T_SET = (_run_prop21, _run_thm34, _run_thm41, _run_thm11)
+# the first ids of the groups that fit over the whole t_set
+_FITS_T_SET = ("2.1", "3.18", "4.1", "1.2")
 
 
 def _selected(ids):
@@ -331,13 +303,16 @@ def cmd_report(cfg):
     return 0 if _passed(reports) else 1
 
 
+COMMANDS = {"kernel": cmd_kernel, "resolvent": cmd_resolvent,
+            "propagator": cmd_propagator, "verify": cmd_verify,
+            "report": cmd_report}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="wavedecay",
         description="numerical laboratory for dispersive wave estimates")
-    parser.add_argument("command", choices=("kernel", "resolvent",
-                                            "propagator", "verify",
-                                            "report"))
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None)
     parser.add_argument("--estimates", default=None,
                         help="comma separated estimate ids")
@@ -347,11 +322,9 @@ def main(argv=None):
     if args.estimates is not None:
         overrides["estimate_ids"] = tuple(
             args.estimates.replace(",", " ").split())
-    command = {"kernel": cmd_kernel, "resolvent": cmd_resolvent,
-               "propagator": cmd_propagator, "verify": cmd_verify,
-               "report": cmd_report}[args.command]
     try:
-        return command(ExperimentConfig.load(args.config, overrides))
+        return COMMANDS[args.command](
+            ExperimentConfig.load(args.config, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

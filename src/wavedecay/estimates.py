@@ -263,8 +263,11 @@ def _time_side_integral(op, profile, h, w, s, test_vectors):
     return (*_total_and_tail(vals, 0.25), band_mass)
 
 
-def check_thm31(grid, n, potential, profile, h_set, t_set=(1.0, 4.0, 16.0)):
-    """sup_t of the propagator-difference L2 norm, fitted in h."""
+_THM31_T = (1.0, 4.0, 16.0)
+
+
+def check_thm31(grid, n, potential, profile, h_set):
+    """sup over _THM31_T of the propagator-difference L2 norm, fitted in h."""
     op0, op = build_G0(grid, n), build_G(grid, n, potential)
     if potential.c == 0.0:
         # both operators share one stencil: the difference vanishes
@@ -280,8 +283,8 @@ def check_thm31(grid, n, potential, profile, h_set, t_set=(1.0, 4.0, 16.0)):
     rows, per_h = [], {}
     for h in h_set:
         diff = op.band(profile, h) - op0.band(profile, h)
-        norms = band_norm_2(diff.vecs, diff.vecs, diff.coeff(t_set))
-        per_h[f"{h:g}"] = dict(zip((f"{t:g}" for t in t_set),
+        norms = band_norm_2(diff.vecs, diff.vecs, diff.coeff(_THM31_T))
+        per_h[f"{h:g}"] = dict(zip((f"{t:g}" for t in _THM31_T),
                                    (float(v) for v in norms)))
         rows.append((h, max(norms)))
     out = fit_power_law(rows, "3.1", "h", target=1.0, tolerance=0.2,
@@ -615,10 +618,6 @@ def mollified_multiplier_suite(grid, n, potential, r_cut=96.0,
     scan_rep["passed"] = bool(all(v["passed"]
                                   for v in scan_rep.values()))
     reports["3.46_theta_scan"] = scan_rep
-    reports["_meta"] = {"s": s, "m": m_order, "mu": mu,
-                        "grid": {"R": grid.R, "M": grid.M},
-                        "frame_extent": r_cut,
-                        "lattice_step": lattice_step}
     return reports
 
 
@@ -712,7 +711,8 @@ def assemble_thm11(grid, n, potential, t_set=(4.0, 8.0, 16.0, 32.0,
                                               64.0)):
     """Scalar frequency-integration identity plus sector surrogates of
     the final dispersive estimates (alpha = 1 endpoints), for the step
-    cutoff chi_a at a = 1."""
+    cutoff chi_a at a = 1.  Full-space L^p' -> L^p norms for intermediate
+    p are not reproducible from the radial sector and are not claimed."""
     op = build_G(grid, n, potential)
     a = 1.0
     chi = step_cutoff(a)
@@ -765,9 +765,6 @@ def assemble_thm11(grid, n, potential, t_set=(4.0, 8.0, 16.0, 32.0,
     for key in ("1.4", "1.3"):
         reports[key]["note"] = SECTOR_NOTE
         reports[key]["frequency_rolloff"] = [8.0, 16.0]
-    reports["_exclusions"] = ("full-space L^p' -> L^p norms for "
-                              "intermediate p are not reproducible from "
-                              "the radial sector and are not claimed")
     return reports
 
 

@@ -25,8 +25,9 @@ def check_fit_window(xs):
 
 def fit_power_law(samples, estimate_id="", variable="x", target=None,
                   tolerance=0.0, one_sided=False):
-    """Fit log y = log C + e log x to positive samples [(x, y), ...] by
-    least squares; returns the report node, a dict.
+    """Fit log y = log C + e log x to finite positive samples [(x, y), ...]
+    by least squares; returns the report node, a dict.  Raises ValueError
+    for any other sample or a window check_fit_window rejects.
 
     ``residual`` is the max absolute deviation from the fit line in
     natural-log units.  ``residual_cap`` is recorded as inf and grades
@@ -45,8 +46,8 @@ def fit_power_law(samples, estimate_id="", variable="x", target=None,
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     check_fit_window(xs)
-    if np.any(ys <= 0):
-        raise ValueError("samples must be positive")
+    if not np.all(np.isfinite(xs) & np.isfinite(ys) & (ys > 0)):
+        raise ValueError("samples must be finite and positive")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     slope = float(slope)

@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from wavedecay.cli import (_KEYS, GROUPS, ConfigError, ExperimentConfig,
-                           _floats, _group_rank, main)
+from wavedecay.cli import (_FITS_T_SET, _KEYS, GROUPS, ConfigError,
+                           ExperimentConfig, _floats, _group_rank, main)
 from wavedecay import resolvent
 from wavedecay.norms import COUNTS
 from wavedecay.radialop import _operator
@@ -106,6 +106,20 @@ def test_groups_partition_estimate_ids():
         assert callable(fn)
         seen.extend(ids)
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("ids, run", GROUPS, ids=[g[0][0] for g in GROUPS])
+def test_fits_t_set_names_the_groups_that_fit_over_it(ids, run):
+    """validate asks for a fit window on t_set exactly when a group in
+    _FITS_T_SET is selected: those groups fail on a two-point t_set, every
+    other group runs on it."""
+    cfg = ExperimentConfig(R=16.0, M=159, t_set=(2.0, 4.0), moll_R=16.0,
+                           moll_M=159)
+    if ids[0] in _FITS_T_SET:
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            run(cfg)
+    else:
+        assert run(cfg)
 
 
 def test_main_exit_2_on_bad_config(capsys):

@@ -68,6 +68,13 @@ def test_rejects_degenerate_input():
         fit_power_law(_samples(1.0, -1.0, [1.0, 1.5, 2.0, 3.0]))  # narrow
     with pytest.raises(ValueError):
         fit_power_law([(1.0, 1.0), (2.0, -0.5), (4.0, 1.0), (8.0, 1.0)])
+    nan, inf = float("nan"), float("inf")
+    for bad in ([(1.0, 1.0), (2.0, nan), (4.0, 3.0), (8.0, 4.0)],
+                [(1.0, 1.0), (2.0, inf), (4.0, 3.0), (8.0, 4.0)],
+                [(1.0, 1.0), (nan, 2.0), (4.0, 3.0), (8.0, 4.0)],
+                [(1.0, 1.0), (2.0, 2.0), (4.0, 3.0), (inf, 4.0)]):
+        with pytest.raises(ValueError):
+            fit_power_law(bad)
 
 
 def test_report_node_keys():
