@@ -1,9 +1,9 @@
-"""Smooth compactly supported frequency cutoffs and their exact derivatives.
+"""Smooth compactly supported frequency cutoffs and the bump's derivatives.
 
-The canonical bump on (a, b) is exp(-1/((s-a)(b-s))).  All derivatives are
-computed from closed-form recursions (no finite differencing), which keeps
-the downstream envelope and almost-analytic checks free of differencing
-noise.  Three kinds are provided:
+The canonical bump on (a, b) is exp(-1/((s-a)(b-s))).  ``derivs`` takes
+the derivatives of an untilted bump from one closed-form recursion (no
+finite differencing), which keeps criterion 6's almost-analytic extension
+free of differencing noise.  Three kinds are provided:
 
 * ``bump``     -- the canonical bump on (1, 2)
 * ``plateau``  -- smoothed indicator: rises on [a, 2a], equals 1 up to b,
@@ -45,40 +45,38 @@ def _raw_bump(a, b, s):
     return out
 
 
-def _raw_bump_deriv(a, b, k, s):
-    """k-th derivative of the canonical bump on (a,b).
+def _raw_bump_derivs(a, b, k_max, s):
+    """Orders 0 to k_max of the canonical bump on (a,b), stacked as a
+    (k_max + 1, *s.shape) array; row 0 is ``_raw_bump``.
 
     Uses f' = g' f with the partial fraction
     g(s) = -((s-a)^-1 + (b-s)^-1)/(b-a), so
     g^(j) = -(j!/(b-a)) * ((-1)^j (s-a)^(-1-j) + (b-s)^(-1-j)).
     """
     s = np.asarray(s, dtype=float)
-    if k == 0:
-        return _raw_bump(a, b, s)
-    out = np.zeros_like(s)
+    out = np.zeros((k_max + 1,) + s.shape)
+    out[0] = _raw_bump(a, b, s)
     # keep clear of the support endpoints: there the bump and all its
     # derivatives underflow to zero anyway
     inside = (s > a) & (s < b)
     prod = (s - a) * (b - s)
     live = inside & (-1.0 / np.where(inside, prod, 1.0) > -80.0)
     x = s[live]
-    if x.size == 0:
-        return out
     da = x - a
     db = b - x
     fact = 1.0
     gders = []
-    for j in range(1, k + 1):
+    for j in range(1, k_max + 1):
         fact *= j
         gders.append(-(fact / (b - a)) * ((-1.0) ** j * da ** (-1 - j) + db ** (-1 - j)))
     fders = [np.exp(-1.0 / (da * db))]
-    for m in range(1, k + 1):
+    for m in range(1, k_max + 1):
         # f^(m) = sum_j C(m-1, j) g^(j+1) f^(m-1-j)
         acc = np.zeros_like(x)
         for j in range(m):
             acc += comb(m - 1, j) * gders[j] * fders[m - 1 - j]
         fders.append(acc)
-    out[live] = fders[k]
+        out[m, live] = acc
     return out
 
 
@@ -106,8 +104,8 @@ def _bump_mass(a, b):
 class BumpProfile:
     """A smooth frequency profile with support in (0, inf).
 
-    Calling it, or ``deriv``, evaluates scale * sigma^power * base(sigma)
-    where base is determined by ``kind``.
+    Calling it evaluates scale * sigma^power * base(sigma), where base is
+    determined by ``kind``.
     """
 
     a_lo: float
@@ -131,50 +129,29 @@ class BumpProfile:
         hi = 2 * self.a_hi if np.isfinite(self.a_hi) else np.inf
         return (self.a_lo, hi)
 
-    def _base_value(self, s):
-        if self.kind == "bump":
-            return _raw_bump(self.a_lo, self.a_hi, s)
+    def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        a = self.a_lo
-        out = _bump_cdf(a, 2 * a, s) / _bump_mass(a, 2 * a)
-        if np.isfinite(self.a_hi):
-            b = self.a_hi
-            out = out - _bump_cdf(b, 2 * b, s) / _bump_mass(b, 2 * b)
-        return out
-
-    def _base_deriv(self, k, s):
-        if k == 0:
-            return self._base_value(s)
         if self.kind == "bump":
-            return _raw_bump_deriv(self.a_lo, self.a_hi, k, s)
-        a = self.a_lo
-        out = _raw_bump_deriv(a, 2 * a, k - 1, s) / _bump_mass(a, 2 * a)
-        if np.isfinite(self.a_hi):
-            b = self.a_hi
-            out = (out - _raw_bump_deriv(b, 2 * b, k - 1, s)
-                   / _bump_mass(b, 2 * b))
-        return out
-
-    def deriv(self, k, s):
-        """k-th derivative, exact (Leibniz over the power tilt)."""
-        if k < 0:
-            raise ValueError("derivative order must be >= 0")
-        s = np.asarray(s, dtype=float)
-        if self.power == 0.0:
-            return self.scale * self._base_deriv(k, s)
-        out = np.zeros_like(s)
-        pos = s > 0
-        x = s[pos]
-        q = self.power
-        coef = 1.0
-        for i in range(k + 1):
-            if i > 0:
-                coef *= (q - i + 1) / 1.0
-            out[pos] += comb(k, i) * coef * x ** (q - i) * self._base_deriv(k - i, s)[pos]
+            out = _raw_bump(self.a_lo, self.a_hi, s)
+        else:
+            a = self.a_lo
+            out = _bump_cdf(a, 2 * a, s) / _bump_mass(a, 2 * a)
+            if np.isfinite(self.a_hi):
+                b = self.a_hi
+                out = out - _bump_cdf(b, 2 * b, s) / _bump_mass(b, 2 * b)
+        if self.power != 0.0:
+            pos = s > 0
+            tilted = np.zeros_like(s)
+            tilted[pos] = s[pos] ** self.power * out[pos]
+            out = tilted
         return self.scale * out
 
-    def __call__(self, s):
-        return self.deriv(0, s)
+    def derivs(self, k_max, s):
+        """Orders 0 to k_max of an untilted bump, exact, stacked as a
+        (k_max + 1, *s.shape) array."""
+        if self.kind != "bump" or self.power != 0.0:
+            raise ValueError("derivatives are taken of untilted bumps only")
+        return self.scale * _raw_bump_derivs(self.a_lo, self.a_hi, k_max, s)
 
     def tilt(self, q):
         """Same base profile multiplied by sigma^q."""
@@ -220,14 +197,14 @@ def sqrt_compose_derivs(profile, k_max, x):
 
     Maintains the exact representation
     psi^(k)(x) = sum_j c_j x^(p_j) profile^(j)(sqrt(x)),
-    each order's term table built from the last, so every profile^(j)
-    is evaluated once.
+    each order's term table built from the last; profile^(j), j <= k_max,
+    is the one stack that ``profile.derivs`` returns (an untilted bump's).
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("sqrt composition defined for x > 0 only")
     u = np.sqrt(x)
-    derivs = [profile.deriv(j, u) for j in range(k_max + 1)]
+    derivs = profile.derivs(k_max, u)
     out = np.zeros((k_max + 1,) + x.shape)
     terms = {(0.0, 0): 1.0}  # (power p, deriv order j) -> coeff
     for k in range(k_max + 1):

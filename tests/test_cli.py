@@ -235,6 +235,12 @@ def test_verify_report_round_trip(tmp_path, capsys):
     assert not (out / ".cache").exists()
     emitted = [p for p in os.listdir(out) if p.startswith("estimate_")]
     assert "estimate_3_18_s0_75.json" in emitted
+    # no report key, at any depth, starts with "_"
+    keys = [p[len("estimate_"):] for p in emitted]
+    for p in emitted:
+        json.loads((out / p).read_text(),
+                   object_pairs_hook=lambda kv: keys.extend(k for k, _ in kv))
+    assert not [k for k in keys if k.startswith("_")]
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["estimates"] == ids
     written = tmp_path / "verify_rollup.csv"

@@ -100,10 +100,8 @@ def test_free_kernel_sup_cone_restriction(profile):
 def test_rollup_rows_flatten():
     reports = {
         "2.7": {"t": {"fitted_exponent": -1.5, "target": -1.5,
-                      "tolerance": 0.2, "variable": "t", "passed": True},
-                "_meta": {"fitted_exponent": 0.0, "passed": False}},
+                      "tolerance": 0.2, "variable": "t", "passed": True}},
         "3.2": {"ratio": 1.1, "cap": 3.0, "passed": True},
-        "_notes": {"passed": False},
     }
     rows = est.rollup_rows(reports)
     keys = sorted(r[0] for r in rows)
@@ -118,14 +116,12 @@ def test_emit_reports_round_trip(tmp_path):
     import json
 
     reports = {"9.1": {"fitted_exponent": -1.0, "passed": True,
-                       "window": [1.0, 8.0]},
-               "_skip": {"x": 1}}
+                       "window": [1.0, 8.0]}}
     written = est.emit_reports(reports, str(tmp_path))
     names = sorted(p.split("/")[-1] for p in written)
     assert names == ["estimate_9_1.json", "rollup.csv"]
     back = json.loads((tmp_path / "estimate_9_1.json").read_text())
     assert back["fitted_exponent"] == -1.0
-    assert not (tmp_path / "estimate__skip.json").exists()
 
 
 def test_time_side_values_match_per_t_loop(small_grid, potential, profile):

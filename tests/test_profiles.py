@@ -79,8 +79,11 @@ def test_bump_derivatives_vs_finite_differences(k):
     elif k == 2:
         fd = (phi(s + eps) - 2 * phi(s) + phi(s - eps)) / eps ** 2
     else:
-        fd = (phi.deriv(2, s + eps) - phi.deriv(2, s - eps)) / (2 * eps)
-    assert np.allclose(fd, phi.deriv(k, s), rtol=1e-5, atol=1e-7)
+        fd = (phi.derivs(2, s + eps)[2]
+              - phi.derivs(2, s - eps)[2]) / (2 * eps)
+    stack = phi.derivs(k, s)
+    assert np.allclose(fd, stack[k], rtol=1e-5, atol=1e-7)
+    assert np.array_equal(stack[0], phi(s))
 
 
 def test_tilt_multiplies_by_power():
@@ -90,12 +93,11 @@ def test_tilt_multiplies_by_power():
     assert np.allclose(phi.tilt(-1)(s), phi(s) / s)
 
 
-def test_tilted_derivative_leibniz():
-    phi = bump().tilt(1.5)
-    s = np.linspace(1.1, 1.9, 9)
-    eps = 1e-5
-    fd = (phi(s + eps) - phi(s - eps)) / (2 * eps)
-    assert np.allclose(fd, phi.deriv(1, s), rtol=1e-6, atol=1e-9)
+@pytest.mark.parametrize("profile", [bump().tilt(1), plateau(1.0, 4.0)],
+                         ids=["tilted", "plateau"])
+def test_derivs_only_for_untilted_bumps(profile):
+    with pytest.raises(ValueError, match="untilted bumps"):
+        profile.derivs(2, np.linspace(1.1, 1.9, 9))
 
 
 def test_companion_plateau_partition():
@@ -110,7 +112,7 @@ def test_sqrt_compose_first_derivative():
     # d/dx phi(sqrt(x)) = phi'(sqrt(x)) / (2 sqrt(x))
     phi = bump()
     x = np.linspace(1.3, 3.7, 13)
-    expect = phi.deriv(1, np.sqrt(x)) / (2.0 * np.sqrt(x))
+    expect = phi.derivs(1, np.sqrt(x))[1] / (2.0 * np.sqrt(x))
     assert np.allclose(sqrt_compose_derivs(phi, 1, x)[1], expect)
 
 
